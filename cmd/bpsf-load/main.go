@@ -146,8 +146,6 @@ func main() {
 		"named workload profile to replay: "+fmt.Sprint(bench.ProfileNames())+" (explicit flags override; see bpsf-bench -list)")
 	pullStats := flag.Bool("stats", false,
 		"after the run, pull the server's telemetry snapshot in-protocol (msgStats) and print it")
-	minBatchDecoded := flag.Int("min-batch-decoded", -1,
-		"exit nonzero unless the server's pools report at least this many requests decoded by the bitsliced batch kernel (-1 = no check; pulls a stats snapshot)")
 	minBackends := flag.Int("min-backends", -1,
 		"exit nonzero unless the target's stats snapshot reports at least this many healthy backends — the fleet-smoke gate proving traffic went through a gateway, not a bare server (-1 = no check)")
 	flag.Parse()
@@ -281,9 +279,6 @@ func main() {
 	if *maxShed >= 0 && res.Shed > *maxShed {
 		log.Fatalf("shed %d responses, budget %d", res.Shed, *maxShed)
 	}
-	if *minBatchDecoded >= 0 {
-		checkBatchDecoded(*addr, statsHello, *minBatchDecoded)
-	}
 	if *minBackends >= 0 {
 		checkMinBackends(*addr, statsHello, *minBackends)
 	}
@@ -319,31 +314,6 @@ func checkMinBackends(addr string, h service.Hello, min int) {
 	fmt.Printf("%d of %d backends healthy\n", healthy, len(snap.Backends))
 	if healthy < min {
 		log.Fatalf("%d healthy backends, floor %d (is %s a gateway?)", healthy, min, addr)
-	}
-}
-
-// checkBatchDecoded pulls a stats snapshot and enforces a floor on the
-// number of requests the pools decoded through the bitsliced batch
-// kernel — the CI loopback smoke's proof that the fast path actually
-// served traffic, not just that responses came back.
-func checkBatchDecoded(addr string, h service.Hello, min int) {
-	c, err := service.Dial(addr, h)
-	if err != nil {
-		log.Fatalf("-min-batch-decoded stats session: %v", err)
-	}
-	defer c.Close()
-	snap, err := c.Stats()
-	if err != nil {
-		log.Fatalf("-min-batch-decoded stats pull: %v", err)
-	}
-	var lanes, calls uint64
-	for _, ps := range snap.Pools {
-		lanes += ps.BatchLanes
-		calls += ps.BatchDecodes
-	}
-	fmt.Printf("batch kernel served %d requests in %d DecodeBatch calls\n", lanes, calls)
-	if lanes < uint64(min) {
-		log.Fatalf("batch kernel decoded %d requests, floor %d", lanes, min)
 	}
 }
 

@@ -48,8 +48,6 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 0, "drop a session whose client stops reading replies for this long per flush (0 = never)")
 	statsEvery := flag.Duration("stats", 0, "periodic stats interval (0 = only on exit)")
 	quiet := flag.Bool("quiet", false, "suppress per-session log lines")
-	noBatchDecode := flag.Bool("no-batch-decode", false,
-		"disable the bitsliced batch-decode fast path (pools decode every request scalar; for performance A/B runs — responses are byte-identical either way)")
 	flag.Parse()
 
 	allowed, err := parseDecoderKinds(*decoders)
@@ -73,8 +71,6 @@ func main() {
 		IdleTimeout:  *idleTimeout,
 		WriteTimeout: *writeTimeout,
 		Logf:         logf,
-
-		DisableBatchDecode: *noBatchDecode,
 	})
 	if err := srv.Listen(*addr); err != nil {
 		log.Fatal(err)

@@ -11,7 +11,6 @@
 //	         -bp-iters 1000 -osd-order 10
 //	bpsf-sim -code rsurf5 -model capacity -decoder uf -p 0.001 -shots 20000
 //	bpsf-sim -code rsurf5 -model circuit -decoder uf -window 3 -commit 1 -p 0.001
-//	bpsf-sim -code rsurf5 -model circuit -decoder uf -decode-batch -p 0.003 -shots 100000
 package main
 
 import (
@@ -21,13 +20,11 @@ import (
 	"os"
 	"runtime"
 
-	"bpsf/internal/bp"
 	"bpsf/internal/codes"
 	"bpsf/internal/dem"
 	"bpsf/internal/experiments"
 	"bpsf/internal/memexp"
 	"bpsf/internal/sim"
-	"bpsf/internal/sparse"
 	"bpsf/internal/window"
 )
 
@@ -57,9 +54,6 @@ func main() {
 		"Monte-Carlo shard workers (results are identical for any value)")
 	batch := flag.String("batch", "on",
 		"circuit model sampling: on = word-parallel 64-shot Pauli-frame sampling of the circuit, off = the retained per-shot DEM sampler (ignored by -model capacity)")
-	decodeBatch := flag.Bool("decode-batch", false,
-		"decode 64-shot blocks with the bitsliced batch kernels (circuit model; decoders: "+
-			fmt.Sprint(sim.BatchDecoderNames())+"; incompatible with -window)")
 	flag.Parse()
 
 	useBatch, err := sim.ParseBatchFlag(*batch)
@@ -94,9 +88,6 @@ func main() {
 	var res *sim.Result
 	switch *model {
 	case "capacity":
-		if *decodeBatch {
-			log.Fatal("-decode-batch requires -model circuit")
-		}
 		// rows-as-rounds layout for -window (the zero Layout default)
 		mk, ferr := decoderFactory(flags)
 		if ferr != nil {
@@ -110,14 +101,9 @@ func main() {
 		}
 		// window the circuit problem along the memory-experiment rounds
 		flags.Layout = window.MemexpLayout(css, r)
-		var mk sim.Factory
-		if !*decodeBatch {
-			// the batch registry has its own vocabulary ("bpq" has no
-			// scalar twin), so skip the scalar factory entirely
-			var ferr error
-			if mk, ferr = decoderFactory(flags); ferr != nil {
-				log.Fatal(ferr)
-			}
+		mk, ferr := decoderFactory(flags)
+		if ferr != nil {
+			log.Fatal(ferr)
 		}
 		circ, berr := memexp.Build(css, r, memexp.Uniform())
 		if berr != nil {
@@ -129,25 +115,10 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("DEM: %d detectors, %d mechanisms\n", d.NumDets, d.NumMechs())
-		switch {
-		case *decodeBatch:
-			if *windowRounds > 0 {
-				log.Fatal("-decode-batch is incompatible with -window (batch kernels decode whole histories)")
-			}
-			mkb, berr := batchFactory(*decoder, *bpIters)
-			if berr != nil {
-				log.Fatal(berr)
-			}
-			if useBatch {
-				// fully word-parallel: frame sampling AND bitsliced decode
-				res, err = sim.RunCircuitFramesDecodeBatch(circ, d, r, mkb, cfg)
-			} else {
-				res, err = sim.RunCircuitDecodeBatch(d, r, mkb, cfg)
-			}
-		case useBatch:
+		if useBatch {
 			// word-parallel Pauli-frame sampling of the circuit itself
 			res, err = sim.RunCircuitFrames(circ, d, r, mk, cfg)
-		default:
+		} else {
 			res, err = sim.RunCircuit(d, r, mk, cfg)
 		}
 	default:
@@ -176,22 +147,4 @@ type decoderFlags = experiments.CLIDecoderFlags
 // sliding-window scheduler.
 func decoderFactory(f decoderFlags) (sim.Factory, error) {
 	return experiments.CLIFactory(f)
-}
-
-// batchFactory resolves -decode-batch runs: the sim batch registry's
-// vocabulary (uf, bp, bpq), with -bp-iters honored for the BP kernels.
-func batchFactory(name string, bpIters int) (func(*sparse.Mat, []float64) (sim.BatchDecoder, error), error) {
-	switch name {
-	case "uf":
-		return func(h *sparse.Mat, _ []float64) (sim.BatchDecoder, error) {
-			return sim.NewUFBatch(h), nil
-		}, nil
-	case "bp", "bpq":
-		quantized := name == "bpq"
-		return func(h *sparse.Mat, priors []float64) (sim.BatchDecoder, error) {
-			return sim.NewBPBatch(h, priors, bp.BatchConfig{MaxIter: bpIters, Quantized: quantized}), nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("decoder %q has no batch kernel (available: %v)", name, sim.BatchDecoderNames())
-	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"bpsf/internal/circuit"
@@ -51,7 +50,7 @@ func (c Config) serviceShots(p Profile) int {
 // Areas returns the pinned area names in run order; each produces one
 // BENCH_<area>.json.
 func Areas() []string {
-	return []string{"sampler", "decode", "decode-batch", "window", "service", "fleet"}
+	return []string{"sampler", "decode", "window", "service", "fleet"}
 }
 
 // Run measures one area.
@@ -61,8 +60,6 @@ func Run(area string, cfg Config) (*Report, error) {
 		return RunSampler(cfg)
 	case "decode":
 		return RunDecode(cfg)
-	case "decode-batch":
-		return RunDecodeBatch(cfg)
 	case "window":
 		return RunWindow(cfg)
 	case "service":
@@ -185,92 +182,6 @@ func RunDecode(cfg Config) (*Report, error) {
 			}))
 		}
 	}
-	return rep, nil
-}
-
-// RunDecodeBatch measures the bitsliced batch kernels (sim.
-// BatchConstructors: uf, bp, bpq) per shot, one 64-lane DecodeBatch per
-// measured sweep, across both of their regimes:
-//
-// The circuit-level rows (rsurf5/bb72 DEMs at p=3e-3, same models as the
-// scalar decode area) pin the kernels where batching does NOT win: the
-// circuit DEMs are non-matchable so uf routes every lane through its
-// scalar fallback (a deterministic allocs/op cost, exact-fail), and the
-// SoA BP sweep runs until its slowest lane converges. These rows exist
-// to catch regressions in that trajectory, not as a speedup claim.
-//
-// The rsurf5-capacity rows are the speedup claim: the matchable d=5
-// rotated-surface HZ graph at p=0.01 — the TestBatchDecodeSpeedup gate
-// workload — where ≤2-defect lanes hit the memoized lookup table. The
-// uf (batch) and uf-scalar rows decode the same 64 syndromes back to
-// back, so their ratio is the committed word-parallel speedup.
-func RunDecodeBatch(cfg Config) (*Report, error) {
-	rep := NewReport("decode-batch")
-	mt := cfg.minTime()
-	const p = 3e-3
-	for _, codeName := range []string{"rsurf5", "bb72"} {
-		_, d, err := buildModel(codeName, 0)
-		if err != nil {
-			return nil, err
-		}
-		priors := d.Priors(p)
-		var blk frame.Batch
-		blk.Reset(d.NumDets, d.NumObs)
-		frame.NewDEMSampler(d, p, cfg.Seed).SampleBlock(&blk)
-		for _, name := range sim.BatchDecoderNames() {
-			dec, err := sim.BatchConstructors()[name](d.H, priors)
-			if err != nil {
-				return nil, fmt.Errorf("bench: decode-batch/%s/%s: %w", codeName, name, err)
-			}
-			w := fmt.Sprintf("decode-batch/%s/%s", codeName, name)
-			rep.AddMeasurement(w, MeasureShots(mt, frame.BlockShots, func(n int) {
-				for i := 0; i < n; i++ {
-					dec.DecodeBatch(blk.Dets, blk.Shots)
-				}
-			}))
-		}
-	}
-
-	c, err := codes.RotatedSurface5()
-	if err != nil {
-		return nil, err
-	}
-	const capP = 0.01
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	syns := make([]gf2.Vec, frame.BlockShots)
-	dets := make([]uint64, c.HZ.Rows())
-	for lane := range syns {
-		e := gf2.NewVec(c.N)
-		for q := 0; q < c.N; q++ {
-			if rng.Float64() < capP {
-				e.Set(q, true)
-			}
-		}
-		syns[lane] = c.SyndromeOfX(e)
-		for _, d := range syns[lane].Support() {
-			dets[d] |= uint64(1) << uint(lane)
-		}
-	}
-	bdec, err := sim.BatchConstructors()["uf"](c.HZ, nil)
-	if err != nil {
-		return nil, err
-	}
-	rep.AddMeasurement("decode-batch/rsurf5-capacity/uf", MeasureShots(mt, frame.BlockShots, func(n int) {
-		for i := 0; i < n; i++ {
-			bdec.DecodeBatch(dets, frame.BlockShots)
-		}
-	}))
-	sdec, err := sim.Constructors()["uf"](c.HZ, nil)
-	if err != nil {
-		return nil, err
-	}
-	rep.AddMeasurement("decode-batch/rsurf5-capacity/uf-scalar", MeasureShots(mt, len(syns), func(n int) {
-		for i := 0; i < n; i++ {
-			for _, syn := range syns {
-				sdec.Decode(syn)
-			}
-		}
-	}))
 	return rep, nil
 }
 

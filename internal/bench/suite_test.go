@@ -76,8 +76,8 @@ func TestRunUnknownArea(t *testing.T) {
 	if _, err := Run("nope", tiny); err == nil || !strings.Contains(err.Error(), "areas:") {
 		t.Errorf("unknown area error = %v", err)
 	}
-	if len(Areas()) != 6 {
-		t.Errorf("Areas() = %v, want the six pinned areas", Areas())
+	if len(Areas()) != 5 {
+		t.Errorf("Areas() = %v, want the five pinned areas", Areas())
 	}
 }
 

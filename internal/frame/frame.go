@@ -66,9 +66,8 @@ func (b *Batch) Reset(numDets, numObs int) {
 func (b *Batch) LaneMask() uint64 { return LaneMask(b.Shots) }
 
 // LaneMask returns the mask of the first `shots` bit lanes, saturating
-// outside [0, BlockShots]. It is the one ragged-tail rule shared with the
-// batch decode kernels (decoding.LaneMask is the same function; it is
-// duplicated so the decoding leaf package does not import frame).
+// outside [0, BlockShots]. It is the one ragged-tail rule every word-wise
+// reader of a Batch applies.
 func LaneMask(shots int) uint64 {
 	if shots >= BlockShots {
 		return ^uint64(0)

@@ -53,9 +53,7 @@ func TestLaneMask(t *testing.T) {
 // (Shots%64 != 0) are saturated with garbage and checks the garbage
 // never escapes: Pack emits rows only for live lanes, Unpack returns the
 // batch with dead lanes cleared, and the mask identity
-// word & LaneMask(Shots) describes exactly the surviving bits. Batch
-// decode kernels lean on the same rule (decoding.LaneMask) to ignore
-// dead lanes.
+// word & LaneMask(Shots) describes exactly the surviving bits.
 func TestRaggedTailDeadLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, shots := range []int{1, 7, 37, 63} {

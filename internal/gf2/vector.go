@@ -170,9 +170,9 @@ func (v Vec) ByteLen() int { return (v.n + 7) / 8 }
 // Words returns the vector's backing words (bit i of Words()[i/64] is
 // bit i of the vector; tail bits beyond Len are zero). The slice aliases
 // the vector — callers must treat it as read-only. It exists for
-// word-at-a-time consumers like the batch decode kernels, which scatter
-// sparse vectors into lane words without the per-bit Get loop or the
-// allocation Support would cost.
+// word-at-a-time consumers like the union-find decoder, which walks a
+// syndrome's set bits without the per-bit Get loop or the allocation
+// Support would cost.
 func (v Vec) Words() []uint64 { return v.w }
 
 // AppendBytes appends the vector's packed bits to dst — ByteLen bytes,

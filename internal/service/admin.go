@@ -80,8 +80,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Counter("bpsf_pool_shed_deadline_total"+l, ps.ShedDeadline)
 		p.Counter("bpsf_pool_batches_total"+l, ps.Batches)
 		p.Counter("bpsf_pool_coalesced_total"+l, ps.Coalesced)
-		p.Counter("bpsf_pool_batch_decodes_total"+l, ps.BatchDecodes)
-		p.Counter("bpsf_pool_batch_lanes_total"+l, ps.BatchLanes)
 		p.GaugeFloat("bpsf_pool_busy_seconds"+l, ps.Busy.Seconds())
 		p.Gauge("bpsf_pool_size"+l, int64(ps.Size))
 		p.Histogram("bpsf_pool_latency_seconds"+l, ps.Latency)

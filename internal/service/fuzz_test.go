@@ -38,7 +38,6 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		SessionsTotal: 2, SessionsActive: 1,
 		Pools: []PoolStats{{Pool: "bb72/r2/p0.02/bpsf", Size: 2,
 			Admitted: 2, Decoded: 2, Batches: 1, Coalesced: 2,
-			BatchDecodes: 1, BatchLanes: 2,
 			Latency: statsHist.Snapshot()}},
 		Streams: StreamStats{Opened: 1, Windows: 2, Latency: statsHist.Snapshot()},
 		Traces:  []obs.Trace{{End: 99, Total: time.Millisecond}},

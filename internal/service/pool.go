@@ -1,12 +1,10 @@
 package service
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"bpsf/internal/decoding"
 	"bpsf/internal/dem"
 	"bpsf/internal/gf2"
 	"bpsf/internal/obs"
@@ -57,20 +55,7 @@ type poolOptions struct {
 	size       int // warm decoders = worker goroutines
 	queueDepth int // bounded admission queue
 	maxBatch   int // coalescing cap
-	// mkBatch, when non-nil, gives every worker a bitsliced batch decoder
-	// alongside its scalar one: a coalesced claim of at least
-	// batchKernelMinLanes live requests is then served by one word-parallel
-	// DecodeBatch per 64 requests instead of 64 scalar decodes. Only set
-	// for specs whose batch kernel is per-lane bit-identical to the scalar
-	// decoder AND deterministic (Spec.BatchKernel), so the fast path never
-	// changes a response byte.
-	mkBatch func() (sim.BatchDecoder, error)
 }
-
-// batchKernelMinLanes is the claim size at which a worker switches from
-// scalar serves to the batch kernel: below it the word-parallel win cannot
-// amortize the pack/scatter transposes.
-const batchKernelMinLanes = 8
 
 // pool serves one (code, rounds, p, spec) decode family: size warm
 // decoders, each owned by one worker goroutine — the serve-loop shape of
@@ -122,13 +107,11 @@ type pool struct {
 // poolCounters is the mutex-guarded completion-side statistics block of
 // one pool.
 type poolCounters struct {
-	decoded      uint64
-	batches      uint64
-	coalesced    uint64
-	batchDecodes uint64
-	batchLanes   uint64
-	busy         time.Duration // summed worker batch-serve time
-	lat          obs.HistData
+	decoded   uint64
+	batches   uint64
+	coalesced uint64
+	busy      time.Duration // summed worker batch-serve time
+	lat       obs.HistData
 }
 
 // PoolStats is one pool's cumulative service report, read as one
@@ -148,10 +131,6 @@ type PoolStats struct {
 	// they covered; AvgBatch is their ratio.
 	Batches, Coalesced uint64
 	AvgBatch           float64
-	// BatchDecodes and BatchLanes count bitsliced kernel calls and the
-	// live requests they decoded word-parallel (zero for specs without a
-	// batch kernel, or when the server disables the fast path).
-	BatchDecodes, BatchLanes uint64
 	// Busy is the summed wall-clock time workers spent serving batches;
 	// utilization = Busy / (Size × uptime).
 	Busy time.Duration
@@ -178,22 +157,16 @@ func newPool(key string, d *dem.DEM, mk func() (sim.Decoder, error), opts poolOp
 		p.locals[i] = make(chan *request, localDepth)
 	}
 	decs := make([]sim.Decoder, opts.size)
-	bdecs := make([]sim.BatchDecoder, opts.size)
 	for i := range decs {
 		dec, err := mk()
 		if err != nil {
 			return nil, err
 		}
 		decs[i] = dec
-		if opts.mkBatch != nil {
-			if bdecs[i], err = opts.mkBatch(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	for i, dec := range decs {
 		p.workers.Add(1)
-		go p.worker(p.locals[i], dec, bdecs[i])
+		go p.worker(p.locals[i], dec)
 	}
 	return p, nil
 }
@@ -232,7 +205,7 @@ func (p *pool) submit(r *request) {
 	}
 }
 
-func (p *pool) worker(local chan *request, dec sim.Decoder, bdec sim.BatchDecoder) {
+func (p *pool) worker(local chan *request, dec sim.Decoder) {
 	defer p.workers.Done()
 	shared := p.shared
 	batch := make([]*request, 0, p.opts.maxBatch)
@@ -244,10 +217,6 @@ func (p *pool) worker(local chan *request, dec sim.Decoder, bdec sim.BatchDecode
 	}
 	obsHat := gf2.NewVec(numObs)
 	obsWant := gf2.NewVec(numObs)
-	var sc *batchScratch
-	if bdec != nil {
-		sc = newBatchScratch(p.dem, p.opts.maxBatch)
-	}
 	// A drained+closed queue is disabled by nilling it (a nil channel
 	// never delivers), so close never spins the select; the worker exits
 	// once both queues are gone.
@@ -286,12 +255,8 @@ func (p *pool) worker(local chan *request, dec sim.Decoder, bdec sim.BatchDecode
 			// earlier batch siblings lands in the coalesce stage
 			r.span.Mark(obs.StageQueue, claimT)
 		}
-		if bdec != nil && len(batch) >= batchKernelMinLanes {
-			p.serveBatch(bdec, batch, sc)
-		} else {
-			for _, r := range batch {
-				p.serve(dec, r, obsHat, obsWant)
-			}
+		for _, r := range batch {
+			p.serve(dec, r, obsHat, obsWant)
 		}
 		p.mu.Lock()
 		p.st.batches++
@@ -367,130 +332,6 @@ func (p *pool) serve(dec sim.Decoder, r *request, obsHat, obsWant gf2.Vec) {
 	r.finish()
 }
 
-// batchScratch is a worker's reusable buffers for the bitsliced fast
-// path: the detector-major pack of up to 64 syndromes, the word-parallel
-// observable predictions, and per-lane scatter vectors.
-type batchScratch struct {
-	detWords []uint64   // dets[d] bit l = request l's syndrome fires d
-	obsWords []uint64   // Obs·Err, one lane word per observable
-	errHat   gf2.Vec    // lane scatter target for the response estimate
-	obsWant  gf2.Vec    // sampled-request ground truth, unpacked per lane
-	live     []*request // deadline-surviving subset of the claim
-}
-
-func newBatchScratch(d *dem.DEM, maxBatch int) *batchScratch {
-	return &batchScratch{
-		detWords: make([]uint64, d.NumDets),
-		obsWords: make([]uint64, d.NumObs),
-		errHat:   gf2.NewVec(d.NumMechs()),
-		obsWant:  gf2.NewVec(d.NumObs),
-		live:     make([]*request, 0, maxBatch),
-	}
-}
-
-// serveBatch serves one coalesced claim through the bitsliced kernel:
-// shed expired requests exactly as serve would, then decode the survivors
-// 64 lanes per DecodeBatch call. Response bytes are identical to the
-// scalar path — the kernel is per-lane bit-identical to the worker's
-// scalar decoder and deterministic (so the skipped per-request Reseed is
-// a no-op by construction) — only the Latency wall-clock and the pool's
-// batch-kernel counters tell the two paths apart.
-func (p *pool) serveBatch(bdec sim.BatchDecoder, batch []*request, sc *batchScratch) {
-	live := sc.live[:0]
-	shed := 0
-	for _, r := range batch {
-		if r.deadline > 0 && time.Since(r.enqueued) > r.deadline {
-			r.resp.Shed = true
-			shed++
-			r.finish()
-			continue
-		}
-		live = append(live, r)
-	}
-	if shed > 0 {
-		p.shedDeadline.Add(uint64(shed))
-	}
-	for len(live) > 0 {
-		chunk := live
-		if len(chunk) > decoding.BatchLanes {
-			chunk = live[:decoding.BatchLanes]
-		}
-		live = live[len(chunk):]
-		p.decodeChunk(bdec, chunk, sc)
-	}
-}
-
-// decodeChunk packs ≤64 requests into one detector-major block (request i
-// = lane i), decodes them with a single kernel call, and scatters each
-// lane back into its Response.
-func (p *pool) decodeChunk(bdec sim.BatchDecoder, chunk []*request, sc *batchScratch) {
-	for d := range sc.detWords {
-		sc.detWords[d] = 0
-	}
-	for l, r := range chunk {
-		laneBit := uint64(1) << uint(l)
-		for w, word := range r.syndrome.Words() {
-			for word != 0 {
-				sc.detWords[w*64+bits.TrailingZeros64(word)] |= laneBit
-				word &= word - 1
-			}
-		}
-	}
-	t0 := time.Now()
-	for _, r := range chunk {
-		r.span.Mark(obs.StageCoalesce, t0)
-	}
-	out := bdec.DecodeBatch(sc.detWords, len(chunk))
-	decoding.BatchMulInto(p.dem.Obs, out.Err, sc.obsWords)
-	t1 := time.Now()
-	for _, r := range chunk {
-		r.span.Mark(obs.StageDecode, t1)
-	}
-	for l, r := range chunk {
-		r.resp.Success = out.SuccessMask>>uint(l)&1 == 1
-		r.resp.Iterations = int(out.Iterations[l])
-		sc.errHat.Zero()
-		flips := 0
-		for v, w := range out.Err {
-			if w>>uint(l)&1 == 1 {
-				sc.errHat.Set(v, true)
-				flips++
-			}
-		}
-		r.resp.FlipCount = flips
-		r.resp.ErrHat = sc.errHat.AppendBytes(r.resp.ErrHat[:0])
-		if r.wantObs != nil {
-			// same verdict rule as the scalar path (LogicalFailed), with the
-			// prediction read from the lane word instead of a scalar MulVec
-			failed := !r.resp.Success
-			if !failed {
-				_ = sc.obsWant.SetBytes(r.wantObs) // length fixed by the session DEM
-				for o, w := range sc.obsWords {
-					if w>>uint(l)&1 == 1 != sc.obsWant.Get(o) {
-						failed = true
-						break
-					}
-				}
-			}
-			r.resp.Failed = failed
-		}
-		// queue wait + the full kernel call: a lane is not done until the
-		// whole block is (the batch analogue of serve's wait + decode)
-		r.resp.Latency = t1.Sub(r.enqueued)
-	}
-	p.mu.Lock()
-	p.st.decoded += uint64(len(chunk))
-	p.st.batchDecodes++
-	p.st.batchLanes += uint64(len(chunk))
-	for _, r := range chunk {
-		p.st.lat.Observe(r.resp.Latency)
-	}
-	p.mu.Unlock()
-	for _, r := range chunk {
-		r.finish()
-	}
-}
-
 // close stops the pool after the last session has exited: workers drain
 // every queued request (no admitted work is dropped by shutdown) and then
 // terminate.
@@ -513,15 +354,13 @@ func (p *pool) close() {
 func (p *pool) stats() PoolStats {
 	p.mu.Lock()
 	st := PoolStats{
-		Pool:         p.key,
-		Size:         p.opts.size,
-		Decoded:      p.st.decoded,
-		Batches:      p.st.batches,
-		Coalesced:    p.st.coalesced,
-		BatchDecodes: p.st.batchDecodes,
-		BatchLanes:   p.st.batchLanes,
-		Busy:         p.st.busy,
-		Latency:      p.st.lat.Snapshot(),
+		Pool:      p.key,
+		Size:      p.opts.size,
+		Decoded:   p.st.decoded,
+		Batches:   p.st.batches,
+		Coalesced: p.st.coalesced,
+		Busy:      p.st.busy,
+		Latency:   p.st.lat.Snapshot(),
 	}
 	p.mu.Unlock()
 	st.ShedQueue = p.shedQueue.Load()

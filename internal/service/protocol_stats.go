@@ -163,8 +163,6 @@ func appendStatsReply(b []byte, snap ServerSnapshot) []byte {
 		b = appendU64(b, ps.ShedDeadline)
 		b = appendU64(b, ps.Batches)
 		b = appendU64(b, ps.Coalesced)
-		b = appendU64(b, ps.BatchDecodes)
-		b = appendU64(b, ps.BatchLanes)
 		b = appendI64(b, int64(ps.Busy))
 		b = appendHistSnapshot(b, ps.Latency)
 	}
@@ -249,8 +247,6 @@ func parseStatsReply(payload []byte) (ServerSnapshot, error) {
 		ps.ShedDeadline = r.u64()
 		ps.Batches = r.u64()
 		ps.Coalesced = r.u64()
-		ps.BatchDecodes = r.u64()
-		ps.BatchLanes = r.u64()
 		ps.Busy = time.Duration(r.i64())
 		if r.err != nil {
 			return snap, r.err

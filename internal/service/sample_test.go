@@ -77,51 +77,66 @@ func localSampleReplay(t *testing.T, s *Server, h Hello, n int) []Response {
 
 // TestServerSideSampling: SubmitSample responses are byte-identical to the
 // local replay of the session's determinism contract — the sampled
-// syndromes, the estimates, and the logical verdicts.
+// syndromes, the estimates, and the logical verdicts. The deep row sends
+// one 150-shot sample to a single worker, which drains the backlog in
+// coalesced claims of up to MaxBatch 32 requests.
 func TestServerSideSampling(t *testing.T) {
-	srv := startServer(t, Options{PoolSize: 2})
-	h := sampleTestHello(99)
-	c, err := Dial(srv.Addr().String(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	deep := sampleTestHello(633)
+	deep.Code, deep.P = "bb72", 0.004
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		h      Hello
+		splits []int
+	}{
+		// crosses two 64-shot block boundaries in uneven splits
+		{"rsurf3-split", Options{PoolSize: 2}, sampleTestHello(99), []int{70, 50, 30}},
+		{"bb72-deep-claims", Options{PoolSize: 1, MaxBatch: 32}, deep, []int{150}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := startServer(t, tc.opts)
+			c, err := Dial(srv.Addr().String(), tc.h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	const total = 150 // crosses two 64-shot block boundaries
-	var got []Response
-	for _, n := range []int{70, 50, 30} { // uneven splits of the stream
-		pend, err := c.SubmitSample(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resps, err := pend.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resps) != n {
-			t.Fatalf("sample reply carries %d responses, want %d", len(resps), n)
-		}
-		got = append(got, resps...)
-	}
-	want := localSampleReplay(t, srv, h, total)
-	fails := 0
-	for i := range want {
-		if got[i].Shed {
-			t.Fatalf("response %d shed without a deadline", i)
-		}
-		if got[i].Success != want[i].Success || got[i].Failed != want[i].Failed ||
-			got[i].Iterations != want[i].Iterations || got[i].FlipCount != want[i].FlipCount ||
-			!bytes.Equal(got[i].ErrHat, want[i].ErrHat) {
-			t.Fatalf("response %d diverges from the local replay:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-		if got[i].Failed {
-			fails++
-		}
-	}
-	// at p=0.02 over 150 rsurf3 shots UF should fail at least once and
-	// succeed at least once — guard against a degenerate all-one verdict
-	if fails == 0 || fails == total {
-		t.Errorf("degenerate Failed pattern: %d/%d", fails, total)
+			var got []Response
+			for _, n := range tc.splits {
+				pend, err := c.SubmitSample(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resps, err := pend.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(resps) != n {
+					t.Fatalf("sample reply carries %d responses, want %d", len(resps), n)
+				}
+				got = append(got, resps...)
+			}
+			want := localSampleReplay(t, srv, tc.h, len(got))
+			fails := 0
+			for i := range want {
+				if got[i].Shed {
+					t.Fatalf("response %d shed without a deadline", i)
+				}
+				if got[i].Success != want[i].Success || got[i].Failed != want[i].Failed ||
+					got[i].Iterations != want[i].Iterations || got[i].FlipCount != want[i].FlipCount ||
+					!bytes.Equal(got[i].ErrHat, want[i].ErrHat) {
+					t.Fatalf("response %d diverges from the local replay:\n got %+v\nwant %+v", i, got[i], want[i])
+				}
+				if got[i].Failed {
+					fails++
+				}
+			}
+			// over 150 shots UF should fail at least once and succeed at
+			// least once — guard against a degenerate all-one verdict
+			if fails == 0 || fails == len(got) {
+				t.Errorf("degenerate Failed pattern: %d/%d", fails, len(got))
+			}
+		})
 	}
 }
 

@@ -55,13 +55,6 @@ type Options struct {
 	// WriteTimeout bounds one socket flush toward the client; a peer that
 	// stops reading its replies is dropped after this long. 0 disables.
 	WriteTimeout time.Duration
-	// DisableBatchDecode turns off the bitsliced batch fast path (pools
-	// then decode every request scalar, as before PR8). The zero value
-	// keeps it enabled: it is response-byte-identical to the scalar path
-	// for every spec it covers (Spec.BatchKernel), so there is no
-	// correctness reason to opt out — the switch exists for performance
-	// A/B runs (bpsf-serve -no-batch-decode).
-	DisableBatchDecode bool
 	// Logf receives serve-loop diagnostics (nil = silent).
 	Logf func(format string, args ...interface{})
 }
@@ -134,9 +127,9 @@ type Server struct {
 	lnMu        sync.Mutex
 	ln          net.Listener   // first listener (Addr)
 	listeners   []net.Listener // every live listener (TCP and/or UDS)
-	pools       sync.Map // pool key → *poolEntry
-	dems        sync.Map // code/rounds → *demEntry
-	windowPools sync.Map // pool key + W/C → *windowPoolEntry
+	pools       sync.Map       // pool key → *poolEntry
+	dems        sync.Map       // code/rounds → *demEntry
+	windowPools sync.Map       // pool key + W/C → *windowPoolEntry
 	sessions    sync.WaitGroup
 	nextSession atomic.Uint64
 	draining    atomic.Bool
@@ -352,16 +345,11 @@ func (s *Server) poolFor(h Hello) (*pool, error) {
 		}
 		priors := d.Priors(h.P)
 		mk := func() (sim.Decoder, error) { return h.Spec.NewDecoder(d.H, priors) }
-		popts := poolOptions{
+		e.p, e.err = newPool(key, d, mk, poolOptions{
 			size:       s.opts.PoolSize,
 			queueDepth: s.opts.QueueDepth,
 			maxBatch:   s.opts.MaxBatch,
-		}
-		if !s.opts.DisableBatchDecode && h.Spec.BatchKernel() {
-			spec := h.Spec
-			popts.mkBatch = func() (sim.BatchDecoder, error) { return spec.NewBatchDecoder(d.H, priors) }
-		}
-		e.p, e.err = newPool(key, d, mk, popts)
+		})
 		if e.err == nil {
 			s.opts.Logf("pool %s: %d warm decoders ready", key, s.opts.PoolSize)
 		}

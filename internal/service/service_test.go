@@ -351,8 +351,10 @@ func (d *stubDecoder) Decode(s gf2.Vec) sim.Outcome {
 
 // TestPoolThroughputScales asserts the acceptance criterion: decode
 // throughput rises monotonically from pool size 1 → 2. Compute-bound stub
-// decoders keep the measurement about the pool, not the decoder. Skipped
-// on single-core hosts, where a second worker cannot help.
+// decoders keep the measurement about the pool, not the decoder, and each
+// pool size is timed as the best of three runs so one descheduled run on
+// a loaded host does not decide the comparison. Skipped on single-core
+// hosts, where a second worker cannot help.
 func TestPoolThroughputScales(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("single-core host: pool scaling is not observable")
@@ -377,9 +379,16 @@ func TestPoolThroughputScales(t *testing.T) {
 		p.close()
 		return el
 	}
+	best := func(size int) time.Duration {
+		el := run(size)
+		for i := 0; i < 2; i++ {
+			el = min(el, run(size))
+		}
+		return el
+	}
 	run(1) // warm up timers and the scheduler
-	t1 := run(1)
-	t2 := run(2)
+	t1 := best(1)
+	t2 := best(2)
 	tput1 := 256 / t1.Seconds()
 	tput2 := 256 / t2.Seconds()
 	t.Logf("pool=1: %.0f decodes/s, pool=2: %.0f decodes/s", tput1, tput2)

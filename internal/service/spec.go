@@ -144,32 +144,6 @@ func (s Spec) NewDecoder(h *sparse.Mat, priors []float64) (sim.Decoder, error) {
 	}
 }
 
-// BatchKernel reports whether the spec has a bitsliced batch decode
-// kernel that is per-lane bit-identical to its scalar decoder: union-find,
-// and flooding-schedule plain BP. Those decoders are also deterministic
-// (no internal randomness, so skipping the per-request reseed changes
-// nothing) — the two properties that let pools substitute one DecodeBatch
-// for up to 64 scalar decodes without altering a single response byte.
-// Layered BP and the stacked pipelines (bposd, bpsf) decode scalar-only.
-func (s Spec) BatchKernel() bool {
-	return s.Kind == "uf" || (s.Kind == "bp" && !s.Layered)
-}
-
-// NewBatchDecoder builds the bitsliced batch twin of NewDecoder for
-// batch-kernel specs (see BatchKernel); other specs return an error.
-func (s Spec) NewBatchDecoder(h *sparse.Mat, priors []float64) (sim.BatchDecoder, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if !s.BatchKernel() {
-		return nil, fmt.Errorf("service: spec %s has no batch kernel", s)
-	}
-	if s.Kind == "uf" {
-		return sim.NewUFBatch(h), nil
-	}
-	return sim.NewBPBatch(h, priors, bp.BatchConfig{MaxIter: s.BPIters}), nil
-}
-
 // RequestSeed is the deterministic decoder seed of the index-th syndrome
 // of a session opened with streamSeed. The server reseeds the pooled
 // decoder with it before every decode, so a stream replayed through the

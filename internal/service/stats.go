@@ -101,9 +101,9 @@ func (snap ServerSnapshot) WriteText(w io.Writer) {
 			bs.Name, bs.Addr, state, bs.Sessions, bs.SessionsTotal, bs.Requests, bs.Failovers, bs.Replayed)
 	}
 	for _, ps := range snap.Pools {
-		fmt.Fprintf(w, "pool %s: size=%d admitted=%d decoded=%d shed=%d/%d batches=%d avg_batch=%.2f kernel_batches=%d kernel_lanes=%d busy=%v\n",
+		fmt.Fprintf(w, "pool %s: size=%d admitted=%d decoded=%d shed=%d/%d batches=%d avg_batch=%.2f busy=%v\n",
 			ps.Pool, ps.Size, ps.Admitted, ps.Decoded, ps.ShedQueue, ps.ShedDeadline,
-			ps.Batches, ps.AvgBatch, ps.BatchDecodes, ps.BatchLanes, ps.Busy.Round(time.Microsecond))
+			ps.Batches, ps.AvgBatch, ps.Busy.Round(time.Microsecond))
 		writeHistLine(w, "  latency", ps.Latency)
 	}
 	if snap.Streams.Opened > 0 {

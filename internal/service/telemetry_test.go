@@ -50,7 +50,6 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 			Pool: "bb72/r2/p0.02/bpsf(iters=30)", Size: 4,
 			Admitted: 120, Decoded: 100, ShedQueue: 15, ShedDeadline: 5,
 			Batches: 25, Coalesced: 100, AvgBatch: 4,
-			BatchDecodes: 6, BatchLanes: 80,
 			Busy:    3 * time.Second,
 			Latency: lat.Snapshot(),
 		}},

@@ -113,7 +113,7 @@ func (d *Decoder) trySolve(r int32) bool {
 	if !ok {
 		return false
 	}
-	var sol []int32
+	sol := d.solBits[r][:0]
 	for _, lj := range x.Support() {
 		sol = append(sol, bits[lj])
 	}

@@ -25,9 +25,16 @@
 // the determinism contract in DESIGN.md §6) — and reuses its scratch
 // buffers, so one instance must not be shared across goroutines (the
 // usual decoder contract in this repo).
+//
+// Because Decode is pure, light syndromes (one or two defects — a single
+// mechanism's footprint, the overwhelming majority at operating error
+// rates) are memoized: the first decode of each defect pair is cached and
+// later ones replay it, skipping the reset, growth and peeling entirely.
 package uf
 
 import (
+	"math/bits"
+
 	"bpsf/internal/gf2"
 	"bpsf/internal/sparse"
 )
@@ -94,7 +101,29 @@ type Decoder struct {
 
 	// elimination scratch (general only)
 	localCol []int32 // global bit → local column during trySolve, else -1
+
+	// light-syndrome memo, indexed by memoKey; allocated on the first
+	// light syndrome, and never when m > memoMaxChecks
+	memo []memoEntry
 }
+
+// memoMaxChecks bounds the light-syndrome memo table: m(m+1)/2 entries of
+// 40 B, so 256 checks cost at most 1.3 MiB per decoder. Every capacity
+// graph and every small-distance DEM in the paper's evaluation fits.
+const memoMaxChecks = 256
+
+// memoEntry caches one light-syndrome decode: the support of ErrHat (the
+// partial flips of a failed peel included, so replays stay exact either
+// way) and the rest of the Result.
+type memoEntry struct {
+	cols             []int32
+	rounds, clusters int32
+	filled, success  bool
+}
+
+// memoKey indexes the ascending defect pair u ≤ v (u == v for a single
+// defect) into the triangular memo table.
+func memoKey(u, v int32) int { return int(v)*(int(v)+1)/2 + int(u) }
 
 // New builds a decoder for parity-check matrix h. The matchable fast path
 // is selected at construction time when every column of h has weight ≤ 2.
@@ -173,7 +202,8 @@ func (d *Decoder) Matchable() bool { return d.matchable }
 // H returns the decoder's parity-check matrix.
 func (d *Decoder) H() *sparse.Mat { return d.h }
 
-// reset prepares the scratch state for one decode.
+// reset prepares the scratch state for one full decode. Cluster lists
+// are truncated, not dropped, so a warm decoder does not allocate.
 func (d *Decoder) reset() {
 	for i := range d.parent {
 		d.parent[i] = int32(i)
@@ -181,9 +211,9 @@ func (d *Decoder) reset() {
 		d.defects[i] = 0
 		d.hasBound[i] = false
 		d.solved[i] = false
-		d.clVerts[i] = nil
-		d.clEdges[i] = nil
-		d.solBits[i] = nil
+		d.clVerts[i] = d.clVerts[i][:0]
+		d.clEdges[i] = d.clEdges[i][:0]
+		d.solBits[i] = d.solBits[i][:0]
 		d.dirty[i] = false
 		d.defect[i] = false
 		d.seen[i] = false
@@ -192,7 +222,6 @@ func (d *Decoder) reset() {
 		d.inGraph[i] = false
 	}
 	d.errHat.Zero()
-	d.roots = d.roots[:0]
 }
 
 // find returns the root of v with path compression.
@@ -206,8 +235,8 @@ func (d *Decoder) find(v int32) int32 {
 
 // vlist returns the (lazily materialized) vertex list of root r.
 func (d *Decoder) vlist(r int32) []int32 {
-	if d.clVerts[r] == nil {
-		d.clVerts[r] = append(make([]int32, 0, 4), r)
+	if len(d.clVerts[r]) == 0 {
+		d.clVerts[r] = append(d.clVerts[r], r)
 	}
 	return d.clVerts[r]
 }
@@ -231,11 +260,11 @@ func (d *Decoder) union(a, b int32) int32 {
 	d.solved[rb] = false
 	d.dirty[ra] = true
 	d.clVerts[ra] = append(d.vlist(ra), d.vlist(rb)...)
-	d.clVerts[rb] = nil
+	d.clVerts[rb] = d.clVerts[rb][:0]
 	d.clEdges[ra] = append(d.clEdges[ra], d.clEdges[rb]...)
-	d.clEdges[rb] = nil
-	d.solBits[ra] = nil
-	d.solBits[rb] = nil
+	d.clEdges[rb] = d.clEdges[rb][:0]
+	d.solBits[ra] = d.solBits[ra][:0]
+	d.solBits[rb] = d.solBits[rb][:0]
 	return ra
 }
 
@@ -265,22 +294,68 @@ func (d *Decoder) activeRoots() []int32 {
 }
 
 // Decode decodes one syndrome. The returned ErrHat aliases an internal
-// buffer valid until the next Decode.
+// buffer valid until the next Decode, memo hits included.
 func (d *Decoder) Decode(s gf2.Vec) Result {
 	if s.Len() != d.m {
 		panic("uf: syndrome length mismatch")
 	}
-	d.reset()
-	res := Result{Matchable: d.matchable, ErrHat: d.errHat}
-	support := s.Support()
-	if len(support) == 0 {
-		res.Success = true
+	// defect seeds in ascending check order, read off the syndrome words
+	d.roots = d.roots[:0]
+	for wi, w := range s.Words() {
+		for w != 0 {
+			d.roots = append(d.roots, int32(wi*64+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	switch {
+	case len(d.roots) == 0:
+		d.errHat.Zero()
+		return Result{Success: true, ErrHat: d.errHat, Matchable: d.matchable}
+	case len(d.roots) <= 2 && d.m <= memoMaxChecks:
+		return d.decodeLight()
+	}
+	return d.decodeFull()
+}
+
+// decodeLight serves a one- or two-defect syndrome from the memo, running
+// and recording the full decode the first time the defect pair is seen.
+func (d *Decoder) decodeLight() Result {
+	if d.memo == nil {
+		d.memo = make([]memoEntry, memoKey(0, int32(d.m)))
+	}
+	ent := &d.memo[memoKey(d.roots[0], d.roots[len(d.roots)-1])]
+	if !ent.filled {
+		res := d.decodeFull()
+		for wi, w := range d.errHat.Words() {
+			for w != 0 {
+				ent.cols = append(ent.cols, int32(wi*64+bits.TrailingZeros64(w)))
+				w &= w - 1
+			}
+		}
+		ent.rounds, ent.clusters = int32(res.GrowthRounds), int32(res.Clusters)
+		ent.success, ent.filled = res.Success, true
 		return res
 	}
-	for _, c := range support {
+	d.errHat.Zero()
+	for _, j := range ent.cols {
+		d.errHat.Set(int(j), true)
+	}
+	return Result{
+		Success:      ent.success,
+		ErrHat:       d.errHat,
+		GrowthRounds: int(ent.rounds),
+		Clusters:     int(ent.clusters),
+		Matchable:    d.matchable,
+	}
+}
+
+// decodeFull grows and neutralizes clusters around the seeds in d.roots.
+func (d *Decoder) decodeFull() Result {
+	d.reset()
+	res := Result{Matchable: d.matchable, ErrHat: d.errHat}
+	for _, c := range d.roots {
 		d.defect[c] = true
 		d.defects[c] = 1
-		d.roots = append(d.roots, int32(c))
 	}
 	if d.matchable {
 		d.hasBound[d.m] = true // the boundary vertex's own cluster

@@ -6,7 +6,9 @@ import (
 
 	"bpsf/internal/code"
 	"bpsf/internal/codes"
+	"bpsf/internal/dem"
 	"bpsf/internal/gf2"
+	"bpsf/internal/memexp"
 	"bpsf/internal/sparse"
 )
 
@@ -203,5 +205,209 @@ func TestWeightZeroAndOneColumns(t *testing.T) {
 		if got := h.MulVec(r.ErrHat); !got.Equal(s) {
 			t.Fatalf("syndrome %02b: H·ErrHat != s", bits)
 		}
+	}
+}
+
+// TestResultErrHatAliasing pins the Result.ErrHat contract ("valid until
+// the next Decode"): retaining ErrHat across a Decode observes the next
+// decode's estimate — memo hits write into the same buffer — so every
+// call site that keeps an estimate must copy before reusing the decoder.
+// The sim engine and the service pool both copy (resid.CopyFrom /
+// Response.ErrHat append); this test keeps the trap visible.
+func TestResultErrHatAliasing(t *testing.T) {
+	c, err := codes.Get("rsurf5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(c.HZ)
+
+	e := gf2.NewVec(c.N)
+	e.Set(3, true)
+	s1 := c.SyndromeOfX(e)
+	res1 := d.Decode(s1)
+	if !res1.Success || res1.ErrHat.IsZero() {
+		t.Fatalf("seed decode did not produce a nonzero estimate")
+	}
+	kept := res1.ErrHat          // aliasing abuse: retained across Decode
+	saved := res1.ErrHat.Clone() // the correct idiom
+
+	res2 := d.Decode(gf2.NewVec(c.HZ.Rows())) // empty syndrome zeroes the buffer
+	if !res2.Success {
+		t.Fatal("empty syndrome must decode")
+	}
+	if !kept.IsZero() {
+		t.Fatalf("retained ErrHat kept its value across Decode; the aliasing contract changed")
+	}
+	if saved.IsZero() {
+		t.Fatalf("cloned estimate must survive decoder reuse")
+	}
+
+	// A memo hit hands out the same buffer, and the next Decode (another
+	// light syndrome here) overwrites it.
+	hit := d.Decode(s1)
+	if !hit.ErrHat.Equal(saved) {
+		t.Fatal("memo hit diverged from the first decode")
+	}
+	keptHit := hit.ErrHat
+	e2 := gf2.NewVec(c.N)
+	e2.Set(17, true)
+	res3 := d.Decode(c.SyndromeOfX(e2))
+	if res3.ErrHat.Equal(saved) {
+		t.Fatal("second syndrome must decode to a different estimate")
+	}
+	if !keptHit.Equal(res3.ErrHat) || keptHit.Equal(saved) {
+		t.Fatal("ErrHat kept from a memo hit survived the next Decode; the aliasing contract changed")
+	}
+}
+
+// circuitDEM builds the memory-experiment detector error model of a
+// catalog code.
+func circuitDEM(t testing.TB, name string, rounds int) *dem.DEM {
+	t.Helper()
+	c, err := codes.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circ, err := memexp.Build(c, rounds, memexp.Uniform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dem.Extract(circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// lightAndHeavySyndromes mixes the syndromes a memo must get right:
+// single-column syndromes (every column, or 200 random ones on large
+// DEMs), random detector pairs and singles (some inconsistent, so failure
+// verdicts are cached too), and sampled errors of density p, most of
+// which have more than two defects.
+func lightAndHeavySyndromes(h *sparse.Mat, p float64, seed int64) []gf2.Vec {
+	m, n := h.Rows(), h.Cols()
+	rng := rand.New(rand.NewSource(seed))
+	var out []gf2.Vec
+	for j := 0; j < n; j++ {
+		col := j
+		if n > 200 {
+			if j == 200 {
+				break
+			}
+			col = rng.Intn(n)
+		}
+		e := gf2.NewVec(n)
+		e.Set(col, true)
+		out = append(out, h.MulVec(e))
+	}
+	for i := 0; i < 100; i++ {
+		s := gf2.NewVec(m)
+		s.Set(rng.Intn(m), true)
+		if i%3 != 0 {
+			s.Set(rng.Intn(m), true)
+		}
+		out = append(out, s)
+	}
+	for i := 0; i < 100; i++ {
+		e := gf2.NewVec(n)
+		for j := 0; j < n; j++ {
+			if rng.Float64() < p {
+				e.Set(j, true)
+			}
+		}
+		out = append(out, h.MulVec(e))
+	}
+	return out
+}
+
+// TestMemoMatchesFreshDecode is the memo exactness check: one warmed,
+// reused decoder (every light syndrome already memoized) must return the
+// same full Result as a fresh decoder on every syndrome — Success, every
+// ErrHat bit, GrowthRounds and Clusters. A DEM with more than
+// memoMaxChecks checks must never build the table.
+func TestMemoMatchesFreshDecode(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		h      func(t *testing.T) *sparse.Mat
+		p      float64
+		noMemo bool
+	}{
+		{"rsurf5-r5-circuit", func(t *testing.T) *sparse.Mat { return circuitDEM(t, "rsurf5", 5).H }, 0.003, false},
+		{"rsurf5-capacity", func(t *testing.T) *sparse.Mat { return mustCode(t, codes.RotatedSurface5).HZ }, 0.05, false},
+		{"toric4-capacity", func(t *testing.T) *sparse.Mat { return mustCode(t, codes.Toric4).HZ }, 0.05, false},
+		{"rsurf5-r11-circuit", func(t *testing.T) *sparse.Mat { return circuitDEM(t, "rsurf5", 11).H }, 0.002, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := tc.h(t)
+			if big := h.Rows() > memoMaxChecks; big != tc.noMemo {
+				t.Fatalf("%d checks: memo-off case %v, want %v", h.Rows(), big, tc.noMemo)
+			}
+			syns := lightAndHeavySyndromes(h, tc.p, 3)
+			warm := New(h)
+			for _, s := range syns {
+				warm.Decode(s)
+			}
+			light := 0
+			for i, s := range syns {
+				if s.Weight() <= 2 {
+					light++
+				}
+				got := warm.Decode(s)
+				want := New(h).Decode(s)
+				if got.Success != want.Success || !got.ErrHat.Equal(want.ErrHat) ||
+					got.GrowthRounds != want.GrowthRounds || got.Clusters != want.Clusters ||
+					got.Matchable != want.Matchable {
+					t.Fatalf("syndrome %d (weight %d): warm {%v rounds=%d clusters=%d}, fresh {%v rounds=%d clusters=%d}",
+						i, s.Weight(), got.Success, got.GrowthRounds, got.Clusters,
+						want.Success, want.GrowthRounds, want.Clusters)
+				}
+			}
+			if light == 0 || light == len(syns) {
+				t.Fatalf("%d of %d syndromes light; the mix must cover both paths", light, len(syns))
+			}
+			if (warm.memo == nil) != tc.noMemo {
+				t.Fatalf("memo allocated = %v with %d checks", warm.memo != nil, h.Rows())
+			}
+		})
+	}
+}
+
+// TestDecodeZeroAllocSteadyState: a warm decoder does not allocate — full
+// decodes on the matchable rsurf5 graph (truncated cluster lists, defects
+// seeded from the syndrome words) and memo hits on the rsurf5 r5 circuit
+// DEM alike.
+func TestDecodeZeroAllocSteadyState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		h    func(t *testing.T) *sparse.Mat
+		p    float64
+		keep func(gf2.Vec) bool
+	}{
+		{"rsurf5-capacity", func(t *testing.T) *sparse.Mat { return mustCode(t, codes.RotatedSurface5).HZ }, 0.08,
+			func(gf2.Vec) bool { return true }},
+		{"rsurf5-r5-circuit-memo", func(t *testing.T) *sparse.Mat { return circuitDEM(t, "rsurf5", 5).H }, 0.003,
+			func(s gf2.Vec) bool { return s.Weight() <= 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := tc.h(t)
+			var syns []gf2.Vec
+			for _, s := range lightAndHeavySyndromes(h, tc.p, 9) {
+				if tc.keep(s) {
+					syns = append(syns, s)
+				}
+			}
+			d := New(h)
+			for _, s := range syns {
+				d.Decode(s) // warm scratch capacities and the memo
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(len(syns), func() {
+				d.Decode(syns[i%len(syns)])
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("warm Decode allocates %.2f/op, want 0", allocs)
+			}
+		})
 	}
 }
