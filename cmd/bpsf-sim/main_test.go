@@ -20,20 +20,23 @@ func TestDecoderFactoryFlags(t *testing.T) {
 		decoder string
 		window  int
 		commit  int
+		workers int // -trial-workers
 		wantErr bool
 	}{
-		{"bp", "bp", 0, 0, false},
-		{"bposd", "bposd", 0, 0, false},
-		{"bpsf", "bpsf", 0, 0, false},
-		{"uf", "uf", 0, 0, false},
-		{"windowed-default", "windowed", 0, 0, false},
-		{"windowed-explicit", "windowed", 4, 2, false},
-		{"uf-windowed", "uf", 3, 1, false},
-		{"bp-windowed", "bp", 2, 2, false},
-		{"commit-exceeds-window", "uf", 2, 3, true},
-		{"unknown", "matching", 0, 0, true},
-		{"empty", "", 0, 0, true},
-		{"case-sensitive", "UF", 0, 0, true},
+		{"bp", "bp", 0, 0, 0, false},
+		{"bposd", "bposd", 0, 0, 0, false},
+		{"bpsf", "bpsf", 0, 0, 0, false},
+		{"bpsf-trial-workers", "bpsf", 0, 0, 4, false},
+		{"uf", "uf", 0, 0, 0, false},
+		{"windowed-default", "windowed", 0, 0, 0, false},
+		{"windowed-explicit", "windowed", 4, 2, 0, false},
+		{"uf-windowed", "uf", 3, 1, 0, false},
+		{"bp-windowed", "bp", 2, 2, 0, false},
+		{"commit-exceeds-window", "uf", 2, 3, 0, true},
+		{"unknown", "matching", 0, 0, 0, true},
+		{"empty", "", 0, 0, 0, true},
+		{"case-sensitive", "UF", 0, 0, 0, true},
+		{"negative-trial-workers", "bpsf", 0, 0, -2, true},
 	}
 	css, err := codes.RotatedSurface3()
 	if err != nil {
@@ -46,7 +49,18 @@ func TestDecoderFactoryFlags(t *testing.T) {
 			f.Name = tc.decoder
 			f.Window = tc.window
 			f.Commit = tc.commit
+			f.TrialWorkers = tc.workers
 			mk, err := decoderFactory(f)
+			if tc.workers < 0 {
+				// the factory builds lazily: the decoder itself rejects it
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := mk(css.HZ, priors); err == nil || !strings.Contains(err.Error(), "-2") {
+					t.Fatalf("-trial-workers %d: got error %v, want one naming the value", tc.workers, err)
+				}
+				return
+			}
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("decoder %q (window=%d commit=%d) accepted", tc.decoder, tc.window, tc.commit)

@@ -46,9 +46,9 @@ func BenchmarkDecodeBB144Exhaustive(b *testing.B) {
 }
 
 // TestDecodeZeroAllocSteadyState pins the allocation-free hot path of the
-// serial BP-SF decoder: after warm-up, decoding must not allocate on either
-// the init-converges path or the speculative syndrome-flip path, for both
-// trial policies.
+// BP-SF decoder: after warm-up, decoding must not allocate on either the
+// init-converges path or the speculative syndrome-flip path, for both
+// trial policies and for one lane as for several.
 func TestDecodeZeroAllocSteadyState(t *testing.T) {
 	h, n, syndromes := benchSyndromes(t, 16, 0.12)
 	priors := noise.UniformPriors(n, noise.MarginalProb(0.12))
@@ -66,26 +66,30 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 			PhiSize: 10, WMax: 3, NS: 4, Policy: Sampled,
 		}},
 	} {
-		d, err := New(h, priors, tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		post := 0
-		for _, s := range syndromes { // warm-up: grow all scratch to capacity
-			if d.Decode(s).UsedPostProcessing {
-				post++
+		for _, workers := range []int{1, 2, 4} {
+			cfg := tc.cfg
+			cfg.Workers = workers
+			d, err := New(h, priors, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if post == 0 {
-			t.Fatalf("%s: no syndrome exercised the speculative stage; raise p", tc.name)
-		}
-		i := 0
-		allocs := testing.AllocsPerRun(2*len(syndromes), func() {
-			d.Decode(syndromes[i%len(syndromes)])
-			i++
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %v allocs per steady-state decode, want 0", tc.name, allocs)
+			post := 0
+			for _, s := range syndromes { // warm-up: grow all scratch to capacity
+				if d.Decode(s).UsedPostProcessing {
+					post++
+				}
+			}
+			if post == 0 {
+				t.Fatalf("%s: no syndrome exercised the speculative stage; raise p", tc.name)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(2*len(syndromes), func() {
+				d.Decode(syndromes[i%len(syndromes)])
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%s workers=%d: %v allocs per steady-state decode, want 0", tc.name, workers, allocs)
+			}
 		}
 	}
 }

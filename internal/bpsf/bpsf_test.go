@@ -1,12 +1,15 @@
 package bpsf
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"bpsf/internal/bp"
+	"bpsf/internal/code"
 	"bpsf/internal/codes"
 	"bpsf/internal/gf2"
+	"bpsf/internal/tanner"
 )
 
 func TestSelectCandidatesOrdering(t *testing.T) {
@@ -161,9 +164,9 @@ func TestNewConfigValidation(t *testing.T) {
 	}
 }
 
-// decodeMany drives BP-SF over random errors and verifies the flip-back
-// invariant: any successful estimate must satisfy the ORIGINAL syndrome.
-func decodeMany(t *testing.T, workers int, seed int64) (successes, postUses int) {
+// bb154Corpus samples n syndromes of random X errors of weight about
+// minWeight or more on the coprime-BB154 code.
+func bb154Corpus(t *testing.T, n, minWeight int, seed int64) (*code.CSS, []float64, []gf2.Vec) {
 	t.Helper()
 	c, err := codes.CoprimeBB154()
 	if err != nil {
@@ -173,25 +176,39 @@ func decodeMany(t *testing.T, workers int, seed int64) (successes, postUses int)
 	for i := range probs {
 		probs[i] = 0.05
 	}
-	d, err := New(c.HZ, probs, Config{
-		Init:    bp.Config{MaxIter: 12},
-		Trial:   bp.Config{MaxIter: 50},
-		PhiSize: 8,
-		WMax:    2,
-		Policy:  Exhaustive,
-		Workers: workers,
-		Seed:    seed,
-	})
+	r := rand.New(rand.NewSource(seed))
+	syndromes := make([]gf2.Vec, n)
+	for i := range syndromes {
+		e := gf2.NewVec(c.N)
+		for k := 0; k < minWeight+r.Intn(6); k++ {
+			e.Set(r.Intn(c.N), true)
+		}
+		syndromes[i] = c.SyndromeOfX(e)
+	}
+	return c, probs, syndromes
+}
+
+// bb154Config is the exhaustive decodeMany configuration.
+var bb154Config = Config{
+	Init:    bp.Config{MaxIter: 12},
+	Trial:   bp.Config{MaxIter: 50},
+	PhiSize: 8,
+	WMax:    2,
+	Policy:  Exhaustive,
+}
+
+// decodeMany drives BP-SF over random errors and verifies the flip-back
+// invariant: any successful estimate must satisfy the ORIGINAL syndrome.
+func decodeMany(t *testing.T, workers int, seed int64) (successes, postUses int) {
+	t.Helper()
+	c, probs, syndromes := bb154Corpus(t, 40, 3, seed)
+	cfg := bb154Config
+	cfg.Workers, cfg.Seed = workers, seed
+	d, err := New(c.HZ, probs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(seed))
-	for trial := 0; trial < 40; trial++ {
-		e := gf2.NewVec(c.N)
-		for k := 0; k < 3+r.Intn(6); k++ {
-			e.Set(r.Intn(c.N), true)
-		}
-		s := c.SyndromeOfX(e)
+	for trial, s := range syndromes {
 		res := d.Decode(s)
 		if res.UsedPostProcessing {
 			postUses++
@@ -216,6 +233,157 @@ func decodeMany(t *testing.T, workers int, seed int64) (successes, postUses int)
 		}
 	}
 	return successes, postUses
+}
+
+// trialConfigs returns cfg's initial and trial BP configurations as New
+// resolves them.
+func trialConfigs(cfg Config) (initCfg, trialCfg bp.Config) {
+	initCfg, trialCfg = cfg.Init, cfg.Trial
+	initCfg.TrackOscillation = true
+	if trialCfg.MaxIter == 0 {
+		trialCfg = initCfg
+	}
+	trialCfg.TrackOscillation = false
+	return initCfg, trialCfg
+}
+
+// decodeTrial decodes trial t of syndrome s with a fresh BP decoder and
+// returns its result, the estimate flipped back.
+func decodeTrial(g *tanner.Graph, probs []float64, trialCfg bp.Config, s gf2.Vec, t []int) bp.Result {
+	sp := s.Clone()
+	g.H.MulSupportInto(sp, t)
+	tr := bp.New(g, probs, trialCfg).Decode(sp)
+	for _, col := range t {
+		tr.ErrHat.Flip(col)
+	}
+	return tr
+}
+
+// serialReference is Algorithm 1 as a plain in-order loop, with the
+// one-lane accounting: trials decode in index order, the first success
+// wins and ends the stage unless cfg.DecodeAllTrials. Sampled trials draw
+// from a fresh generator seeded with seed.
+func serialReference(g *tanner.Graph, probs []float64, cfg Config, s gf2.Vec, seed int64) Result {
+	initCfg, trialCfg := trialConfigs(cfg)
+	ir := bp.New(g, probs, initCfg).Decode(s)
+	res := Result{Success: ir.Success, ErrHat: ir.ErrHat, InitIterations: ir.Iterations, WinningTrial: -1,
+		TotalIterations: ir.Iterations, FullParallelIterations: ir.Iterations}
+	if ir.Success {
+		return res
+	}
+	res.UsedPostProcessing = true
+	res.Candidates = SelectCandidates(ir.FlipCount, ir.Marginal, cfg.PhiSize)
+	trials, _ := GenerateTrials(res.Candidates, cfg.Policy, cfg.WMax, cfg.NS, rand.New(rand.NewSource(seed)))
+	res.Trials = len(trials)
+	slowest := 0
+	for k, t := range trials {
+		tr := decodeTrial(g, probs, trialCfg, s, t)
+		res.TrialIterations = append(res.TrialIterations, tr.Iterations)
+		res.TrialSuccess = append(res.TrialSuccess, tr.Success)
+		slowest = max(slowest, tr.Iterations)
+		if res.WinningTrial >= 0 {
+			continue
+		}
+		res.TotalIterations += tr.Iterations
+		if tr.Success {
+			res.Success, res.ErrHat, res.WinningTrial = true, tr.ErrHat, k
+			res.FullParallelIterations += tr.Iterations
+			if !cfg.DecodeAllTrials {
+				return res
+			}
+		}
+	}
+	if res.WinningTrial < 0 && len(trials) > 0 {
+		if cfg.DecodeAllTrials {
+			res.FullParallelIterations += slowest
+		} else {
+			res.FullParallelIterations += trialCfg.MaxIter
+		}
+	}
+	return res
+}
+
+// fields renders every Result field except the stage times.
+func fields(r Result) string {
+	r.InitTime, r.PostTime = 0, 0
+	sup := r.ErrHat.Support()
+	r.ErrHat = gf2.Vec{}
+	return fmt.Sprintf("%+v errHat=%v", r, sup)
+}
+
+// TestDecodeWorkerCounts pins the trial engine at every lane count on a
+// heavier decodeMany corpus (about a third of it post-processed): one lane equals the serial reference in every field,
+// more lanes return a valid winning trial's own estimate, and with
+// DecodeAllTrials the Result does not depend on the lane count at all.
+func TestDecodeWorkerCounts(t *testing.T) {
+	const seed = 93
+	c, probs, syndromes := bb154Corpus(t, 200, 9, seed)
+	g := tanner.New(c.HZ)
+	sampled := Config{
+		Init:    bp.Config{MaxIter: 12},
+		Trial:   bp.Config{MaxIter: 6},
+		PhiSize: 8, WMax: 3, NS: 4, Policy: Sampled,
+	}
+	for _, base := range []struct {
+		name string
+		cfg  Config
+	}{{"exhaustive", bb154Config}, {"sampled", sampled}} {
+		for _, all := range []bool{false, true} {
+			cfg := base.cfg
+			cfg.DecodeAllTrials = all
+			_, trialCfg := trialConfigs(cfg)
+			oneLane := make([]string, len(syndromes))
+			post, wins := 0, 0
+			for _, workers := range []int{1, 2, 4, 8} {
+				cfg.Workers = workers
+				d, err := New(c.HZ, probs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, s := range syndromes {
+					name := fmt.Sprintf("%s all=%v workers=%d syndrome %d", base.name, all, workers, i)
+					d.Reseed(seed + int64(i))
+					r := d.Decode(s)
+					got := fields(r)
+					if workers == 1 {
+						oneLane[i] = got
+						if want := fields(serialReference(g, probs, cfg, s, seed+int64(i))); got != want {
+							t.Fatalf("%s: one lane differs from the serial reference\n got %s\nwant %s", name, got, want)
+						}
+						if r.UsedPostProcessing {
+							post++
+						}
+						if r.WinningTrial >= 0 {
+							wins++
+						}
+						continue
+					}
+					if all && got != oneLane[i] {
+						t.Fatalf("%s: DecodeAllTrials result differs from one lane\n got %s\nwant %s", name, got, oneLane[i])
+					}
+					if r.Success && !c.SyndromeOfX(r.ErrHat).Equal(s) {
+						t.Fatalf("%s: estimate does not satisfy the syndrome", name)
+					}
+					if r.WinningTrial < 0 {
+						continue
+					}
+					if r.WinningTrial >= len(r.TrialIterations) || !r.TrialSuccess[r.WinningTrial] {
+						t.Fatalf("%s: WinningTrial %d is not a recorded success (%v)", name, r.WinningTrial, r.TrialSuccess)
+					}
+					trials, err := GenerateTrials(r.Candidates, cfg.Policy, cfg.WMax, cfg.NS, rand.New(rand.NewSource(seed+int64(i))))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := decodeTrial(g, probs, trialCfg, s, trials[r.WinningTrial]).ErrHat; !r.ErrHat.Equal(want) {
+						t.Fatalf("%s: ErrHat is not trial %d's own estimate", name, r.WinningTrial)
+					}
+				}
+			}
+			if post == 0 || wins == 0 {
+				t.Fatalf("%s all=%v: %d post-processed, %d trial wins; corpus too easy", base.name, all, post, wins)
+			}
+		}
+	}
 }
 
 func TestDecodeSerialFlipBackInvariant(t *testing.T) {

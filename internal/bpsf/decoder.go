@@ -3,6 +3,7 @@ package bpsf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,15 +33,17 @@ type Config struct {
 	// Policy selects exhaustive (code capacity) or sampled (circuit level)
 	// trial generation.
 	Policy TrialPolicy
-	// Workers > 1 decodes trials on that many parallel goroutines with
-	// first-success cancellation; 0 or 1 decodes serially.
+	// Workers is the number of trial lanes decoding one syndrome's trials
+	// concurrently; 0 means 1, negative is rejected. Lanes start trials in
+	// index order and the first success to complete stops the rest, so
+	// one lane decodes trials strictly in order on the calling goroutine.
 	Workers int
 	// Seed seeds the trial-sampling RNG (Sampled policy).
 	Seed int64
 	// DecodeAllTrials keeps decoding after the first success so that every
 	// trial's iteration count is recorded (needed by the latency schedule
-	// model and the GPU estimator). Serial engine only; the returned error
-	// estimate is still the first success.
+	// model and the GPU estimator). Nothing is cancelled, so the lowest
+	// successful trial wins and the Result is the same for every Workers.
 	DecodeAllTrials bool
 }
 
@@ -65,48 +68,65 @@ type Result struct {
 	Candidates []int
 	// Trials is the number of trial vectors generated.
 	Trials int
-	// TrialIterations[k] is the iteration count of the k-th decoded trial,
-	// in decode order (serial engine) or completion order (parallel
-	// engine). With DecodeAllTrials it covers every trial.
+	// TrialIterations[k] is the iteration count of trial k. It covers
+	// every trial a lane started: trials 0..WinningTrial with one lane,
+	// all of them with DecodeAllTrials. A trial cancelled by another
+	// lane's success records the iterations it ran, possibly 0.
 	TrialIterations []int
-	// TrialSuccess[k] reports whether the k-th decoded trial converged
-	// (parallel order matches TrialIterations). Used by the worker-schedule
-	// latency model.
+	// TrialSuccess[k] reports whether trial k converged. Used by the
+	// worker-schedule latency model.
 	TrialSuccess []bool
-	// WinningTrial is the index (into TrialIterations order) of the
-	// successful trial, or -1.
+	// WinningTrial is the index of the trial whose estimate is ErrHat (an
+	// index into Trial* and the generated trials), or -1.
 	WinningTrial int
 	// TotalIterations is the serial-accounting complexity: initial
-	// iterations plus cumulative trial iterations until first success
-	// (paper §V-C).
+	// iterations plus the recorded iterations of trials 0..WinningTrial,
+	// or of every recorded trial when none succeeded (paper §V-C).
 	TotalIterations int
 	// FullParallelIterations is the latency in BP-iteration units assuming
 	// one worker per trial: init iterations + the winning trial's
-	// iterations (or the trial cap when all fail).
+	// iterations (or the slowest recorded trial's when all fail).
 	FullParallelIterations int
 	// InitTime and PostTime are the wall-clock stage durations.
 	InitTime, PostTime time.Duration
 }
 
 // Decoder decodes syndromes of a fixed parity-check matrix with BP-SF. It
-// is not safe for concurrent use (each goroutine needs its own Decoder);
-// internally it owns per-worker BP clones for the parallel trial stage.
+// is not safe for concurrent use (each goroutine needs its own Decoder).
+// Its trial stage runs on Config.Workers lanes: lane 0 on the calling
+// goroutine, the others on goroutines spawned per post-processed decode.
 type Decoder struct {
 	h   *sparse.Mat
-	g   *tanner.Graph
 	cfg Config
 
-	init    *bp.Decoder
-	trial   *bp.Decoder
-	workers []*bp.Decoder
-	rng     *rand.Rand
+	init  *bp.Decoder
+	lanes []lane
+	rng   *rand.Rand
 
 	// per-decode scratch, reused so steady-state decoding is allocation-free
 	phiSel     candidateSelector
 	trialGen   trialGenerator
-	spBuf      gf2.Vec // trial-syndrome buffer (serial engine)
-	trialIters []int   // Result.TrialIterations backing
-	trialSucc  []bool  // Result.TrialSuccess backing
+	trialIters []int   // Result.TrialIterations backing, trial-indexed
+	trialSucc  []bool  // Result.TrialSuccess backing, trial-indexed
+	errHat     gf2.Vec // the winning trial's estimate, flipped back
+
+	// trial-stage state shared by the lanes during one decode
+	s      gf2.Vec
+	trials [][]int
+	next   atomic.Int64 // next unclaimed trial index
+	stop   atomic.Bool  // set by the first success unless DecodeAllTrials
+	wg     sync.WaitGroup
+	mu     sync.Mutex // guards winner and errHat
+	winner int
+}
+
+// lane is one trial worker: a BP decoder and its trial-syndrome buffer.
+type lane struct {
+	bp *bp.Decoder
+	sp gf2.Vec
+	// spawn runs the lane and signals wg; built once in New so that
+	// starting a lane goroutine allocates nothing
+	spawn func()
 }
 
 // New builds a BP-SF decoder for parity-check matrix h with per-bit error
@@ -121,6 +141,9 @@ func New(h *sparse.Mat, probs []float64, cfg Config) (*Decoder, error) {
 	if cfg.Policy == Sampled && cfg.NS <= 0 {
 		return nil, fmt.Errorf("bpsf: NS must be positive for sampled trials")
 	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("bpsf: Workers must not be negative, got %d", cfg.Workers)
+	}
 	g := tanner.New(h)
 	initCfg := cfg.Init
 	initCfg.TrackOscillation = true
@@ -130,18 +153,24 @@ func New(h *sparse.Mat, probs []float64, cfg Config) (*Decoder, error) {
 	}
 	trialCfg.TrackOscillation = false
 	d := &Decoder{
-		h:     h,
-		g:     g,
-		cfg:   cfg,
-		init:  bp.New(g, probs, initCfg),
-		trial: bp.New(g, probs, trialCfg),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		spBuf: gf2.NewVec(g.M),
+		h:      h,
+		cfg:    cfg,
+		init:   bp.New(g, probs, initCfg),
+		lanes:  make([]lane, max(cfg.Workers, 1)),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		errHat: gf2.NewVec(g.N),
 	}
-	if cfg.Workers > 1 {
-		d.workers = make([]*bp.Decoder, cfg.Workers)
-		for i := range d.workers {
-			d.workers[i] = d.trial.Clone()
+	for i := range d.lanes {
+		l := &d.lanes[i]
+		if i == 0 {
+			l.bp = bp.New(g, probs, trialCfg)
+		} else {
+			l.bp = d.lanes[0].bp.Clone()
+		}
+		l.sp = gf2.NewVec(g.M)
+		l.spawn = func() {
+			defer d.wg.Done()
+			d.runLane(l)
 		}
 	}
 	return d, nil
@@ -164,186 +193,97 @@ func (d *Decoder) Reseed(seed int64) {
 func (d *Decoder) Decode(s gf2.Vec) Result {
 	t0 := time.Now()
 	initRes := d.init.Decode(s)
-	initTime := time.Since(t0)
-	if initRes.Success {
-		return Result{
-			Success:                true,
-			ErrHat:                 initRes.ErrHat,
-			InitIterations:         initRes.Iterations,
-			TotalIterations:        initRes.Iterations,
-			FullParallelIterations: initRes.Iterations,
-			WinningTrial:           -1,
-			InitTime:               initTime,
-		}
+	res := Result{
+		Success:                initRes.Success,
+		ErrHat:                 initRes.ErrHat,
+		InitIterations:         initRes.Iterations,
+		WinningTrial:           -1,
+		TotalIterations:        initRes.Iterations,
+		FullParallelIterations: initRes.Iterations,
+		InitTime:               time.Since(t0),
 	}
-
-	phi := d.phiSel.selectInto(initRes.FlipCount, initRes.Marginal, d.cfg.PhiSize)
-	trials, err := d.trialGen.generate(phi, d.cfg.Policy, d.cfg.WMax, d.cfg.NS, d.rng)
+	if initRes.Success {
+		return res
+	}
+	res.UsedPostProcessing = true
+	res.Candidates = d.phiSel.selectInto(initRes.FlipCount, initRes.Marginal, d.cfg.PhiSize)
+	trials, err := d.trialGen.generate(res.Candidates, d.cfg.Policy, d.cfg.WMax, d.cfg.NS, d.rng)
 	if err != nil {
 		// unusable configuration for this code size; report failure with
 		// the initial BP estimate
-		return Result{
-			Success:                false,
-			ErrHat:                 initRes.ErrHat,
-			InitIterations:         initRes.Iterations,
-			UsedPostProcessing:     true,
-			Candidates:             phi,
-			WinningTrial:           -1,
-			TotalIterations:        initRes.Iterations,
-			FullParallelIterations: initRes.Iterations,
-			InitTime:               initTime,
-		}
+		return res
 	}
 
 	t1 := time.Now()
-	var res Result
-	if d.cfg.Workers > 1 {
-		res = d.decodeParallel(s, trials)
-	} else {
-		res = d.decodeSerial(s, trials)
-	}
-	res.InitIterations = initRes.Iterations
-	res.UsedPostProcessing = true
-	res.Candidates = phi
 	res.Trials = len(trials)
-	res.InitTime = initTime
+	started := d.decodeTrials(s, trials)
+	res.TrialIterations = d.trialIters[:started]
+	res.TrialSuccess = d.trialSucc[:started]
+	res.WinningTrial = d.winner
+	counted := res.TrialIterations
+	if d.winner >= 0 {
+		res.Success = true
+		res.ErrHat = d.errHat
+		counted = counted[:d.winner+1]
+		res.FullParallelIterations += counted[d.winner]
+	} else if len(counted) > 0 {
+		res.FullParallelIterations += slices.Max(counted)
+	}
+	for _, it := range counted {
+		res.TotalIterations += it
+	}
 	res.PostTime = time.Since(t1)
-	res.TotalIterations += initRes.Iterations
-	res.FullParallelIterations += initRes.Iterations
-	if !res.Success {
-		res.ErrHat = initRes.ErrHat
-	}
 	return res
 }
 
-// trialSyndromeInto computes s' = s ⊕ tHᵀ into dst.
-func (d *Decoder) trialSyndromeInto(dst, s gf2.Vec, t []int) {
-	dst.CopyFrom(s)
-	d.h.MulSupportInto(dst, t)
-}
-
-// flipBack applies ê ⊕= t.
-func flipBack(errHat gf2.Vec, t []int) {
-	for _, col := range t {
-		errHat.Flip(col)
+// decodeTrials decodes the trial syndromes s ⊕ tHᵀ on every lane, filling
+// the trial-indexed records and d.winner, and returns how many trials were
+// started (the length of the records).
+func (d *Decoder) decodeTrials(s gf2.Vec, trials [][]int) int {
+	d.s, d.trials = s, trials
+	d.trialIters = slices.Grow(d.trialIters[:0], len(trials))[:len(trials)]
+	d.trialSucc = slices.Grow(d.trialSucc[:0], len(trials))[:len(trials)]
+	d.next.Store(0)
+	d.stop.Store(false)
+	d.winner = -1
+	d.wg.Add(len(d.lanes) - 1)
+	for i := 1; i < len(d.lanes); i++ {
+		go d.lanes[i].spawn()
 	}
+	d.runLane(&d.lanes[0])
+	d.wg.Wait()
+	return min(int(d.next.Load()), len(trials))
 }
 
-func (d *Decoder) decodeSerial(s gf2.Vec, trials [][]int) Result {
-	res := Result{WinningTrial: -1}
-	trialCap := d.trial.Config().MaxIter
-	maxIters := 0
-	d.trialIters = d.trialIters[:0]
-	d.trialSucc = d.trialSucc[:0]
-	for k, t := range trials {
-		d.trialSyndromeInto(d.spBuf, s, t)
-		tr := d.trial.Decode(d.spBuf)
-		d.trialIters = append(d.trialIters, tr.Iterations)
-		d.trialSucc = append(d.trialSucc, tr.Success)
-		if tr.Iterations > maxIters {
-			maxIters = tr.Iterations
+// runLane claims trial indices in order until they run out or a success
+// stops the stage. A success offers its flipped-back estimate to the
+// decoder; the lowest trial index among the offers wins, which with one
+// lane or DecodeAllTrials is the lowest successful trial.
+func (d *Decoder) runLane(l *lane) {
+	for !d.stop.Load() {
+		k := int(d.next.Add(1) - 1)
+		if k >= len(d.trials) {
+			return
 		}
-		if res.WinningTrial < 0 {
-			res.TotalIterations += tr.Iterations
+		t := d.trials[k]
+		l.sp.CopyFrom(d.s)
+		d.h.MulSupportInto(l.sp, t)
+		tr := l.bp.DecodeStop(l.sp, &d.stop)
+		d.trialIters[k], d.trialSucc[k] = tr.Iterations, tr.Success
+		if !tr.Success {
+			continue
 		}
-		if tr.Success && res.WinningTrial < 0 {
-			res.Success = true
-			res.WinningTrial = k
-			res.FullParallelIterations = tr.Iterations
-			if !d.cfg.DecodeAllTrials {
-				// tr.ErrHat aliases the trial decoder's reusable buffer; no
-				// further trial decodes run, so the alias stays valid
-				flipBack(tr.ErrHat, t)
-				res.ErrHat = tr.ErrHat
-				res.TrialIterations = d.trialIters
-				res.TrialSuccess = d.trialSucc
-				return res
+		d.mu.Lock()
+		if d.winner < 0 || k < d.winner {
+			d.winner = k
+			d.errHat.CopyFrom(tr.ErrHat)
+			for _, col := range t {
+				d.errHat.Flip(col)
 			}
-			// later trials overwrite the buffer: keep a copy
-			errHat := tr.ErrHat.Clone()
-			flipBack(errHat, t)
-			res.ErrHat = errHat
+		}
+		d.mu.Unlock()
+		if !d.cfg.DecodeAllTrials {
+			d.stop.Store(true)
 		}
 	}
-	if res.WinningTrial < 0 {
-		// all trials failed: full-parallel latency is the slowest trial
-		// (or the cap when no trials ran)
-		if len(trials) == 0 {
-			res.FullParallelIterations = 0
-		} else if d.cfg.DecodeAllTrials {
-			res.FullParallelIterations = maxIters
-		} else {
-			res.FullParallelIterations = trialCap
-		}
-	}
-	res.TrialIterations = d.trialIters
-	res.TrialSuccess = d.trialSucc
-	return res
-}
-
-// trialOutcome carries one parallel trial result back to the manager.
-type trialOutcome struct {
-	trialIdx int
-	iters    int
-	success  bool
-	errHat   gf2.Vec
-}
-
-func (d *Decoder) decodeParallel(s gf2.Vec, trials [][]int) Result {
-	res := Result{WinningTrial: -1}
-	var stop atomic.Bool
-	next := make(chan int)
-	outcomes := make(chan trialOutcome, len(trials))
-	var wg sync.WaitGroup
-	for w := 0; w < len(d.workers); w++ {
-		wg.Add(1)
-		go func(dec *bp.Decoder, sp gf2.Vec) {
-			defer wg.Done()
-			for idx := range next {
-				if stop.Load() {
-					outcomes <- trialOutcome{trialIdx: idx, iters: 0}
-					continue
-				}
-				d.trialSyndromeInto(sp, s, trials[idx])
-				tr := dec.DecodeStop(sp, &stop)
-				out := trialOutcome{trialIdx: idx, iters: tr.Iterations, success: tr.Success}
-				if tr.Success {
-					stop.Store(true)
-					// the worker decodes nothing further once stop is set,
-					// so its reusable ErrHat buffer stays valid
-					out.errHat = tr.ErrHat
-				}
-				outcomes <- out
-			}
-		}(d.workers[w], gf2.NewVec(d.g.M))
-	}
-	for idx := range trials {
-		next <- idx
-	}
-	close(next)
-	wg.Wait()
-	close(outcomes)
-
-	d.trialIters = d.trialIters[:0]
-	d.trialSucc = d.trialSucc[:0]
-	for out := range outcomes {
-		if out.iters > 0 {
-			d.trialIters = append(d.trialIters, out.iters)
-			d.trialSucc = append(d.trialSucc, out.success)
-			res.TotalIterations += out.iters
-		}
-		if out.success && res.WinningTrial < 0 {
-			flipBack(out.errHat, trials[out.trialIdx])
-			res.Success = true
-			res.ErrHat = out.errHat
-			res.WinningTrial = out.trialIdx
-			res.FullParallelIterations = out.iters
-		}
-	}
-	if res.WinningTrial < 0 {
-		res.FullParallelIterations = d.trial.Config().MaxIter
-	}
-	res.TrialIterations = d.trialIters
-	res.TrialSuccess = d.trialSucc
-	return res
 }

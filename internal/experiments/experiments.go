@@ -110,19 +110,17 @@ type FigureResult struct {
 
 // Spec describes one decoder configuration in a figure's legend.
 type Spec struct {
-	Kind       string // "bp", "bposd", "bpsf", "uf"
-	Label      string // legend label (derived when empty)
-	BPIters    int
-	Schedule   bp.Schedule
-	OSDMethod  osd.Method
-	OSDOrder   int
-	Phi        int
-	WMax       int
-	NS         int
-	Policy     bpsf.TrialPolicy
-	TrialIters int
-	Workers    int
-	DecodeAll  bool
+	Kind      string // "bp", "bposd", "bpsf", "uf"
+	Label     string // legend label (derived when empty)
+	BPIters   int
+	Schedule  bp.Schedule
+	OSDMethod osd.Method
+	OSDOrder  int
+	Phi       int
+	WMax      int
+	NS        int
+	Policy    bpsf.TrialPolicy
+	Workers   int
 	// Window > 0 wraps the decoder in the sliding-window scheduler
 	// (internal/window): windows of Window rounds committing Commit
 	// (default 1), sliced by WLayout — or rows-as-rounds when WLayout is
@@ -231,20 +229,14 @@ func (s Spec) Factory(seed int64) sim.Factory {
 				bp.Config{MaxIter: s.BPIters, Schedule: s.Schedule},
 				osd.Config{Method: s.OSDMethod, Order: s.OSDOrder}), nil
 		case "bpsf":
-			trialIters := s.TrialIters
-			if trialIters == 0 {
-				trialIters = s.BPIters
-			}
 			return sim.NewBPSF(h, priors, bpsf.Config{
-				Init:            bp.Config{MaxIter: s.BPIters, Schedule: s.Schedule},
-				Trial:           bp.Config{MaxIter: trialIters, Schedule: s.Schedule},
-				PhiSize:         s.Phi,
-				WMax:            s.WMax,
-				NS:              s.NS,
-				Policy:          s.Policy,
-				Workers:         s.Workers,
-				Seed:            seed,
-				DecodeAllTrials: s.DecodeAll,
+				Init:    bp.Config{MaxIter: s.BPIters, Schedule: s.Schedule},
+				PhiSize: s.Phi,
+				WMax:    s.WMax,
+				NS:      s.NS,
+				Policy:  s.Policy,
+				Workers: s.Workers,
+				Seed:    seed,
 			})
 		default:
 			return nil, fmt.Errorf("experiments: unknown decoder kind %q", s.Kind)
