@@ -171,9 +171,9 @@ func NewUFRaw(h *Matrix) *uf.Decoder { return uf.New(h) }
 // UFResult is the detailed union-find decode report.
 type UFResult = uf.Result
 
-// DecoderNames lists the registered decoder constructor names ("bp",
-// "bposd", "bpsf", "uf", "windowed") — the -decoder vocabulary of the
-// CLIs and the decode service.
+// DecoderNames lists the decoder registry names ("bp", "bposd", "bpsf",
+// "uf", "windowed") — the -decoder vocabulary of the CLIs and the decode
+// service.
 func DecoderNames() []string { return sim.DecoderNames() }
 
 // Sliding-window streaming decoder re-exports (internal/window; window/
@@ -331,7 +331,8 @@ type (
 	// ServiceHello opens a session: code, rounds, error rate, decoder spec,
 	// stream seed and shedding deadline.
 	ServiceHello = service.Hello
-	// ServiceSpec selects the decoder family of a session.
+	// ServiceSpec selects the decoder of a session (the one decoder
+	// configuration type, sim.Spec).
 	ServiceSpec = service.Spec
 	// ServiceResponse is one syndrome's decode report.
 	ServiceResponse = service.Response

@@ -49,11 +49,11 @@ func main() {
 
 	var mkDecoder sim.Factory
 	if *decoder != "" {
-		var ok bool
-		mkDecoder, ok = sim.Constructors()[*decoder]
-		if !ok {
-			log.Fatalf("unknown decoder %q (available: %v)", *decoder, sim.DecoderNames())
+		spec, err := sim.DecoderSpec(*decoder)
+		if err != nil {
+			log.Fatal(err)
 		}
+		mkDecoder = spec.NewDecoder
 	}
 
 	entry, ok := codes.Catalog()[*codeName]

@@ -50,11 +50,14 @@ func TestBatchFlagValues(t *testing.T) {
 }
 
 // TestDecoderFlagMatchesRegistry pins the -decoder vocabulary of this CLI
-// to the constructor registry.
+// to the decoder registry: every listed name resolves to a valid spec.
 func TestDecoderFlagMatchesRegistry(t *testing.T) {
 	for _, name := range sim.DecoderNames() {
-		if _, ok := sim.Constructors()[name]; !ok {
-			t.Errorf("registered decoder %q missing from Constructors()", name)
+		spec, err := sim.DecoderSpec(name)
+		if err != nil {
+			t.Errorf("registered decoder %q: %v", name, err)
+		} else if err := spec.Validate(); err != nil {
+			t.Errorf("registered decoder %q: %v", name, err)
 		}
 	}
 }

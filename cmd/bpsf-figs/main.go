@@ -86,9 +86,13 @@ func main() {
 	}
 }
 
-// validateDecoder checks the -decoder filter against the constructor
-// registry; unknown names report the available set (the CLI exits
-// non-zero on the returned error).
+// validateDecoder checks the -decoder filter against the decoder
+// registry (empty means no filter); unknown names report the available
+// set (the CLI exits non-zero on the returned error).
 func validateDecoder(name string) error {
-	return experiments.ValidDecoderName(name)
+	if name == "" {
+		return nil
+	}
+	_, err := sim.DecoderSpec(name)
+	return err
 }

@@ -49,7 +49,7 @@ func TestValidateDecoderFlag(t *testing.T) {
 }
 
 // TestDecoderFlagMatchesRegistry pins the flag vocabulary to the registry:
-// a decoder added to sim.Constructors must be accepted by this CLI's
+// a decoder added to sim.DecoderSpecs must be accepted by this CLI's
 // filter.
 func TestDecoderFlagMatchesRegistry(t *testing.T) {
 	for _, name := range sim.DecoderNames() {

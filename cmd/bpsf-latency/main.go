@@ -21,14 +21,10 @@ import (
 	"strings"
 	"time"
 
-	"bpsf/internal/bp"
 	"bpsf/internal/codes"
 	"bpsf/internal/dem"
-	"bpsf/internal/experiments"
 	"bpsf/internal/memexp"
-	"bpsf/internal/osd"
 	"bpsf/internal/sim"
-	"bpsf/internal/sparse"
 	"bpsf/internal/window"
 )
 
@@ -67,8 +63,7 @@ func main() {
 	if r == 0 {
 		r = entry.Rounds
 	}
-	sfMk, err := decoderFactory(decoderFlags{
-		Name:     *decoder,
+	spec, err := sim.FlagSpec(*decoder, sim.Spec{
 		BPIters:  *bpIters,
 		OSDOrder: *osdOrder,
 		Phi:      *phi,
@@ -76,11 +71,12 @@ func main() {
 		NS:       *ns,
 		Window:   *windowRounds,
 		Commit:   *commitRounds,
-		Layout:   window.MemexpLayout(css, r),
-		Seed:     *seed,
 	})
 	if err != nil {
 		log.Fatal(err)
+	}
+	if spec.Window > 0 {
+		spec.Layout = window.MemexpLayout(css, r)
 	}
 	circ, err := memexp.Build(css, r, memexp.Uniform())
 	if err != nil {
@@ -103,16 +99,13 @@ func main() {
 
 	cfg := sim.Config{P: *p, Shots: *shots, Seed: *seed, KeepRecords: true, Workers: *workers}
 
-	osdMk := func(h *sparse.Mat, priors []float64) (sim.Decoder, error) {
-		return sim.NewBPOSD(h, priors, bp.Config{MaxIter: *osdIters},
-			osd.Config{Method: osd.OSDCS, Order: 10}), nil
-	}
-	osdRes, err := sim.RunCircuit(d, r, osdMk, cfg)
+	osdSpec := sim.Spec{Kind: "bposd", BPIters: *osdIters, OSDOrder: 10}
+	osdRes, err := sim.RunCircuit(d, r, osdSpec.NewDecoder, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	sfRes, err := sim.RunCircuit(d, r, sfMk, cfg)
+	sfRes, err := sim.RunCircuit(d, r, spec.NewDecoder, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -149,7 +142,7 @@ func main() {
 	row(sfRes.Decoder+" serial", sfRes.LERRound, times(sfRes.Records))
 	// the P-worker schedule model and the GPU estimator consume BP-SF
 	// per-trial records, so they only apply to the bare bpsf decoder
-	if *decoder == "bpsf" && *windowRounds == 0 {
+	if spec.Kind == "bpsf" && spec.Window == 0 {
 		for _, w := range modelWorkers {
 			modeled := make([]time.Duration, len(sfRes.Records))
 			for i, rec := range sfRes.Records {
@@ -172,15 +165,4 @@ func main() {
 	if err := tb.Write(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// decoderFlags carries the -decoder flag and its tuning companions
-// (alias of the shared experiments.CLIDecoderFlags).
-type decoderFlags = experiments.CLIDecoderFlags
-
-// decoderFactory resolves the flag set to a sim decoder factory through
-// experiments.CLIFactory; unknown decoder names report the available set
-// (the CLI exits non-zero on the returned error).
-func decoderFactory(f decoderFlags) (sim.Factory, error) {
-	return experiments.CLIFactory(f)
 }

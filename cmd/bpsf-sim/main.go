@@ -22,7 +22,6 @@ import (
 
 	"bpsf/internal/codes"
 	"bpsf/internal/dem"
-	"bpsf/internal/experiments"
 	"bpsf/internal/memexp"
 	"bpsf/internal/sim"
 	"bpsf/internal/window"
@@ -70,18 +69,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	flags := decoderFlags{
-		Name:         *decoder,
-		BPIters:      *bpIters,
-		Layered:      *layered,
-		OSDOrder:     *osdOrder,
-		Phi:          *phi,
-		WMax:         *wmax,
-		NS:           *ns,
-		TrialWorkers: *trialWorkers,
-		Window:       *windowRounds,
-		Commit:       *commitRounds,
-		Seed:         *seed,
+	spec, err := sim.FlagSpec(*decoder, sim.Spec{
+		BPIters:  *bpIters,
+		Layered:  *layered,
+		OSDOrder: *osdOrder,
+		Phi:      *phi,
+		WMax:     *wmax,
+		NS:       *ns,
+		Workers:  *trialWorkers,
+		Window:   *windowRounds,
+		Commit:   *commitRounds,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := sim.Config{P: *p, Shots: *shots, Seed: *seed, MaxLogicalErrors: *maxErrs, Workers: *workers}
@@ -89,21 +89,15 @@ func main() {
 	switch *model {
 	case "capacity":
 		// rows-as-rounds layout for -window (the zero Layout default)
-		mk, ferr := decoderFactory(flags)
-		if ferr != nil {
-			log.Fatal(ferr)
-		}
-		res, err = sim.RunCapacity(css, mk, cfg)
+		res, err = sim.RunCapacity(css, spec.NewDecoder, cfg)
 	case "circuit":
 		r := *rounds
 		if r == 0 {
 			r = entry.Rounds
 		}
 		// window the circuit problem along the memory-experiment rounds
-		flags.Layout = window.MemexpLayout(css, r)
-		mk, ferr := decoderFactory(flags)
-		if ferr != nil {
-			log.Fatal(ferr)
+		if spec.Window > 0 {
+			spec.Layout = window.MemexpLayout(css, r)
 		}
 		circ, berr := memexp.Build(css, r, memexp.Uniform())
 		if berr != nil {
@@ -117,9 +111,9 @@ func main() {
 		fmt.Printf("DEM: %d detectors, %d mechanisms\n", d.NumDets, d.NumMechs())
 		if useBatch {
 			// word-parallel Pauli-frame sampling of the circuit itself
-			res, err = sim.RunCircuitFrames(circ, d, r, mk, cfg)
+			res, err = sim.RunCircuitFrames(circ, d, r, spec.NewDecoder, cfg)
 		} else {
-			res, err = sim.RunCircuit(d, r, mk, cfg)
+			res, err = sim.RunCircuit(d, r, spec.NewDecoder, cfg)
 		}
 	default:
 		log.Fatalf("unknown model %q", *model)
@@ -134,17 +128,4 @@ func main() {
 	if err := tb.Write(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// decoderFlags carries the -decoder flag and its tuning companions
-// (alias of the shared experiments.CLIDecoderFlags).
-type decoderFlags = experiments.CLIDecoderFlags
-
-// decoderFactory resolves the flag set to a sim decoder factory through
-// experiments.CLIFactory (one construction switch for the whole repo).
-// Unknown decoder names report the available set (the CLI exits non-zero
-// on the returned error); -window wraps the selection in the
-// sliding-window scheduler.
-func decoderFactory(f decoderFlags) (sim.Factory, error) {
-	return experiments.CLIFactory(f)
 }

@@ -10,33 +10,39 @@ import (
 )
 
 // TestDecoderFactoryFlags is the table-driven -decoder validation: every
-// registered name resolves to a working factory, unknown names fail with
-// an error naming the available set (the CLI turns that into a non-zero
-// exit via log.Fatal).
+// registered name resolves to a valid spec that builds, unknown names fail
+// with an error naming the available set, and out-of-range tuning flags
+// fail with an error naming the field — all before any shard starts (the
+// CLI turns the error into a non-zero exit via log.Fatal).
 func TestDecoderFactoryFlags(t *testing.T) {
-	base := decoderFlags{BPIters: 20, OSDOrder: 2, Phi: 4, WMax: 1, NS: 0, Seed: 1}
+	base := sim.Spec{BPIters: 20, OSDOrder: 2, Phi: 4, WMax: 1, NS: 0}
 	cases := []struct {
 		name    string
 		decoder string
 		window  int
 		commit  int
-		workers int // -trial-workers
-		wantErr bool
+		edit    func(*sim.Spec) // further flag values (nil = base)
+		wantErr string          // substring of the expected error ("" = accepted)
 	}{
-		{"bp", "bp", 0, 0, 0, false},
-		{"bposd", "bposd", 0, 0, 0, false},
-		{"bpsf", "bpsf", 0, 0, 0, false},
-		{"bpsf-trial-workers", "bpsf", 0, 0, 4, false},
-		{"uf", "uf", 0, 0, 0, false},
-		{"windowed-default", "windowed", 0, 0, 0, false},
-		{"windowed-explicit", "windowed", 4, 2, 0, false},
-		{"uf-windowed", "uf", 3, 1, 0, false},
-		{"bp-windowed", "bp", 2, 2, 0, false},
-		{"commit-exceeds-window", "uf", 2, 3, 0, true},
-		{"unknown", "matching", 0, 0, 0, true},
-		{"empty", "", 0, 0, 0, true},
-		{"case-sensitive", "UF", 0, 0, 0, true},
-		{"negative-trial-workers", "bpsf", 0, 0, -2, true},
+		{"bp", "bp", 0, 0, nil, ""},
+		{"bposd", "bposd", 0, 0, nil, ""},
+		{"bpsf", "bpsf", 0, 0, nil, ""},
+		{"bpsf-trial-workers", "bpsf", 0, 0, func(s *sim.Spec) { s.Workers = 4 }, ""},
+		{"uf", "uf", 0, 0, nil, ""},
+		{"windowed-default", "windowed", 0, 0, nil, ""},
+		{"windowed-explicit", "windowed", 4, 2, nil, ""},
+		{"uf-windowed", "uf", 3, 1, nil, ""},
+		{"bp-windowed", "bp", 2, 2, nil, ""},
+		{"commit-exceeds-window", "uf", 2, 3, nil, "Commit 3 exceeds Window 2"},
+		{"unknown", "matching", 0, 0, nil, "available"},
+		{"empty", "", 0, 0, nil, "available"},
+		{"case-sensitive", "UF", 0, 0, nil, "available"},
+		{"negative-trial-workers", "bpsf", 0, 0, func(s *sim.Spec) { s.Workers = -2 }, "Workers -2"},
+		{"osd-order-negative", "bposd", 0, 0, func(s *sim.Spec) { s.OSDOrder = -1 }, "OSDOrder"},
+		{"bp-iters-zero", "bp", 0, 0, func(s *sim.Spec) { s.BPIters = 0 }, "BPIters"},
+		{"bp-iters-negative", "bp", 0, 0, func(s *sim.Spec) { s.BPIters = -5 }, "BPIters"},
+		{"phi-zero", "bpsf", 0, 0, func(s *sim.Spec) { s.Phi = 0 }, "Phi"},
+		{"ns-negative", "bpsf", 0, 0, func(s *sim.Spec) { s.NS = -3 }, "NS"},
 	}
 	css, err := codes.RotatedSurface3()
 	if err != nil {
@@ -46,26 +52,19 @@ func TestDecoderFactoryFlags(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := base
-			f.Name = tc.decoder
-			f.Window = tc.window
-			f.Commit = tc.commit
-			f.TrialWorkers = tc.workers
-			mk, err := decoderFactory(f)
-			if tc.workers < 0 {
-				// the factory builds lazily: the decoder itself rejects it
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := mk(css.HZ, priors); err == nil || !strings.Contains(err.Error(), "-2") {
-					t.Fatalf("-trial-workers %d: got error %v, want one naming the value", tc.workers, err)
-				}
-				return
+			f.Window, f.Commit = tc.window, tc.commit
+			if tc.edit != nil {
+				tc.edit(&f)
 			}
-			if tc.wantErr {
+			spec, err := sim.FlagSpec(tc.decoder, f)
+			if tc.wantErr != "" {
 				if err == nil {
-					t.Fatalf("decoder %q (window=%d commit=%d) accepted", tc.decoder, tc.window, tc.commit)
+					t.Fatalf("decoder %q with %+v accepted", tc.decoder, f)
 				}
-				if tc.window == 0 || tc.commit <= tc.window {
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("error %q does not name %q", err, tc.wantErr)
+				}
+				if tc.wantErr == "available" {
 					for _, known := range sim.DecoderNames() {
 						if !strings.Contains(err.Error(), known) {
 							t.Errorf("error %q does not name available decoder %q", err, known)
@@ -77,7 +76,7 @@ func TestDecoderFactoryFlags(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := mk(css.HZ, priors)
+			dec, err := spec.NewDecoder(css.HZ, priors)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,10 +131,10 @@ func TestBatchFlagValues(t *testing.T) {
 }
 
 // TestDecoderFlagsMatchRegistry pins the flag vocabulary to the registry:
-// a decoder added to sim.Constructors must be reachable from the CLI.
+// a decoder added to sim.DecoderSpecs must be reachable from the CLI.
 func TestDecoderFlagsMatchRegistry(t *testing.T) {
 	for _, name := range sim.DecoderNames() {
-		if _, err := decoderFactory(decoderFlags{Name: name, BPIters: 10, Phi: 2, WMax: 1}); err != nil {
+		if _, err := sim.FlagSpec(name, sim.Spec{BPIters: 10, Phi: 2, WMax: 1}); err != nil {
 			t.Errorf("registered decoder %q rejected: %v", name, err)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"bpsf/internal/memexp"
 	"bpsf/internal/service"
 	"bpsf/internal/sim"
-	"bpsf/internal/sparse"
 	"bpsf/internal/window"
 )
 
@@ -148,7 +147,7 @@ func sampleSyndromes(d *dem.DEM, p float64, seed int64, count int) []gf2.Vec {
 	return syns
 }
 
-// RunDecode measures every registered decoder kernel (sim.Constructors:
+// RunDecode measures every registered decoder kernel (sim.DecoderSpecs:
 // bp, bposd, bpsf, uf, windowed) on the circuit-level rsurf5 and bb72
 // DEMs at p=3e-3, per decode. Each measured op sweeps the whole 64-shot
 // syndrome pool (MeasureShots) so the mix — and the exact-fail
@@ -166,7 +165,7 @@ func RunDecode(cfg Config) (*Report, error) {
 		priors := d.Priors(p)
 		syns := sampleSyndromes(d, p, cfg.Seed, 64)
 		for _, name := range sim.DecoderNames() {
-			dec, err := sim.Constructors()[name](d.H, priors)
+			dec, err := sim.DecoderSpecs()[name].NewDecoder(d.H, priors)
 			if err != nil {
 				return nil, fmt.Errorf("bench: decode/%s/%s: %w", codeName, name, err)
 			}
@@ -217,10 +216,7 @@ func RunWindow(cfg Config) (*Report, error) {
 		{"bposd", service.Spec{Kind: "bposd", BPIters: 100, OSDOrder: 5}},
 	}
 	for _, inner := range inners {
-		factory := decoding.Factory(func(h *sparse.Mat, priors []float64) (decoding.Decoder, error) {
-			return inner.spec.NewDecoder(h, priors)
-		})
-		wd, err := window.New(d.H, priors, layout, 3, 1, factory)
+		wd, err := window.New(d.H, priors, layout, 3, 1, inner.spec.NewDecoder)
 		if err != nil {
 			return nil, err
 		}

@@ -108,13 +108,13 @@ func AblationTrialPolicy(o Opts) (FigureResult, error) {
 	shots := o.shots(800)
 	tb := sim.NewTable("policy", "trials/failure", "failures", "LER")
 	res := FigureResult{Name: "ablation-trials"}
-	specs := []Spec{
+	specs := []sim.Spec{
 		BPSFCapacitySpec(50, 8, 2),    // C(8,1)+C(8,2) = 36 trials
 		BPSFCircuitSpec(50, 8, 2, 18), // sampled: 2×18 = 36 trials
 	}
 	labels := []string{"exhaustive w≤2 (36 trials)", "sampled ns=18,wmax=2 (36 trials)"}
 	for i, spec := range specs {
-		mc, err := sim.RunCapacity(css, spec.Factory(o.seed()), sim.Config{P: p, Shots: shots, Seed: o.seed(), Workers: o.workers()})
+		mc, err := sim.RunCapacity(css, spec.NewDecoder, sim.Config{P: p, Shots: shots, Seed: o.seed(), Workers: o.workers()})
 		if err != nil {
 			return res, err
 		}

@@ -21,15 +21,12 @@ import (
 	"runtime"
 	"sync"
 
-	"bpsf/internal/bp"
-	"bpsf/internal/bpsf"
 	"bpsf/internal/code"
 	"bpsf/internal/codes"
 	"bpsf/internal/dem"
 	"bpsf/internal/memexp"
 	"bpsf/internal/osd"
 	"bpsf/internal/sim"
-	"bpsf/internal/sparse"
 	"bpsf/internal/window"
 )
 
@@ -106,38 +103,17 @@ type FigureResult struct {
 	Notes string
 }
 
-// ---- decoder grid specification ----
-
-// Spec describes one decoder configuration in a figure's legend.
-type Spec struct {
-	Kind      string // "bp", "bposd", "bpsf", "uf"
-	Label     string // legend label (derived when empty)
-	BPIters   int
-	Schedule  bp.Schedule
-	OSDMethod osd.Method
-	OSDOrder  int
-	Phi       int
-	WMax      int
-	NS        int
-	Policy    bpsf.TrialPolicy
-	Workers   int
-	// Window > 0 wraps the decoder in the sliding-window scheduler
-	// (internal/window): windows of Window rounds committing Commit
-	// (default 1), sliced by WLayout — or rows-as-rounds when WLayout is
-	// zero (code capacity).
-	Window, Commit int
-	WLayout        window.Layout
-}
+// ---- decoder grid helpers ----
 
 // Windowed wraps a spec in the sliding-window scheduler: windows of w
 // rounds committing c, sliced by layout.
-func Windowed(inner Spec, w, c int, layout window.Layout) Spec {
-	inner.Window, inner.Commit, inner.WLayout = w, c, layout
+func Windowed(inner sim.Spec, w, c int, layout window.Layout) sim.Spec {
+	inner.Window, inner.Commit, inner.Layout = w, c, layout
 	return inner
 }
 
 // MatchesKind reports whether the spec survives an Opts.Decoder filter.
-func (s Spec) MatchesKind(name string) bool {
+func MatchesKind(s sim.Spec, name string) bool {
 	if name == "windowed" {
 		return s.Window > 0
 	}
@@ -145,103 +121,32 @@ func (s Spec) MatchesKind(name string) bool {
 }
 
 // BPSpec is a plain-BP decoder entry.
-func BPSpec(iters int) Spec { return Spec{Kind: "bp", BPIters: iters} }
+func BPSpec(iters int) sim.Spec { return sim.Spec{Kind: "bp", BPIters: iters} }
 
 // UFSpec is the union-find decoder entry (no tuning parameters).
-func UFSpec() Spec { return Spec{Kind: "uf"} }
+func UFSpec() sim.Spec { return sim.Spec{Kind: "uf"} }
 
 // BPOSDSpec is the BP-OSD baseline entry (OSD-CS of the given order).
-func BPOSDSpec(iters, order int) Spec {
-	return Spec{Kind: "bposd", BPIters: iters, OSDMethod: osd.OSDCS, OSDOrder: order}
+func BPOSDSpec(iters, order int) sim.Spec {
+	return sim.Spec{Kind: "bposd", BPIters: iters, OSDOrder: order}
+}
+
+// BPOSD0Spec is the BP-OSD baseline with order-0 post-processing
+// ("BP1000-OSD0").
+func BPOSD0Spec(iters int) sim.Spec {
+	return sim.Spec{Kind: "bposd", BPIters: iters, OSDMethod: osd.OSD0}
 }
 
 // BPSFCapacitySpec is the paper's code-capacity BP-SF configuration
 // (exhaustive trials).
-func BPSFCapacitySpec(iters, phi, wMax int) Spec {
-	return Spec{Kind: "bpsf", BPIters: iters, Phi: phi, WMax: wMax, Policy: bpsf.Exhaustive}
+func BPSFCapacitySpec(iters, phi, wMax int) sim.Spec {
+	return sim.Spec{Kind: "bpsf", BPIters: iters, Phi: phi, WMax: wMax}
 }
 
 // BPSFCircuitSpec is the paper's circuit-level BP-SF configuration
-// (sampled trials).
-func BPSFCircuitSpec(iters, phi, wMax, ns int) Spec {
-	return Spec{Kind: "bpsf", BPIters: iters, Phi: phi, WMax: wMax, NS: ns, Policy: bpsf.Sampled}
-}
-
-// DisplayLabel returns the legend label.
-func (s Spec) DisplayLabel() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	if s.Window > 0 {
-		inner := s
-		inner.Window, inner.Commit = 0, 0
-		c := s.Commit
-		if c == 0 {
-			c = 1
-		}
-		return fmt.Sprintf("W%dC%d[%s]", s.Window, c, inner.DisplayLabel())
-	}
-	switch s.Kind {
-	case "uf":
-		return "UF"
-	case "bp":
-		return fmt.Sprintf("BP%d", s.BPIters)
-	case "bposd":
-		return fmt.Sprintf("BP%d-OSD%d", s.BPIters, s.OSDOrder)
-	case "bpsf":
-		l := fmt.Sprintf("BP-SF(BP%d,wmax=%d,phi=%d", s.BPIters, s.WMax, s.Phi)
-		if s.Policy == bpsf.Sampled {
-			l += fmt.Sprintf(",ns=%d", s.NS)
-		}
-		if s.Workers > 1 {
-			l += fmt.Sprintf(",P=%d", s.Workers)
-		}
-		return l + ")"
-	default:
-		return s.Kind
-	}
-}
-
-// Factory converts the spec into a sim decoder factory. A windowed spec
-// (Window > 0) builds its inner factory and wraps it in the sliding-window
-// scheduler.
-func (s Spec) Factory(seed int64) sim.Factory {
-	if s.Window > 0 {
-		inner := s
-		inner.Window, inner.Commit, inner.WLayout = 0, 0, window.Layout{}
-		c := s.Commit
-		if c == 0 {
-			c = 1
-		}
-		if len(s.WLayout.Starts) > 0 {
-			return sim.NewWindowedOver(inner.Factory(seed), s.WLayout, s.Window, c)
-		}
-		return sim.NewWindowed(inner.Factory(seed), s.Window, c)
-	}
-	return func(h *sparse.Mat, priors []float64) (sim.Decoder, error) {
-		switch s.Kind {
-		case "uf":
-			return sim.NewUF(h), nil
-		case "bp":
-			return sim.NewBP(h, priors, bp.Config{MaxIter: s.BPIters, Schedule: s.Schedule}), nil
-		case "bposd":
-			return sim.NewBPOSD(h, priors,
-				bp.Config{MaxIter: s.BPIters, Schedule: s.Schedule},
-				osd.Config{Method: s.OSDMethod, Order: s.OSDOrder}), nil
-		case "bpsf":
-			return sim.NewBPSF(h, priors, bpsf.Config{
-				Init:    bp.Config{MaxIter: s.BPIters, Schedule: s.Schedule},
-				PhiSize: s.Phi,
-				WMax:    s.WMax,
-				NS:      s.NS,
-				Policy:  s.Policy,
-				Workers: s.Workers,
-				Seed:    seed,
-			})
-		default:
-			return nil, fmt.Errorf("experiments: unknown decoder kind %q", s.Kind)
-		}
-	}
+// (ns sampled trials per weight).
+func BPSFCircuitSpec(iters, phi, wMax, ns int) sim.Spec {
+	return sim.Spec{Kind: "bpsf", BPIters: iters, Phi: phi, WMax: wMax, NS: ns}
 }
 
 // ---- DEM cache ----
@@ -293,8 +198,8 @@ func roundsFor(codeName string, quick int, o Opts) int {
 // cell gets its own decoder and sampler (seeds depend only on the grid
 // position), so the cells are independent and their results are collected
 // into a deterministically ordered slice regardless of scheduling.
-func sweepGrid(specs []Spec, ps []float64, o Opts,
-	runCell func(spec Spec, pi int, workers int) (*sim.Result, error)) ([]*sim.Result, error) {
+func sweepGrid(specs []sim.Spec, ps []float64, o Opts,
+	runCell func(spec sim.Spec, pi int, workers int) (*sim.Result, error)) ([]*sim.Result, error) {
 	mcs := make([]*sim.Result, len(specs)*len(ps))
 	cellWorkers, simWorkers := splitWorkers(o.workers(), len(mcs))
 	err := parallelFor(len(mcs), cellWorkers, func(i int) error {
@@ -308,13 +213,13 @@ func sweepGrid(specs []Spec, ps []float64, o Opts,
 // filterSpecs applies the Opts.Decoder restriction to a sweep's decoder
 // grid; an empty result is an error so a typo'd or inapplicable filter
 // cannot silently produce an empty figure.
-func (o Opts) filterSpecs(specs []Spec) ([]Spec, error) {
+func (o Opts) filterSpecs(specs []sim.Spec) ([]sim.Spec, error) {
 	if o.Decoder == "" {
 		return specs, nil
 	}
-	var out []Spec
+	var out []sim.Spec
 	for _, s := range specs {
-		if s.MatchesKind(o.Decoder) {
+		if MatchesKind(s, o.Decoder) {
 			out = append(out, s)
 		}
 	}
@@ -325,14 +230,14 @@ func (o Opts) filterSpecs(specs []Spec) ([]Spec, error) {
 }
 
 // capacitySweep runs a decoder grid over a code-capacity error-rate grid.
-func capacitySweep(name string, css *code.CSS, specs []Spec, ps []float64, shots int, o Opts) (FigureResult, error) {
+func capacitySweep(name string, css *code.CSS, specs []sim.Spec, ps []float64, shots int, o Opts) (FigureResult, error) {
 	res := FigureResult{Name: name}
 	specs, err := o.filterSpecs(specs)
 	if err != nil {
 		return res, err
 	}
-	mcs, err := sweepGrid(specs, ps, o, func(spec Spec, pi int, workers int) (*sim.Result, error) {
-		return sim.RunCapacity(css, spec.Factory(o.seed()+int64(pi)), sim.Config{
+	mcs, err := sweepGrid(specs, ps, o, func(spec sim.Spec, pi int, workers int) (*sim.Result, error) {
+		return sim.RunCapacity(css, spec.NewDecoder, sim.Config{
 			P: ps[pi], Shots: shots, Seed: o.seed() + int64(pi)*1000, Workers: workers,
 		})
 	})
@@ -341,14 +246,14 @@ func capacitySweep(name string, css *code.CSS, specs []Spec, ps []float64, shots
 	}
 	tb := sim.NewTable("decoder", "p", "shots", "failures", "LER", "95% interval", "avg iters")
 	for si, spec := range specs {
-		series := sim.Series{Label: spec.DisplayLabel()}
+		series := sim.Series{Label: spec.String()}
 		for pi, p := range ps {
 			mc := mcs[si*len(ps)+pi]
 			series.AddWithBounds(p, mc.LER, mc.LERLow, mc.LERHigh)
-			tb.Row(spec.DisplayLabel(), p, mc.Shots, mc.Failures, mc.LER,
+			tb.Row(spec.String(), p, mc.Shots, mc.Failures, mc.LER,
 				fmt.Sprintf("[%.2g,%.2g]", mc.LERLow, mc.LERHigh), mc.AvgIters)
 			res.Rows = append(res.Rows, PointStat{
-				Decoder: spec.DisplayLabel(), P: p, Shots: mc.Shots, Failures: mc.Failures,
+				Decoder: spec.String(), P: p, Shots: mc.Shots, Failures: mc.Failures,
 			})
 		}
 		res.Series = append(res.Series, series)
@@ -361,7 +266,7 @@ func capacitySweep(name string, css *code.CSS, specs []Spec, ps []float64, shots
 }
 
 // circuitSweep runs a decoder grid over a circuit-level error-rate grid.
-func circuitSweep(name, codeName string, quickRounds int, specs []Spec, ps []float64, shots int, o Opts) (FigureResult, error) {
+func circuitSweep(name, codeName string, quickRounds int, specs []sim.Spec, ps []float64, shots int, o Opts) (FigureResult, error) {
 	rounds := roundsFor(codeName, quickRounds, o)
 	d, css, err := CachedDEM(codeName, rounds)
 	if err != nil {
@@ -374,8 +279,8 @@ func circuitSweep(name, codeName string, quickRounds int, specs []Spec, ps []flo
 	if specs, err = o.filterSpecs(specs); err != nil {
 		return res, err
 	}
-	mcs, err := sweepGrid(specs, ps, o, func(spec Spec, pi int, workers int) (*sim.Result, error) {
-		return sim.RunCircuit(d, rounds, spec.Factory(o.seed()+int64(pi)), sim.Config{
+	mcs, err := sweepGrid(specs, ps, o, func(spec sim.Spec, pi int, workers int) (*sim.Result, error) {
+		return sim.RunCircuit(d, rounds, spec.NewDecoder, sim.Config{
 			P: ps[pi], Shots: shots, Seed: o.seed() + int64(pi)*1000, Workers: workers,
 		})
 	})
@@ -384,16 +289,16 @@ func circuitSweep(name, codeName string, quickRounds int, specs []Spec, ps []flo
 	}
 	tb := sim.NewTable("decoder", "p", "shots", "failures", "LER/round", "95% int (block)", "avg iters", "avg ms")
 	for si, spec := range specs {
-		series := sim.Series{Label: spec.DisplayLabel()}
+		series := sim.Series{Label: spec.String()}
 		for pi, p := range ps {
 			mc := mcs[si*len(ps)+pi]
 			series.AddWithBounds(p, mc.LERRound,
 				sim.LERPerRound(mc.LERLow, rounds), sim.LERPerRound(mc.LERHigh, rounds))
-			tb.Row(spec.DisplayLabel(), p, mc.Shots, mc.Failures, mc.LERRound,
+			tb.Row(spec.String(), p, mc.Shots, mc.Failures, mc.LERRound,
 				fmt.Sprintf("[%.2g,%.2g]", mc.LERLow, mc.LERHigh), mc.AvgIters,
 				float64(mc.AvgTime.Microseconds())/1000.0)
 			res.Rows = append(res.Rows, PointStat{
-				Decoder: spec.DisplayLabel(), P: p, Shots: mc.Shots, Failures: mc.Failures,
+				Decoder: spec.String(), P: p, Shots: mc.Shots, Failures: mc.Failures,
 			})
 		}
 		res.Series = append(res.Series, series)

@@ -4,71 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"bpsf/internal/bp"
-	"bpsf/internal/osd"
 )
-
-func TestSpecLabels(t *testing.T) {
-	if BPSpec(1000).DisplayLabel() != "BP1000" {
-		t.Fatal("BP label wrong")
-	}
-	if BPOSDSpec(1000, 10).DisplayLabel() != "BP1000-OSD10" {
-		t.Fatal("BP-OSD label wrong")
-	}
-	l := BPSFCircuitSpec(100, 50, 10, 10).DisplayLabel()
-	if !strings.Contains(l, "wmax=10") || !strings.Contains(l, "ns=10") {
-		t.Fatalf("BP-SF label %q", l)
-	}
-	s := BPSFCapacitySpec(50, 8, 1)
-	s.Workers = 4
-	if !strings.Contains(s.DisplayLabel(), "P=4") {
-		t.Fatal("workers missing from label")
-	}
-	custom := Spec{Kind: "bp", Label: "custom"}
-	if custom.DisplayLabel() != "custom" {
-		t.Fatal("label override ignored")
-	}
-	if (Spec{Kind: "weird"}).DisplayLabel() != "weird" {
-		t.Fatal("fallback label wrong")
-	}
-}
-
-func TestSpecFactoryKinds(t *testing.T) {
-	for _, s := range []Spec{
-		BPSpec(10),
-		BPOSDSpec(10, 2),
-		BPSFCapacitySpec(10, 4, 1),
-		{Kind: "bp", BPIters: 10, Schedule: bp.Layered},
-		{Kind: "bposd", BPIters: 10, OSDMethod: osd.OSD0},
-	} {
-		mk := s.Factory(1)
-		// build against a small code-capacity problem
-		d, css, err := CachedDEM("bb72", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = css
-		dec, err := mk(d.H, uniform(d.NumMechs(), 0.01))
-		if err != nil {
-			t.Fatalf("%s: %v", s.DisplayLabel(), err)
-		}
-		if dec.Name() == "" {
-			t.Fatal("empty decoder name")
-		}
-	}
-	if _, err := (Spec{Kind: "nope"}).Factory(1)(nil, nil); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-}
-
-func uniform(n int, p float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = p
-	}
-	return out
-}
 
 func TestCachedDEMReuses(t *testing.T) {
 	a, _, err := CachedDEM("bb72", 1)

@@ -1,6 +1,9 @@
 package experiments
 
-import "bpsf/internal/codes"
+import (
+	"bpsf/internal/codes"
+	"bpsf/internal/sim"
+)
 
 // Fig5 reproduces Figure 5: logical error rates of the J154,6,16K
 // coprime-BB code under the code-capacity model. Decoders: BP-SF (BP50,
@@ -10,7 +13,7 @@ func Fig5(o Opts) (FigureResult, error) {
 	if err != nil {
 		return FigureResult{}, err
 	}
-	specs := []Spec{
+	specs := []sim.Spec{
 		BPSFCapacitySpec(50, 8, 1),
 		BPOSDSpec(1000, 10),
 		BPOSD0Spec(1000),
@@ -30,7 +33,7 @@ func Fig6(o Opts) (FigureResult, error) {
 	if err != nil {
 		return FigureResult{}, err
 	}
-	specs := []Spec{
+	specs := []sim.Spec{
 		BPSFCapacitySpec(50, 20, 1),
 		BPOSDSpec(1000, 10),
 		BPOSD0Spec(1000),
@@ -60,7 +63,7 @@ func Fig17a(o Opts) (FigureResult, error) {
 		if err != nil {
 			return out, err
 		}
-		specs := []Spec{
+		specs := []sim.Spec{
 			BPSFCapacitySpec(50, tc.phi, 1),
 			BPOSDSpec(1000, 10),
 			BPSpec(1000),
@@ -93,7 +96,7 @@ func Fig17b(o Opts) (FigureResult, error) {
 		if err != nil {
 			return out, err
 		}
-		specs := []Spec{
+		specs := []sim.Spec{
 			BPSFCapacitySpec(50, tc.phi, 1),
 			BPOSDSpec(1000, 10),
 			BPSpec(1000),

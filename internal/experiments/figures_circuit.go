@@ -110,7 +110,7 @@ func Fig3(o Opts) (FigureResult, error) {
 // circuit-level noise. BP-SF at (wmax=6, ns=5) and (wmax=10, ns=10) with
 // BP100 and |Φ|=50, against BP1000-OSD10, BP1000 and BP10000.
 func Fig7(o Opts) (FigureResult, error) {
-	specs := []Spec{
+	specs := []sim.Spec{
 		BPSFCircuitSpec(100, 50, 6, 5),
 		BPSFCircuitSpec(100, 50, 10, 10),
 		BPOSDSpec(1000, 10),
@@ -125,17 +125,15 @@ func Fig7(o Opts) (FigureResult, error) {
 }
 
 // Fig8 reproduces Figure 8: the J288,12,18K code under circuit-level
-// noise, layered BP for all decoders (plus one flooding BP-SF entry, the
-// paper's dashed line).
+// noise, layered BP for all decoders (labelled ",layered") plus one
+// flooding BP-SF entry, the paper's dashed line.
 func Fig8(o Opts) (FigureResult, error) {
-	layered := func(s Spec) Spec { s.Schedule = bp.Layered; return s }
-	flood := BPSFCircuitSpec(100, 50, 10, 10)
-	flood.Label = "BP-SF flooding"
-	specs := []Spec{
+	layered := func(s sim.Spec) sim.Spec { s.Layered = true; return s }
+	specs := []sim.Spec{
 		layered(BPSFCircuitSpec(100, 50, 10, 10)),
 		layered(BPOSDSpec(1000, 10)),
 		layered(BPSpec(1000)),
-		flood,
+		BPSFCircuitSpec(100, 50, 10, 10),
 	}
 	ps := []float64{0.002, 0.003}
 	if o.Full {
@@ -147,7 +145,7 @@ func Fig8(o Opts) (FigureResult, error) {
 // Fig9 reproduces Figure 9: the J154,6,16K coprime-BB code under
 // circuit-level noise; BP-SF at (wmax=6, ns=10) and (wmax=10, ns=10).
 func Fig9(o Opts) (FigureResult, error) {
-	specs := []Spec{
+	specs := []sim.Spec{
 		BPSFCircuitSpec(100, 50, 6, 10),
 		BPSFCircuitSpec(100, 50, 10, 10),
 		BPOSDSpec(1000, 10),
@@ -164,7 +162,7 @@ func Fig9(o Opts) (FigureResult, error) {
 // Fig10 reproduces Figure 10: the J126,12,10K coprime-BB code under
 // circuit-level noise; BP-SF at (wmax=6, ns=5) and (wmax=10, ns=10).
 func Fig10(o Opts) (FigureResult, error) {
-	specs := []Spec{
+	specs := []sim.Spec{
 		BPSFCircuitSpec(100, 50, 6, 5),
 		BPSFCircuitSpec(100, 50, 10, 10),
 		BPOSDSpec(1000, 10),
@@ -182,7 +180,7 @@ func Fig10(o Opts) (FigureResult, error) {
 // circuit-level noise (gauge measurements, stabilizer detectors as gauge
 // XOR combos); BP-SF at wmax=5, ns=5.
 func Fig11(o Opts) (FigureResult, error) {
-	specs := []Spec{
+	specs := []sim.Spec{
 		BPSFCircuitSpec(100, 50, 5, 5),
 		BPOSDSpec(1000, 10),
 		BPSpec(1000),
@@ -198,7 +196,7 @@ func Fig11(o Opts) (FigureResult, error) {
 // noise — a "good" code where plain BP already matches the post-processed
 // decoders. BP-SF uses BP50, wmax=4, |Φ|=20, ns=5.
 func Fig17c(o Opts) (FigureResult, error) {
-	specs := []Spec{
+	specs := []sim.Spec{
 		BPSFCircuitSpec(50, 20, 4, 5),
 		BPOSDSpec(1000, 10),
 		BPSpec(1000),

@@ -27,7 +27,7 @@ func Fig12(o Opts) (FigureResult, error) {
 	shots := o.shots(40)
 
 	type entry struct {
-		spec  Spec
+		spec  sim.Spec
 		group string
 	}
 	var entries []entry
@@ -57,7 +57,7 @@ func Fig12(o Opts) (FigureResult, error) {
 	worstSeries := map[string]*sim.Series{}
 	tb := sim.NewTable("decoder", "LER/round", "avg iters", "worst iters")
 	for _, e := range entries {
-		mc, err := sim.RunCircuit(d, rounds, e.spec.Factory(o.seed()), sim.Config{
+		mc, err := sim.RunCircuit(d, rounds, e.spec.NewDecoder, sim.Config{
 			P: p, Shots: shots, Seed: o.seed(), Workers: o.workers(),
 		})
 		if err != nil {
@@ -71,7 +71,7 @@ func Fig12(o Opts) (FigureResult, error) {
 		// x = LER/round, y = iterations (paper's axes)
 		avgSeries[e.group].Add(mc.LERRound, st.Avg)
 		worstSeries[e.group].Add(mc.LERRound, float64(st.Max))
-		tb.Row(e.spec.DisplayLabel(), mc.LERRound, st.Avg, st.Max)
+		tb.Row(e.spec.String(), mc.LERRound, st.Avg, st.Max)
 	}
 	res := FigureResult{Name: "fig12", Notes: fmt.Sprintf("rounds=%d p=%g", rounds, p)}
 	for _, g := range []string{"BP", "BP-SF wmax=1", "BP-SF wmax=5", "BP-SF wmax=10"} {
@@ -121,8 +121,8 @@ func Fig13(o Opts) (FigureResult, error) {
 		}
 		mechs := float64(d.NumMechs())
 		row := []interface{}{css.Name, d.NumMechs()}
-		for i, spec := range []Spec{sfSpec, osdSpec} {
-			mc, err := sim.RunCircuit(d, rounds, spec.Factory(o.seed()+int64(ci)), sim.Config{
+		for i, spec := range []sim.Spec{sfSpec, osdSpec} {
+			mc, err := sim.RunCircuit(d, rounds, spec.NewDecoder, sim.Config{
 				P: p, Shots: shots, Seed: o.seed() + int64(ci), KeepRecords: true, Workers: 1,
 			})
 			if err != nil {
@@ -180,7 +180,7 @@ func Table1(o Opts) (FigureResult, error) {
 	avgT := sim.Series{Label: "avg time ms"}
 	tb := sim.NewTable("decoder", "LER/round", "avg time ms", "OSD invocations")
 	for _, it := range iters {
-		mc, err := sim.RunCircuit(d, rounds, BPOSDSpec(it, 10).Factory(o.seed()), sim.Config{
+		mc, err := sim.RunCircuit(d, rounds, BPOSDSpec(it, 10).NewDecoder, sim.Config{
 			P: p, Shots: shots, Seed: o.seed(), Workers: 1,
 		})
 		if err != nil {
@@ -213,16 +213,16 @@ func Fig14(o Opts) (FigureResult, error) {
 	sfSerial := BPSFCircuitSpec(100, 50, 10, 10)
 	sfPar := BPSFCircuitSpec(100, 50, 10, 10)
 	sfPar.Workers = 8
-	specs := []Spec{BPOSDSpec(1000, 10), sfSerial, sfPar, BPSpec(100)}
+	specs := []sim.Spec{BPOSDSpec(1000, 10), sfSerial, sfPar, BPSpec(100)}
 
 	series := make([]sim.Series, len(specs))
 	gpuSF := sim.Series{Label: "BP-SF (GPU_Est)"}
 	gpuOSD := sim.Series{Label: "BP1000-OSD10 (GPU model)"}
 	tb := sim.NewTable("decoder", "p", "avg ms", "max ms")
 	for si, spec := range specs {
-		series[si] = sim.Series{Label: spec.DisplayLabel()}
+		series[si] = sim.Series{Label: spec.String()}
 		for pi, p := range ps {
-			mc, err := sim.RunCircuit(d, rounds, spec.Factory(o.seed()+int64(pi)), sim.Config{
+			mc, err := sim.RunCircuit(d, rounds, spec.NewDecoder, sim.Config{
 				P: p, Shots: shots, Seed: o.seed() + int64(pi), KeepRecords: true, Workers: 1,
 			})
 			if err != nil {
@@ -236,7 +236,7 @@ func Fig14(o Opts) (FigureResult, error) {
 			}
 			ms := float64(mc.AvgTime.Microseconds()) / 1000
 			series[si].Add(p, ms)
-			tb.Row(spec.DisplayLabel(), p, ms, float64(maxT.Microseconds())/1000)
+			tb.Row(spec.String(), p, ms, float64(maxT.Microseconds())/1000)
 
 			// GPU estimates derive from the serial BP-SF and BP-OSD records
 			switch si {
@@ -288,7 +288,7 @@ func Fig15(o Opts) (FigureResult, error) {
 	shots := o.shots(30)
 
 	// measured BP-OSD distribution
-	osdMC, err := sim.RunCircuit(d, rounds, BPOSDSpec(1000, 10).Factory(o.seed()), sim.Config{
+	osdMC, err := sim.RunCircuit(d, rounds, BPOSDSpec(1000, 10).NewDecoder, sim.Config{
 		P: p, Shots: shots, Seed: o.seed(), KeepRecords: true, Workers: 1,
 	})
 	if err != nil {
@@ -297,7 +297,7 @@ func Fig15(o Opts) (FigureResult, error) {
 	// serial BP-SF; per-trial records up to the first success are all
 	// the schedule model needs (later trials are cancelled anyway)
 	sfSpec := BPSFCircuitSpec(100, 50, 10, 10)
-	sfMC, err := sim.RunCircuit(d, rounds, sfSpec.Factory(o.seed()), sim.Config{
+	sfMC, err := sim.RunCircuit(d, rounds, sfSpec.NewDecoder, sim.Config{
 		P: p, Shots: shots, Seed: o.seed(), KeepRecords: true, Workers: 1,
 	})
 	if err != nil {
@@ -372,13 +372,13 @@ func Fig16(o Opts) (FigureResult, error) {
 	gpu := sim.DefaultGPUModel()
 
 	sfSpec := BPSFCircuitSpec(100, 50, 10, 10)
-	sfMC, err := sim.RunCircuit(d, rounds, sfSpec.Factory(o.seed()), sim.Config{
+	sfMC, err := sim.RunCircuit(d, rounds, sfSpec.NewDecoder, sim.Config{
 		P: p, Shots: shots, Seed: o.seed(), KeepRecords: true, Workers: 1,
 	})
 	if err != nil {
 		return FigureResult{}, err
 	}
-	osdMC, err := sim.RunCircuit(d, rounds, BPOSDSpec(1000, 10).Factory(o.seed()), sim.Config{
+	osdMC, err := sim.RunCircuit(d, rounds, BPOSDSpec(1000, 10).NewDecoder, sim.Config{
 		P: p, Shots: shots, Seed: o.seed(), KeepRecords: true, Workers: 1,
 	})
 	if err != nil {

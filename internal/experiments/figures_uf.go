@@ -1,6 +1,9 @@
 package experiments
 
-import "bpsf/internal/codes"
+import (
+	"bpsf/internal/codes"
+	"bpsf/internal/sim"
+)
 
 // UFvsBPOSD is the matchable-code comparison axis the paper lacks: the
 // union-find decoder against BP-OSD and plain BP on the rotated surface
@@ -19,7 +22,7 @@ func UFvsBPOSD(o Opts) (FigureResult, error) {
 		if err != nil {
 			return out, err
 		}
-		specs := []Spec{
+		specs := []sim.Spec{
 			UFSpec(),
 			BPOSDSpec(1000, 10),
 			BPSpec(1000),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bpsf/internal/codes"
+	"bpsf/internal/sim"
 	"bpsf/internal/window"
 )
 
@@ -39,8 +40,8 @@ func WindowAccuracy(o Opts) (FigureResult, error) {
 			return out, err
 		}
 		layout := window.MemexpLayout(css, rounds)
-		inners := []Spec{UFSpec(), BPOSDSpec(100, 5)}
-		var specs []Spec
+		inners := []sim.Spec{UFSpec(), BPOSDSpec(100, 5)}
+		var specs []sim.Spec
 		for _, inner := range inners {
 			specs = append(specs, inner)
 			for _, w := range windows {

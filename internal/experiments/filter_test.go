@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"bpsf/internal/sim"
 	"bpsf/internal/window"
 )
 
@@ -12,16 +13,16 @@ import (
 // of producing an empty figure.
 func TestFilterSpecs(t *testing.T) {
 	layout := window.RowRounds(8)
-	grid := []Spec{
+	grid := []sim.Spec{
 		UFSpec(),
 		Windowed(UFSpec(), 3, 1, layout),
 		BPOSDSpec(100, 5),
 		Windowed(BPOSDSpec(100, 5), 2, 1, layout),
 	}
-	labels := func(specs []Spec) []string {
+	labels := func(specs []sim.Spec) []string {
 		var out []string
 		for _, s := range specs {
-			out = append(out, s.DisplayLabel())
+			out = append(out, s.String())
 		}
 		return out
 	}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bpsf/internal/osd"
 	"bpsf/internal/sim"
 )
 
@@ -63,12 +62,6 @@ func parallelFor(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// BPOSD0Spec is the BP-OSD baseline with order-0 post-processing
-// ("BP1000-OSD0").
-func BPOSD0Spec(iters int) Spec {
-	return Spec{Kind: "bposd", BPIters: iters, OSDMethod: osd.OSD0}
 }
 
 func newConstructionTable() *sim.Table {

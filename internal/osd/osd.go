@@ -28,19 +28,20 @@ import (
 	"bpsf/internal/sparse"
 )
 
-// Method selects the pattern sweep strategy.
+// Method selects the pattern sweep strategy. The zero Method is OSDCS,
+// the paper's baseline.
 type Method int
 
 const (
-	// OSD0 uses the base solution only.
-	OSD0 Method = iota
-	// OSDE sweeps all 2^Order patterns over the Order least-reliable
-	// non-pivot columns (exhaustive).
-	OSDE
 	// OSDCS sweeps all weight-1 patterns over the whole non-pivot block
 	// plus all weight-2 patterns within the Order least-reliable non-pivot
 	// columns (combination sweep; the paper's "OSD-CS of order 10").
-	OSDCS
+	OSDCS Method = iota
+	// OSD0 uses the base solution only.
+	OSD0
+	// OSDE sweeps all 2^Order patterns over the Order least-reliable
+	// non-pivot columns (exhaustive).
+	OSDE
 )
 
 func (m Method) String() string {

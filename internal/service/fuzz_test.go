@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -104,7 +105,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			// which is != itself
 			pBits, p2Bits := math.Float64bits(h.P), math.Float64bits(h2.P)
 			h.P, h2.P = 0, 0
-			if h2 != h || pBits != p2Bits {
+			if !reflect.DeepEqual(h2, h) || pBits != p2Bits {
 				t.Fatalf("hello round-trip: %+v (P=%#x) != %+v (P=%#x)", h2, p2Bits, h, pBits)
 			}
 		}

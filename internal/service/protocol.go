@@ -275,7 +275,7 @@ func (r *reader) rest() int { return len(r.b) - r.off }
 // ---- hello ----
 
 func appendHello(b []byte, h Hello) ([]byte, error) {
-	kind, err := h.Spec.kindByte()
+	kind, err := wireKind(h.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +334,8 @@ func parseHello(payload []byte) (Hello, error) {
 	if r.err != nil {
 		return Hello{}, r.err
 	}
-	if err := h.Spec.setKindFromByte(kind); err != nil {
+	var err error
+	if h.Spec.Kind, err = kindFromByte(kind); err != nil {
 		return Hello{}, err
 	}
 	return h, nil

@@ -2,11 +2,16 @@ package service
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"bpsf/internal/gf2"
+	"bpsf/internal/osd"
+	"bpsf/internal/sim"
+	"bpsf/internal/window"
 )
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -18,16 +23,50 @@ func TestHelloRoundTrip(t *testing.T) {
 		Deadline:   250 * time.Microsecond,
 		Spec:       Spec{Kind: "bpsf", BPIters: 100, Phi: 50, WMax: 10, NS: 10, Layered: true},
 	}
-	payload, err := appendHello(nil, in)
-	if err != nil {
-		t.Fatal(err)
+	// every kind the wire carries, as its registry default
+	hellos := []Hello{in}
+	for _, kind := range SpecKinds() {
+		h := in
+		h.Spec = sim.DecoderSpecs()[kind]
+		hellos = append(hellos, h)
 	}
-	out, err := parseHello(payload)
-	if err != nil {
-		t.Fatal(err)
+	for _, h := range hellos {
+		payload, err := appendHello(nil, h)
+		if err != nil {
+			t.Fatalf("%s: %v", h.Spec, err)
+		}
+		out, err := parseHello(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", h.Spec, err)
+		}
+		if !reflect.DeepEqual(out, h) {
+			t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", h, out)
+		}
 	}
-	if out != in {
-		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, out)
+
+	// a field the wire cannot carry is refused, never dropped or truncated
+	for _, bad := range []Spec{
+		{Kind: "bp", BPIters: 10, Window: 3},
+		{Kind: "bp", BPIters: 10, Commit: 1},
+		{Kind: "uf", Layout: window.RowRounds(4)},
+		{Kind: "bpsf", BPIters: 10, Phi: 4, WMax: 1, Workers: 2},
+		{Kind: "bposd", BPIters: 10, OSDMethod: osd.OSD0},
+		{Kind: "bp", BPIters: math.MaxUint32 + 1},
+		{Kind: "bp", BPIters: -1},
+		{Kind: "bposd", BPIters: 10, OSDOrder: math.MaxUint16 + 1},
+		{Kind: "bpsf", BPIters: 10, Phi: math.MaxUint16 + 1, WMax: 1},
+		{Kind: "bpsf", BPIters: 10, Phi: 4, WMax: math.MaxUint16 + 1},
+		{Kind: "bpsf", BPIters: 10, Phi: 4, WMax: 1, NS: math.MaxUint16 + 1},
+		{Kind: "bpsf", BPIters: 10, Phi: 4, WMax: 1, NS: -1},
+	} {
+		h := in
+		h.Spec = bad
+		if _, err := appendHello(nil, h); err == nil {
+			t.Errorf("%+v encoded", bad)
+		}
+		if _, err := validateHello(h); err == nil {
+			t.Errorf("%+v validated", bad)
+		}
 	}
 }
 
@@ -139,36 +178,6 @@ func TestFrameIO(t *testing.T) {
 	writeFrame(&buf, make([]byte, 128))
 	if _, err := readFrame(&buf, 64); err == nil {
 		t.Fatal("oversized frame accepted")
-	}
-}
-
-func TestSpecValidateAndLabel(t *testing.T) {
-	for _, tc := range []struct {
-		spec Spec
-		want string
-	}{
-		{Spec{Kind: "bp", BPIters: 1000}, "BP1000"},
-		{Spec{Kind: "bposd", BPIters: 1000, OSDOrder: 10}, "BP1000-OSD10"},
-		{Spec{Kind: "bpsf", BPIters: 100, Phi: 50, WMax: 10, NS: 10}, "BP-SF(BP100,wmax=10,phi=50,ns=10)"},
-		{Spec{Kind: "bpsf", BPIters: 50, Phi: 8, WMax: 1}, "BP-SF(BP50,wmax=1,phi=8)"},
-		{Spec{Kind: "bp", BPIters: 30, Layered: true}, "BP30,layered"},
-	} {
-		if err := tc.spec.Validate(); err != nil {
-			t.Errorf("%+v: %v", tc.spec, err)
-		}
-		if got := tc.spec.String(); got != tc.want {
-			t.Errorf("label = %q, want %q", got, tc.want)
-		}
-	}
-	for _, bad := range []Spec{
-		{Kind: "bp"},                         // no iterations
-		{Kind: "magic", BPIters: 10},         // unknown kind
-		{Kind: "bpsf", BPIters: 10, WMax: 2}, // no phi
-		{Kind: "bpsf", BPIters: 10, Phi: 10}, // no wmax
-	} {
-		if bad.Validate() == nil {
-			t.Errorf("%+v accepted", bad)
-		}
 	}
 }
 

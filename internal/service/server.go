@@ -376,6 +376,9 @@ func validateHello(h Hello) (Hello, error) {
 	if h.Deadline < 0 {
 		return h, fmt.Errorf("service: negative deadline")
 	}
+	if _, err := wireKind(h.Spec); err != nil {
+		return h, err
+	}
 	return h, h.Spec.Validate()
 }
 

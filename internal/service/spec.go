@@ -5,143 +5,72 @@ import (
 	"math"
 	"sort"
 
-	"bpsf/internal/bp"
-	"bpsf/internal/bpsf"
 	"bpsf/internal/osd"
 	"bpsf/internal/sim"
-	"bpsf/internal/sparse"
 )
 
-// Spec selects the decoder family behind a session, in the same vocabulary
-// as cmd/bpsf-sim: "bp" (plain min-sum BP), "bposd" (BP + OSD-CS), "bpsf"
-// (the paper's Algorithm 1; NS = 0 switches to exhaustive trials) or "uf"
-// (the deterministic union-find decoder; ignores every tuning field).
-type Spec struct {
-	Kind     string // "bp" | "bposd" | "bpsf" | "uf"
-	BPIters  int    // ignored by uf
-	OSDOrder int    // bposd only
-	Phi      int    // bpsf: |Φ|
-	WMax     int    // bpsf: maximum trial weight
-	NS       int    // bpsf: sampled trials per weight (0 = exhaustive)
-	Layered  bool   // ignored by uf
-}
+// Spec selects the decoder behind a session. It is sim.Spec: the same
+// Validate, label and NewDecoder the CLIs and figures use. The Hello
+// carries Kind, BPIters, OSDOrder, Phi, WMax, NS and Layered; a spec
+// setting any other field is refused by the wire (wireKind) rather than
+// silently served as a different decoder. Windowed decoding is the
+// stream plane's job (StreamOpen's window/commit over any batch kind).
+type Spec = sim.Spec
 
 // specKinds maps Kind to its wire byte.
 var specKinds = map[string]byte{"bp": 0, "bposd": 1, "bpsf": 2, "uf": 3}
 
-// SpecKinds returns the sorted decoder kind names the service accepts —
-// the -decoder vocabulary of the CLIs.
+// SpecKinds returns the sorted decoder kind names the service accepts:
+// the registry entries of sim.DecoderSpecs without a window.
 func SpecKinds() []string {
-	names := make([]string, 0, len(specKinds))
-	for k := range specKinds {
-		names = append(names, k)
+	var names []string
+	for name, s := range sim.DecoderSpecs() {
+		if s.Window == 0 {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names
 }
 
-func (s Spec) kindByte() (byte, error) {
+// wireKind checks that the Hello can carry s exactly and returns its kind
+// byte. Fields the wire has no room for, and values outside the uint16 /
+// uint32 wire widths, are errors: dropping or truncating them would build
+// a different decoder than the caller configured.
+func wireKind(s Spec) (byte, error) {
 	k, ok := specKinds[s.Kind]
 	if !ok {
 		return 0, fmt.Errorf("service: unknown decoder kind %q (available: %v)", s.Kind, SpecKinds())
 	}
-	return k, nil
-}
-
-func (s *Spec) setKindFromByte(k byte) error {
-	for name, b := range specKinds {
-		if b == k {
-			s.Kind = name
-			return nil
-		}
-	}
-	return fmt.Errorf("service: unknown decoder kind byte %d", k)
-}
-
-// Validate checks the parameter ranges the pool builder would reject and
-// the bounds of the wire encoding (silent uint16/uint32 truncation would
-// build a different decoder than the caller configured).
-func (s Spec) Validate() error {
-	if _, err := s.kindByte(); err != nil {
-		return err
-	}
-	if s.Kind != "uf" && (s.BPIters <= 0 || s.BPIters > math.MaxUint32) {
-		return fmt.Errorf("service: BPIters %d out of range [1, %d]", s.BPIters, uint32(math.MaxUint32))
-	}
-	if s.Kind == "uf" && (s.BPIters < 0 || s.BPIters > math.MaxUint32) {
-		return fmt.Errorf("service: BPIters %d out of range [0, %d]", s.BPIters, uint32(math.MaxUint32))
+	switch {
+	case s.Window != 0 || s.Commit != 0 || s.Layout.NumDets != 0 || len(s.Layout.Starts) != 0:
+		return 0, fmt.Errorf("service: the Hello cannot carry Window %d / Commit %d / Layout; open a stream instead", s.Window, s.Commit)
+	case s.Workers != 0:
+		return 0, fmt.Errorf("service: the Hello cannot carry Workers %d", s.Workers)
+	case s.OSDMethod != osd.OSDCS:
+		return 0, fmt.Errorf("service: the Hello cannot carry OSDMethod %v (only %v)", s.OSDMethod, osd.OSDCS)
+	case s.BPIters < 0 || s.BPIters > math.MaxUint32:
+		return 0, fmt.Errorf("service: BPIters %d out of wire range [0, %d]", s.BPIters, uint32(math.MaxUint32))
 	}
 	for _, f := range []struct {
 		name string
 		v    int
 	}{{"OSDOrder", s.OSDOrder}, {"Phi", s.Phi}, {"WMax", s.WMax}, {"NS", s.NS}} {
 		if f.v < 0 || f.v > math.MaxUint16 {
-			return fmt.Errorf("service: %s %d out of range [0, %d]", f.name, f.v, math.MaxUint16)
+			return 0, fmt.Errorf("service: %s %d out of wire range [0, %d]", f.name, f.v, math.MaxUint16)
 		}
 	}
-	if s.Kind == "bpsf" && (s.Phi <= 0 || s.WMax <= 0) {
-		return fmt.Errorf("service: bpsf spec needs positive Phi and WMax, got phi=%d wmax=%d", s.Phi, s.WMax)
-	}
-	return nil
+	return k, nil
 }
 
-// String renders the spec as the pool-key / report label.
-func (s Spec) String() string {
-	sched := ""
-	if s.Layered {
-		sched = ",layered"
-	}
-	switch s.Kind {
-	case "uf":
-		return "UF"
-	case "bp":
-		return fmt.Sprintf("BP%d%s", s.BPIters, sched)
-	case "bposd":
-		return fmt.Sprintf("BP%d-OSD%d%s", s.BPIters, s.OSDOrder, sched)
-	case "bpsf":
-		if s.NS > 0 {
-			return fmt.Sprintf("BP-SF(BP%d,wmax=%d,phi=%d,ns=%d%s)", s.BPIters, s.WMax, s.Phi, s.NS, sched)
+// kindFromByte is wireKind's inverse for the kind byte.
+func kindFromByte(k byte) (string, error) {
+	for name, b := range specKinds {
+		if b == k {
+			return name, nil
 		}
-		return fmt.Sprintf("BP-SF(BP%d,wmax=%d,phi=%d%s)", s.BPIters, s.WMax, s.Phi, sched)
-	default:
-		return s.Kind
 	}
-}
-
-// NewDecoder builds one decoder instance for the spec. Decoders carrying
-// internal randomness are reseeded per request by the pool (see
-// RequestSeed), so the construction seed is irrelevant to responses.
-func (s Spec) NewDecoder(h *sparse.Mat, priors []float64) (sim.Decoder, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	sched := bp.Flooding
-	if s.Layered {
-		sched = bp.Layered
-	}
-	switch s.Kind {
-	case "uf":
-		return sim.NewUF(h), nil
-	case "bp":
-		return sim.NewBP(h, priors, bp.Config{MaxIter: s.BPIters, Schedule: sched}), nil
-	case "bposd":
-		return sim.NewBPOSD(h, priors,
-			bp.Config{MaxIter: s.BPIters, Schedule: sched},
-			osd.Config{Method: osd.OSDCS, Order: s.OSDOrder}), nil
-	default: // "bpsf", by Validate
-		policy := bpsf.Sampled
-		if s.NS == 0 {
-			policy = bpsf.Exhaustive
-		}
-		return sim.NewBPSF(h, priors, bpsf.Config{
-			Init:    bp.Config{MaxIter: s.BPIters, Schedule: sched},
-			Trial:   bp.Config{MaxIter: s.BPIters, Schedule: sched},
-			PhiSize: s.Phi,
-			WMax:    s.WMax,
-			NS:      s.NS,
-			Policy:  policy,
-		})
-	}
+	return "", fmt.Errorf("service: unknown decoder kind byte %d", k)
 }
 
 // RequestSeed is the deterministic decoder seed of the index-th syndrome

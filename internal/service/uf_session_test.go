@@ -2,20 +2,20 @@ package service
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"bpsf/internal/sim"
 )
 
-// TestSpecKindsMatchConstructorRegistry pins the service's wire vocabulary
-// to the sim decoder-constructor registry: a decoder added to
-// sim.Constructors must also get a wire byte in specKinds (and vice
-// versa), or the CLIs and the service would disagree on the -decoder set.
-// One deliberate exemption: "windowed" is a wrapper, not a leaf decoder
-// family — in the service it is expressed through the stream plane
-// (StreamOpen's window/commit over any batch kind), never as a batch spec,
-// because a batch spec carries no round layout.
+// TestSpecKindsMatchConstructorRegistry pins the service's wire kind-byte
+// table to the decoder registry: every unwindowed sim.DecoderSpecs entry
+// (SpecKinds) must have a wire byte, and every wire byte a registry entry,
+// or the CLIs and the service would disagree on the -decoder set. The
+// windowed entry is exempt: in the service, windowing is expressed through
+// the stream plane (StreamOpen's window/commit over any batch kind), never
+// as a batch spec, because a batch spec carries no round layout.
 func TestSpecKindsMatchConstructorRegistry(t *testing.T) {
 	var want []string
 	for _, name := range sim.DecoderNames() {
@@ -24,7 +24,15 @@ func TestSpecKindsMatchConstructorRegistry(t *testing.T) {
 		}
 	}
 	if got := SpecKinds(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("service.SpecKinds() = %v, want sim.DecoderNames() minus the windowed wrapper = %v; keep specKinds and sim.Constructors in sync", got, want)
+		t.Fatalf("service.SpecKinds() = %v, want sim.DecoderNames() minus the windowed wrapper = %v", got, want)
+	}
+	var wire []string
+	for name := range specKinds {
+		wire = append(wire, name)
+	}
+	sort.Strings(wire)
+	if !reflect.DeepEqual(wire, want) {
+		t.Fatalf("wire kind bytes cover %v, want %v; keep specKinds and sim.DecoderSpecs in sync", wire, want)
 	}
 }
 

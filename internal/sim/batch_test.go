@@ -40,7 +40,7 @@ func batchTestDEM(t testing.TB) *dem.DEM {
 // value, because shards (not workers) own the samplers.
 func TestRunCircuitBatchWorkerInvariance(t *testing.T) {
 	d := batchTestDEM(t)
-	mk := Constructors()["uf"]
+	mk := DecoderSpecs()["uf"].NewDecoder
 	var ref *Result
 	for _, workers := range []int{1, 2, 8} {
 		cfg := Config{P: 0.02, Shots: 500, Seed: 5, Shards: 8, Workers: workers, Batch: true}
@@ -67,7 +67,7 @@ func TestRunCircuitBatchWorkerInvariance(t *testing.T) {
 // which is sensitive to every syndrome).
 func TestRunCircuitBatchShardDeterminism(t *testing.T) {
 	d := batchTestDEM(t)
-	mk := Constructors()["bp"]
+	mk := DecoderSpecs()["bp"].NewDecoder
 	cfg := Config{P: 0.03, Shots: 320, Seed: 11, Shards: 5, Workers: 2, Batch: true}
 	a, err := RunCircuit(d, 2, mk, cfg)
 	if err != nil {
@@ -99,7 +99,7 @@ func TestRunCircuitBatchMatchesScalarRate(t *testing.T) {
 		t.Skip("statistical equivalence run")
 	}
 	d := batchTestDEM(t)
-	mk := Constructors()["uf"]
+	mk := DecoderSpecs()["uf"].NewDecoder
 	const shots = 6000
 	scalar, err := RunCircuit(d, 2, mk, Config{P: 0.02, Shots: shots, Seed: 3, Workers: 2})
 	if err != nil {
@@ -128,7 +128,7 @@ func TestRunCircuitBatchMatchesScalarRate(t *testing.T) {
 // and run-to-run determinism.
 func TestRunCircuitFramesWorkerInvariance(t *testing.T) {
 	circ, d := batchTestModel(t)
-	mk := Constructors()["uf"]
+	mk := DecoderSpecs()["uf"].NewDecoder
 	var ref *Result
 	for _, workers := range []int{1, 2, 8} {
 		cfg := Config{P: 0.02, Shots: 500, Seed: 5, Shards: 8, Workers: workers}
@@ -158,7 +158,7 @@ func TestRunCircuitFramesMatchesDEMRate(t *testing.T) {
 		t.Skip("statistical equivalence run")
 	}
 	circ, d := batchTestModel(t)
-	mk := Constructors()["uf"]
+	mk := DecoderSpecs()["uf"].NewDecoder
 	const shots = 6000
 	frames, err := RunCircuitFrames(circ, d, 2, mk, Config{P: 0.02, Shots: shots, Seed: 3, Workers: 2})
 	if err != nil {
@@ -190,7 +190,7 @@ func TestRunCircuitFramesMatchesDEMRate(t *testing.T) {
 // block).
 func TestRunCircuitBatchEarlyStop(t *testing.T) {
 	d := batchTestDEM(t)
-	mk := Constructors()["uf"]
+	mk := DecoderSpecs()["uf"].NewDecoder
 	cfg := Config{P: 0.05, Shots: 20000, Seed: 1, MaxLogicalErrors: 5, Workers: 1, Batch: true}
 	res, err := RunCircuit(d, 2, mk, cfg)
 	if err != nil {

@@ -1,7 +1,7 @@
 package sim
 
 // Cross-decoder conformance property suite: every registered decoder
-// constructor (Constructors: bp, bposd, bpsf, uf) is held to the same two
+// spec (DecoderSpecs: bp, bposd, bpsf, uf, windowed) is held to the same two
 // harness-facing invariants on small BB, HGP and surface instances:
 //
 //  1. Residual syndrome: whenever Decode reports Success, the returned
@@ -46,12 +46,12 @@ func conformanceCodes(t *testing.T) []*code.CSS {
 // TestConformanceResidualSyndrome samples random X errors and asserts the
 // residual-syndrome invariant, table-driven over (decoder, code, seed).
 func TestConformanceResidualSyndrome(t *testing.T) {
-	reg := Constructors()
+	reg := DecoderSpecs()
 	css := conformanceCodes(t)
 	seeds := []int64{1, 12345, 9_000_000_001}
 	const p, shotsPerSeed = 0.04, 40
 	for _, name := range DecoderNames() {
-		mk := reg[name]
+		mk := reg[name].NewDecoder
 		for _, c := range css {
 			dec, err := mk(c.HZ, noise.UniformPriors(c.N, noise.MarginalProb(p)))
 			if err != nil {
@@ -87,19 +87,19 @@ func TestConformanceResidualSyndrome(t *testing.T) {
 }
 
 // TestWindowedConformanceResidualInvariant holds the sliding-window
-// wrapper to its commit induction over EVERY registered constructor: on a
+// wrapper to its commit induction over EVERY registered spec: on a
 // round-by-round stream (rows-as-rounds, W=3, C=1), after each window whose
 // inner decodes have all succeeded so far, the residual syndrome below the
 // commit boundary is zero; and a fully successful stream reproduces the
 // input syndrome exactly. A decoder added to the registry is covered
 // automatically as a windowed inner.
 func TestWindowedConformanceResidualInvariant(t *testing.T) {
-	reg := Constructors()
+	reg := DecoderSpecs()
 	css := conformanceCodes(t)
 	seeds := []int64{1, 12345}
 	const p, shotsPerSeed, w, c = 0.04, 30, 3, 1
 	for _, name := range DecoderNames() {
-		mk := reg[name]
+		mk := reg[name].NewDecoder
 		for _, cs := range css {
 			rows := cs.HZ.Rows()
 			wd, err := window.New(cs.HZ, noise.UniformPriors(cs.N, noise.MarginalProb(p)),
@@ -165,10 +165,10 @@ func TestWindowedConformanceResidualInvariant(t *testing.T) {
 // counts: statistics must be bit-identical (the engine determinism
 // contract extended to the window subsystem).
 func TestWindowedConformanceWorkerInvariance(t *testing.T) {
-	reg := Constructors()
+	reg := DecoderSpecs()
 	css := conformanceCodes(t)
 	for _, name := range DecoderNames() {
-		mk := NewWindowed(reg[name], 3, 1)
+		mk := NewWindowed(reg[name].NewDecoder, 3, 1)
 		for _, c := range css {
 			var ref *Result
 			for _, workers := range []int{1, 8} {
@@ -196,10 +196,10 @@ func TestWindowedConformanceWorkerInvariance(t *testing.T) {
 // AvgIters must be bit-identical (the engine determinism contract,
 // DESIGN.md §4, extended to the whole registry).
 func TestConformanceWorkerInvariance(t *testing.T) {
-	reg := Constructors()
+	reg := DecoderSpecs()
 	css := conformanceCodes(t)
 	for _, name := range DecoderNames() {
-		mk := reg[name]
+		mk := reg[name].NewDecoder
 		for _, c := range css {
 			var ref *Result
 			for _, workers := range []int{1, 3, 8} {

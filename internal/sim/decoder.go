@@ -7,7 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"bpsf/internal/bp"
@@ -190,62 +189,12 @@ func NewWindowedOver(inner Factory, layout window.Layout, w, c int) Factory {
 }
 
 // NewWindowed is NewWindowedOver with the generic row-per-round layout:
-// every row of the check matrix is its own "round". This is the layout-free
-// form used by the constructor registry and the code-capacity CLIs; circuit
-// -level callers should pass the memory-experiment layout
-// (window.MemexpLayout) to NewWindowedOver instead.
+// every row of the check matrix is its own "round" — the layout a windowed
+// Spec with a zero Layout uses. Circuit-level callers should pass the
+// memory-experiment layout (window.MemexpLayout) to NewWindowedOver
+// instead.
 func NewWindowed(inner Factory, w, c int) Factory {
 	return func(h *sparse.Mat, priors []float64) (Decoder, error) {
 		return window.New(h, priors, window.RowRounds(h.Rows()), w, c, decoding.Factory(inner))
 	}
-}
-
-// ---- decoder constructor registry ----
-
-// Constructors returns the registered decoder constructors keyed by the
-// kind names used across the CLIs and the decode service ("bp", "bposd",
-// "bpsf", "uf"), each with a small default configuration. The conformance
-// property suite iterates this registry, and the CLIs validate -decoder
-// values against its keys; decoders added here are automatically covered
-// by both.
-func Constructors() map[string]Factory {
-	return map[string]Factory{
-		"bp": func(h *sparse.Mat, priors []float64) (Decoder, error) {
-			return NewBP(h, priors, bp.Config{MaxIter: 100}), nil
-		},
-		"bposd": func(h *sparse.Mat, priors []float64) (Decoder, error) {
-			return NewBPOSD(h, priors,
-				bp.Config{MaxIter: 100},
-				osd.Config{Method: osd.OSDCS, Order: 5}), nil
-		},
-		"bpsf": func(h *sparse.Mat, priors []float64) (Decoder, error) {
-			return NewBPSF(h, priors, bpsf.Config{
-				Init:    bp.Config{MaxIter: 50},
-				Trial:   bp.Config{MaxIter: 50},
-				PhiSize: 8,
-				WMax:    2,
-				Policy:  bpsf.Exhaustive,
-			})
-		},
-		"uf": func(h *sparse.Mat, priors []float64) (Decoder, error) {
-			return NewUF(h), nil
-		},
-		"windowed": NewWindowed(func(h *sparse.Mat, priors []float64) (Decoder, error) {
-			return NewBPOSD(h, priors,
-				bp.Config{MaxIter: 100},
-				osd.Config{Method: osd.OSDCS, Order: 5}), nil
-		}, 3, 1),
-	}
-}
-
-// DecoderNames returns the sorted registry keys — the vocabulary of every
-// -decoder flag.
-func DecoderNames() []string {
-	reg := Constructors()
-	names := make([]string, 0, len(reg))
-	for k := range reg {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

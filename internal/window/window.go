@@ -45,8 +45,9 @@ type Layout struct {
 }
 
 // RowRounds is the generic layout-free layout: every row is its own round.
-// It is what the constructor-registry windowed wrapper and the
-// code-capacity CLIs use when no circuit round structure exists.
+// It is what a windowed decoder spec with no layout (the registry's
+// windowed entry, the code-capacity CLIs) uses when no circuit round
+// structure exists.
 func RowRounds(rows int) Layout {
 	starts := make([]int, rows)
 	for i := range starts {
