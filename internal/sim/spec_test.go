@@ -36,6 +36,7 @@ func TestSpecValidateAndLabel(t *testing.T) {
 		{sim.Spec{Kind: "uf"}, "UF"},
 		{sim.Spec{Kind: "uf", Window: 2, Commit: 1, Layout: layout}, "W2C1[UF]"},
 		{sim.Spec{Kind: "uf", Window: 3, Layout: layout}, "W3C1[UF]"},
+		{sim.Spec{Kind: "bposd", BPIters: 100, OSDOrder: 5, Window: 2, Commit: 1, Layout: layout}, "W2C1[BP100-OSD5]"},
 		{sim.Spec{Kind: "bposd", BPIters: 100, OSDOrder: 5, Window: 3, Commit: 1, Layout: layout}, "W3C1[BP100-OSD5]"},
 		// bench profiles and service pool keys
 		{sim.Spec{Kind: "bp", BPIters: 100}, "BP100"},
