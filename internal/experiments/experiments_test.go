@@ -4,7 +4,65 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"bpsf/internal/osd"
+	"bpsf/internal/sim"
 )
+
+func TestSpecLabels(t *testing.T) {
+	if BPSpec(1000).String() != "BP1000" {
+		t.Fatal("BP label wrong")
+	}
+	if BPOSDSpec(1000, 10).String() != "BP1000-OSD10" {
+		t.Fatal("BP-OSD label wrong")
+	}
+	l := BPSFCircuitSpec(100, 50, 10, 10).String()
+	if !strings.Contains(l, "wmax=10") || !strings.Contains(l, "ns=10") {
+		t.Fatalf("BP-SF label %q", l)
+	}
+	s := BPSFCapacitySpec(50, 8, 1)
+	s.Workers = 4
+	if !strings.Contains(s.String(), "P=4") {
+		t.Fatal("workers missing from label")
+	}
+	if (sim.Spec{Kind: "weird"}).String() != "weird" {
+		t.Fatal("fallback label wrong")
+	}
+}
+
+func TestSpecFactoryKinds(t *testing.T) {
+	// build against a small circuit-level problem
+	d, _, err := CachedDEM("bb72", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []sim.Spec{
+		BPSpec(10),
+		BPOSDSpec(10, 2),
+		BPSFCapacitySpec(10, 4, 1),
+		{Kind: "bp", BPIters: 10, Layered: true},
+		{Kind: "bposd", BPIters: 10, OSDMethod: osd.OSD0},
+	} {
+		dec, err := s.NewDecoder(d.H, uniform(d.NumMechs(), 0.01))
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		if dec.Name() == "" {
+			t.Fatal("empty decoder name")
+		}
+	}
+	if _, err := (sim.Spec{Kind: "nope"}).NewDecoder(d.H, uniform(d.NumMechs(), 0.01)); err == nil {
+		t.Fatal("unknown kind accepted")
+	}
+}
+
+func uniform(n int, p float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = p
+	}
+	return out
+}
 
 func TestCachedDEMReuses(t *testing.T) {
 	a, _, err := CachedDEM("bb72", 1)

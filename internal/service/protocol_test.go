@@ -181,6 +181,36 @@ func TestFrameIO(t *testing.T) {
 	}
 }
 
+func TestSpecValidateAndLabel(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Kind: "bp", BPIters: 1000}, "BP1000"},
+		{Spec{Kind: "bposd", BPIters: 1000, OSDOrder: 10}, "BP1000-OSD10"},
+		{Spec{Kind: "bpsf", BPIters: 100, Phi: 50, WMax: 10, NS: 10}, "BP-SF(BP100,wmax=10,phi=50,ns=10)"},
+		{Spec{Kind: "bpsf", BPIters: 50, Phi: 8, WMax: 1}, "BP-SF(BP50,wmax=1,phi=8)"},
+		{Spec{Kind: "bp", BPIters: 30, Layered: true}, "BP30,layered"},
+	} {
+		if err := tc.spec.Validate(); err != nil {
+			t.Errorf("%+v: %v", tc.spec, err)
+		}
+		if got := tc.spec.String(); got != tc.want {
+			t.Errorf("label = %q, want %q", got, tc.want)
+		}
+	}
+	for _, bad := range []Spec{
+		{Kind: "bp"},                         // no iterations
+		{Kind: "magic", BPIters: 10},         // unknown kind
+		{Kind: "bpsf", BPIters: 10, WMax: 2}, // no phi
+		{Kind: "bpsf", BPIters: 10, Phi: 10}, // no wmax
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	var h histogram
 	if (h.Snapshot() != HistogramSnapshot{}) {

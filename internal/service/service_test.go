@@ -343,9 +343,13 @@ func (d *stubDecoder) Decode(s gf2.Vec) sim.Outcome {
 	if d.delay > 0 {
 		time.Sleep(d.delay)
 	}
+	// accumulate locally: stubs of one pool may share a cache line, and a
+	// per-iteration store to d.sink would serialize their workers
+	sink := 0.0
 	for i := 0; i < d.spin; i++ {
-		d.sink += float64(i%7) * 1e-9
+		sink += float64(i%7) * 1e-9
 	}
+	d.sink += sink
 	return sim.Outcome{Success: true, ErrHat: gf2.NewVec(8), Iterations: 1}
 }
 
@@ -353,8 +357,10 @@ func (d *stubDecoder) Decode(s gf2.Vec) sim.Outcome {
 // throughput rises monotonically from pool size 1 → 2. Compute-bound stub
 // decoders keep the measurement about the pool, not the decoder, and each
 // pool size is timed as the best of three runs so one descheduled run on
-// a loaded host does not decide the comparison. Skipped on single-core
-// hosts, where a second worker cannot help.
+// a loaded host does not decide the comparison. Each request carries its
+// own affinity, as distinct sessions do; requests of one session all land
+// on one worker's lane and would not show the pool's scaling. Skipped on
+// single-core hosts, where a second worker cannot help.
 func TestPoolThroughputScales(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("single-core host: pool scaling is not observable")
@@ -372,7 +378,7 @@ func TestPoolThroughputScales(t *testing.T) {
 		wg.Add(n)
 		t0 := time.Now()
 		for i := 0; i < n; i++ {
-			p.submit(&request{syndrome: gf2.NewVec(8), enqueued: time.Now(), resp: &resps[i], wg: &wg})
+			p.submit(&request{syndrome: gf2.NewVec(8), affinity: i, enqueued: time.Now(), resp: &resps[i], wg: &wg})
 		}
 		wg.Wait()
 		el := time.Since(t0)
