@@ -46,6 +46,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := sim.CheckP(*p); err != nil {
+		log.Fatal(err)
+	}
 
 	var mkDecoder sim.Factory
 	if *decoder != "" {

@@ -63,7 +63,7 @@ func main() {
 	if r == 0 {
 		r = entry.Rounds
 	}
-	spec, err := sim.FlagSpec(*decoder, sim.Spec{
+	spec, err := resolveFlags(*p, *decoder, sim.Spec{
 		BPIters:  *bpIters,
 		OSDOrder: *osdOrder,
 		Phi:      *phi,
@@ -165,4 +165,13 @@ func main() {
 	if err := tb.Write(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// resolveFlags checks -p and resolves the decoder flags into a validated
+// spec, so that every bad flag value exits before any shard starts.
+func resolveFlags(p float64, decoder string, flags sim.Spec) (sim.Spec, error) {
+	if err := sim.CheckP(p); err != nil {
+		return sim.Spec{}, err
+	}
+	return sim.FlagSpec(decoder, flags)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -22,24 +23,28 @@ func TestDecoderFactoryFlags(t *testing.T) {
 		decoder string
 		window  int
 		commit  int
+		p       float64         // -p
 		edit    func(*sim.Spec) // further flag values (nil = base)
 		wantErr string          // substring of the expected error ("" = accepted)
 	}{
-		{"bp", "bp", 0, 0, nil, ""},
-		{"bposd", "bposd", 0, 0, nil, ""},
-		{"bpsf", "bpsf", 0, 0, nil, ""},
-		{"uf", "uf", 0, 0, nil, ""},
-		{"windowed", "windowed", 0, 0, nil, ""},
-		{"uf-windowed", "uf", 3, 1, nil, ""},
-		{"commit-exceeds-window", "bp", 2, 3, nil, "Commit 3 exceeds Window 2"},
-		{"unknown", "matching", 0, 0, nil, "available"},
-		{"empty", "", 0, 0, nil, "available"},
-		{"case-sensitive", "BPSF", 0, 0, nil, "available"},
-		{"osd-order-negative", "bposd", 0, 0, func(s *sim.Spec) { s.OSDOrder = -1 }, "OSDOrder"},
-		{"bp-iters-zero", "bp", 0, 0, func(s *sim.Spec) { s.BPIters = 0 }, "BPIters"},
-		{"bp-iters-negative", "bp", 0, 0, func(s *sim.Spec) { s.BPIters = -5 }, "BPIters"},
-		{"phi-zero", "bpsf", 0, 0, func(s *sim.Spec) { s.Phi = 0 }, "Phi"},
-		{"ns-negative", "bpsf", 0, 0, func(s *sim.Spec) { s.NS = -3 }, "NS"},
+		{"bp", "bp", 0, 0, 0.01, nil, ""},
+		{"bposd", "bposd", 0, 0, 0.01, nil, ""},
+		{"bpsf", "bpsf", 0, 0, 0.01, nil, ""},
+		{"uf", "uf", 0, 0, 0.01, nil, ""},
+		{"windowed", "windowed", 0, 0, 0.01, nil, ""},
+		{"uf-windowed", "uf", 3, 1, 0.01, nil, ""},
+		{"commit-exceeds-window", "bp", 2, 3, 0.01, nil, "Commit 3 exceeds Window 2"},
+		{"unknown", "matching", 0, 0, 0.01, nil, "available"},
+		{"empty", "", 0, 0, 0.01, nil, "available"},
+		{"case-sensitive", "BPSF", 0, 0, 0.01, nil, "available"},
+		{"osd-order-negative", "bposd", 0, 0, 0.01, func(s *sim.Spec) { s.OSDOrder = -1 }, "OSDOrder"},
+		{"bp-iters-zero", "bp", 0, 0, 0.01, func(s *sim.Spec) { s.BPIters = 0 }, "BPIters"},
+		{"bp-iters-negative", "bp", 0, 0, 0.01, func(s *sim.Spec) { s.BPIters = -5 }, "BPIters"},
+		{"phi-zero", "bpsf", 0, 0, 0.01, func(s *sim.Spec) { s.Phi = 0 }, "Phi"},
+		{"ns-negative", "bpsf", 0, 0, 0.01, func(s *sim.Spec) { s.NS = -3 }, "NS"},
+		{"p-nan", "bp", 0, 0, math.NaN(), nil, "physical error rate NaN"},
+		{"p-negative", "bp", 0, 0, -0.1, nil, "physical error rate -0.1"},
+		{"p-above-one", "bp", 0, 0, 1.5, nil, "physical error rate 1.5"},
 	}
 	css, err := codes.RotatedSurface3()
 	if err != nil {
@@ -53,7 +58,7 @@ func TestDecoderFactoryFlags(t *testing.T) {
 			if tc.edit != nil {
 				tc.edit(&f)
 			}
-			spec, err := sim.FlagSpec(tc.decoder, f)
+			spec, err := resolveFlags(tc.p, tc.decoder, f)
 			if tc.wantErr != "" {
 				if err == nil {
 					t.Fatalf("decoder %q with %+v accepted", tc.decoder, f)

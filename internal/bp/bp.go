@@ -16,6 +16,7 @@ package bp
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"bpsf/internal/gf2"
@@ -48,6 +49,11 @@ func (s Schedule) String() string {
 
 // maxLLR caps channel LLRs so that zero-probability mechanisms stay finite.
 const maxLLR = 35.0
+
+// alphaTable is the length of a decoder's α table beyond its zero entry.
+// From iteration 25 on, float32(1−2⁻ⁱ) rounds to exactly 1, so the last
+// entry stands for every later iteration.
+const alphaTable = 64
 
 // Config parameterizes a Decoder.
 type Config struct {
@@ -92,16 +98,23 @@ type Decoder struct {
 	g     *tanner.Graph
 	cfg   Config
 	prior []float32
+	// alphas[i] is the normalization factor of iteration i as float32;
+	// iterations past the table's end use its last entry (see alphaTable).
+	// Read-only after New; clones share it.
+	alphas []float32
 
 	c2v      []float32
 	marginal []float32
-	delta    []float32 // flooding marginal accumulator (lazily allocated)
+	delta    []float32 // flooding marginal accumulator, zero between iterations
 	margOut  []float64 // float64 view for Result.Marginal
 	hard     gf2.Vec
-	prevHard gf2.Vec
-	flip     []int
-	errOut   gf2.Vec // reusable Result.ErrHat buffer
-	flipOut  []int   // reusable Result.FlipCount buffer
+	// unsat is s ⊕ H·hard, the checks the hard decision leaves unsatisfied,
+	// and nUnsat its weight: decide keeps both current as bits flip.
+	unsat   gf2.Vec
+	nUnsat  int
+	flip    []int
+	errOut  gf2.Vec // reusable Result.ErrHat buffer
+	flipOut []int   // reusable Result.FlipCount buffer
 
 	// sum-product per-check scratch (lazily allocated)
 	spIn, spOut []float64
@@ -117,7 +130,18 @@ func New(g *tanner.Graph, probs []float64, cfg Config) *Decoder {
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = 100
 	}
-	d := &Decoder{
+	d := newWorkspace(g, cfg)
+	d.alphas = make([]float32, min(cfg.MaxIter, alphaTable)+1)
+	for i := 1; i < len(d.alphas); i++ {
+		d.alphas[i] = float32(d.alpha(i))
+	}
+	d.SetPriors(probs)
+	return d
+}
+
+// newWorkspace allocates a decoder's per-decode buffers.
+func newWorkspace(g *tanner.Graph, cfg Config) *Decoder {
+	return &Decoder{
 		g:        g,
 		cfg:      cfg,
 		prior:    make([]float32, g.N),
@@ -126,13 +150,11 @@ func New(g *tanner.Graph, probs []float64, cfg Config) *Decoder {
 		delta:    make([]float32, g.N),
 		margOut:  make([]float64, g.N),
 		hard:     gf2.NewVec(g.N),
-		prevHard: gf2.NewVec(g.N),
+		unsat:    gf2.NewVec(g.M),
 		flip:     make([]int, g.N),
 		errOut:   gf2.NewVec(g.N),
 		flipOut:  make([]int, g.N),
 	}
-	d.SetPriors(probs)
-	return d
 }
 
 // SetPriors replaces the channel LLRs from a probability vector.
@@ -174,22 +196,63 @@ func (d *Decoder) Config() Config { return d.cfg }
 // config (fresh message buffers). Used to hand one decoder to each parallel
 // worker.
 func (d *Decoder) Clone() *Decoder {
-	nd := &Decoder{
-		g:        d.g,
-		cfg:      d.cfg,
-		prior:    make([]float32, d.g.N),
-		c2v:      make([]float32, d.g.E),
-		marginal: make([]float32, d.g.N),
-		delta:    make([]float32, d.g.N),
-		margOut:  make([]float64, d.g.N),
-		hard:     gf2.NewVec(d.g.N),
-		prevHard: gf2.NewVec(d.g.N),
-		flip:     make([]int, d.g.N),
-		errOut:   gf2.NewVec(d.g.N),
-		flipOut:  make([]int, d.g.N),
-	}
+	nd := newWorkspace(d.g, d.cfg)
+	nd.alphas = d.alphas
 	copy(nd.prior, d.prior)
 	return nd
+}
+
+// minSumCheck is the decoder's hot loop: the normalized min-sum update of
+// one check, whose edges go to variables vs and carry c2v messages cs.
+// Pass 1 finds the two smallest |v2c| and the sign parity; pass 2 writes
+// base·min1 (base·min2 on the argmin edge) with the extrinsic sign and
+// adds each message's change to acc. A check of degree < 2 has an
+// infinite minimum, clamped to maxLLR.
+//
+// It is a small leaf function so that the minima, argmin and sign parity
+// stay in registers and cs is indexed without bounds checks. acc may be
+// marg itself (layered): each edge's sign is read before its own
+// variable's update, and a check touches each variable once, so the
+// result is the same as with a separate accumulator.
+func minSumCheck(vs []int32, cs []float32, marg, acc []float32, base float32) {
+	cs = cs[:len(vs)]
+	min1 := float32(math.Inf(1))
+	min2 := min1
+	argmin := -1
+	signs := false
+	for k, v := range vs {
+		m := marg[v] - cs[k]
+		if m < 0 {
+			signs = !signs
+			m = -m
+		}
+		if m < min1 {
+			min2, min1, argmin = min1, m, k
+		} else if m < min2 {
+			min2 = m
+		}
+	}
+	out1, out2 := base*clampInf(min1), base*clampInf(min2)
+	for k, v := range vs {
+		old := cs[k]
+		out := out1
+		if k == argmin {
+			out = out2
+		}
+		if marg[v]-old < 0 != signs {
+			out = -out
+		}
+		cs[k] = out
+		acc[v] += out - old
+	}
+}
+
+// clampInf maps the +Inf minimum of a degree-0/1 check to maxLLR.
+func clampInf(m float32) float32 {
+	if math.IsInf(float64(m), 1) {
+		return maxLLR
+	}
+	return m
 }
 
 // Decode runs BP on syndrome s.
@@ -202,7 +265,16 @@ func (d *Decoder) DecodeStop(s gf2.Vec, stop *atomic.Bool) Result {
 	if s.Len() != d.g.M {
 		panic("bp: syndrome length mismatch")
 	}
-	d.reset()
+	d.reset(s)
+	// A layered sweep applies each check's message changes to the
+	// marginals at once; a flooding pass accumulates them in delta and
+	// commits them after the whole pass, so that no check sees another's
+	// update within the iteration.
+	layered := d.cfg.Schedule == Layered
+	acc := d.delta
+	if layered {
+		acc = d.marginal
+	}
 	var iters int
 	success := false
 	for iters = 1; iters <= d.cfg.MaxIter; iters++ {
@@ -210,22 +282,15 @@ func (d *Decoder) DecodeStop(s gf2.Vec, stop *atomic.Bool) Result {
 			iters-- // this iteration never ran
 			break
 		}
-		alpha := float32(d.alpha(iters))
-		var satisfied bool
-		switch {
-		case d.cfg.Variant == SumProduct && d.cfg.Schedule == Layered:
-			satisfied = d.layeredIterationSP(s)
-		case d.cfg.Variant == SumProduct:
-			satisfied = d.floodIterationSP(s)
-		case d.cfg.Schedule == Layered:
-			satisfied = d.layeredIteration(s, alpha)
-		default:
-			satisfied = d.floodIteration(s, alpha)
+		if d.cfg.Variant == SumProduct {
+			d.sumProductPass(s, acc)
+		} else {
+			d.minSumPass(s, d.alphas[min(iters, len(d.alphas)-1)], acc)
 		}
-		if d.cfg.TrackOscillation {
-			d.trackFlips()
+		if !layered {
+			d.commitDelta()
 		}
-		if satisfied {
+		if d.decide() {
 			success = true
 			break
 		}
@@ -250,13 +315,14 @@ func (d *Decoder) DecodeStop(s gf2.Vec, stop *atomic.Bool) Result {
 	return res
 }
 
-func (d *Decoder) reset() {
+func (d *Decoder) reset(s gf2.Vec) {
 	for i := range d.c2v {
 		d.c2v[i] = 0
 	}
 	copy(d.marginal, d.prior)
 	d.hard.Zero()
-	d.prevHard.Zero()
+	d.unsat.CopyFrom(s)
+	d.nUnsat = s.Weight()
 	for i := range d.flip {
 		d.flip[i] = 0
 	}
@@ -271,161 +337,74 @@ func (d *Decoder) alpha(i int) float64 {
 	return 1 - math.Pow(2, -float64(i))
 }
 
-// floodIteration performs one flooding min-sum iteration: a check pass
-// computing fresh extrinsic inputs v2c = marginal − c2v (the marginal holds
-// prior + Σ c2v from the previous iteration), followed by in-place marginal
-// updates, hard decision, and the syndrome test. Returns whether the hard
-// decision satisfies s.
-//
-// Fresh v2c values are staged per check and committed to marginals only
-// after the whole check pass, preserving flooding semantics.
-func (d *Decoder) floodIteration(s gf2.Vec, alpha float32) bool {
+// minSumPass runs the min-sum check update over every check, adding each
+// message change to acc (the marginals themselves for a layered sweep,
+// delta for a flooding pass). The extrinsic inputs are v2c = marginal −
+// c2v: the marginal holds prior + Σ c2v.
+func (d *Decoder) minSumPass(s gf2.Vec, alpha float32, acc []float32) {
 	g := d.g
-	c2v := d.c2v
-	marg := d.marginal
-	vars := g.EdgeVar
-	// Stage 1: per check, compute new c2v from old marginals and old c2v;
-	// accumulate the marginal deltas into a scratch pass afterwards. To
-	// preserve flooding semantics we must not let this check's update feed
-	// the next check within the same iteration, so deltas are applied to a
-	// separate accumulator.
-	delta := d.delta
-	for v := range delta {
+	ptr, vars, c2v, marg := g.CheckPtr, g.EdgeVar, d.c2v, d.marginal
+	for c := 0; c < g.M; c++ {
+		lo, hi := ptr[c], ptr[c+1]
+		base := alpha
+		if s.Get(c) {
+			base = -base
+		}
+		minSumCheck(vars[lo:hi], c2v[lo:hi], marg, acc, base)
+	}
+}
+
+// commitDelta ends a flooding iteration: it adds the accumulated changes
+// to the marginals and leaves delta zero for the next iteration.
+func (d *Decoder) commitDelta() {
+	marg, delta := d.marginal, d.delta[:len(d.marginal)]
+	for v, dv := range delta {
+		marg[v] += dv
 		delta[v] = 0
 	}
-	for c := 0; c < g.M; c++ {
-		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
-		min1 := float32(math.Inf(1))
-		min2 := min1
-		argmin := -1
-		signs := false
-		for e := lo; e < hi; e++ {
-			m := marg[vars[e]] - c2v[e]
-			if m < 0 {
-				signs = !signs
-				m = -m
-			}
-			// v2c magnitude staged implicitly; sign recomputed below
-			if m < min1 {
-				min2, min1, argmin = min1, m, e
-			} else if m < min2 {
-				min2 = m
-			}
-		}
-		base := alpha
-		if s.Get(c) {
-			base = -base
-		}
-		if math.IsInf(float64(min2), 1) {
-			min2 = maxLLR
-		}
-		if math.IsInf(float64(min1), 1) {
-			min1 = maxLLR
-		}
-		for e := lo; e < hi; e++ {
-			v := vars[e]
-			old := c2v[e]
-			mag := min1
-			if e == argmin {
-				mag = min2
-			}
-			out := base * mag
-			if marg[v]-old < 0 != signs {
-				out = -out
-			}
-			c2v[e] = out
-			delta[v] += out - old
-		}
-	}
-	// Stage 2: commit marginals, hard decision, syndrome check
-	for v := 0; v < g.N; v++ {
-		marg[v] += delta[v]
-		d.hard.Set(v, marg[v] <= 0)
-	}
-	return d.syndromeMatches(s)
 }
 
-// layeredIteration performs one serial (layered) sweep over all checks,
-// updating marginals in place after each check. Returns whether the hard
-// decision satisfies s.
-func (d *Decoder) layeredIteration(s gf2.Vec, alpha float32) bool {
-	g := d.g
-	c2v := d.c2v
+// decide recomputes the hard decision (bit v set iff marginal[v] ≤ 0) one
+// 64-bit word at a time. Each bit that flipped since the last iteration
+// toggles its checks in the unsatisfied set (and, with
+// TrackOscillation, counts as a flip), so the syndrome test costs work
+// only where the decision moved. Reports whether H·hard == s.
+func (d *Decoder) decide() bool {
 	marg := d.marginal
-	vars := g.EdgeVar
-	for c := 0; c < g.M; c++ {
-		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
-		min1 := float32(math.Inf(1))
-		min2 := min1
-		argmin := -1
-		signs := false
-		for e := lo; e < hi; e++ {
-			m := marg[vars[e]] - c2v[e]
-			if m < 0 {
-				signs = !signs
-				m = -m
-			}
-			if m < min1 {
-				min2, min1, argmin = min1, m, e
-			} else if m < min2 {
-				min2 = m
+	words := d.hard.Words()
+	for w := range words {
+		lo := w * 64
+		var word uint64
+		for i, m := range marg[lo:min(lo+64, len(marg))] {
+			if m <= 0 {
+				word |= 1 << uint(i)
 			}
 		}
-		base := alpha
-		if s.Get(c) {
-			base = -base
+		diff := word ^ words[w]
+		if diff == 0 {
+			continue
 		}
-		if math.IsInf(float64(min2), 1) {
-			min2 = maxLLR
-		}
-		if math.IsInf(float64(min1), 1) {
-			min1 = maxLLR
-		}
-		for e := lo; e < hi; e++ {
-			v := vars[e]
-			old := c2v[e]
-			mag := min1
-			if e == argmin {
-				mag = min2
-			}
-			out := base * mag
-			if marg[v]-old < 0 != signs {
-				out = -out
-			}
-			marg[v] += out - old
-			c2v[e] = out
+		words[w] = word
+		for ; diff != 0; diff &= diff - 1 {
+			d.flipVar(lo + bits.TrailingZeros64(diff))
 		}
 	}
-	for v := 0; v < g.N; v++ {
-		d.hard.Set(v, marg[v] <= 0)
-	}
-	return d.syndromeMatches(s)
+	return d.nUnsat == 0
 }
 
-// trackFlips accumulates flip counts and rolls the previous hard decision.
-func (d *Decoder) trackFlips() {
-	for v := 0; v < d.g.N; v++ {
-		if d.hard.Get(v) != d.prevHard.Get(v) {
-			d.flip[v]++
-		}
+// flipVar records that variable v's hard decision flipped.
+func (d *Decoder) flipVar(v int) {
+	if d.cfg.TrackOscillation {
+		d.flip[v]++
 	}
-	d.prevHard.CopyFrom(d.hard)
-}
-
-// syndromeMatches reports whether H·hard == s.
-func (d *Decoder) syndromeMatches(s gf2.Vec) bool {
 	g := d.g
-	for c := 0; c < g.M; c++ {
-		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
-		parity := false
-		for e := lo; e < hi; e++ {
-			if d.hard.Get(g.EdgeVar[e]) {
-				parity = !parity
-			}
-		}
-		if parity != s.Get(c) {
-			return false
+	for _, e := range g.VarEdges[g.VarPtr[v]:g.VarPtr[v+1]] {
+		c := int(g.EdgeCheck[e])
+		d.unsat.Flip(c)
+		if d.unsat.Get(c) {
+			d.nUnsat++
+		} else {
+			d.nUnsat--
 		}
 	}
-	return true
 }

@@ -56,8 +56,8 @@ func BenchmarkDecodeBB144Hard(b *testing.B) {
 
 // TestDecodeZeroAllocSteadyState pins the allocation-free hot path: after
 // warm-up, a BP decode must not allocate — for either schedule, with and
-// without oscillation tracking, and on both converging and failing
-// syndromes.
+// without oscillation tracking, with a fixed α, on both converging and
+// failing syndromes, and on a Clone as on the original.
 func TestDecodeZeroAllocSteadyState(t *testing.T) {
 	c, err := codes.BB144()
 	if err != nil {
@@ -80,13 +80,34 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 		{"flooding-fails", Config{MaxIter: 30}, failing},
 		{"layered", Config{MaxIter: 30, Schedule: Layered}, failing},
 		{"oscillation", Config{MaxIter: 30, TrackOscillation: true}, failing},
+		{"fixed-alpha", Config{MaxIter: 30, FixedAlpha: 0.625}, failing},
 		{"sum-product", Config{MaxIter: 10, Variant: SumProduct}, failing},
 	} {
 		d := New(g, probs, tc.cfg)
-		d.Decode(tc.s) // warm-up (lazy sum-product scratch)
-		allocs := testing.AllocsPerRun(20, func() { d.Decode(tc.s) })
-		if allocs != 0 {
-			t.Errorf("%s: %v allocs per steady-state decode, want 0", tc.name, allocs)
+		for _, dec := range []*Decoder{d, d.Clone()} {
+			dec.Decode(tc.s) // warm-up (lazy sum-product scratch)
+			allocs := testing.AllocsPerRun(20, func() { dec.Decode(tc.s) })
+			if allocs != 0 {
+				t.Errorf("%s (clone %v): %v allocs per steady-state decode, want 0", tc.name, dec != d, allocs)
+			}
 		}
 	}
+}
+
+// BenchmarkIterationBB144DEM measures min-sum iteration cost on the graph
+// the paper's headline decodes: the detector error model of the gross code
+// (2 rounds, p = 3e-3; 288 checks, 7897 mechanisms, 47,670 edges). Each op
+// is one BP100 decode of a sampled syndrome; ns/edge is the time per
+// iteration and edge, as perfbench's bp.ns_per_edge_update counts it.
+func BenchmarkIterationBB144DEM(b *testing.B) {
+	g, probs, syns := demProblem(b, "bb144", 2, 3e-3, 64)
+	d := New(g, probs, Config{MaxIter: 100})
+	iters := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iters += d.Decode(syns[i%len(syns)]).Iterations
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(iters)*float64(g.E)), "ns/edge")
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 }

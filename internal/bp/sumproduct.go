@@ -75,31 +75,14 @@ func spCheckUpdate(in, out []float64, base float64) {
 	}
 }
 
-// floodIterationSP performs one flooding sum-product iteration with the
-// same staging as floodIteration (deltas committed after the full check
-// pass). Returns whether the hard decision satisfies s.
-func (d *Decoder) floodIterationSP(s gf2.Vec) bool {
+// sumProductPass runs the sum-product check update over every check,
+// adding each message change to acc, as minSumPass does.
+func (d *Decoder) sumProductPass(s gf2.Vec, acc []float32) {
 	g := d.g
 	c2v := d.c2v
 	marg := d.marginal
 	vars := g.EdgeVar
-	if d.delta == nil || len(d.delta) != g.N {
-		d.delta = make([]float32, g.N)
-	}
-	delta := d.delta
-	for v := range delta {
-		delta[v] = 0
-	}
-	maxDeg := 0
-	if d.spIn == nil {
-		for c := 0; c < g.M; c++ {
-			if deg := g.CheckDegree(c); deg > maxDeg {
-				maxDeg = deg
-			}
-		}
-		d.spIn = make([]float64, maxDeg)
-		d.spOut = make([]float64, maxDeg)
-	}
+	d.spScratch()
 	for c := 0; c < g.M; c++ {
 		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
 		deg := hi - lo
@@ -118,57 +101,21 @@ func (d *Decoder) floodIterationSP(s gf2.Vec) bool {
 			e := lo + k
 			v := vars[e]
 			nw := float32(out[k])
-			delta[v] += nw - c2v[e]
+			acc[v] += nw - c2v[e]
 			c2v[e] = nw
 		}
 	}
-	for v := 0; v < g.N; v++ {
-		marg[v] += delta[v]
-		d.hard.Set(v, marg[v] <= 0)
-	}
-	return d.syndromeMatches(s)
 }
 
-// layeredIterationSP is the serial-schedule sum-product sweep.
-func (d *Decoder) layeredIterationSP(s gf2.Vec) bool {
-	g := d.g
-	c2v := d.c2v
-	marg := d.marginal
-	vars := g.EdgeVar
-	if d.spIn == nil {
-		maxDeg := 0
-		for c := 0; c < g.M; c++ {
-			if deg := g.CheckDegree(c); deg > maxDeg {
-				maxDeg = deg
-			}
-		}
-		d.spIn = make([]float64, maxDeg)
-		d.spOut = make([]float64, maxDeg)
+// spScratch allocates the per-check sum-product buffers on first use.
+func (d *Decoder) spScratch() {
+	if d.spIn != nil {
+		return
 	}
-	for c := 0; c < g.M; c++ {
-		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
-		deg := hi - lo
-		in := d.spIn[:deg]
-		out := d.spOut[:deg]
-		for k := 0; k < deg; k++ {
-			e := lo + k
-			in[k] = float64(marg[vars[e]] - c2v[e])
-		}
-		base := 1.0
-		if s.Get(c) {
-			base = -1
-		}
-		spCheckUpdate(in, out, base)
-		for k := 0; k < deg; k++ {
-			e := lo + k
-			v := vars[e]
-			nw := float32(out[k])
-			marg[v] += nw - c2v[e]
-			c2v[e] = nw
-		}
+	maxDeg := 0
+	for c := 0; c < d.g.M; c++ {
+		maxDeg = max(maxDeg, d.g.CheckDegree(c))
 	}
-	for v := 0; v < g.N; v++ {
-		d.hard.Set(v, marg[v] <= 0)
-	}
-	return d.syndromeMatches(s)
+	d.spIn = make([]float64, maxDeg)
+	d.spOut = make([]float64, maxDeg)
 }

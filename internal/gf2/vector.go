@@ -169,10 +169,11 @@ func (v Vec) ByteLen() int { return (v.n + 7) / 8 }
 
 // Words returns the vector's backing words (bit i of Words()[i/64] is
 // bit i of the vector; tail bits beyond Len are zero). The slice aliases
-// the vector — callers must treat it as read-only. It exists for
-// word-at-a-time consumers like the union-find decoder, which walks a
-// syndrome's set bits without the per-bit Get loop or the allocation
-// Support would cost.
+// the vector: only the vector's owner may write through it, and it must
+// keep the tail bits zero. It exists for word-at-a-time consumers like
+// the union-find decoder, which walks a syndrome's set bits without the
+// per-bit Get loop or the allocation Support would cost, and the BP
+// decoder, which builds its hard decision a word at a time.
 func (v Vec) Words() []uint64 { return v.w }
 
 // AppendBytes appends the vector's packed bits to dst — ByteLen bytes,

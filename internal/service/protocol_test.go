@@ -70,6 +70,29 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHelloRejectsBadP pins the physical-error-rate check the server, the
+// gateway and the client share: a Hello whose P is NaN or outside (0, 1)
+// is refused, and the round trip through the wire does not launder it.
+func TestHelloRejectsBadP(t *testing.T) {
+	for _, p := range []float64{math.NaN(), 0, -0.1, 1, 1.5, math.Inf(1)} {
+		h := Hello{Code: "bb72", P: p, Spec: Spec{Kind: "bp", BPIters: 10}}
+		if _, err := NormalizeHello(h); err == nil {
+			t.Errorf("P = %v validated", p)
+		}
+		payload, err := appendHello(nil, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := parseHello(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NormalizeHello(parsed); err == nil {
+			t.Errorf("P = %v validated after a wire round trip", p)
+		}
+	}
+}
+
 func TestHelloRejectsGarbage(t *testing.T) {
 	if _, err := parseHello([]byte{msgHello, 1, 2, 3}); err == nil {
 		t.Fatal("truncated hello accepted")

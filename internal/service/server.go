@@ -370,8 +370,8 @@ func validateHello(h Hello) (Hello, error) {
 	if h.Rounds < 1 || h.Rounds > 65535 {
 		return h, fmt.Errorf("service: rounds %d out of range [1, 65535]", h.Rounds)
 	}
-	if h.P <= 0 || h.P >= 1 {
-		return h, fmt.Errorf("service: physical error rate %g out of (0,1)", h.P)
+	if err := sim.CheckP(h.P); err != nil {
+		return h, fmt.Errorf("service: %w", err)
 	}
 	if h.Deadline < 0 {
 		return h, fmt.Errorf("service: negative deadline")

@@ -4,11 +4,19 @@
 // endpoints can enumerate their incident edges without hashing.
 package tanner
 
-import "bpsf/internal/sparse"
+import (
+	"math"
+
+	"bpsf/internal/sparse"
+)
 
 // Graph is the Tanner graph of an M×N parity-check matrix. It is immutable
 // after construction and safe for concurrent use; decoders allocate their
 // own per-edge message buffers.
+//
+// Edge and node ids inside the adjacency arrays are int32: half the bytes
+// of int on the message-passing gathers, which are memory-bound on the
+// detector-error-model graphs. The CSR offsets stay int.
 type Graph struct {
 	// H is the underlying parity-check matrix.
 	H *sparse.Mat
@@ -21,35 +29,38 @@ type Graph struct {
 	// edges are numbered consecutively per check, so CheckEdges[k] == k; the
 	// slice exists for symmetry and clarity.
 	CheckPtr []int
-	EdgeVar  []int
+	EdgeVar  []int32
 
 	// Variable-side adjacency: edges of variable i are
 	// VarEdges[VarPtr[i]:VarPtr[i+1]] (edge ids into EdgeVar/EdgeCheck).
 	VarPtr    []int
-	VarEdges  []int
-	EdgeCheck []int
+	VarEdges  []int32
+	EdgeCheck []int32
 }
 
 // New builds the Tanner graph of h.
 func New(h *sparse.Mat) *Graph {
 	m, n := h.Rows(), h.Cols()
 	g := &Graph{H: h, M: m, N: n, E: h.NNZ()}
+	if g.E > math.MaxInt32 || n > math.MaxInt32 {
+		panic("tanner: graph too large for int32 edge ids")
+	}
 	g.CheckPtr = make([]int, m+1)
-	g.EdgeVar = make([]int, g.E)
-	g.EdgeCheck = make([]int, g.E)
+	g.EdgeVar = make([]int32, g.E)
+	g.EdgeCheck = make([]int32, g.E)
 	e := 0
 	for j := 0; j < m; j++ {
 		g.CheckPtr[j] = e
 		for _, v := range h.RowSupport(j) {
-			g.EdgeVar[e] = v
-			g.EdgeCheck[e] = j
+			g.EdgeVar[e] = int32(v)
+			g.EdgeCheck[e] = int32(j)
 			e++
 		}
 	}
 	g.CheckPtr[m] = e
 
 	g.VarPtr = make([]int, n+1)
-	g.VarEdges = make([]int, g.E)
+	g.VarEdges = make([]int32, g.E)
 	counts := make([]int, n)
 	for _, v := range g.EdgeVar {
 		counts[v]++
@@ -59,7 +70,7 @@ func New(h *sparse.Mat) *Graph {
 	}
 	fill := make([]int, n)
 	for e, v := range g.EdgeVar {
-		g.VarEdges[g.VarPtr[v]+fill[v]] = e
+		g.VarEdges[g.VarPtr[v]+fill[v]] = int32(e)
 		fill[v]++
 	}
 	return g
@@ -77,4 +88,4 @@ func (g *Graph) CheckEdgeRange(j int) (lo, hi int) { return g.CheckPtr[j], g.Che
 
 // VarEdgeList returns the edge ids incident to variable i. The slice aliases
 // internal storage and must not be modified.
-func (g *Graph) VarEdgeList(i int) []int { return g.VarEdges[g.VarPtr[i]:g.VarPtr[i+1]] }
+func (g *Graph) VarEdgeList(i int) []int32 { return g.VarEdges[g.VarPtr[i]:g.VarPtr[i+1]] }

@@ -27,7 +27,7 @@ func TestGraphAdjacency(t *testing.T) {
 		t.Fatal("edge range wrong")
 	}
 	// edges of check 0 go to vars 0,1,3
-	vars := []int{}
+	vars := []int32{}
 	for e := lo; e < hi; e++ {
 		vars = append(vars, g.EdgeVar[e])
 	}
@@ -35,7 +35,7 @@ func TestGraphAdjacency(t *testing.T) {
 		t.Fatalf("check 0 vars = %v", vars)
 	}
 	// var 1's edges must point back to checks 0 and 1
-	checks := map[int]bool{}
+	checks := map[int32]bool{}
 	for _, e := range g.VarEdgeList(1) {
 		checks[g.EdgeCheck[e]] = true
 		if g.EdgeVar[e] != 1 {
@@ -72,7 +72,7 @@ func TestGraphConsistencyRandom(t *testing.T) {
 					t.Fatal("edge listed twice on var side")
 				}
 				seen[e] = true
-				if g.EdgeVar[e] != v {
+				if int(g.EdgeVar[e]) != v {
 					t.Fatal("EdgeVar mismatch")
 				}
 			}
@@ -85,10 +85,10 @@ func TestGraphConsistencyRandom(t *testing.T) {
 		for c := 0; c < g.M; c++ {
 			lo, hi := g.CheckEdgeRange(c)
 			for e := lo; e < hi; e++ {
-				if g.EdgeCheck[e] != c {
+				if int(g.EdgeCheck[e]) != c {
 					t.Fatal("EdgeCheck mismatch")
 				}
-				if !h.Get(c, g.EdgeVar[e]) {
+				if !h.Get(c, int(g.EdgeVar[e])) {
 					t.Fatal("edge not present in matrix")
 				}
 			}
