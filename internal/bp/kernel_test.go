@@ -125,8 +125,8 @@ func TestKernelMatchesReference(t *testing.T) {
 		{"oscillation", Config{MaxIter: 25, TrackOscillation: true}},
 		{"layered-oscillation", Config{MaxIter: 25, Schedule: Layered, TrackOscillation: true}},
 		{"fixed-alpha", Config{MaxIter: 25, FixedAlpha: 0.625}},
-		{"sum-product", Config{MaxIter: 5, Variant: SumProduct}},
-		{"sum-product-layered", Config{MaxIter: 5, Variant: SumProduct, Schedule: Layered}},
+		{"sum-product", Config{MaxIter: 3, Variant: SumProduct}},
+		{"sum-product-layered", Config{MaxIter: 3, Variant: SumProduct, Schedule: Layered}},
 	}
 	for _, pr := range problems {
 		t.Run(pr.name, func(t *testing.T) {

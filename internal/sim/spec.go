@@ -215,7 +215,6 @@ func FlagSpec(name string, flags Spec) (Spec, error) {
 	return flags, flags.Validate()
 }
 
-
 // CheckP rejects a physical error rate outside the open interval (0, 1),
 // NaN included. The CLIs and the decode service share it, so a bad rate
 // fails before any shard starts or any session opens.

@@ -14,9 +14,8 @@ import (
 // after construction and safe for concurrent use; decoders allocate their
 // own per-edge message buffers.
 //
-// Edge and node ids inside the adjacency arrays are int32: half the bytes
-// of int on the message-passing gathers, which are memory-bound on the
-// detector-error-model graphs. The CSR offsets stay int.
+// Edge and node ids inside the adjacency arrays are int32, half the bytes
+// of int on the message-passing gathers. The CSR offsets stay int.
 type Graph struct {
 	// H is the underlying parity-check matrix.
 	H *sparse.Mat
