@@ -14,10 +14,9 @@
 //
 // Usage:
 //
-// Named workload profiles (-profile, registry in internal/bench) replay
-// the exact canonical mixes the bpsf-bench service baselines measure, so
-// any committed BENCH_service.json number is one command to reproduce;
-// explicitly set flags override the profile's corresponding field.
+// Named workload profiles (-profile, registry in profile.go) replay a
+// canonical mix in one command; explicitly set flags override the
+// profile's corresponding field.
 //
 //	bpsf-load -addr 127.0.0.1:7421 -code bb144 -p 0.003 -shots 10000 -sessions 8
 //	bpsf-load -addr 127.0.0.1:7421 -mode open -rate 2000 -deadline 5ms -shots 20000
@@ -39,7 +38,6 @@ import (
 	"sync"
 	"time"
 
-	"bpsf/internal/bench"
 	"bpsf/internal/code"
 	"bpsf/internal/codes"
 	"bpsf/internal/decoding"
@@ -54,7 +52,7 @@ import (
 // applyProfile overlays a named workload profile onto the flag values:
 // each profile field becomes the default of its corresponding flag, and
 // any flag the user set explicitly (isSet) wins over the profile.
-func applyProfile(prof bench.Profile, isSet func(string) bool, v profileFlags) {
+func applyProfile(prof Profile, isSet func(string) bool, v profileFlags) {
 	assignStr := func(name string, dst *string, val string) {
 		if !isSet(name) {
 			*dst = val
@@ -143,7 +141,7 @@ func main() {
 	replay := flag.Bool("replay", false,
 		"streaming mode: replay the first recorded round stream and require byte-identical commits (library + service)")
 	profile := flag.String("profile", "",
-		"named workload profile to replay: "+fmt.Sprint(bench.ProfileNames())+" (explicit flags override; see bpsf-bench -list)")
+		"named workload profile to replay: "+fmt.Sprint(ProfileNames())+" (explicit flags override)")
 	pullStats := flag.Bool("stats", false,
 		"after the run, pull the server's telemetry snapshot in-protocol (msgStats) and print it")
 	minBackends := flag.Int("min-backends", -1,
@@ -151,7 +149,7 @@ func main() {
 	flag.Parse()
 
 	if *profile != "" {
-		prof, err := bench.GetProfile(*profile)
+		prof, err := GetProfile(*profile)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -234,12 +232,11 @@ func main() {
 	fmt.Printf("%s-loop: %d sessions, %d shots, batch %d, %s\n",
 		*mode, *sessions, *shots, *batchSize, sampling)
 
-	// The batch plane runs on the shared load driver (service.DriveLoad,
-	// also the bpsf-bench service-area loopback driver). Every failure
-	// path is accounted there: open-loop batches whose responses never
-	// arrive are counted and reported — they used to be silently dropped,
-	// letting -max-shed 0 pass on runs that lost work — and ALL session
-	// errors come back joined, not just the first.
+	// The batch plane runs on the shared load driver (service.DriveLoad).
+	// Every failure path is accounted there: open-loop batches whose
+	// responses never arrive are counted and reported — they used to be
+	// silently dropped, letting -max-shed 0 pass on runs that lost work —
+	// and ALL session errors come back joined, not just the first.
 	res, err := service.DriveLoad(*addr, service.LoadConfig{
 		Code: *codeName, Rounds: r, P: *p, Spec: spec,
 		Sessions: *sessions, Shots: *shots, BatchSize: *batchSize,

@@ -1,10 +1,11 @@
 package main
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
-	"bpsf/internal/bench"
+	"bpsf/internal/codes"
 	"bpsf/internal/service"
 	"bpsf/internal/sim"
 )
@@ -56,16 +57,34 @@ func TestBatchFlagValues(t *testing.T) {
 // -decoder convention: unknown names make the CLI exit non-zero (via
 // log.Fatal on this error) printing the available profile set.
 func TestProfileFlagValidation(t *testing.T) {
-	if _, err := bench.GetProfile("edge-rsurf5-uf"); err != nil {
+	if _, err := GetProfile("edge-rsurf5-uf"); err != nil {
 		t.Errorf("known profile rejected: %v", err)
 	}
-	_, err := bench.GetProfile("nope")
+	_, err := GetProfile("nope")
 	if err == nil {
 		t.Fatal("-profile nope accepted")
 	}
-	for _, name := range bench.ProfileNames() {
+	for _, name := range ProfileNames() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not print available profile %q", err, name)
+		}
+	}
+}
+
+// TestGetProfileUnknown: the registry's error for an unknown name
+// announces the available set and lists every profile in it.
+func TestGetProfileUnknown(t *testing.T) {
+	_, err := GetProfile("nope")
+	if err == nil {
+		t.Fatal("unknown profile accepted")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "known profiles") {
+		t.Errorf("error %q does not announce the available set", msg)
+	}
+	for _, name := range ProfileNames() {
+		if !strings.Contains(msg, name) {
+			t.Errorf("error %q omits profile %q", msg, name)
 		}
 	}
 }
@@ -74,7 +93,7 @@ func TestProfileFlagValidation(t *testing.T) {
 // lands in its flag unless that flag was set explicitly, in which case
 // the explicit value wins.
 func TestApplyProfilePrecedence(t *testing.T) {
-	prof, err := bench.GetProfile("bulk-bb72-bposd")
+	prof, err := GetProfile("bulk-bb72-bposd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +126,7 @@ func TestApplyProfilePrecedence(t *testing.T) {
 	}
 
 	// a streaming profile presets the window/commit plane
-	stream, err := bench.GetProfile("stream-rsurf5-uf")
+	stream, err := GetProfile("stream-rsurf5-uf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,5 +144,79 @@ func TestDecoderFlagMatchesServiceKinds(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Errorf("service kind %q rejected by Validate: %v", kind, err)
 		}
+	}
+}
+
+// TestProfilesAreRunnable validates every registered profile the way the
+// CLI consumes it: catalog code, validating decoder spec, sane load
+// model, and a batch-plane load config that passes the driver's own
+// validation. It also pins each profile's pool-key label: the service
+// keys pools, and the fleet routes sessions, by it.
+func TestProfilesAreRunnable(t *testing.T) {
+	labels := map[string]string{
+		"edge-rsurf5-uf":   "UF",
+		"bulk-bb72-bposd":  "BP100-OSD10",
+		"open-bb72-bp":     "BP100",
+		"stream-rsurf5-uf": "UF",
+		"ci-smoke":         "BP50",
+	}
+	profiles := Profiles()
+	if len(profiles) != len(labels) {
+		t.Errorf("%d profiles, the label table pins %d", len(profiles), len(labels))
+	}
+	cat := codes.Catalog()
+	for name, p := range profiles {
+		t.Run(name, func(t *testing.T) {
+			if p.Name != name {
+				t.Errorf("Name %q != registry key %q", p.Name, name)
+			}
+			if got := p.Spec.String(); got != labels[name] {
+				t.Errorf("label %q, want %q", got, labels[name])
+			}
+			if p.Description == "" {
+				t.Error("empty Description")
+			}
+			if _, ok := cat[p.Code]; !ok {
+				t.Errorf("code %q not in the catalog", p.Code)
+			}
+			if err := p.Spec.Validate(); err != nil {
+				t.Errorf("spec: %v", err)
+			}
+			if p.Mode != "closed" && p.Mode != "open" {
+				t.Errorf("mode %q", p.Mode)
+			}
+			if p.Mode == "open" && p.Rate <= 0 {
+				t.Error("open mode with no rate")
+			}
+			if p.Sessions <= 0 || p.Shots <= 0 {
+				t.Errorf("degenerate load: sessions %d, shots %d", p.Sessions, p.Shots)
+			}
+			if p.Window < 0 || p.Commit < 0 || (p.Window > 0 && p.Commit > p.Window) {
+				t.Errorf("bad window/commit %d/%d", p.Window, p.Commit)
+			}
+			if p.Window == 0 {
+				lc := service.LoadConfig{
+					Code: p.Code, Rounds: p.Rounds, P: p.P, Spec: p.Spec,
+					Sessions: p.Sessions, Shots: p.Shots, BatchSize: p.BatchSize,
+					ServerSample: p.ServerSample,
+					Mode:         p.Mode, Rate: p.Rate,
+					Seed: 1,
+				}
+				if _, err := lc.Validate(); err != nil {
+					t.Errorf("load config rejected by the driver: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// TestProfileNamesSorted: the flag help and error listings are stable.
+func TestProfileNamesSorted(t *testing.T) {
+	names := ProfileNames()
+	if !sort.StringsAreSorted(names) {
+		t.Errorf("ProfileNames not sorted: %v", names)
+	}
+	if len(names) != len(Profiles()) {
+		t.Errorf("%d names for %d profiles", len(names), len(Profiles()))
 	}
 }

@@ -1,24 +1,19 @@
-package bench
+package main
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"bpsf/internal/service"
 )
 
-// Profile is a canonical named workload mix — code × p × decoder ×
-// batch/stream traffic shape — following SPEC CPU2026's representative-
-// workload lesson: the suite's service numbers and a bpsf-load run of
-// the same name measure the same traffic, so every committed perf claim
-// is one command to reproduce:
+// Profile is a named workload mix — code × p × decoder × batch/stream
+// traffic shape — that -profile replays, so a canonical load is one
+// command:
 //
 //	bpsf-load -addr <srv> -profile <name>
 //
-// Window > 0 selects the windowed streaming plane (bpsf-load only; the
-// bench service area measures batch-plane profiles and leaves streaming
-// kernel costs to the window area).
+// Window > 0 selects the windowed streaming plane.
 type Profile struct {
 	Name        string
 	Description string
@@ -33,13 +28,7 @@ type Profile struct {
 	ServerSample bool
 	Sessions     int
 	Shots        int // total syndromes (batch plane) or streams (streaming)
-	// SmokeShots, when > 0, replaces Shots in bpsf-bench -smoke runs.
-	// Set it on slow profiles so CI stays short; fast profiles keep
-	// their full depth — cutting them would measure connection setup
-	// instead of steady-state throughput, and the smoke numbers must
-	// stay comparable to the committed full-depth baselines.
-	SmokeShots int
-	BatchSize  int
+	BatchSize    int
 
 	Mode string  // "closed" | "open"
 	Rate float64 // total syndrome arrivals/s (open mode)
@@ -47,20 +36,8 @@ type Profile struct {
 	Window, Commit int // streaming plane when Window > 0
 }
 
-// LoadConfig lowers the profile onto the shared batch-plane load driver.
-func (p Profile) LoadConfig(seed int64, deadline time.Duration) service.LoadConfig {
-	return service.LoadConfig{
-		Code: p.Code, Rounds: p.Rounds, P: p.P, Spec: p.Spec,
-		Sessions: p.Sessions, Shots: p.Shots, BatchSize: p.BatchSize,
-		ServerSample: p.ServerSample,
-		Mode:         p.Mode, Rate: p.Rate,
-		Seed: seed, Deadline: deadline,
-	}
-}
-
-// Profiles returns the canonical workload-mix registry shared by
-// bpsf-bench (service area) and bpsf-load -profile. Additions here are
-// picked up by both surfaces and by TestProfilesAreRunnable.
+// Profiles returns the named workload registry behind -profile.
+// Additions here are picked up by TestProfilesAreRunnable.
 func Profiles() map[string]Profile {
 	return map[string]Profile{
 		"edge-rsurf5-uf": {
@@ -78,7 +55,7 @@ func Profiles() map[string]Profile {
 			Code:        "bb72", P: 3e-3,
 			Spec:         service.Spec{Kind: "bposd", BPIters: 100, OSDOrder: 10},
 			ServerSample: true,
-			Sessions:     4, Shots: 1024, SmokeShots: 256, BatchSize: 32,
+			Sessions:     4, Shots: 1024, BatchSize: 32,
 			Mode: "closed",
 		},
 		"open-bb72-bp": {
@@ -87,12 +64,12 @@ func Profiles() map[string]Profile {
 			Code:        "bb72", P: 3e-3,
 			Spec:         service.Spec{Kind: "bp", BPIters: 100},
 			ServerSample: true,
-			Sessions:     4, Shots: 1024, SmokeShots: 256, BatchSize: 16,
+			Sessions:     4, Shots: 1024, BatchSize: 16,
 			Mode: "open", Rate: 2000,
 		},
 		"stream-rsurf5-uf": {
 			Name:        "stream-rsurf5-uf",
-			Description: "windowed streaming mix: rsurf5 @ p=1e-3, W=3 C=1 over the UF kernel (bpsf-load only)",
+			Description: "windowed streaming mix: rsurf5 @ p=1e-3, W=3 C=1 over the UF kernel",
 			Code:        "rsurf5", P: 1e-3,
 			Spec:     service.Spec{Kind: "uf"},
 			Sessions: 2, Shots: 64,
@@ -112,7 +89,7 @@ func Profiles() map[string]Profile {
 }
 
 // ProfileNames returns the sorted registry keys — the vocabulary of the
-// bpsf-load -profile flag.
+// -profile flag.
 func ProfileNames() []string {
 	reg := Profiles()
 	names := make([]string, 0, len(reg))
@@ -131,17 +108,4 @@ func GetProfile(name string) (Profile, error) {
 		return Profile{}, fmt.Errorf("unknown profile %q (known profiles: %v)", name, ProfileNames())
 	}
 	return p, nil
-}
-
-// ServiceProfiles returns the batch-plane profile names the bench service
-// area measures, in pinned order (streaming profiles replay only through
-// bpsf-load; the window area covers windowed kernel cost).
-func ServiceProfiles() []string {
-	var names []string
-	for _, name := range ProfileNames() {
-		if p := Profiles()[name]; p.Window == 0 && name != "ci-smoke" {
-			names = append(names, name)
-		}
-	}
-	return names
 }

@@ -71,6 +71,41 @@ func BenchmarkDEMScalarSample(b *testing.B) {
 	}
 }
 
+// TestSamplerZeroAlloc gates the four syndrome samplers on the 5-round
+// rsurf5 memory experiment: at steady state none allocates. Each batch
+// run draws a whole block, so a block refill that allocated would show.
+func TestSamplerZeroAlloc(t *testing.T) {
+	circ, d := buildMemexp(t, "rsurf5", 5)
+	const p = 0.003
+	circBatch := NewCursor(NewCircuitSampler(circ, p, 1).SampleBlock)
+	demBatch := NewCursor(NewDEMSampler(d, p, 1).SampleBlock)
+	circScalar := NewScalarSampler(circ, p, 1)
+	demScalar := dem.NewSampler(d, p, 1)
+	for _, tc := range []struct {
+		name string
+		draw func()
+	}{
+		{"circuit-batch", func() {
+			for i := 0; i < BlockShots; i++ {
+				circBatch.Next()
+			}
+		}},
+		{"dem-batch", func() {
+			for i := 0; i < BlockShots; i++ {
+				demBatch.Next()
+			}
+		}},
+		{"circuit-scalar", func() { circScalar.SampleShared() }},
+		{"dem-scalar", func() { demScalar.SampleShared() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(20, tc.draw); allocs != 0 {
+				t.Errorf("%v allocs per run, want 0", allocs)
+			}
+		})
+	}
+}
+
 // TestBatchSamplerSpeedup is the enforced acceptance gate: the batch
 // circuit sampler must be ≥ 8× faster per shot than the scalar one on
 // the 5-round rsurf5 memory experiment (observed ~16×, so the gate has

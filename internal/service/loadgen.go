@@ -17,9 +17,8 @@ import (
 // syndrome source (server-side word-parallel batch sampling, or the
 // retained client-side scalar sampler uploading packed syndromes).
 //
-// It is the shared substrate of cmd/bpsf-load and the bpsf-bench service
-// area (which runs it in-process against a loopback Server), so a named
-// workload profile replays identically in both.
+// It is the substrate of cmd/bpsf-load, whose named workload profiles
+// lower onto it, and of in-process loopback tests against a Server.
 type LoadConfig struct {
 	Code   string
 	Rounds int // syndrome-extraction rounds (0 = catalog default)
@@ -77,7 +76,7 @@ func (cfg LoadConfig) withDefaults() (LoadConfig, error) {
 
 // Validate normalizes the config — defaults, catalog-default rounds —
 // and reports configuration mistakes without dialing anything, so CLIs
-// and the bench harness fail fast on bad profiles.
+// fail fast on bad profiles.
 func (cfg LoadConfig) Validate() (LoadConfig, error) { return cfg.withDefaults() }
 
 // LoadResult is the accounting of one DriveLoad run. Every submitted

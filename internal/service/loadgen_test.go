@@ -171,8 +171,7 @@ func TestDriveLoadCollectsAllSessionErrors(t *testing.T) {
 }
 
 // TestDriveLoadClosedLoop drives a real in-process server on loopback:
-// the accounting must cover every shot with zero failed batches, and the
-// run must replay the named-profile semantics bpsf-bench relies on.
+// the accounting must cover every shot with zero failed batches.
 func TestDriveLoadClosedLoop(t *testing.T) {
 	srv := NewServer(Options{PoolSize: 1})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
@@ -205,8 +204,8 @@ func TestDriveLoadClosedLoop(t *testing.T) {
 	}
 }
 
-// TestLoadConfigValidation pins the config error paths shared by
-// bpsf-load and bpsf-bench.
+// TestLoadConfigValidation pins the config error paths bpsf-load relies
+// on.
 func TestLoadConfigValidation(t *testing.T) {
 	base := LoadConfig{Code: "bb72", Rounds: 2, P: 3e-3,
 		Spec: Spec{Kind: "bp", BPIters: 10}, Shots: 16, ServerSample: true}

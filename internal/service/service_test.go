@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -330,8 +329,6 @@ func TestAdaptiveCoalescing(t *testing.T) {
 type stubDecoder struct {
 	delay time.Duration
 	gate  chan struct{} // when set, the first Decode blocks until closed
-	spin  int           // busy-work iterations (throughput scaling)
-	sink  float64
 }
 
 func (d *stubDecoder) Name() string { return "stub" }
@@ -343,31 +340,25 @@ func (d *stubDecoder) Decode(s gf2.Vec) sim.Outcome {
 	if d.delay > 0 {
 		time.Sleep(d.delay)
 	}
-	// accumulate locally: stubs of one pool may share a cache line, and a
-	// per-iteration store to d.sink would serialize their workers
-	sink := 0.0
-	for i := 0; i < d.spin; i++ {
-		sink += float64(i%7) * 1e-9
-	}
-	d.sink += sink
 	return sim.Outcome{Success: true, ErrHat: gf2.NewVec(8), Iterations: 1}
 }
 
 // TestPoolThroughputScales asserts the acceptance criterion: decode
-// throughput rises monotonically from pool size 1 → 2. Compute-bound stub
-// decoders keep the measurement about the pool, not the decoder, and each
-// pool size is timed as the best of three runs so one descheduled run on
-// a loaded host does not decide the comparison. Each request carries its
-// own affinity, as distinct sessions do; requests of one session all land
-// on one worker's lane and would not show the pool's scaling. Skipped on
-// single-core hosts, where a second worker cannot help.
+// throughput rises monotonically from pool size 1 → 2. Each stub decode
+// takes a fixed wall time without holding a core, so the measurement is
+// about the pool's concurrency — any lock, lane or queue that serialized
+// its workers would stall the second one — and not about how many cores
+// other processes leave idle: compute-bound stubs scaled only 1.0–1.3×
+// while another package's tests saturated a 2-core host, which let noise
+// invert the comparison. Each pool size is timed as the best of three
+// runs so one descheduled run does not decide the comparison. Each
+// request carries its own affinity, as distinct sessions do; requests of
+// one session all land on one worker's lane and would not show the
+// pool's scaling.
 func TestPoolThroughputScales(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("single-core host: pool scaling is not observable")
-	}
 	run := func(size int) time.Duration {
 		p, err := newPool("stub", nil, func() (sim.Decoder, error) {
-			return &stubDecoder{spin: 400_000}, nil
+			return &stubDecoder{delay: 500 * time.Microsecond}, nil
 		}, poolOptions{size: size, queueDepth: 512, maxBatch: 4})
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package sim_test
 import (
 	"testing"
 
-	"bpsf/internal/bench"
 	"bpsf/internal/codes"
 	"bpsf/internal/noise"
 	"bpsf/internal/osd"
@@ -13,11 +12,10 @@ import (
 )
 
 // TestSpecValidateAndLabel is the one label table of the decoder spec. It
-// pins every legend label of the golden figure rows, the ",layered", ",P="
-// and "W…C…[…]" forms, and the pool-key label of every bench profile (pool
-// keys and fleet session keys embed it). Every valid spec must also build
-// a decoder, and the invalid specs must be rejected by Validate and
-// NewDecoder alike.
+// pins every legend label of the golden figure rows and the ",layered",
+// ",P=" and "W…C…[…]" forms; cmd/bpsf-load pins its profiles' labels.
+// Every valid spec must also build a decoder, and the invalid specs must
+// be rejected by Validate and NewDecoder alike.
 func TestSpecValidateAndLabel(t *testing.T) {
 	layout := window.RowRounds(4) // the rows of specTestH
 	for _, tc := range []struct {
@@ -38,7 +36,7 @@ func TestSpecValidateAndLabel(t *testing.T) {
 		{sim.Spec{Kind: "uf", Window: 3, Layout: layout}, "W3C1[UF]"},
 		{sim.Spec{Kind: "bposd", BPIters: 100, OSDOrder: 5, Window: 2, Commit: 1, Layout: layout}, "W2C1[BP100-OSD5]"},
 		{sim.Spec{Kind: "bposd", BPIters: 100, OSDOrder: 5, Window: 3, Commit: 1, Layout: layout}, "W3C1[BP100-OSD5]"},
-		// bench profiles and service pool keys
+		// load profiles and service pool keys
 		{sim.Spec{Kind: "bp", BPIters: 100}, "BP100"},
 		{sim.Spec{Kind: "bp", BPIters: 50}, "BP50"},
 		{sim.Spec{Kind: "bposd", BPIters: 100, OSDOrder: 10}, "BP100-OSD10"},
@@ -86,25 +84,6 @@ func TestSpecValidateAndLabel(t *testing.T) {
 	}
 	if got := (sim.Spec{Kind: "weird"}).String(); got != "weird" {
 		t.Errorf("fallback label %q, want the kind", got)
-	}
-
-	// the pool-key label of every bench profile: the service keys pools,
-	// and the fleet routes sessions, by it
-	profileLabels := map[string]string{
-		"edge-rsurf5-uf":   "UF",
-		"bulk-bb72-bposd":  "BP100-OSD10",
-		"open-bb72-bp":     "BP100",
-		"stream-rsurf5-uf": "UF",
-		"ci-smoke":         "BP50",
-	}
-	profiles := bench.Profiles()
-	if len(profiles) != len(profileLabels) {
-		t.Errorf("%d bench profiles, the table pins %d", len(profiles), len(profileLabels))
-	}
-	for name, p := range profiles {
-		if got := p.Spec.String(); got != profileLabels[name] {
-			t.Errorf("profile %s: label %q, want %q", name, got, profileLabels[name])
-		}
 	}
 }
 
