@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"bpsf/internal/obs"
 	"bpsf/internal/service"
 	"bpsf/internal/sim"
 )
@@ -101,8 +102,7 @@ func main() {
 		defer ticker.Stop()
 		go func() {
 			for range ticker.C {
-				printStats(srv.Stats())
-				printStreamStats(srv.StreamingStats())
+				printStats(srv.Snapshot())
 			}
 		}()
 	}
@@ -111,9 +111,8 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
 	sig := waitSignals(sigs, func() { srv.Snapshot().WriteText(os.Stderr) })
 	log.Printf("%v: draining (grace %v)", sig, *drainGrace)
-	stats := srv.Drain(*drainGrace)
-	printStats(stats)
-	printStreamStats(srv.StreamingStats())
+	srv.Drain(*drainGrace)
+	printStats(srv.Snapshot())
 }
 
 // waitSignals blocks until a terminating signal arrives, invoking onDump
@@ -156,33 +155,31 @@ func parseDecoderKinds(s string) ([]string, error) {
 	return out, nil
 }
 
-// printStreamStats reports the windowed-stream plane (nothing when no
-// stream was ever opened).
-func printStreamStats(st service.StreamStats) {
-	if st.Opened == 0 {
-		return
-	}
+// printStats reports the pool table and, when a stream was ever opened,
+// the windowed-stream table: per-commit latency is the stream plane's
+// decode stage (round-frame arrival to commit emission).
+func printStats(snap service.ServerSnapshot) {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	tb := sim.NewTable("streams", "windows", "commit p50 ms", "p95 ms", "p99 ms", "p99.9 ms", "max ms")
-	tb.Row(st.Opened, st.Windows,
-		ms(st.Latency.P50), ms(st.Latency.P95), ms(st.Latency.P99), ms(st.Latency.P999), ms(st.Latency.Max))
-	if err := tb.Write(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func printStats(stats []service.PoolStats) {
-	if len(stats) == 0 {
+	if len(snap.Pools) == 0 {
 		fmt.Println("no pools served")
+	} else {
+		tb := sim.NewTable("pool", "size", "decoded", "shed(queue)", "shed(deadline)",
+			"avg batch", "p50 ms", "p95 ms", "p99 ms", "p99.9 ms", "max ms")
+		for _, st := range snap.Pools {
+			tb.Row(st.Pool, st.Size, st.Decoded, st.ShedQueue, st.ShedDeadline, st.AvgBatch,
+				ms(st.Latency.P50), ms(st.Latency.P95), ms(st.Latency.P99), ms(st.Latency.P999), ms(st.Latency.Max))
+		}
+		if err := tb.Write(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if snap.Streams.Opened == 0 {
 		return
 	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	tb := sim.NewTable("pool", "size", "decoded", "shed(queue)", "shed(deadline)",
-		"avg batch", "p50 ms", "p95 ms", "p99 ms", "p99.9 ms", "max ms")
-	for _, st := range stats {
-		tb.Row(st.Pool, st.Size, st.Decoded, st.ShedQueue, st.ShedDeadline, st.AvgBatch,
-			ms(st.Latency.P50), ms(st.Latency.P95), ms(st.Latency.P99), ms(st.Latency.P999), ms(st.Latency.Max))
-	}
+	lat := snap.StreamStages.Stages[obs.StageDecode]
+	tb := sim.NewTable("streams", "windows", "commit p50 ms", "p95 ms", "p99 ms", "p99.9 ms", "max ms")
+	tb.Row(snap.Streams.Opened, snap.Streams.Windows,
+		ms(lat.P50), ms(lat.P95), ms(lat.P99), ms(lat.P999), ms(lat.Max))
 	if err := tb.Write(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

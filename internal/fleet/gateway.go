@@ -1,11 +1,8 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,8 +45,6 @@ type GatewayOptions struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe round trip (default 2s).
 	ProbeTimeout time.Duration
-	// MaxFrame bounds one wire frame on both hops (default 16 MiB).
-	MaxFrame int
 	// IdleTimeout bounds the wait for the next CLIENT frame; a session
 	// idle past it is shut down cleanly (0 = never). It applies only to
 	// the client hop — backend conns carry no read deadline, so a quiet
@@ -80,9 +75,6 @@ func (o GatewayOptions) withDefaults() GatewayOptions {
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = service.DefaultMaxFrame
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...interface{}) {}
@@ -159,8 +151,9 @@ type Gateway struct {
 	probeStop chan struct{}
 	probeDone chan struct{}
 
-	adminMu sync.Mutex
-	admin   *http.Server
+	// Admin serves the fleet snapshot on the shared admin plane
+	// (ServeAdmin), with the gateway-only families beside it.
+	*service.Admin
 }
 
 // NewGateway builds a gateway over the given backend registry. Backends
@@ -177,6 +170,7 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		byName: make(map[string]*backend),
 		conns:  make(map[net.Conn]struct{}),
 	}
+	g.Admin = service.NewAdmin(g.Snapshot, g.writeLocalMetrics)
 	for _, ba := range opts.Backends {
 		if ba.Name == "" || ba.Addr == "" {
 			return nil, fmt.Errorf("fleet: backend needs a name and an address, got %+v", ba)
@@ -276,7 +270,7 @@ func (g *Gateway) Drain(grace time.Duration) {
 		}
 		be.mu.Unlock()
 	}
-	g.closeAdmin()
+	g.CloseAdmin()
 }
 
 // SetBackendAddr repoints a backend (a restart moved it) and marks it
@@ -491,75 +485,21 @@ func (g *Gateway) snapshotWith(inlineName string, inline service.ServerSnapshot)
 	return m
 }
 
-// ---- admin plane ----
-
-// AdminHandler returns the gateway admin mux: /metrics with the
-// bpsf_backend_*{backend=} families plus the merged fleet sections,
-// /statusz with the fleet snapshot as JSON, and the standard profiler
-// endpoints. Hand-rolled mux, same rationale as the server's.
-func (g *Gateway) AdminHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", g.handleMetrics)
-	mux.HandleFunc("/statusz", g.handleStatusz)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// ServeAdmin binds addr and serves the admin plane until Drain.
-func (g *Gateway) ServeAdmin(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: g.AdminHandler()}
-	g.adminMu.Lock()
-	g.admin = srv
-	g.adminMu.Unlock()
-	go srv.Serve(ln)
-	return ln.Addr(), nil
-}
-
-func (g *Gateway) closeAdmin() {
-	g.adminMu.Lock()
-	srv := g.admin
-	g.admin = nil
-	g.adminMu.Unlock()
-	if srv != nil {
-		srv.Close()
-	}
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := obs.NewPromWriter(w)
+// writeLocalMetrics writes the families only a gateway has, beside the
+// shared fleet-snapshot families on /metrics: its own session and
+// failover counters, and per-backend decode totals from the probed
+// snapshots.
+func (g *Gateway) writeLocalMetrics(p *obs.PromWriter) {
 	p.Counter("bpsf_gateway_sessions_total", g.sessionsTotal.Load())
 	p.Gauge("bpsf_gateway_sessions_active", g.sessionsActive.Load())
 	p.Counter("bpsf_gateway_failovers_total", g.failoversTotal.Load())
 	p.Counter("bpsf_gateway_replays_ok_total", g.replaysOK.Load())
 	p.Counter("bpsf_gateway_sessions_lost_total", g.sessionsLost.Load())
-	for _, bs := range g.BackendStats() {
-		up := int64(0)
-		if bs.Healthy {
-			up = 1
-		}
-		draining := int64(0)
-		if bs.Draining {
-			draining = 1
-		}
-		p.Gauge(obs.Label("bpsf_backend_up", "backend", bs.Name), up)
-		p.Gauge(obs.Label("bpsf_backend_draining", "backend", bs.Name), draining)
-		p.Gauge(obs.Label("bpsf_backend_sessions", "backend", bs.Name), bs.Sessions)
-		p.Counter(obs.Label("bpsf_backend_sessions_total", "backend", bs.Name), bs.SessionsTotal)
-		p.Counter(obs.Label("bpsf_backend_requests_total", "backend", bs.Name), bs.Requests)
-		p.Counter(obs.Label("bpsf_backend_failovers_total", "backend", bs.Name), bs.Failovers)
-		p.Counter(obs.Label("bpsf_backend_replayed_frames_total", "backend", bs.Name), bs.Replayed)
+	type totals struct {
+		name          string
+		decoded, shed uint64
 	}
-	// per-backend decode totals from the probed snapshots, then the merged
-	// fleet sections under the same families a single server exposes
+	var rows []totals
 	for _, be := range g.backends {
 		be.mu.Lock()
 		snap, have := be.lastSnap, be.haveSnap
@@ -567,30 +507,17 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if !have {
 			continue
 		}
-		var decoded, shed uint64
+		row := totals{name: be.name}
 		for _, ps := range snap.Pools {
-			decoded += ps.Decoded
-			shed += ps.ShedQueue + ps.ShedDeadline
+			row.decoded += ps.Decoded
+			row.shed += ps.ShedQueue + ps.ShedDeadline
 		}
-		p.Counter(obs.Label("bpsf_backend_decoded_total", "backend", be.name), decoded)
-		p.Counter(obs.Label("bpsf_backend_shed_total", "backend", be.name), shed)
+		rows = append(rows, row)
 	}
-	snap := g.Snapshot()
-	for _, ps := range snap.Pools {
-		l := `{pool="` + ps.Pool + `"}`
-		p.Counter("bpsf_pool_admitted_total"+l, ps.Admitted)
-		p.Counter("bpsf_pool_decoded_total"+l, ps.Decoded)
-		p.Histogram("bpsf_pool_latency_seconds"+l, ps.Latency)
+	for _, row := range rows {
+		p.Counter(obs.Label("bpsf_backend_decoded_total", "backend", row.name), row.decoded)
 	}
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		p.Histogram(`bpsf_stage_seconds{stage="`+st.String()+`"}`, snap.Stages.Stages[st])
+	for _, row := range rows {
+		p.Counter(obs.Label("bpsf_backend_shed_total", "backend", row.name), row.shed)
 	}
-	p.Histogram("bpsf_request_seconds", snap.Stages.Total)
-}
-
-func (g *Gateway) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(g.Snapshot())
 }

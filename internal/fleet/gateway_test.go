@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bpsf/internal/gf2"
+	"bpsf/internal/obs"
 	"bpsf/internal/service"
 )
 
@@ -348,7 +349,8 @@ func TestGatewayStatsAggregation(t *testing.T) {
 }
 
 // TestGatewayAdminMetrics: the admin plane exposes the per-backend
-// Prometheus families with backend labels, one series per member.
+// Prometheus families with backend labels, one series per member, and
+// the same pool and runtime families a single server exposes.
 func TestGatewayAdminMetrics(t *testing.T) {
 	f := startTestFleet(t, 2, service.Options{})
 	gc, err := service.Dial(f.GatewayAddr(), testHello())
@@ -382,14 +384,19 @@ func TestGatewayAdminMetrics(t *testing.T) {
 		"# TYPE bpsf_backend_up gauge",
 		"bpsf_gateway_sessions_total 1",
 		"bpsf_gateway_sessions_lost_total 0",
+		// the shared snapshot renderer: every pool and runtime family
+		`bpsf_pool_shed_queue_total{pool="b`,
+		`bpsf_pool_size{pool="b`,
+		"\ngo_goroutines ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
 		}
 	}
-	// one TYPE header per family even with two labelled series
-	if n := strings.Count(text, "# TYPE bpsf_backend_up "); n != 1 {
-		t.Fatalf("bpsf_backend_up emitted %d TYPE headers", n)
+	// one contiguous group and one TYPE header per family, even with two
+	// backends' labelled series
+	if err := obs.CheckExposition(text); err != nil {
+		t.Fatalf("/metrics: %v\n%s", err, text)
 	}
 }
 

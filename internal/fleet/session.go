@@ -112,7 +112,7 @@ func (g *Gateway) session(conn net.Conn) {
 		}
 	}
 
-	helloPayload, err := service.ReadFrame(cbr, g.opts.MaxFrame)
+	helloPayload, err := service.ReadFrame(cbr, service.DefaultMaxFrame)
 	if err != nil {
 		return
 	}
@@ -210,7 +210,7 @@ func (g *Gateway) dialBackend(be *backend, helloFrame []byte) (net.Conn, *bufio.
 	}
 	// read the ack straight off the conn (no bufio): nothing else is in
 	// flight yet, and an unbuffered read can never swallow a later frame
-	ack, err := service.ReadFrame(conn, g.opts.MaxFrame)
+	ack, err := service.ReadFrame(conn, service.DefaultMaxFrame)
 	if err != nil {
 		conn.Close()
 		return nil, nil, nil, service.AckGeometry{}, err
@@ -236,7 +236,7 @@ func (s *session) upstream() {
 		if s.g.opts.IdleTimeout > 0 {
 			s.cconn.SetReadDeadline(time.Now().Add(s.g.opts.IdleTimeout))
 		}
-		payload, err := service.ReadFrameInto(s.cbr, s.g.opts.MaxFrame, readBuf)
+		payload, err := service.ReadFrameInto(s.cbr, service.DefaultMaxFrame, readBuf)
 		if err != nil {
 			s.shutdown() // client went away (or idled out); nothing to preserve
 			return
@@ -296,7 +296,7 @@ func (s *session) pump(epoch int, br *bufio.Reader, target replayTarget) {
 	// trip a spurious failover.
 	var readBuf, canonBuf []byte
 	for {
-		payload, err := service.ReadFrameInto(br, s.g.opts.MaxFrame, readBuf)
+		payload, err := service.ReadFrameInto(br, service.DefaultMaxFrame, readBuf)
 		if err != nil {
 			s.mu.Lock()
 			stale := s.closed || s.epoch != epoch

@@ -94,31 +94,7 @@ func (h *HistData) Snapshot() HistSnapshot {
 		Avg:     h.sum / time.Duration(h.n),
 		Buckets: h.counts,
 	}
-	quantile := func(q float64) time.Duration {
-		rank := uint64(q * float64(h.n-1))
-		var cum uint64
-		for b, c := range h.counts {
-			cum += c
-			if cum > rank {
-				if b == 0 {
-					return 0
-				}
-				upper := time.Duration(uint64(1) << uint(b))
-				if b == NumBuckets-1 || upper > h.max {
-					// the top bucket is open-ended (BucketOf clamps everything
-					// ≥ 2⁶¹ns into it), so its edge may undershoot the samples
-					// it holds; the observed maximum is the honest bound
-					upper = h.max
-				}
-				return upper
-			}
-		}
-		return h.max
-	}
-	s.P50 = quantile(0.5)
-	s.P95 = quantile(0.95)
-	s.P99 = quantile(0.99)
-	s.P999 = quantile(0.999)
+	s.setQuantiles()
 	return s
 }
 

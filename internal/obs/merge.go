@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // Fleet aggregation helpers (DESIGN.md §12). A HistSnapshot carries its
 // raw power-of-two bucket counts precisely so that snapshots taken on
@@ -39,16 +35,25 @@ func MergeHist(a, b HistSnapshot) HistSnapshot {
 		m.Buckets[i] = a.Buckets[i] + b.Buckets[i]
 	}
 	m.Avg = m.Sum / time.Duration(m.N)
-	m.P50 = bucketQuantile(m.Buckets, uint64(m.N), m.Max, 0.5)
-	m.P95 = bucketQuantile(m.Buckets, uint64(m.N), m.Max, 0.95)
-	m.P99 = bucketQuantile(m.Buckets, uint64(m.N), m.Max, 0.99)
-	m.P999 = bucketQuantile(m.Buckets, uint64(m.N), m.Max, 0.999)
+	m.setQuantiles()
 	return m
+}
+
+// setQuantiles fills the percentile fields from the bucket counts — the
+// one quantile rule for single (HistData.Snapshot) and merged (MergeHist)
+// histograms alike.
+func (s *HistSnapshot) setQuantiles() {
+	s.P50 = bucketQuantile(s.Buckets, uint64(s.N), s.Max, 0.5)
+	s.P95 = bucketQuantile(s.Buckets, uint64(s.N), s.Max, 0.95)
+	s.P99 = bucketQuantile(s.Buckets, uint64(s.N), s.Max, 0.99)
+	s.P999 = bucketQuantile(s.Buckets, uint64(s.N), s.Max, 0.999)
 }
 
 // bucketQuantile reports quantile q from power-of-two bucket counts: the
 // upper edge of the bucket holding the rank, clamped to the observed max
-// for the open-ended top bucket (the same rule HistData.Snapshot applies).
+// (the top bucket is open-ended — BucketOf clamps everything ≥ 2⁶¹ns
+// into it — so its edge may undershoot the samples it holds; the
+// observed maximum is the honest bound).
 func bucketQuantile(buckets [NumBuckets]uint64, n uint64, max time.Duration, q float64) time.Duration {
 	if n == 0 {
 		return 0
@@ -79,16 +84,4 @@ func MergeStages(a, b StageSnapshot) StageSnapshot {
 	}
 	m.Total = MergeHist(a.Total, b.Total)
 	return m
-}
-
-// Label appends one label pair to a metric name, composing with any label
-// block already present — the builder behind fleet-labelled families like
-// bpsf_backend_decoded_total{backend="b0"}. Values are quoted with %q, so
-// arbitrary backend names stay well-formed exposition.
-func Label(name, key, value string) string {
-	pair := fmt.Sprintf("%s=%q", key, value)
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:len(name)-1] + "," + pair + "}"
-	}
-	return name + "{" + pair + "}"
 }

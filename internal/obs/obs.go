@@ -1,73 +1,14 @@
 // Package obs is the dependency-free observability core shared by the
-// sim engine, the decode service and the CLIs: a metrics registry of
-// atomic counters and gauges, the power-of-two latency histogram
-// (promoted from internal/service) with exported bucket counts, a
-// zero-alloc per-request stage timer with fixed stage slots, a lock-free
-// ring of the slowest request traces, runtime telemetry, and Prometheus
-// text exposition.
+// decode service, the fleet gateway and the CLIs: the power-of-two
+// latency histogram with exported bucket counts, a zero-alloc
+// per-request stage timer with fixed stage slots, a lock-free ring of
+// the slowest request traces, runtime telemetry, fleet merging, and
+// Prometheus text exposition.
 //
-// Every record-side primitive (Counter.Add, Gauge.Set, HistData.Observe,
-// Span marks, StageSet.Record, TraceRing.Offer) allocates zero bytes and
-// is safe on a nil receiver, so instrumentation can be threaded through
-// hot paths unconditionally — a nil registry turns the whole plane into
-// cheap no-ops. The contract is asserted by TestInstrumentationZeroAlloc;
-// see DESIGN.md §10 for the metric naming scheme and the stage model.
+// Every record-side primitive (HistData.Observe, Span marks,
+// StageSet.Record, TraceRing.Offer) allocates zero bytes and is safe on
+// a nil receiver, so instrumentation can be threaded through hot paths
+// unconditionally. Plain counters are sync/atomic fields on their owner.
+// The contract is asserted by TestInstrumentationZeroAlloc; see
+// DESIGN.md §10 for the metric naming scheme and the stage model.
 package obs
-
-import "sync/atomic"
-
-// Counter is a monotonically increasing metric. The zero value is ready;
-// all methods are safe on a nil receiver (no-ops reading zero).
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an instantaneous int64 metric (queue depths, shard counts,
-// byte sizes). The zero value is ready; all methods are safe on a nil
-// receiver.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add adjusts the gauge by delta (negative to decrement).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -11,18 +10,6 @@ import (
 // and read primitive is safe on a nil receiver, so call sites never
 // guard instrumentation.
 func TestNilReceiversAreNoOps(t *testing.T) {
-	var c *Counter
-	c.Inc()
-	c.Add(3)
-	if c.Value() != 0 {
-		t.Fatal("nil counter has a value")
-	}
-	var g *Gauge
-	g.Set(5)
-	g.Add(-1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge has a value")
-	}
 	var hd *HistData
 	hd.Observe(time.Second)
 	if hd.Snapshot() != (HistSnapshot{}) {
@@ -48,85 +35,6 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	r.Offer(Trace{Total: time.Second})
 	if r.Snapshot() != nil || r.Cap() != 0 {
 		t.Fatal("nil ring retained a trace")
-	}
-	var reg *Registry
-	if reg.Counter("x") != nil || reg.Gauge("x") != nil || reg.Histogram("x") != nil {
-		t.Fatal("nil registry returned a metric")
-	}
-	reg.GaugeFunc("x", func() int64 { return 1 })
-	if reg.Snapshot() != nil {
-		t.Fatal("nil registry has a snapshot")
-	}
-}
-
-// TestRegistryGetOrCreate pins identity semantics: the same name returns
-// the same metric, different names different ones, and Snapshot is
-// sorted by name with every kind present.
-func TestRegistryGetOrCreate(t *testing.T) {
-	reg := NewRegistry()
-	c1 := reg.Counter("a_total")
-	c1.Add(7)
-	if c2 := reg.Counter("a_total"); c2 != c1 || c2.Value() != 7 {
-		t.Fatal("counter identity not preserved across lookups")
-	}
-	reg.Gauge("b_gauge").Set(-3)
-	reg.GaugeFunc("c_fn", func() int64 { return 42 })
-	reg.Histogram("d_hist").Observe(3 * time.Millisecond)
-
-	snap := reg.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot has %d metrics, want 4", len(snap))
-	}
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1].Name >= snap[i].Name {
-			t.Fatalf("snapshot not sorted: %q before %q", snap[i-1].Name, snap[i].Name)
-		}
-	}
-	byName := map[string]Metric{}
-	for _, m := range snap {
-		byName[m.Name] = m
-	}
-	if m := byName["a_total"]; m.Kind != KindCounter || m.Value != 7 {
-		t.Fatalf("a_total = %+v", m)
-	}
-	if m := byName["b_gauge"]; m.Kind != KindGauge || m.Value != -3 {
-		t.Fatalf("b_gauge = %+v", m)
-	}
-	if m := byName["c_fn"]; m.Kind != KindGauge || m.Value != 42 {
-		t.Fatalf("c_fn = %+v", m)
-	}
-	if m := byName["d_hist"]; m.Kind != KindHistogram || m.Hist.N != 1 {
-		t.Fatalf("d_hist = %+v", m)
-	}
-}
-
-// TestRegistryConcurrent hammers get-or-create from many goroutines
-// (race-detector coverage): all goroutines must land on the same metric
-// instances, and the final counter value must account for every Add.
-func TestRegistryConcurrent(t *testing.T) {
-	reg := NewRegistry()
-	const workers, perWorker = 16, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				reg.Counter("hits_total").Inc()
-				reg.Gauge("depth").Set(int64(i))
-				reg.Histogram("lat").Observe(time.Duration(i))
-				if w == 0 && i%100 == 0 {
-					reg.Snapshot()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := reg.Counter("hits_total").Value(); got != workers*perWorker {
-		t.Fatalf("hits_total = %d, want %d", got, workers*perWorker)
-	}
-	if got := reg.Histogram("lat").Snapshot().N; got != workers*perWorker {
-		t.Fatalf("lat histogram N = %d, want %d", got, workers*perWorker)
 	}
 }
 
@@ -184,6 +92,33 @@ func TestRuntimeSnapshot(t *testing.T) {
 	for _, want := range []string{"go_goroutines", "go_heap_alloc_bytes", "process_uptime_seconds 3"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("runtime exposition missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// TestCheckExposition pins the grouping check the service and gateway
+// scrapes are held to: one contiguous group per family (histogram
+// suffixes included) under at most one TYPE line.
+func TestCheckExposition(t *testing.T) {
+	var h HistData
+	h.Observe(time.Millisecond)
+	var sb strings.Builder
+	p := NewPromWriter(&sb)
+	p.Counter(`a_total{x="1"}`, 1)
+	p.Counter(`a_total{x="2"}`, 2)
+	p.Histogram(`lat_seconds{x="1"}`, h.Snapshot())
+	p.Histogram(`lat_seconds{x="2"}`, h.Snapshot())
+	p.Gauge("b", 3)
+	if err := CheckExposition(sb.String()); err != nil {
+		t.Fatalf("grouped exposition rejected: %v\n%s", err, sb.String())
+	}
+	for name, text := range map[string]string{
+		"split samples":   "# TYPE a_total counter\na_total{x=\"1\"} 1\n# TYPE b gauge\nb 3\na_total{x=\"2\"} 2\n",
+		"split histogram": "# TYPE l histogram\nl_bucket{le=\"+Inf\"} 1\nl_sum 1\nl_count 1\n# TYPE b gauge\nb 3\nl_count 1\n",
+		"two TYPE lines":  "# TYPE a_total counter\na_total 1\n# TYPE a_total counter\n",
+	} {
+		if CheckExposition(text) == nil {
+			t.Errorf("%s: accepted\n%s", name, text)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -86,14 +87,13 @@ func TestStageNames(t *testing.T) {
 // TestInstrumentationZeroAlloc is the zero-alloc instrumentation
 // contract (DESIGN.md §10): the full per-request record sequence the
 // service hot path runs — span lifecycle, stage-set record, ring offer,
-// counter/gauge updates, histogram observe — allocates nothing, so
+// atomic counter/gauge updates, histogram observe — allocates nothing, so
 // turning observability on cannot break the service path's steady-state
 // allocation discipline.
 func TestInstrumentationZeroAlloc(t *testing.T) {
-	reg := NewRegistry()
-	ctr := reg.Counter("decoded_total")
-	gauge := reg.Gauge("active")
-	hist := reg.Histogram("lat")
+	var ctr atomic.Uint64
+	var gauge atomic.Int64
+	var hist Histogram
 	var set StageSet
 	ring := NewTraceRing(8)
 	// pre-fill the ring so Offer exercises both the retained-insert and
@@ -112,9 +112,9 @@ func TestInstrumentationZeroAlloc(t *testing.T) {
 		sp.Mark(StageDecode, now.Add(4*time.Microsecond))
 		sp.Mark(StageWrite, now.Add(5*time.Microsecond))
 		set.Record(&sp)
-		ring.Offer(Trace{End: 1, Total: sp.Total()})         // fast reject (below floor)
-		ring.Offer(Trace{End: 2, Total: 10 * time.Second})   // displaces the minimum
-		ctr.Inc()
+		ring.Offer(Trace{End: 1, Total: sp.Total()})       // fast reject (below floor)
+		ring.Offer(Trace{End: 2, Total: 10 * time.Second}) // displaces the minimum
+		ctr.Add(1)
 		gauge.Add(1)
 		gauge.Add(-1)
 		hist.Observe(sp.Total())

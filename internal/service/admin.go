@@ -5,28 +5,45 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 
 	"bpsf/internal/obs"
 )
 
-// Admin plane (DESIGN.md §10): an optional loopback HTTP listener
-// (bpsf-serve -admin) exposing the same ServerSnapshot the wire msgStats
+// Admin is the admin plane (DESIGN.md §10) shared by Server and the
+// fleet Gateway, both of which embed it: an optional loopback HTTP
+// listener (-admin) exposing the same ServerSnapshot the wire msgStats
 // frame ships, in scrape-friendly forms:
 //
 //	/metrics       Prometheus text exposition 0.0.4
 //	/statusz       the full snapshot as JSON (pools, stages, slow traces)
 //	/debug/pprof/  the standard Go profiler endpoints
 //
-// The admin mux is deliberately hand-rolled (no DefaultServeMux) so
-// importing this package never mounts profiler handlers on servers that
-// did not ask for them.
+// The mux is deliberately hand-rolled (no DefaultServeMux) so importing
+// this package never mounts profiler handlers on servers that did not
+// ask for them.
+type Admin struct {
+	snapshot func() ServerSnapshot
+	// local writes the families only the owning process has, after the
+	// shared snapshot families.
+	local func(p *obs.PromWriter)
+
+	mu  sync.Mutex
+	srv *http.Server
+}
+
+// NewAdmin builds the admin plane over a snapshot source and a writer of
+// the owner's process-local metric families.
+func NewAdmin(snapshot func() ServerSnapshot, local func(p *obs.PromWriter)) *Admin {
+	return &Admin{snapshot: snapshot, local: local}
+}
 
 // AdminHandler returns the admin-plane HTTP handler; embedders that
 // already run an HTTP server can mount it instead of calling ServeAdmin.
-func (s *Server) AdminHandler() http.Handler {
+func (a *Admin) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/statusz", s.handleStatusz)
+	mux.HandleFunc("/metrics", a.handleMetrics)
+	mux.HandleFunc("/statusz", a.handleStatusz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -36,71 +53,124 @@ func (s *Server) AdminHandler() http.Handler {
 }
 
 // ServeAdmin binds addr and serves the admin plane in the background
-// until Drain (which closes the listener). Returns the bound address so
-// ":0" callers can discover the port.
-func (s *Server) ServeAdmin(addr string) (net.Addr, error) {
+// until CloseAdmin (which the owner's Drain calls). Returns the bound
+// address so ":0" callers can discover the port.
+func (a *Admin) ServeAdmin(addr string) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: s.AdminHandler()}
-	s.adminMu.Lock()
-	s.admin = srv
-	s.adminMu.Unlock()
+	srv := &http.Server{Handler: a.AdminHandler()}
+	a.mu.Lock()
+	a.srv = srv
+	a.mu.Unlock()
 	go srv.Serve(ln)
 	return ln.Addr(), nil
 }
 
-// closeAdmin stops the admin listener if one is running (Drain path).
-func (s *Server) closeAdmin() {
-	s.adminMu.Lock()
-	srv := s.admin
-	s.admin = nil
-	s.adminMu.Unlock()
+// CloseAdmin stops the admin listener if one is running.
+func (a *Admin) CloseAdmin() {
+	a.mu.Lock()
+	srv := a.srv
+	a.srv = nil
+	a.mu.Unlock()
 	if srv != nil {
 		srv.Close()
 	}
 }
 
-// handleMetrics renders the Prometheus exposition. Pool and stage
-// sections come from coherent snapshots (one lock each), not from racy
-// per-atomic reads; the registry section carries the session counters
-// and any gauges co-registered by the host process.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// handleMetrics renders the Prometheus exposition: the snapshot's
+// families, then the process-local ones.
+func (a *Admin) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	snap := s.Snapshot()
 	p := obs.NewPromWriter(w)
-	snap.Runtime.WritePrometheus(p, snap.Uptime)
-	p.Registry(s.reg)
-	for _, ps := range snap.Pools {
-		l := `{pool="` + ps.Pool + `"}`
-		p.Counter("bpsf_pool_admitted_total"+l, ps.Admitted)
-		p.Counter("bpsf_pool_decoded_total"+l, ps.Decoded)
-		p.Counter("bpsf_pool_shed_queue_total"+l, ps.ShedQueue)
-		p.Counter("bpsf_pool_shed_deadline_total"+l, ps.ShedDeadline)
-		p.Counter("bpsf_pool_batches_total"+l, ps.Batches)
-		p.Counter("bpsf_pool_coalesced_total"+l, ps.Coalesced)
-		p.GaugeFloat("bpsf_pool_busy_seconds"+l, ps.Busy.Seconds())
-		p.Gauge("bpsf_pool_size"+l, int64(ps.Size))
-		p.Histogram("bpsf_pool_latency_seconds"+l, ps.Latency)
-	}
-	p.Counter("bpsf_streams_opened_total", snap.Streams.Opened)
-	p.Counter("bpsf_stream_windows_total", snap.Streams.Windows)
-	p.Histogram("bpsf_stream_commit_seconds", snap.Streams.Latency)
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		p.Histogram(`bpsf_stage_seconds{stage="`+st.String()+`"}`, snap.Stages.Stages[st])
-	}
-	p.Histogram("bpsf_request_seconds", snap.Stages.Total)
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		p.Histogram(`bpsf_stream_stage_seconds{stage="`+st.String()+`"}`, snap.StreamStages.Stages[st])
-	}
+	a.snapshot().WritePrometheus(p)
+	a.local(p)
 }
 
 // handleStatusz renders the full snapshot as JSON (durations are
 // nanosecond integers, matching the wire frame's resolution).
-func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
+func (a *Admin) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.Snapshot())
+	enc.Encode(a.snapshot())
+}
+
+// WritePrometheus renders every section of the snapshot family by
+// family — each family's labelled series (one per pool, stage or
+// backend) form one contiguous group, as the text format requires.
+func (snap ServerSnapshot) WritePrometheus(p *obs.PromWriter) {
+	snap.Runtime.WritePrometheus(p, snap.Uptime)
+	p.Counter("bpsf_sessions_total", snap.SessionsTotal)
+	p.Gauge("bpsf_sessions_active", snap.SessionsActive)
+
+	pool := func(name string, ps PoolStats) string { return obs.Label(name, "pool", ps.Pool) }
+	for _, f := range []struct {
+		name string
+		v    func(PoolStats) uint64
+	}{
+		{"bpsf_pool_admitted_total", func(ps PoolStats) uint64 { return ps.Admitted }},
+		{"bpsf_pool_decoded_total", func(ps PoolStats) uint64 { return ps.Decoded }},
+		{"bpsf_pool_shed_queue_total", func(ps PoolStats) uint64 { return ps.ShedQueue }},
+		{"bpsf_pool_shed_deadline_total", func(ps PoolStats) uint64 { return ps.ShedDeadline }},
+		{"bpsf_pool_batches_total", func(ps PoolStats) uint64 { return ps.Batches }},
+		{"bpsf_pool_coalesced_total", func(ps PoolStats) uint64 { return ps.Coalesced }},
+	} {
+		for _, ps := range snap.Pools {
+			p.Counter(pool(f.name, ps), f.v(ps))
+		}
+	}
+	for _, ps := range snap.Pools {
+		p.GaugeFloat(pool("bpsf_pool_busy_seconds", ps), ps.Busy.Seconds())
+	}
+	for _, ps := range snap.Pools {
+		p.Gauge(pool("bpsf_pool_size", ps), int64(ps.Size))
+	}
+	for _, ps := range snap.Pools {
+		p.Histogram(pool("bpsf_pool_latency_seconds", ps), ps.Latency)
+	}
+
+	p.Counter("bpsf_streams_opened_total", snap.Streams.Opened)
+	p.Counter("bpsf_stream_windows_total", snap.Streams.Windows)
+	for st := obs.Stage(0); st < obs.NumStages; st++ {
+		p.Histogram(obs.Label("bpsf_stage_seconds", "stage", st.String()), snap.Stages.Stages[st])
+	}
+	p.Histogram("bpsf_request_seconds", snap.Stages.Total)
+	for st := obs.Stage(0); st < obs.NumStages; st++ {
+		p.Histogram(obs.Label("bpsf_stream_stage_seconds", "stage", st.String()), snap.StreamStages.Stages[st])
+	}
+
+	flag := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	backend := func(name string, bs BackendStats) string { return obs.Label(name, "backend", bs.Name) }
+	for _, f := range []struct {
+		name string
+		v    func(BackendStats) int64
+	}{
+		{"bpsf_backend_up", func(bs BackendStats) int64 { return flag(bs.Healthy) }},
+		{"bpsf_backend_draining", func(bs BackendStats) int64 { return flag(bs.Draining) }},
+		{"bpsf_backend_sessions", func(bs BackendStats) int64 { return bs.Sessions }},
+	} {
+		for _, bs := range snap.Backends {
+			p.Gauge(backend(f.name, bs), f.v(bs))
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    func(BackendStats) uint64
+	}{
+		{"bpsf_backend_sessions_total", func(bs BackendStats) uint64 { return bs.SessionsTotal }},
+		{"bpsf_backend_requests_total", func(bs BackendStats) uint64 { return bs.Requests }},
+		{"bpsf_backend_failovers_total", func(bs BackendStats) uint64 { return bs.Failovers }},
+		{"bpsf_backend_replayed_frames_total", func(bs BackendStats) uint64 { return bs.Replayed }},
+	} {
+		for _, bs := range snap.Backends {
+			p.Counter(backend(f.name, bs), f.v(bs))
+		}
+	}
 }

@@ -31,7 +31,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		firstRound: 0, endRound: 1, latency: time.Millisecond, mechs: []byte{0xAB}}), uint8(1))
 	f.Add(appendSample(nil, 12, 64), uint8(5))
 	f.Add(appendStatsRequest(nil), uint8(0))
-	var statsHist histogram
+	var statsHist obs.Histogram
 	statsHist.Observe(time.Millisecond)
 	statsHist.Observe(3 * time.Millisecond)
 	f.Add(appendStatsReply(nil, ServerSnapshot{
@@ -40,7 +40,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		Pools: []PoolStats{{Pool: "bb72/r2/p0.02/bpsf", Size: 2,
 			Admitted: 2, Decoded: 2, Batches: 1, Coalesced: 2,
 			Latency: statsHist.Snapshot()}},
-		Streams: StreamStats{Opened: 1, Windows: 2, Latency: statsHist.Snapshot()},
+		Streams: StreamStats{Opened: 1, Windows: 2},
 		Traces:  []obs.Trace{{End: 99, Total: time.Millisecond}},
 		Backends: []BackendStats{
 			{Name: "b0", Addr: "127.0.0.1:9000", Healthy: true, Sessions: 1,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bpsf/internal/obs"
 	"bpsf/internal/sim"
 )
 
@@ -17,7 +18,7 @@ import (
 // Min, max and avg are tracked exactly.
 func checkAgainstSummarize(t *testing.T, name string, ds []time.Duration) {
 	t.Helper()
-	var h histogram
+	var h obs.Histogram
 	for _, d := range ds {
 		h.Observe(d)
 	}
@@ -96,7 +97,7 @@ func TestHistogramQuantilesVsSummarize(t *testing.T) {
 // every sample above 2⁶²ns the old snapshot returned the clamped bucket
 // edge 2⁶²ns, below the exact quantile.
 func TestHistogramClampUpperBound(t *testing.T) {
-	var h histogram
+	var h obs.Histogram
 	d := time.Duration(1<<62 + 5000)
 	for i := 0; i < 10; i++ {
 		h.Observe(d)

@@ -135,7 +135,7 @@ type PoolStats struct {
 	// utilization = Busy / (Size × uptime).
 	Busy time.Duration
 	// Latency is the service-time histogram (queue wait + decode).
-	Latency HistogramSnapshot
+	Latency obs.HistSnapshot
 }
 
 // newPool builds the warm decoder set up front — every worker owns a fully

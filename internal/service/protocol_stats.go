@@ -169,7 +169,6 @@ func appendStatsReply(b []byte, snap ServerSnapshot) []byte {
 
 	b = appendU64(b, snap.Streams.Opened)
 	b = appendU64(b, snap.Streams.Windows)
-	b = appendHistSnapshot(b, snap.Streams.Latency)
 
 	b = appendStageSnapshot(b, snap.Stages)
 	b = appendStageSnapshot(b, snap.StreamStages)
@@ -264,10 +263,6 @@ func parseStatsReply(payload []byte) (ServerSnapshot, error) {
 	snap.Streams.Opened = r.u64()
 	snap.Streams.Windows = r.u64()
 	var err error
-	if snap.Streams.Latency, err = parseHistSnapshot(r); err != nil {
-		return snap, err
-	}
-
 	if snap.Stages, err = parseStageSnapshot(r); err != nil {
 		return snap, err
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bpsf/internal/gf2"
+	"bpsf/internal/obs"
 	"bpsf/internal/osd"
 	"bpsf/internal/sim"
 	"bpsf/internal/window"
@@ -235,8 +236,8 @@ func TestSpecValidateAndLabel(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	var h histogram
-	if (h.Snapshot() != HistogramSnapshot{}) {
+	var h obs.Histogram
+	if (h.Snapshot() != obs.HistSnapshot{}) {
 		t.Fatal("empty snapshot not zero")
 	}
 	// 90 fast + 10 slow observations: p50 within 2× of fast, p999 at the tail

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -30,12 +29,6 @@ type Options struct {
 	QueueDepth int
 	// MaxBatch caps adaptive batch coalescing (default 32).
 	MaxBatch int
-	// MaxFrame bounds one wire frame (default 16 MiB).
-	MaxFrame int
-	// Pipeline bounds the reply backlog per session: a client may have at
-	// most this many unanswered batches in flight before its read loop
-	// stalls (default 64).
-	Pipeline int
 	// AllowedKinds restricts the decoder kinds sessions may request (the
 	// bpsf-serve -decoders flag); empty allows every registered kind.
 	AllowedKinds []string
@@ -44,9 +37,6 @@ type Options struct {
 	// the bpsf-serve -window/-commit flags).
 	StreamWindow int
 	StreamCommit int
-	// TraceSlots is the retention capacity of the slowest-request trace
-	// ring served on /statusz (default 32).
-	TraceSlots int
 	// IdleTimeout bounds the gap between two client frames on a session:
 	// a session whose client sends nothing for this long is dropped, so a
 	// stalled or vanished peer cannot pin its goroutine (and its arenas)
@@ -83,26 +73,27 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
 	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = defaultMaxFrame
-	}
-	if o.Pipeline <= 0 {
-		o.Pipeline = 64
-	}
 	if o.StreamWindow <= 0 {
 		o.StreamWindow = 3
 	}
 	if o.StreamCommit <= 0 {
 		o.StreamCommit = 1
 	}
-	if o.TraceSlots <= 0 {
-		o.TraceSlots = 32
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...interface{}) {}
 	}
 	return o
 }
+
+const (
+	// sessionPipeline bounds the reply backlog per session: a client may
+	// have at most this many unanswered batches in flight before its read
+	// loop stalls.
+	sessionPipeline = 64
+	// traceSlots is the retention capacity of the slowest-request trace
+	// ring served on /statusz.
+	traceSlots = 32
+)
 
 // demEntry / poolEntry are singleflight cache slots: concurrent sessions
 // asking for the same DEM or pool block on one build.
@@ -134,43 +125,71 @@ type Server struct {
 	nextSession atomic.Uint64
 	draining    atomic.Bool
 
+	// Observability plane (DESIGN.md §10): plain atomic counters, stages
+	// the per-request stage histograms (admit/queue/coalesce/decode/write),
+	// streamStages the per-commit decode/write timings, and traces the
+	// slowest-request ring served on /statusz. The embedded Admin serves
+	// them (ServeAdmin).
+	*Admin
+	sessionsTotal  atomic.Uint64
+	sessionsActive atomic.Int64
+	statsRequests  atomic.Uint64
 	streamsOpened  atomic.Uint64
 	windowsDecoded atomic.Uint64
-	streamLat      histogram
-
-	// Observability plane (DESIGN.md §10): the registry carries the
-	// server-level counters and gauges, stages the per-request stage
-	// histograms (admit/queue/coalesce/decode/write), streamStages the
-	// per-commit decode/write timings, and traces the slowest-request
-	// ring served on /statusz.
-	reg          *obs.Registry
-	stages       obs.StageSet
-	streamStages obs.StageSet
-	traces       *obs.TraceRing
+	stages         obs.StageSet
+	streamStages   obs.StageSet
+	traces         *obs.TraceRing
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	adminMu sync.Mutex
-	admin   *http.Server
+	// arena is written per frame by every session; it sits after the
+	// rarely written connection set, away from the stage sets' locks.
+	arena arenaCounters
+}
+
+// arenaCounters is the bpsf_arena_* family: the service path's
+// buffer-arena economy (DESIGN.md §13). Ratios to read off it:
+// frameGrows/frameReads is the arena miss rate (should fall to ~0 at
+// steady state), jobsFresh/(jobsFresh+jobsReused) likewise for the
+// reply-job free lists, and writeFrames/writeFlushes is the socket-write
+// coalescing factor (>1 means batched flushes are doing their job).
+type arenaCounters struct {
+	// frameReads counts frames read through a reusable arena buffer;
+	// frameGrows counts the subset that had to grow the buffer.
+	frameReads, frameGrows atomic.Uint64
+	// jobsReused / jobsFresh count reply-job acquisitions served from the
+	// session free list vs freshly allocated.
+	jobsReused, jobsFresh atomic.Uint64
+	// writeFrames counts reply frames buffered for write; writeFlushes
+	// counts the socket flushes that carried them.
+	writeFrames, writeFlushes atomic.Uint64
 }
 
 // NewServer builds a server; pools are created lazily on the first Hello
 // naming them.
 func NewServer(opts Options) *Server {
-	opts = opts.withDefaults()
-	return &Server{
-		opts:   opts,
+	s := &Server{
+		opts:   opts.withDefaults(),
 		start:  time.Now(),
 		conns:  make(map[net.Conn]struct{}),
-		reg:    obs.NewRegistry(),
-		traces: obs.NewTraceRing(opts.TraceSlots),
+		traces: obs.NewTraceRing(traceSlots),
 	}
+	s.Admin = NewAdmin(s.Snapshot, s.writeLocalMetrics)
+	return s
 }
 
-// Metrics returns the server's registry (session counters and any
-// gauges callers want to co-expose on the admin plane).
-func (s *Server) Metrics() *obs.Registry { return s.reg }
+// writeLocalMetrics writes the families only a server has, beside the
+// shared snapshot families on /metrics.
+func (s *Server) writeLocalMetrics(p *obs.PromWriter) {
+	p.Counter("bpsf_stats_requests_total", s.statsRequests.Load())
+	p.Counter("bpsf_arena_frame_reads_total", s.arena.frameReads.Load())
+	p.Counter("bpsf_arena_frame_grows_total", s.arena.frameGrows.Load())
+	p.Counter("bpsf_arena_jobs_reused_total", s.arena.jobsReused.Load())
+	p.Counter("bpsf_arena_jobs_fresh_total", s.arena.jobsFresh.Load())
+	p.Counter("bpsf_arena_write_frames_total", s.arena.writeFrames.Load())
+	p.Counter("bpsf_arena_write_flushes_total", s.arena.writeFlushes.Load())
+}
 
 // Listen binds addr ("host:port"; port 0 picks a free port, see Addr) and
 // starts accepting sessions in the background. Listen and ListenUnix may
@@ -264,7 +283,7 @@ func (s *Server) Drain(grace time.Duration) []PoolStats {
 			}
 			return true
 		})
-		s.closeAdmin()
+		s.CloseAdmin()
 	}
 	return s.Stats()
 }
@@ -284,12 +303,11 @@ func (s *Server) closeConns() {
 }
 
 // StreamingStats snapshots the server's cumulative windowed-stream
-// counters and per-commit latency histogram.
+// counters.
 func (s *Server) StreamingStats() StreamStats {
 	return StreamStats{
 		Opened:  s.streamsOpened.Load(),
 		Windows: s.windowsDecoded.Load(),
-		Latency: s.streamLat.Snapshot(),
 	}
 }
 
@@ -445,12 +463,11 @@ func (job *batchJob) sized(n int) *batchJob {
 
 func (s *Server) session(conn net.Conn) {
 	defer s.sessions.Done()
-	sessionsActive := s.reg.Gauge("bpsf_sessions_active")
-	s.reg.Counter("bpsf_sessions_total").Inc()
-	sessionsActive.Add(1)
-	arena := obs.NewArenaCounters(s.reg)
+	s.sessionsTotal.Add(1)
+	s.sessionsActive.Add(1)
+	arena := &s.arena
 	defer func() {
-		sessionsActive.Add(-1)
+		s.sessionsActive.Add(-1)
 		conn.Close()
 		s.connMu.Lock()
 		delete(s.conns, conn)
@@ -493,13 +510,13 @@ func (s *Server) session(conn net.Conn) {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		payload, err := readFrameInto(br, s.opts.MaxFrame, readBuf)
+		payload, err := readFrameInto(br, defaultMaxFrame, readBuf)
 		if err != nil {
 			return nil, err
 		}
-		arena.FrameReads.Inc()
+		arena.frameReads.Add(1)
 		if cap(payload) > cap(readBuf) {
-			arena.FrameGrows.Inc()
+			arena.frameGrows.Add(1)
 		}
 		readBuf = payload
 		return payload, nil
@@ -551,16 +568,16 @@ func (s *Server) session(conn net.Conn) {
 	// the server's stage histograms and slow-trace ring (shed requests
 	// are skipped: their spans never reached the decode stage), then
 	// recycles the job onto the session free list.
-	jobs := make(chan *batchJob, s.opts.Pipeline)
-	freeJobs := make(chan *batchJob, s.opts.Pipeline+2)
+	jobs := make(chan *batchJob, sessionPipeline)
+	freeJobs := make(chan *batchJob, sessionPipeline+2)
 	getJob := func(n int) *batchJob {
 		var job *batchJob
 		select {
 		case job = <-freeJobs:
-			arena.JobsReused.Inc()
+			arena.jobsReused.Add(1)
 		default:
 			job = &batchJob{}
-			arena.JobsFresh.Inc()
+			arena.jobsFresh.Add(1)
 		}
 		return job.sized(n)
 	}
@@ -586,7 +603,7 @@ func (s *Server) session(conn net.Conn) {
 				armWrite()
 				writeErr = bw.Flush()
 				writeMu.Unlock()
-				arena.WriteFlushes.Inc()
+				arena.writeFlushes.Add(1)
 			}
 			flushT := time.Now()
 			for _, job := range unflushed {
@@ -657,7 +674,7 @@ func (s *Server) session(conn net.Conn) {
 			writeMu.Lock()
 			writeErr = writeFrame(bw, buf)
 			writeMu.Unlock()
-			arena.WriteFrames.Inc()
+			arena.writeFrames.Add(1)
 			unflushed = append(unflushed, job)
 		}
 	}()
@@ -671,7 +688,7 @@ func (s *Server) session(conn net.Conn) {
 	reqIndex := 0
 	streams := newSessionStreams(s, h, p.dem.NumMechs())
 	defer streams.closeAll()
-	maxBatch := batchLimit(s.opts.MaxFrame, p.dem.NumDets, p.dem.NumMechs())
+	maxBatch := batchLimit(defaultMaxFrame, p.dem.NumDets, p.dem.NumMechs())
 	// fill readies request slot i of a job for admission: the embedded
 	// slots and their syndrome vectors are recycled with the job, so a
 	// warm session admits without allocating.
@@ -766,7 +783,7 @@ read:
 				fail(perr)
 				break read
 			}
-			s.reg.Counter("bpsf_stats_requests_total").Inc()
+			s.statsRequests.Add(1)
 			job := getJob(0)
 			job.stats = true
 			jobs <- job // answered by the reply writer, in order

@@ -71,8 +71,8 @@ func (s *Server) Snapshot() ServerSnapshot {
 	return ServerSnapshot{
 		Uptime:         time.Since(s.start),
 		Runtime:        obs.ReadRuntime(),
-		SessionsTotal:  s.reg.Counter("bpsf_sessions_total").Value(),
-		SessionsActive: s.reg.Gauge("bpsf_sessions_active").Value(),
+		SessionsTotal:  s.sessionsTotal.Load(),
+		SessionsActive: s.sessionsActive.Load(),
 		Pools:          s.Stats(),
 		Streams:        s.StreamingStats(),
 		Stages:         s.stages.Snapshot(),
@@ -108,7 +108,6 @@ func (snap ServerSnapshot) WriteText(w io.Writer) {
 	}
 	if snap.Streams.Opened > 0 {
 		fmt.Fprintf(w, "streams: opened=%d windows=%d\n", snap.Streams.Opened, snap.Streams.Windows)
-		writeHistLine(w, "  commit", snap.Streams.Latency)
 	}
 	if snap.Stages.Total.N > 0 {
 		fmt.Fprintf(w, "stages (%d requests):\n", snap.Stages.Total.N)
@@ -132,7 +131,7 @@ func (snap ServerSnapshot) WriteText(w io.Writer) {
 	}
 }
 
-func writeHistLine(w io.Writer, label string, h HistogramSnapshot) {
+func writeHistLine(w io.Writer, label string, h obs.HistSnapshot) {
 	if h.N == 0 {
 		fmt.Fprintf(w, "%s: (no samples)\n", label)
 		return

@@ -59,7 +59,6 @@ func MergeSnapshots(parts []NamedSnapshot) ServerSnapshot {
 		}
 		m.Streams.Opened += s.Streams.Opened
 		m.Streams.Windows += s.Streams.Windows
-		m.Streams.Latency = obs.MergeHist(m.Streams.Latency, s.Streams.Latency)
 		m.Stages = obs.MergeStages(m.Stages, s.Stages)
 		m.StreamStages = obs.MergeStages(m.StreamStages, s.StreamStages)
 		m.Traces = append(m.Traces, s.Traces...)

@@ -102,14 +102,12 @@ func (s *Server) windowPoolFor(h Hello, w, c int) (*windowPool, error) {
 	return e.p, e.err
 }
 
-// StreamStats is the server's cumulative streaming report.
+// StreamStats is the server's cumulative streaming report. Per-commit
+// latency is ServerSnapshot.StreamStages' decode stage.
 type StreamStats struct {
 	// Opened counts accepted StreamOpens; Windows counts decoded windows
 	// across all streams.
 	Opened, Windows uint64
-	// Latency is the per-commit service histogram: round-frame arrival to
-	// commit emission.
-	Latency HistogramSnapshot
 }
 
 // serverStream is one live stream's per-session state.
@@ -251,7 +249,6 @@ func (ss *sessionStreams) rounds(payload []byte, recvT time.Time) ([][]byte, []o
 			}
 			doneT := time.Now()
 			lat := doneT.Sub(recvT)
-			ss.srv.streamLat.Observe(lat)
 			ss.srv.windowsDecoded.Add(1)
 			var sp obs.Span
 			sp.Begin(recvT)

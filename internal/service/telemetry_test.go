@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -23,7 +24,7 @@ import (
 // (derived fields — histogram Avg, pool AvgBatch — are recomputed on
 // parse from the carried fields, so they round-trip too).
 func TestStatsReplyRoundTrip(t *testing.T) {
-	var lat histogram
+	var lat obs.Histogram
 	for i := 1; i <= 100; i++ {
 		lat.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -53,7 +54,7 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 			Busy:    3 * time.Second,
 			Latency: lat.Snapshot(),
 		}},
-		Streams:      StreamStats{Opened: 3, Windows: 9, Latency: lat.Snapshot()},
+		Streams:      StreamStats{Opened: 3, Windows: 9},
 		Stages:       set.Snapshot(),
 		StreamStages: obs.StageSnapshot{},
 		Traces: []obs.Trace{
@@ -444,5 +445,42 @@ func TestAdminEndpoints(t *testing.T) {
 	s.Drain(time.Second)
 	if _, err := http.Get("http://" + adminAddr.String() + "/metrics"); err == nil {
 		t.Fatal("admin listener still serving after Drain")
+	}
+}
+
+// TestAdminMetricsGrouped: with two pools (two Hellos) every /metrics
+// family is one contiguous group under one TYPE line — the renderer
+// writes family by family, not pool by pool — and the families the
+// server writes beside the snapshot are present.
+func TestAdminMetricsGrouped(t *testing.T) {
+	s := startServer(t, Options{PoolSize: 1})
+	for _, p := range []float64{0.01, 0.02} {
+		c, err := Dial(s.Addr().String(), Hello{Code: "rsurf3", P: p, StreamSeed: 5, Spec: Spec{Kind: "uf"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, err := c.SubmitSample(8)
+		if err == nil {
+			_, err = pd.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	rec := httptest.NewRecorder()
+	s.AdminHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	text := rec.Body.String()
+	if err := obs.CheckExposition(text); err != nil {
+		t.Fatalf("/metrics: %v\n%s", err, text)
+	}
+	if n := strings.Count(text, "\nbpsf_pool_decoded_total{"); n != 2 {
+		t.Fatalf("/metrics has %d bpsf_pool_decoded_total series, want one per pool (2):\n%s", n, text)
+	}
+	for _, want := range []string{"bpsf_sessions_active", "bpsf_stats_requests_total",
+		"bpsf_arena_frame_reads_total", "bpsf_arena_write_flushes_total", "go_goroutines"} {
+		if !regexp.MustCompile(`(?m)^` + want + ` `).MatchString(text) {
+			t.Errorf("/metrics missing %s", want)
+		}
 	}
 }

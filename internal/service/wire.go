@@ -32,8 +32,9 @@ const (
 	MsgStatsReply   = msgStatsReply
 )
 
-// DefaultMaxFrame is the frame-size guard both ends apply when Options
-// leave it zero; the gateway uses the same bound on both hops.
+// DefaultMaxFrame is the frame-size guard servers and clients apply;
+// the gateway uses the same bound on both hops, so every end agrees on
+// the largest batch a session may send.
 const DefaultMaxFrame = defaultMaxFrame
 
 // ReadFrame reads one length-prefixed frame payload (the length header is

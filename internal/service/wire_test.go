@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bpsf/internal/gf2"
+	"bpsf/internal/obs"
 )
 
 // TestCanonicalFrameBatchReply pins the replay-comparison rule: two batch
@@ -135,21 +136,23 @@ func TestSessionKeyNormalization(t *testing.T) {
 }
 
 func TestMergeSnapshots(t *testing.T) {
-	var h1, h2 histogram
+	var h1, h2 obs.Histogram
 	h1.Observe(time.Millisecond)
 	h2.Observe(4 * time.Millisecond)
 	h2.Observe(2 * time.Microsecond)
 	a := ServerSnapshot{
 		Uptime:        time.Minute,
 		SessionsTotal: 3, SessionsActive: 1,
-		Pools:   []PoolStats{{Pool: "bb72/r2/p0.01/bp", Decoded: 10, Latency: h1.Snapshot()}},
-		Streams: StreamStats{Opened: 2, Windows: 6, Latency: h1.Snapshot()},
+		Pools:        []PoolStats{{Pool: "bb72/r2/p0.01/bp", Decoded: 10, Latency: h1.Snapshot()}},
+		Streams:      StreamStats{Opened: 2, Windows: 6},
+		StreamStages: obs.StageSnapshot{Total: h1.Snapshot()},
 	}
 	b := ServerSnapshot{
 		Uptime:        3 * time.Minute,
 		SessionsTotal: 4, SessionsActive: 2,
-		Pools:   []PoolStats{{Pool: "bb72/r2/p0.01/bp", Decoded: 7, Latency: h2.Snapshot()}},
-		Streams: StreamStats{Opened: 1, Windows: 3, Latency: h2.Snapshot()},
+		Pools:        []PoolStats{{Pool: "bb72/r2/p0.01/bp", Decoded: 7, Latency: h2.Snapshot()}},
+		Streams:      StreamStats{Opened: 1, Windows: 3},
+		StreamStages: obs.StageSnapshot{Total: h2.Snapshot()},
 	}
 	m := MergeSnapshots([]NamedSnapshot{{Name: "b0", Snap: a}, {Name: "b1", Snap: b}})
 	if m.Uptime != 3*time.Minute {
@@ -161,7 +164,7 @@ func TestMergeSnapshots(t *testing.T) {
 	if len(m.Pools) != 2 || m.Pools[0].Pool != "b0|bb72/r2/p0.01/bp" || m.Pools[1].Pool != "b1|bb72/r2/p0.01/bp" {
 		t.Fatalf("merged pools lost backend identity: %+v", m.Pools)
 	}
-	if m.Streams.Opened != 3 || m.Streams.Windows != 9 || m.Streams.Latency.N != 3 {
+	if m.Streams.Opened != 3 || m.Streams.Windows != 9 || m.StreamStages.Total.N != 3 {
 		t.Fatalf("merged streams wrong: %+v", m.Streams)
 	}
 	if got := MergeSnapshots(nil); !reflect.DeepEqual(got, ServerSnapshot{}) {

@@ -124,16 +124,7 @@ func Run(cfg Config, rounds int, mk Sharder) (*Result, error) {
 	var nextShard atomic.Int64
 	var failTotal atomic.Int64
 
-	// Progress metrics (nil registry = nil metrics = no-ops): updated
-	// unconditionally so the instrumented and bare paths are one code path.
-	cfg.Metrics.Gauge("sim_shards").Set(int64(shardCount))
-	cfg.Metrics.Gauge("sim_workers").Set(int64(workerCount))
-	mShardsDone := cfg.Metrics.Counter("sim_shards_done_total")
-	mShots := cfg.Metrics.Counter("sim_shots_total")
-	mFails := cfg.Metrics.Counter("sim_failures_total")
-
 	runShard := func(i int) shardOut {
-		defer mShardsDone.Inc()
 		// once the failure budget is spent, skip the shard's decoder/sampler
 		// construction entirely, not just its shot loop
 		if cfg.MaxLogicalErrors > 0 && failTotal.Load() >= int64(cfg.MaxLogicalErrors) {
@@ -151,11 +142,9 @@ func Run(cfg Config, rounds int, mk Sharder) (*Result, error) {
 			}
 			o, failed := sh.Shot()
 			r.Shots++
-			mShots.Inc()
 			r.record(o, failed, cfg.KeepRecords)
 			if failed {
 				failTotal.Add(1)
-				mFails.Inc()
 			}
 		}
 		return shardOut{res: r}

@@ -8,7 +8,6 @@ import (
 	"bpsf/internal/dem"
 	"bpsf/internal/gf2"
 	"bpsf/internal/noise"
-	"bpsf/internal/obs"
 )
 
 // Factory builds a Decoder for a given parity-check matrix and per-bit
@@ -48,13 +47,6 @@ type Config struct {
 	// contract: per-shard splitmix seeding, and bit-identical results for
 	// any Workers value. Ignored by RunCapacity.
 	Batch bool
-	// Metrics, when non-nil, receives live run progress (DESIGN.md §10):
-	// the sim_shards gauge plus sim_shards_done_total, sim_shots_total and
-	// sim_failures_total counters, updated as workers advance so an admin
-	// scrape watches a long run move. Purely observational — the engine's
-	// determinism contract is untouched. Nil disables instrumentation at
-	// zero cost (every record primitive is a nil no-op).
-	Metrics *obs.Registry
 }
 
 // Record is one shot's decoder telemetry (estimates dropped to save
