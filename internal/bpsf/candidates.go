@@ -10,10 +10,7 @@
 // satisfies the original syndrome.
 package bpsf
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // SelectCandidates returns the indices of the phi most frequently flipped
 // bits (the oscillation set Φ of the paper's §III-B).
@@ -35,14 +32,13 @@ func SelectCandidates(flipCount []int, marginal []float64, phi int) []int {
 // SelectCandidates: a Decoder owns one so that candidate selection in the
 // decode hot path is allocation-free after warm-up.
 type candidateSelector struct {
-	idx  []int // full index permutation, stably sorted
-	out  []int // Φ output buffer (aliases Result.Candidates)
-	flip []int
-	marg []float64
+	out []int // Φ output buffer (aliases Result.Candidates)
 }
 
 // selectInto returns the Φ set in a buffer reused across calls (valid until
-// the next call). The ordering rules match SelectCandidates exactly.
+// the next call). It keeps the best phi bits seen so far in a bounded heap
+// whose root is the worst of them, so most bits cost one comparison, and
+// sorts the survivors at the end: O(n log phi), not a full sort.
 func (c *candidateSelector) selectInto(flipCount []int, marginal []float64, phi int) []int {
 	n := len(flipCount)
 	if phi > n {
@@ -51,45 +47,70 @@ func (c *candidateSelector) selectInto(flipCount []int, marginal []float64, phi 
 	if phi <= 0 {
 		return nil
 	}
-	if cap(c.idx) < n {
-		c.idx = make([]int, n)
-		c.out = make([]int, 0, n)
-	}
-	c.idx = c.idx[:n]
-	for i := range c.idx {
-		c.idx[i] = i
-	}
-	c.flip = flipCount
-	c.marg = marginal
-	allZero := true
-	for _, f := range flipCount {
-		if f != 0 {
-			allZero = false
-			break
+	rk := ranking{flipCount, marginal}
+	h := c.out[:0]
+	for i := 0; i < n; i++ {
+		switch {
+		case len(h) < phi:
+			h = append(h, i)
+			for j := len(h) - 1; j > 0 && rk.before(h[(j-1)/2], h[j]); j = (j - 1) / 2 {
+				h[j], h[(j-1)/2] = h[(j-1)/2], h[j]
+			}
+		case rk.before(i, h[0]):
+			h[0] = i
+			rk.siftDown(h, 0)
 		}
 	}
-	if allZero {
-		c.flip = nil // sort by |marginal| only
+	// heapsort: move the worst survivor to the back until the heap is empty
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		rk.siftDown(h[:end], 0)
 	}
-	sort.Stable(c)
-	c.flip, c.marg = nil, nil
-	c.out = append(c.out[:0], c.idx[:phi]...)
-	return c.out
+	c.out = h
+	return h
 }
 
-// sort.Interface over idx: primary key descending flip count (when
-// present), secondary ascending |marginal|; sort.Stable preserves the
-// smaller-index tie-break.
-func (c *candidateSelector) Len() int      { return len(c.idx) }
-func (c *candidateSelector) Swap(a, b int) { c.idx[a], c.idx[b] = c.idx[b], c.idx[a] }
-func (c *candidateSelector) Less(a, b int) bool {
-	ia, ib := c.idx[a], c.idx[b]
-	if c.flip != nil {
-		if fa, fb := c.flip[ia], c.flip[ib]; fa != fb {
-			return fa > fb
-		}
+// ranking is the total order of Φ candidates: flip count descending, then
+// |marginal| ascending (the less reliable bit first), then index ascending.
+// When every flip count is zero the first key ties throughout and
+// |marginal| alone decides.
+type ranking struct {
+	flip []int
+	marg []float64
+}
+
+// before reports whether bit a ranks ahead of bit b.
+func (r ranking) before(a, b int) bool {
+	if fa, fb := r.flip[a], r.flip[b]; fa != fb {
+		return fa > fb
 	}
-	return math.Abs(c.marg[ia]) < math.Abs(c.marg[ib])
+	ma, mb := math.Abs(r.marg[a]), math.Abs(r.marg[b])
+	if ma < mb {
+		return true
+	}
+	if mb < ma {
+		return false
+	}
+	return a < b
+}
+
+// siftDown restores the heap property (every parent ranks after its
+// children, so the root is the worst member) below position i.
+func (r ranking) siftDown(h []int, i int) {
+	for {
+		worst, l := i, 2*i+1
+		if l < len(h) && r.before(h[worst], h[l]) {
+			worst = l
+		}
+		if l+1 < len(h) && r.before(h[worst], h[l+1]) {
+			worst = l + 1
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // PrecisionRecall computes the paper's Fig 3 metrics: the fraction of

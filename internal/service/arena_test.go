@@ -23,38 +23,63 @@ import (
 // AllocsPerRun sees both sides of the loopback; exact zero means the
 // frame arenas, job free lists and Pending recycling all hold, with no
 // hidden allocation anywhere between them.
+//
+// The gate covers two served decoder kinds: a one-syndrome BP-SF batch,
+// and a uf batch of 16 rsurf5 r5 syndromes with more than two defects
+// each, so every decode misses the light-syndrome memo and runs general-
+// path growth with cluster solves.
 func TestServicePathZeroAlloc(t *testing.T) {
-	s := startServer(t, Options{PoolSize: 1, Logf: nil})
-	h := testHello(7)
-	syndromes := sampleSyndromes(t, s, h, 1, 3)
+	for _, tc := range []struct {
+		name  string
+		hello Hello
+		batch int
+		keep  func(gf2.Vec) bool
+	}{
+		{"bb72-bpsf", testHello(7), 1, func(gf2.Vec) bool { return true }},
+		{"rsurf5-uf-memo-miss", Hello{Code: "rsurf5", Rounds: 5, P: 0.003, StreamSeed: 7, Spec: Spec{Kind: "uf"}}, 16,
+			func(s gf2.Vec) bool { return s.Weight() > 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startServer(t, Options{PoolSize: 1, Logf: nil})
+			var syndromes []gf2.Vec
+			for seed := int64(3); len(syndromes) < tc.batch; seed++ {
+				for _, syn := range sampleSyndromes(t, s, tc.hello, tc.batch, seed) {
+					if tc.keep(syn) && len(syndromes) < tc.batch {
+						syndromes = append(syndromes, syn)
+					}
+				}
+			}
 
-	c, err := Dial(s.Addr().String(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+			c, err := Dial(s.Addr().String(), tc.hello)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	roundTrip := func() {
-		pend, err := c.Submit(syndromes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resps, err := pend.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resps) != 1 || resps[0].Shed {
-			t.Fatalf("unexpected responses: %+v", resps)
-		}
-		c.Release(pend)
-	}
-	// Warm every arena: frame buffers grow to their steady size, the job
-	// free list fills, the Pending recycles, decoder scratch settles.
-	for i := 0; i < 64; i++ {
-		roundTrip()
-	}
-	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
-		t.Fatalf("steady-state service round trip allocates %.1f objects/op, want exactly 0", allocs)
+			roundTrip := func() {
+				pend, err := c.Submit(syndromes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resps, err := pend.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(resps) != len(syndromes) || resps[0].Shed {
+					t.Fatalf("unexpected responses: %+v", resps)
+				}
+				c.Release(pend)
+			}
+			// Warm every arena: frame buffers grow to their steady size, the
+			// job free list fills, the Pending recycles, decoder scratch
+			// settles.
+			for i := 0; i < 64; i++ {
+				roundTrip()
+			}
+			if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+				t.Fatalf("steady-state service round trip allocates %.1f objects/op, want exactly 0", allocs)
+			}
+		})
 	}
 }
 

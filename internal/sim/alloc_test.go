@@ -28,11 +28,11 @@ func TestDecoderAllocCeilings(t *testing.T) {
 		ceilings map[string]int // registry name or "memexp/<label>" → allocs per shot
 	}{
 		{"rsurf5", 5, true, map[string]int{
-			"bp": 0, "bposd": 116, "bpsf": 0, "uf": 48, "windowed": 114,
-			"memexp/W3C1[UF]": 101, "memexp/W3C1[BP100-OSD5]": 248,
+			"bp": 0, "bposd": 116, "bpsf": 0, "uf": 0, "windowed": 90,
+			"memexp/W3C1[UF]": 4, "memexp/W3C1[BP100-OSD5]": 240,
 		}},
 		{"bb72", 2, false, map[string]int{
-			"bp": 0, "bposd": 1091, "bpsf": 0, "uf": 153, "windowed": 406,
+			"bp": 0, "bposd": 1091, "bpsf": 0, "uf": 0, "windowed": 357,
 		}},
 	}
 	for _, m := range models {

@@ -100,7 +100,9 @@ type Decoder struct {
 	edgeNextU, edgeNextV []int32
 
 	// elimination scratch (general only)
-	localCol []int32 // global bit → local column during trySolve, else -1
+	localRow []int32  // cluster check → its row in the trySolve workspace
+	aug      []uint64 // row-major [H_cluster | s] workspace, grown on demand
+	pivots   []int32  // pivot column per reduced row
 
 	// light-syndrome memo, indexed by memoKey; allocated on the first
 	// light syndrome, and never when m > memoMaxChecks
@@ -175,10 +177,7 @@ func New(h *sparse.Mat) *Decoder {
 			}
 		}
 		d.inGraph = make([]bool, n)
-		d.localCol = make([]int32, n)
-		for i := range d.localCol {
-			d.localCol[i] = -1
-		}
+		d.localRow = make([]int32, m)
 	}
 
 	d.parent = make([]int32, nv)
@@ -361,7 +360,7 @@ func (d *Decoder) decodeFull() Result {
 		d.hasBound[d.m] = true // the boundary vertex's own cluster
 		res.Success = d.growMatchable(&res) && d.peelAll(&res)
 	} else {
-		res.Success = d.growGeneral(&res)
+		res.Success = d.growGeneral(&res, (*Decoder).trySolve)
 	}
 	return res
 }

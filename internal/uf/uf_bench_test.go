@@ -56,3 +56,17 @@ func BenchmarkBPOSDDecode(b *testing.B) {
 		d.Decode(syndromes[i%len(syndromes)])
 	}
 }
+
+// BenchmarkUFDecodeMemoMiss decodes rsurf5 r5 circuit-DEM syndromes with
+// more than two defects at p=0.004: general-path growth and cluster
+// solves, no memo hits.
+func BenchmarkUFDecodeMemoMiss(b *testing.B) {
+	d := circuitDEM(b, "rsurf5", 5)
+	syndromes := memoMissSyndromes(d, 0.004, 256, 1)
+	dec := New(d.H)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec.Decode(syndromes[i%len(syndromes)])
+	}
+}

@@ -374,8 +374,9 @@ func TestMemoMatchesFreshDecode(t *testing.T) {
 
 // TestDecodeZeroAllocSteadyState: a warm decoder does not allocate — full
 // decodes on the matchable rsurf5 graph (truncated cluster lists, defects
-// seeded from the syndrome words) and memo hits on the rsurf5 r5 circuit
-// DEM alike.
+// seeded from the syndrome words), memo hits on the rsurf5 r5 circuit DEM,
+// and memo misses on the rsurf5 r5 and bb72 r2 circuit DEMs (general-path
+// growth and the in-place cluster solve) alike.
 func TestDecodeZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -387,6 +388,10 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 			func(gf2.Vec) bool { return true }},
 		{"rsurf5-r5-circuit-memo", func(t *testing.T) *sparse.Mat { return circuitDEM(t, "rsurf5", 5).H }, 0.003,
 			func(s gf2.Vec) bool { return s.Weight() <= 2 }},
+		{"rsurf5-r5-circuit-miss", func(t *testing.T) *sparse.Mat { return circuitDEM(t, "rsurf5", 5).H }, 0.003,
+			func(s gf2.Vec) bool { return s.Weight() > 2 }},
+		{"bb72-r2-circuit-miss", func(t *testing.T) *sparse.Mat { return circuitDEM(t, "bb72", 2).H }, 0.003,
+			func(s gf2.Vec) bool { return s.Weight() > 2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := tc.h(t)

@@ -40,8 +40,10 @@ type Decoder struct {
 	name    string
 
 	// stream is the reusable whole-syndrome decode state (Decode is
-	// implemented as a replayed stream, so the two paths cannot diverge).
+	// implemented as a replayed stream, so the two paths cannot diverge);
+	// rounds holds one detector vector per round for that replay.
 	stream *Stream
+	rounds []gf2.Vec
 }
 
 // New builds a windowed decoder over check matrix h with per-mechanism
@@ -107,6 +109,11 @@ func New(h *sparse.Mat, priors []float64, layout Layout, w, c int, inner decodin
 	}
 	d.name = fmt.Sprintf("W%dC%d[%s]", w, c, d.windows[0].dec.Name())
 	d.stream = d.NewStream()
+	d.rounds = make([]gf2.Vec, layout.NumRounds())
+	for r := range d.rounds {
+		lo, hi := layout.RoundRange(r)
+		d.rounds[r] = gf2.NewVec(hi - lo)
+	}
 	return d, nil
 }
 
@@ -143,20 +150,15 @@ func (d *Decoder) Decode(s gf2.Vec) decoding.Outcome {
 	t0 := time.Now()
 	st := d.stream
 	st.Reset()
-	var roundBits gf2.Vec
-	for r := 0; r < d.layout.NumRounds(); r++ {
+	for r, round := range d.rounds {
 		lo, hi := d.layout.RoundRange(r)
-		if roundBits.Len() != hi-lo {
-			roundBits = gf2.NewVec(hi - lo)
-		} else {
-			roundBits.Zero()
-		}
+		round.Zero()
 		for i := lo; i < hi; i++ {
 			if s.Get(i) {
-				roundBits.Set(i-lo, true)
+				round.Set(i-lo, true)
 			}
 		}
-		st.PushRound(roundBits)
+		st.PushRound(round)
 	}
 	out := st.Finish()
 	out.Time = time.Since(t0)

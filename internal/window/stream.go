@@ -2,6 +2,7 @@ package window
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"bpsf/internal/decoding"
@@ -91,19 +92,21 @@ func (s *Stream) ErrHat() gf2.Vec { return s.errHat }
 // The returned commits — usually none or one; several only when the final
 // round completes multiple trailing windows — are valid until the next
 // PushRound/Reset, except their Mechs slices, which the caller owns.
-func (s *Stream) PushRound(bits gf2.Vec) ([]Commit, error) {
+func (s *Stream) PushRound(round gf2.Vec) ([]Commit, error) {
 	if s.Done() {
 		return nil, fmt.Errorf("window: stream already received all %d rounds", s.d.layout.NumRounds())
 	}
 	lo, hi := s.d.layout.RoundRange(s.nextRound)
-	if bits.Len() != hi-lo {
+	if round.Len() != hi-lo {
 		return nil, fmt.Errorf("window: round %d carries %d detectors, layout expects %d",
-			s.nextRound, bits.Len(), hi-lo)
+			s.nextRound, round.Len(), hi-lo)
 	}
 	// XOR (not overwrite): commits of earlier windows may already have
 	// flipped boundary detectors of rounds that had not arrived yet.
-	for _, i := range bits.Support() {
-		s.residual.Flip(lo + i)
+	for wi, w := range round.Words() {
+		for ; w != 0; w &= w - 1 {
+			s.residual.Flip(lo + wi*64 + bits.TrailingZeros64(w))
+		}
 	}
 	s.nextRound++
 
@@ -133,15 +136,18 @@ func (s *Stream) decodeWindow(wi int) Commit {
 	dt := time.Since(t0)
 
 	var mechs []int
-	for _, j := range out.ErrHat.Support() {
-		if !sw.commit[j] {
-			continue
-		}
-		m := sw.mechs[j]
-		mechs = append(mechs, m)
-		s.errHat.Flip(m)
-		for _, r := range s.d.h.ColSupport(m) {
-			s.residual.Flip(r)
+	for wi, w := range out.ErrHat.Words() {
+		for ; w != 0; w &= w - 1 {
+			j := wi*64 + bits.TrailingZeros64(w)
+			if !sw.commit[j] {
+				continue
+			}
+			m := sw.mechs[j]
+			mechs = append(mechs, m)
+			s.errHat.Flip(m)
+			for _, r := range s.d.h.ColSupport(m) {
+				s.residual.Flip(r)
+			}
 		}
 	}
 
