@@ -141,7 +141,9 @@ func main() {
 	row(osdRes.Decoder, osdRes.LERRound, times(osdRes.Records))
 	row(sfRes.Decoder+" serial", sfRes.LERRound, times(sfRes.Records))
 	// the P-worker schedule model and the GPU estimator consume BP-SF
-	// per-trial records, so they only apply to the bare bpsf decoder
+	// per-trial records, so they only apply to the bare bpsf decoder. The
+	// serial records stop at the first success, and at P > 1 a later trial
+	// can finish first, so the "(model)" rows are upper bounds.
 	if spec.Kind == "bpsf" && spec.Window == 0 {
 		for _, w := range modelWorkers {
 			modeled := make([]time.Duration, len(sfRes.Records))

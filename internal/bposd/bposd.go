@@ -20,7 +20,8 @@ type Result struct {
 	// column space of H (cannot happen for syndromes sampled from the code's
 	// own error model).
 	Success bool
-	// ErrHat is the estimated error.
+	// ErrHat is the estimated error. It aliases a buffer of the BP or OSD
+	// decoder and is overwritten by the next Decode.
 	ErrHat gf2.Vec
 	// BPIterations is the number of BP iterations used.
 	BPIterations int

@@ -70,17 +70,6 @@ func (c *CSS) Dims() (checksX, checksZ int) {
 	return c.HZ.Rows(), c.HX.Rows()
 }
 
-// EquivXBasis returns a dense RREF basis for the X equivalence group (used
-// by tests to check degeneracy-aware decoding results).
-func (c *CSS) EquivXBasis() (*gf2.Mat, []int) {
-	e := gf2.RowReduce(c.EquivX.ToDense(), true, false, nil)
-	basis := gf2.NewMat(e.Rank, c.N)
-	for i := 0; i < e.Rank; i++ {
-		basis.SetRow(i, e.R.Row(i))
-	}
-	return basis, e.PivotCols
-}
-
 // Validate performs NewCSS-level validation on externally supplied matrices
 // without building a code; helper for tools.
 func Validate(hx, hz *sparse.Mat) error { return checkCommute(hx, hz) }

@@ -171,39 +171,24 @@ func pairLogicals(lx, lz *gf2.Mat) *gf2.Mat {
 }
 
 // invert returns the inverse of a square GF(2) matrix, or ok=false if it is
-// singular.
+// singular: [m | I] reduces to [I | m⁻¹] with pivots limited to the left
+// block.
 func invert(m *gf2.Mat) (*gf2.Mat, bool) {
 	n := m.Rows()
 	if m.Cols() != n {
 		return nil, false
 	}
 	aug := gf2.HStack(m, gf2.Identity(n))
-	e := gf2.RowReduce(aug, true, false, leftFirstOrder(n))
-	if e.Rank < n {
+	if len(aug.RREF(n, nil)) < n {
 		return nil, false
-	}
-	for i := 0; i < n; i++ {
-		if i >= len(e.PivotCols) || e.PivotCols[i] != i {
-			return nil, false
-		}
 	}
 	inv := gf2.NewMat(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if e.R.Get(i, n+j) {
+			if aug.Get(i, n+j) {
 				inv.Set(i, j, true)
 			}
 		}
 	}
 	return inv, true
-}
-
-// leftFirstOrder returns the column order 0..n-1 (the left block of an
-// n×2n augmented matrix).
-func leftFirstOrder(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
 }

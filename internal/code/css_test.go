@@ -96,24 +96,6 @@ func TestDims(t *testing.T) {
 	}
 }
 
-func TestEquivXBasis(t *testing.T) {
-	h := steane()
-	c, err := NewCSS("steane", h, h, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	basis, pivots := c.EquivXBasis()
-	if basis.Rows() != 3 || len(pivots) != 3 {
-		t.Fatalf("basis %dx%d pivots %v", basis.Rows(), basis.Cols(), pivots)
-	}
-	// every stabilizer row reduces to zero against the basis
-	for i := 0; i < 3; i++ {
-		if !gf2.InRowSpace(basis, pivots, h.ToDense().Row(i)) {
-			t.Fatal("stabilizer outside its own equivalence basis")
-		}
-	}
-}
-
 func TestNewSubsystemRejectsBadShapes(t *testing.T) {
 	g := sparse.FromRows([][]int{{1, 1, 0}})
 	comb := sparse.FromRows([][]int{{1, 1}}) // wrong width

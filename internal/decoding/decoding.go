@@ -28,10 +28,6 @@ type Outcome struct {
 	// Iterations is the serial-accounting BP iteration count (initial +
 	// cumulative trials for BP-SF; BP iterations for BP and BP-OSD).
 	Iterations int
-	// ParallelIterations is the iteration-unit latency under full
-	// parallelism (equals Iterations for decoders without parallel
-	// post-processing).
-	ParallelIterations int
 	// PostUsed reports whether post-processing (OSD or syndrome-flip
 	// trials) ran.
 	PostUsed bool

@@ -294,8 +294,10 @@ func Fig15(o Opts) (FigureResult, error) {
 	if err != nil {
 		return FigureResult{}, err
 	}
-	// serial BP-SF; per-trial records up to the first success are all
-	// the schedule model needs (later trials are cancelled anyway)
+	// serial BP-SF. Its per-trial records stop at the first success, but
+	// with P > 1 workers a later trial can finish first, and the records
+	// do not hold it; the modeled P > 1 rows are therefore upper bounds
+	// (DecodeAllTrials records would make them exact)
 	sfSpec := BPSFCircuitSpec(100, 50, 10, 10)
 	sfMC, err := sim.RunCircuit(d, rounds, sfSpec.NewDecoder, sim.Config{
 		P: p, Shots: shots, Seed: o.seed(), KeepRecords: true, Workers: 1,
@@ -317,7 +319,7 @@ func Fig15(o Opts) (FigureResult, error) {
 	}
 
 	tb := sim.NewTable("decoder", "min ms", "median ms", "avg ms", "p99 ms", "max ms")
-	res := FigureResult{Name: "fig15", Notes: "P>1 rows derive from the schedule model (iteration units × measured per-iteration time)"}
+	res := FigureResult{Name: "fig15", Notes: "P>1 rows derive from the schedule model (iteration units × measured per-iteration time) over serial per-trial records, which stop at the first success; a later trial can finish first at P>1, so these rows are upper bounds"}
 	ms := func(t time.Duration) float64 { return float64(t.Microseconds()) / 1000 }
 
 	report := func(label string, ds []time.Duration) {

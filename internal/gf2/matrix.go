@@ -19,8 +19,25 @@ func NewMat(rows, cols int) *Mat {
 	if rows < 0 || cols < 0 {
 		panic("gf2: negative matrix dimension")
 	}
-	stride := wordsFor(cols)
-	return &Mat{rows: rows, cols: cols, stride: stride, data: make([]uint64, rows*stride)}
+	m := &Mat{}
+	m.Reset(rows, cols)
+	return m
+}
+
+// Reset reshapes m to a zero rows×cols matrix, reusing its storage when
+// that is large enough, so a workspace refilled on every call allocates
+// only when it grows. The zero Mat is a valid workspace.
+func (m *Mat) Reset(rows, cols int) {
+	if rows < 0 || cols < 0 {
+		panic("gf2: negative matrix dimension")
+	}
+	m.rows, m.cols, m.stride = rows, cols, wordsFor(cols)
+	if n := rows * m.stride; cap(m.data) < n {
+		m.data = make([]uint64, n)
+	} else {
+		m.data = m.data[:n]
+		clear(m.data)
+	}
 }
 
 // MatFromRows builds a matrix from a slice of 0/1 int rows. All rows must
@@ -83,6 +100,12 @@ func (m *Mat) rowWords(i int) []uint64 {
 	return m.data[i*m.stride : (i+1)*m.stride]
 }
 
+// RowView returns row i as a Vec over m's own storage: nothing is copied,
+// and writes through the view change m.
+func (m *Mat) RowView(i int) Vec {
+	return Vec{n: m.cols, w: m.rowWords(i)}
+}
+
 // Row returns a copy of row i as a Vec.
 func (m *Mat) Row(i int) Vec {
 	v := NewVec(m.cols)
@@ -131,7 +154,7 @@ func (m *Mat) SwapRows(i, j int) {
 
 // RowWeight returns the Hamming weight of row i.
 func (m *Mat) RowWeight(i int) int {
-	return Vec{n: m.cols, w: m.rowWords(i)}.Weight()
+	return m.RowView(i).Weight()
 }
 
 // MulVec returns m · x (column vector product); x must have length Cols().
@@ -141,7 +164,7 @@ func (m *Mat) MulVec(x Vec) Vec {
 	}
 	out := NewVec(m.rows)
 	for i := 0; i < m.rows; i++ {
-		r := Vec{n: m.cols, w: m.rowWords(i)}
+		r := m.RowView(i)
 		if r.Dot(x) {
 			out.Set(i, true)
 		}
@@ -226,10 +249,10 @@ func HStack(m, b *Mat) *Mat {
 	}
 	out := NewMat(m.rows, m.cols+b.cols)
 	for i := 0; i < m.rows; i++ {
-		for _, j := range (Vec{n: m.cols, w: m.rowWords(i)}).Support() {
+		for _, j := range m.RowView(i).Support() {
 			out.Set(i, j, true)
 		}
-		for _, j := range (Vec{n: b.cols, w: b.rowWords(i)}).Support() {
+		for _, j := range b.RowView(i).Support() {
 			out.Set(i, m.cols+j, true)
 		}
 	}
@@ -251,9 +274,9 @@ func VStack(m, b *Mat) *Mat {
 func Kron(m, b *Mat) *Mat {
 	out := NewMat(m.rows*b.rows, m.cols*b.cols)
 	for i := 0; i < m.rows; i++ {
-		for _, j := range (Vec{n: m.cols, w: m.rowWords(i)}).Support() {
+		for _, j := range m.RowView(i).Support() {
 			for bi := 0; bi < b.rows; bi++ {
-				for _, bj := range (Vec{n: b.cols, w: b.rowWords(bi)}).Support() {
+				for _, bj := range b.RowView(bi).Support() {
 					out.Set(i*b.rows+bi, j*b.cols+bj, true)
 				}
 			}
@@ -266,7 +289,7 @@ func Kron(m, b *Mat) *Mat {
 func (m *Mat) String() string {
 	var sb strings.Builder
 	for i := 0; i < m.rows; i++ {
-		sb.WriteString(Vec{n: m.cols, w: m.rowWords(i)}.String())
+		sb.WriteString(m.RowView(i).String())
 		if i != m.rows-1 {
 			sb.WriteByte('\n')
 		}

@@ -18,6 +18,15 @@ func randMat(r *rand.Rand, rows, cols int) *Mat {
 	return m
 }
 
+// colMat returns x as a len(x)×1 matrix.
+func colMat(x Vec) *Mat {
+	m := NewMat(x.Len(), 1)
+	for _, i := range x.Support() {
+		m.Set(i, 0, true)
+	}
+	return m
+}
+
 func TestIdentityMul(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	a := randMat(r, 17, 23)
@@ -75,7 +84,7 @@ func TestMulVecMatchesMul(t *testing.T) {
 		a := randMat(rr, p, q)
 		x := randVec(rr, q)
 		got := a.MulVec(x)
-		want := a.Mul(colVec(x)).Col(0)
+		want := a.Mul(colMat(x)).Col(0)
 		return got.Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: r}); err != nil {

@@ -1,184 +1,84 @@
 package gf2
 
-// Echelon holds the result of Gaussian elimination over GF(2).
+// RREF reduces m in place to reduced row echelon form and returns the
+// pivot column of each of its first rank rows, appended to pivots[:0]; the
+// rank is the length of the result.
 //
-// R is the reduced matrix. When Full is true R is in reduced row echelon
-// form (RREF): each pivot column has a single 1, located in its pivot row.
-// PivotCols[i] is the column of the pivot in row i (rows 0..Rank-1);
-// RowOps, if requested, records the elimination as a Rank(A).Rows×A.Rows
-// transform T with R[:Rank] = (T · A)[:Rank].
-type Echelon struct {
-	R         *Mat
-	Rank      int
-	PivotCols []int
-	RowOps    *Mat // nil unless requested
-	Full      bool
-}
-
-// RowReduce computes an echelon form of a copy of a.
+// Pivots are picked in natural column order among the first pivotCols
+// columns only, while row operations span every column, so the columns
+// from pivotCols on ride along as right-hand sides. For an augmented
+// system [A | b] reduced with pivotCols = A.Cols(), a row at or past the
+// rank that holds a 1 in b marks the system inconsistent; otherwise
+// x[pivots[i]] = b[i], with free variables zero, solves A·x = b. The
+// reduction stops once every row holds a pivot.
 //
-// If full is true the result is the RREF (entries above pivots cleared too);
-// otherwise only entries below pivots are cleared. If trackOps is true the
-// returned Echelon carries the accumulated row-operation matrix T such that
-// R = T·a; this is what OSD uses to transform syndromes.
-//
-// colOrder, when non-nil, gives the order in which columns are scanned for
-// pivots (a permutation of 0..cols-1, most-preferred first). OSD passes the
-// reliability order here. When nil, natural order is used.
-func RowReduce(a *Mat, full, trackOps bool, colOrder []int) Echelon {
-	r := a.Clone()
-	var ops *Mat
-	if trackOps {
-		ops = Identity(a.rows)
+// The RREF of a matrix is unique, so the result does not depend on which
+// row is picked as each pivot. Rows at or below the current pivot row are
+// zero left of its column, so swaps and XORs start at the pivot's word.
+// RREF allocates only when pivots lacks the capacity for the rank.
+func (m *Mat) RREF(pivotCols int, pivots []int) []int {
+	if pivotCols < 0 || pivotCols > m.cols {
+		panic("gf2: RREF pivot columns out of range")
 	}
-	order := colOrder
-	if order == nil {
-		order = make([]int, a.cols)
-		for j := range order {
-			order[j] = j
+	rows, stride, data := m.rows, m.stride, m.data
+	pivots = pivots[:0]
+	for col := 0; col < pivotCols && len(pivots) < rows; col++ {
+		w, bit := col/wordBits, uint64(1)<<(uint(col)%wordBits)
+		row := len(pivots)
+		sel, off := row, row*stride+w
+		for sel < rows && data[off]&bit == 0 {
+			sel, off = sel+1, off+stride
 		}
-	}
-	pivots := make([]int, 0, minInt(a.rows, a.cols))
-	row := 0
-	for _, col := range order {
-		if row >= r.rows {
-			break
-		}
-		// find a pivot at or below `row`
-		sel := -1
-		for i := row; i < r.rows; i++ {
-			if r.Get(i, col) {
-				sel = i
-				break
-			}
-		}
-		if sel < 0 {
+		if sel == rows {
 			continue
 		}
-		r.SwapRows(row, sel)
-		if ops != nil {
-			ops.SwapRows(row, sel)
+		pr := data[row*stride+w : (row+1)*stride]
+		if sel != row {
+			sr := data[sel*stride+w : (sel+1)*stride]
+			for k := range pr {
+				pr[k], sr[k] = sr[k], pr[k]
+			}
 		}
-		lo := row + 1
-		if full {
-			lo = 0
-		}
-		for i := lo; i < r.rows; i++ {
-			if i != row && r.Get(i, col) {
-				r.XorRows(i, row)
-				if ops != nil {
-					ops.XorRows(i, row)
+		for i, off := 0, w; i < rows; i, off = i+1, off+stride {
+			if i != row && data[off]&bit != 0 {
+				ri := data[off : off+len(pr)]
+				for k := range pr {
+					ri[k] ^= pr[k]
 				}
 			}
 		}
 		pivots = append(pivots, col)
-		row++
 	}
-	return Echelon{R: r, Rank: row, PivotCols: pivots, RowOps: ops, Full: full}
+	return pivots
 }
 
 // Rank returns the GF(2) rank of a.
 func Rank(a *Mat) int {
-	return RowReduce(a, false, false, nil).Rank
-}
-
-// Solve finds one solution x of a·x = b, or reports ok=false when the system
-// is inconsistent. Free variables are set to zero.
-func Solve(a *Mat, b Vec) (x Vec, ok bool) {
-	if b.Len() != a.rows {
-		panic("gf2: Solve rhs length mismatch")
-	}
-	aug := HStack(a, colVec(b))
-	e := RowReduce(aug, true, false, augOrder(a.cols))
-	x = NewVec(a.cols)
-	for i, col := range e.PivotCols {
-		if col == a.cols {
-			// pivot in the augmented column ⇒ inconsistent
-			return Vec{}, false
-		}
-		if e.R.Get(i, a.cols) {
-			x.Set(col, true)
-		}
-	}
-	// Rows below rank with a 1 in the augmented column also signal
-	// inconsistency, but RREF with augOrder scans the augmented column last,
-	// so such rows would have produced an augmented pivot above.
-	return x, true
-}
-
-// augOrder returns the column scan order 0..n-1 followed by n (the augmented
-// column), guaranteeing the RHS column is only chosen as a pivot if the
-// system is inconsistent.
-func augOrder(n int) []int {
-	order := make([]int, n+1)
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// colVec returns b as an n×1 matrix.
-func colVec(b Vec) *Mat {
-	m := NewMat(b.Len(), 1)
-	for _, i := range b.Support() {
-		m.Set(i, 0, true)
-	}
-	return m
+	return len(a.Clone().RREF(a.cols, nil))
 }
 
 // NullspaceBasis returns a basis (as matrix rows) of {x : a·x = 0}.
 // The basis has a.Cols() − Rank(a) rows.
 func NullspaceBasis(a *Mat) *Mat {
-	e := RowReduce(a, true, false, nil)
-	isPivot := make([]bool, a.cols)
-	pivotRow := make([]int, a.cols)
-	for i, col := range e.PivotCols {
-		isPivot[col] = true
-		pivotRow[col] = i
-	}
-	free := make([]int, 0, a.cols-e.Rank)
-	for j := 0; j < a.cols; j++ {
-		if !isPivot[j] {
-			free = append(free, j)
+	r := a.Clone()
+	pivots := r.RREF(a.cols, nil)
+	free := make([]int, 0, a.cols-len(pivots))
+	for j, k := 0, 0; j < a.cols; j++ {
+		if k < len(pivots) && pivots[k] == j {
+			k++
+			continue
 		}
+		free = append(free, j)
 	}
 	basis := NewMat(len(free), a.cols)
 	for bi, fj := range free {
 		basis.Set(bi, fj, true)
 		// pivot variables determined by the free column's entries
-		for i, col := range e.PivotCols {
-			if e.R.Get(i, fj) {
+		for i, col := range pivots {
+			if r.Get(i, fj) {
 				basis.Set(bi, col, true)
 			}
 		}
 	}
 	return basis
-}
-
-// RowBasis returns a matrix whose rows form a basis of the row space of a.
-func RowBasis(a *Mat) *Mat {
-	e := RowReduce(a, true, false, nil)
-	out := NewMat(e.Rank, a.cols)
-	copy(out.data, e.R.data[:e.Rank*e.R.stride])
-	return out
-}
-
-// InRowSpace reports whether v lies in the row space of basis, where basis
-// must already be in RREF (as produced by RowBasis). It reduces a copy of v
-// against the basis rows.
-func InRowSpace(basis *Mat, pivotCols []int, v Vec) bool {
-	r := v.Clone()
-	for i, col := range pivotCols {
-		if r.Get(col) {
-			r.Xor(Vec{n: basis.cols, w: basis.rowWords(i)})
-		}
-	}
-	return r.IsZero()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

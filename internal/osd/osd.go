@@ -22,7 +22,7 @@ package osd
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"bpsf/internal/gf2"
 	"bpsf/internal/sparse"
@@ -69,7 +69,9 @@ type Result struct {
 	// OK is false when the syndrome is outside the column space of H (no
 	// solution exists).
 	OK bool
-	// ErrHat is the chosen error pattern (valid when OK).
+	// ErrHat is the chosen error pattern (valid when OK). It aliases the
+	// decoder's buffer and is overwritten by the next Decode; Clone it to
+	// keep it.
 	ErrHat gf2.Vec
 	// Weight is the Hamming weight of ErrHat.
 	Weight int
@@ -78,11 +80,21 @@ type Result struct {
 	Patterns int
 }
 
-// Decoder performs OSD against a fixed parity-check matrix.
+// Decoder performs OSD against a fixed parity-check matrix. It owns the
+// workspace of its decodes, so a warm Decode allocates nothing; like
+// bp.Decoder it is not safe for concurrent use.
 type Decoder struct {
-	h      *sparse.Mat
-	hDense *gf2.Mat
-	cfg    Config
+	h   *sparse.Mat
+	cfg Config
+
+	order, pos      []int    // position → column by ascending LLR, and back
+	aug             gf2.Mat  // [H[:, order] | s], reduced in place
+	pivots          []int    // pivot position per reduced row
+	npIdx, nonPiv   []int    // position → non-pivot index (-1 if pivot), and back
+	colBits         []uint64 // non-pivot k's pivot-row bits, words at k*words
+	base, cur, best []uint64 // pivot-row bits: OSD-0, candidate, lightest
+	pat, bestPat    []int    // patterns as non-pivot indices
+	errHat          gf2.Vec
 }
 
 // New builds an OSD decoder for h.
@@ -90,7 +102,9 @@ func New(h *sparse.Mat, cfg Config) *Decoder {
 	if cfg.Order < 0 {
 		panic(fmt.Sprintf("osd: negative order %d", cfg.Order))
 	}
-	return &Decoder{h: h, hDense: h.ToDense(), cfg: cfg}
+	n := h.Cols()
+	return &Decoder{h: h, cfg: cfg, order: make([]int, n), pos: make([]int, n),
+		npIdx: make([]int, n), errHat: gf2.NewVec(n)}
 }
 
 // Config returns the decoder configuration.
@@ -108,149 +122,164 @@ func (d *Decoder) Decode(s gf2.Vec, llr []float64) Result {
 		panic("osd: syndrome length mismatch")
 	}
 
-	// 1. reliability order: most likely in error first (ascending LLR)
-	order := make([]int, n)
+	// 1. reliability order: most likely in error first (ascending LLR),
+	// stable; compared with < as before, so NaNs keep their old order
+	order := d.order
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return llr[order[a]] < llr[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int {
+		if llr[a] < llr[b] {
+			return -1
+		}
+		if llr[b] < llr[a] {
+			return 1
+		}
+		return 0
+	})
 
-	// 2. eliminate [H | s] in that column order
-	aug := gf2.HStack(d.hDense, colVec(s))
-	e := gf2.RowReduce(aug, true, false, order)
-	rank := e.Rank
+	// 2. write [H | s] with its columns in that order and reduce it in
+	// place: the RREF is unique, so this equals eliminating [H | s] with
+	// its columns scanned in reliability order
+	aug := &d.aug
+	aug.Reset(m, n+1)
+	for p, col := range order {
+		d.pos[col] = p
+	}
+	for col := 0; col < n; col++ {
+		for _, r := range d.h.ColSupport(col) {
+			aug.Set(r, d.pos[col], true)
+		}
+	}
+	for wi, w := range s.Words() {
+		for ; w != 0; w &= w - 1 {
+			aug.Set(wi*64+bits.TrailingZeros64(w), n, true)
+		}
+	}
+	piv := aug.RREF(n, d.pivots)
+	d.pivots = piv
+	rank := len(piv)
 
 	// consistency: rows at/below rank must not carry a syndrome bit
 	for i := rank; i < m; i++ {
-		if e.R.Get(i, n) {
+		if aug.Get(i, n) {
 			return Result{OK: false}
 		}
 	}
 
-	isPivot := make([]bool, n)
-	for _, col := range e.PivotCols {
-		isPivot[col] = true
-	}
-	// non-pivot columns in reliability order (most suspicious first)
-	nonPivot := make([]int, 0, n-rank)
-	for _, col := range order {
-		if !isPivot[col] {
-			nonPivot = append(nonPivot, col)
+	// non-pivot positions, in reliability order (most suspicious first)
+	nonPiv := d.nonPiv[:0]
+	for p, k := 0, 0; p < n; p++ {
+		if k < rank && piv[k] == p {
+			d.npIdx[p] = -1
+			k++
+			continue
 		}
+		d.npIdx[p] = len(nonPiv)
+		nonPiv = append(nonPiv, p)
 	}
+	d.nonPiv = nonPiv
 
 	// base pivot solution: e_P[i] = s̃[i]
 	words := (rank + 63) / 64
-	base := make([]uint64, words)
+	base := zeroed(&d.base, words)
 	for i := 0; i < rank; i++ {
-		if e.R.Get(i, n) {
+		if aug.Get(i, n) {
 			base[i/64] |= 1 << (uint(i) % 64)
 		}
 	}
-
-	build := func(pivotBits []uint64, pattern []int) gf2.Vec {
-		out := gf2.NewVec(n)
-		for i, col := range e.PivotCols {
-			if pivotBits[i/64]>>(uint(i)%64)&1 == 1 {
-				out.Set(col, true)
-			}
-		}
-		for _, col := range pattern {
-			out.Set(col, true)
-		}
-		return out
-	}
-
-	if d.cfg.Method == OSD0 || len(nonPivot) == 0 {
-		sol := build(base, nil)
-		return Result{OK: true, ErrHat: sol, Weight: sol.Weight(), Patterns: 1}
-	}
-
-	// 3. cache the RREF restricted to pivot rows, per non-pivot column
-	colBits := make(map[int][]uint64, len(nonPivot))
-	for _, col := range nonPivot {
-		colBits[col] = make([]uint64, words)
-	}
-	for i := 0; i < rank; i++ {
-		for _, j := range e.R.Row(i).Support() {
-			if j < n && !isPivot[j] {
-				colBits[j][i/64] |= 1 << (uint(i) % 64)
-			}
-		}
-	}
-
-	popcount := func(w []uint64) int {
-		c := 0
-		for _, x := range w {
-			c += bits.OnesCount64(x)
-		}
-		return c
-	}
-
-	bestBits := base
-	bestPattern := []int(nil)
-	bestWeight := popcount(base)
+	best := append(d.best[:0], base...)
+	d.best = best
+	d.bestPat = d.bestPat[:0]
 	patterns := 1
-	scratch := make([]uint64, words)
 
-	try := func(pattern []int) {
-		copy(scratch, base)
-		for _, col := range pattern {
-			cb := colBits[col]
-			for w := range scratch {
-				scratch[w] ^= cb[w]
-			}
-		}
-		patterns++
-		if w := popcount(scratch) + len(pattern); w < bestWeight {
-			bestWeight = w
-			bestBits = append([]uint64(nil), scratch...)
-			bestPattern = append([]int(nil), pattern...)
-		}
-	}
-
-	switch d.cfg.Method {
-	case OSDE:
-		// all subsets of the first Order non-pivot columns
-		depth := minInt(d.cfg.Order, len(nonPivot))
-		for mask := 1; mask < 1<<uint(depth); mask++ {
-			var pattern []int
-			for b := 0; b < depth; b++ {
-				if mask>>uint(b)&1 == 1 {
-					pattern = append(pattern, nonPivot[b])
+	if d.cfg.Method != OSD0 && len(nonPiv) > 0 {
+		// 3. cache the RREF restricted to pivot rows, per non-pivot column
+		colBits := zeroed(&d.colBits, len(nonPiv)*words)
+		for i := 0; i < rank; i++ {
+			for wi, w := range aug.RowView(i).Words() {
+				for ; w != 0; w &= w - 1 {
+					if k := wi*64 + bits.TrailingZeros64(w); k < n && d.npIdx[k] >= 0 {
+						colBits[d.npIdx[k]*words+i/64] |= 1 << (uint(i) % 64)
+					}
 				}
 			}
-			try(pattern)
 		}
-	case OSDCS:
-		// weight-1 over the full non-pivot block
-		for _, col := range nonPivot {
-			try([]int{col})
+
+		bestWeight := popcount(base)
+		cur := zeroed(&d.cur, words)
+		try := func(pattern []int) {
+			copy(cur, base)
+			for _, k := range pattern {
+				cb := colBits[k*words : (k+1)*words]
+				for w := range cur {
+					cur[w] ^= cb[w]
+				}
+			}
+			patterns++
+			if w := popcount(cur) + len(pattern); w < bestWeight {
+				bestWeight = w
+				copy(best, cur)
+				d.bestPat = append(d.bestPat[:0], pattern...)
+			}
 		}
-		// weight-2 within the first Order columns
-		depth := minInt(d.cfg.Order, len(nonPivot))
-		for a := 0; a < depth; a++ {
-			for b := a + 1; b < depth; b++ {
-				try([]int{nonPivot[a], nonPivot[b]})
+
+		depth := min(d.cfg.Order, len(nonPiv))
+		switch d.cfg.Method {
+		case OSDE:
+			// all subsets of the first Order non-pivot columns
+			for mask := 1; mask < 1<<uint(depth); mask++ {
+				d.pat = d.pat[:0]
+				for b := 0; b < depth; b++ {
+					if mask>>uint(b)&1 == 1 {
+						d.pat = append(d.pat, b)
+					}
+				}
+				try(d.pat)
+			}
+		case OSDCS:
+			// weight-1 over the full non-pivot block, then weight-2 within
+			// the first Order columns
+			for k := range nonPiv {
+				try([]int{k})
+			}
+			for a := 0; a < depth; a++ {
+				for b := a + 1; b < depth; b++ {
+					try([]int{a, b})
+				}
 			}
 		}
 	}
 
-	sol := build(bestBits, bestPattern)
-	return Result{OK: true, ErrHat: sol, Weight: sol.Weight(), Patterns: patterns}
+	// the chosen solution, in H's column indices
+	e := d.errHat
+	e.Zero()
+	for i, p := range piv {
+		if best[i/64]>>(uint(i)%64)&1 == 1 {
+			e.Set(order[p], true)
+		}
+	}
+	for _, k := range d.bestPat {
+		e.Set(order[nonPiv[k]], true)
+	}
+	return Result{OK: true, ErrHat: e, Weight: e.Weight(), Patterns: patterns}
 }
 
-func colVec(b gf2.Vec) *gf2.Mat {
-	m := gf2.NewMat(b.Len(), 1)
-	for _, i := range b.Support() {
-		m.Set(i, 0, true)
+// zeroed reslices *buf to n zero words, growing it only when its capacity
+// is short.
+func zeroed(buf *[]uint64, n int) []uint64 {
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
 	}
-	return m
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+func popcount(w []uint64) int {
+	c := 0
+	for _, x := range w {
+		c += bits.OnesCount64(x)
 	}
-	return b
+	return c
 }

@@ -24,10 +24,11 @@ import (
 // frame arenas, job free lists and Pending recycling all hold, with no
 // hidden allocation anywhere between them.
 //
-// The gate covers two served decoder kinds: a one-syndrome BP-SF batch,
-// and a uf batch of 16 rsurf5 r5 syndromes with more than two defects
-// each, so every decode misses the light-syndrome memo and runs general-
-// path growth with cluster solves.
+// The gate covers three served decoder kinds: a one-syndrome BP-SF batch;
+// a uf batch of 16 rsurf5 r5 syndromes with more than two defects each, so
+// every decode misses the light-syndrome memo and runs general-path growth
+// with cluster solves; and a BP5-OSD-CS5 batch of 16 rsurf5 r5 syndromes
+// with more than four defects, so most decodes run OSD.
 func TestServicePathZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -38,6 +39,9 @@ func TestServicePathZeroAlloc(t *testing.T) {
 		{"bb72-bpsf", testHello(7), 1, func(gf2.Vec) bool { return true }},
 		{"rsurf5-uf-memo-miss", Hello{Code: "rsurf5", Rounds: 5, P: 0.003, StreamSeed: 7, Spec: Spec{Kind: "uf"}}, 16,
 			func(s gf2.Vec) bool { return s.Weight() > 2 }},
+		// BP5 fails on most syndromes of weight > 4, so OSD runs on them
+		{"rsurf5-bposd", Hello{Code: "rsurf5", Rounds: 5, P: 0.003, StreamSeed: 7, Spec: Spec{Kind: "bposd", BPIters: 5, OSDOrder: 5}}, 16,
+			func(s gf2.Vec) bool { return s.Weight() > 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := startServer(t, Options{PoolSize: 1, Logf: nil})

@@ -58,12 +58,11 @@ func (a *bpAdapter) Decode(s gf2.Vec) Outcome {
 	t0 := time.Now()
 	r := a.d.Decode(s)
 	return Outcome{
-		Success:            r.Success,
-		ErrHat:             r.ErrHat,
-		Iterations:         r.Iterations,
-		ParallelIterations: r.Iterations,
-		InitIterations:     r.Iterations,
-		Time:               time.Since(t0),
+		Success:        r.Success,
+		ErrHat:         r.ErrHat,
+		Iterations:     r.Iterations,
+		InitIterations: r.Iterations,
+		Time:           time.Since(t0),
 	}
 }
 
@@ -87,14 +86,13 @@ func (a *bposdAdapter) Name() string { return a.name }
 func (a *bposdAdapter) Decode(s gf2.Vec) Outcome {
 	r := a.d.Decode(s)
 	return Outcome{
-		Success:            r.Success,
-		ErrHat:             r.ErrHat,
-		Iterations:         r.BPIterations,
-		ParallelIterations: r.BPIterations,
-		InitIterations:     r.BPIterations,
-		PostUsed:           r.OSDUsed,
-		Time:               r.BPTime + r.OSDTime,
-		PostTime:           r.OSDTime,
+		Success:        r.Success,
+		ErrHat:         r.ErrHat,
+		Iterations:     r.BPIterations,
+		InitIterations: r.BPIterations,
+		PostUsed:       r.OSDUsed,
+		Time:           r.BPTime + r.OSDTime,
+		PostTime:       r.OSDTime,
 	}
 }
 
@@ -131,16 +129,15 @@ func (a *bpsfAdapter) Reseed(seed int64) { a.d.Reseed(seed) }
 func (a *bpsfAdapter) Decode(s gf2.Vec) Outcome {
 	r := a.d.Decode(s)
 	return Outcome{
-		Success:            r.Success,
-		ErrHat:             r.ErrHat,
-		Iterations:         r.TotalIterations,
-		ParallelIterations: r.FullParallelIterations,
-		InitIterations:     r.InitIterations,
-		PostUsed:           r.UsedPostProcessing,
-		Time:               r.InitTime + r.PostTime,
-		PostTime:           r.PostTime,
-		TrialIterations:    r.TrialIterations,
-		TrialSuccess:       r.TrialSuccess,
+		Success:         r.Success,
+		ErrHat:          r.ErrHat,
+		Iterations:      r.TotalIterations,
+		InitIterations:  r.InitIterations,
+		PostUsed:        r.UsedPostProcessing,
+		Time:            r.InitTime + r.PostTime,
+		PostTime:        r.PostTime,
+		TrialIterations: r.TrialIterations,
+		TrialSuccess:    r.TrialSuccess,
 	}
 }
 
@@ -164,12 +161,11 @@ func (a *ufAdapter) Decode(s gf2.Vec) Outcome {
 	t0 := time.Now()
 	r := a.d.Decode(s)
 	return Outcome{
-		Success:            r.Success,
-		ErrHat:             r.ErrHat,
-		Iterations:         r.GrowthRounds,
-		ParallelIterations: r.GrowthRounds,
-		InitIterations:     r.GrowthRounds,
-		Time:               time.Since(t0),
+		Success:        r.Success,
+		ErrHat:         r.ErrHat,
+		Iterations:     r.GrowthRounds,
+		InitIterations: r.GrowthRounds,
+		Time:           time.Since(t0),
 	}
 }
 

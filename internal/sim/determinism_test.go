@@ -66,7 +66,7 @@ func TestConfigShardsIndependentOfWorkers(t *testing.T) {
 // PostTime vary run to run; everything else must be bit-identical).
 func recordsEqual(a, b Record) bool {
 	if a.Failed != b.Failed || a.PostUsed != b.PostUsed ||
-		a.Iterations != b.Iterations || a.ParallelIterations != b.ParallelIterations ||
+		a.Iterations != b.Iterations ||
 		a.InitIterations != b.InitIterations ||
 		len(a.TrialIterations) != len(b.TrialIterations) ||
 		len(a.TrialSuccess) != len(b.TrialSuccess) {

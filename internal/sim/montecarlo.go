@@ -52,14 +52,13 @@ type Config struct {
 // Record is one shot's decoder telemetry (estimates dropped to save
 // memory).
 type Record struct {
-	Failed             bool
-	PostUsed           bool
-	Iterations         int
-	ParallelIterations int
-	InitIterations     int
-	Time, PostTime     time.Duration
-	TrialIterations    []int
-	TrialSuccess       []bool
+	Failed          bool
+	PostUsed        bool
+	Iterations      int
+	InitIterations  int
+	Time, PostTime  time.Duration
+	TrialIterations []int
+	TrialSuccess    []bool
 }
 
 // Result summarizes a Monte-Carlo run.
@@ -109,15 +108,14 @@ func (r *Result) record(o Outcome, failed bool, keep bool) {
 			trialSucc = append([]bool(nil), o.TrialSuccess...)
 		}
 		r.Records = append(r.Records, Record{
-			Failed:             failed,
-			PostUsed:           o.PostUsed,
-			Iterations:         o.Iterations,
-			ParallelIterations: o.ParallelIterations,
-			InitIterations:     o.InitIterations,
-			Time:               o.Time,
-			PostTime:           o.PostTime,
-			TrialIterations:    trialIters,
-			TrialSuccess:       trialSucc,
+			Failed:          failed,
+			PostUsed:        o.PostUsed,
+			Iterations:      o.Iterations,
+			InitIterations:  o.InitIterations,
+			Time:            o.Time,
+			PostTime:        o.PostTime,
+			TrialIterations: trialIters,
+			TrialSuccess:    trialSucc,
 		})
 	}
 }

@@ -86,78 +86,39 @@ func (d *Decoder) growGeneral(res *Result, solve func(*Decoder, int32) bool) boo
 // s[checks] over the cluster's interior bits. On success the local
 // solution columns are recorded for final extraction.
 //
-// The augmented system [H_cluster | s] is written straight into the
-// decoder's row-major word workspace (row = cluster check, column = interior
-// bit, syndrome column last) and reduced in place to reduced row echelon
-// form. The RREF of a matrix is unique, and with free variables set to zero
-// so is the solution read off its pivot rows, so the result does not depend
-// on which row serves as each pivot. Warm, the solve allocates nothing.
+// The augmented system [H_cluster | s] (row = cluster check, column =
+// interior bit, syndrome column last) is written straight into the
+// decoder's workspace and reduced in place by gf2.Mat.RREF, pivots limited
+// to the bit columns. A nonzero syndrome bit past the rank means the
+// cluster is not yet solvable; otherwise the solution, free variables
+// zero, is read off the pivot rows. Warm, the solve allocates nothing.
 func (d *Decoder) trySolve(r int32) bool {
 	checks := d.vlist(r)
 	bits := d.clEdges[r]
-	rows, sc := len(checks), len(bits) // sc: the syndrome column
-	stride := sc/64 + 1
-	if need := rows * stride; cap(d.aug) < need {
-		d.aug = make([]uint64, need)
-	}
-	aug := d.aug[:rows*stride]
-	clear(aug)
-	sw, sm := sc/64, uint64(1)<<(sc%64)
+	sc := len(bits) // the syndrome column
+	d.aug.Reset(len(checks), sc+1)
 	for li, c := range checks {
 		d.localRow[c] = int32(li)
 		if d.defect[c] {
-			aug[li*stride+sw] |= sm
+			d.aug.Set(li, sc, true)
 		}
 	}
 	// every check of an interior bit is in the cluster, so localRow is
 	// current for all of them; entries of other checks are never read
 	for lj, b := range bits {
-		w, m := lj/64, uint64(1)<<(lj%64)
 		for _, c := range d.bitChecks[b] {
-			aug[int(d.localRow[c])*stride+w] |= m
+			d.aug.Set(int(d.localRow[c]), lj, true)
 		}
 	}
-
-	// Gauss–Jordan in natural column order. Rows at or below the pivot row
-	// are zero left of the current column, so swaps and XORs start at the
-	// pivot's word.
-	piv := d.pivots[:0]
-	for col := 0; col <= sc && len(piv) < rows; col++ {
-		w, m := col/64, uint64(1)<<(col%64)
-		row := len(piv)
-		sel, off := row, row*stride+w
-		for sel < rows && aug[off]&m == 0 {
-			sel, off = sel+1, off+stride
+	d.pivots = d.aug.RREF(sc, d.pivots)
+	for i := len(d.pivots); i < len(checks); i++ {
+		if d.aug.Get(i, sc) {
+			return false
 		}
-		if sel == rows {
-			continue
-		}
-		if col == sc {
-			d.pivots = piv
-			return false // a pivot in the syndrome column: inconsistent
-		}
-		pr := aug[row*stride+w : (row+1)*stride]
-		if sel != row {
-			sr := aug[sel*stride+w : (sel+1)*stride]
-			for k := range pr {
-				pr[k], sr[k] = sr[k], pr[k]
-			}
-		}
-		for i, off := 0, w; i < rows; i, off = i+1, off+stride {
-			if aug[off]&m != 0 && i != row {
-				ri := aug[off : off+len(pr)]
-				for k := range pr {
-					ri[k] ^= pr[k]
-				}
-			}
-		}
-		piv = append(piv, int32(col))
 	}
-	d.pivots = piv
-
 	sol := d.solBits[r][:0]
-	for k, lj := range piv {
-		if aug[k*stride+sw]&sm != 0 {
+	for k, lj := range d.pivots {
+		if d.aug.Get(k, sc) {
 			sol = append(sol, bits[lj])
 		}
 	}

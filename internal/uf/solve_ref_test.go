@@ -10,7 +10,7 @@ import (
 
 // trySolveRef is the cluster solve as it was before the in-place
 // workspace: a fresh dense submatrix over the cluster's checks and interior
-// bits, solved by gf2.Solve. It is the reference the differential test
+// bits, solved by solveRef. It is the reference the differential test
 // holds trySolve to.
 func trySolveRef(d *Decoder, r int32) bool {
 	checks := d.vlist(r)
@@ -19,29 +19,70 @@ func trySolveRef(d *Decoder, r int32) bool {
 	for lj, b := range bits {
 		localCol[b] = lj
 	}
-	sub := gf2.NewMat(len(checks), len(bits))
-	rhs := gf2.NewVec(len(checks))
+	sub := make([][]bool, len(checks))
+	rhs := make([]bool, len(checks))
 	for li, c := range checks {
-		if d.defect[c] {
-			rhs.Set(li, true)
-		}
+		sub[li] = make([]bool, len(bits))
+		rhs[li] = d.defect[c]
 		for _, b := range d.checkBits[c] {
 			if lj, ok := localCol[b]; ok {
-				sub.Set(li, lj, true)
+				sub[li][lj] = true
 			}
 		}
 	}
-	x, ok := gf2.Solve(sub, rhs)
+	x, ok := solveRef(sub, rhs, len(bits))
 	if !ok {
 		return false
 	}
 	sol := d.solBits[r][:0]
-	for _, lj := range x.Support() {
-		sol = append(sol, bits[lj])
+	for lj, set := range x {
+		if set {
+			sol = append(sol, bits[lj])
+		}
 	}
 	d.solBits[r] = sol
 	d.solved[r] = true
 	return true
+}
+
+// solveRef solves a·x = b for the rows×cols system a by Gauss–Jordan
+// elimination over bool entries, free variables zero, or reports false
+// when it is inconsistent. It shares no code with gf2.Mat.RREF.
+func solveRef(a [][]bool, b []bool, cols int) ([]bool, bool) {
+	r := make([][]bool, len(a))
+	for i := range a {
+		r[i] = append(append(make([]bool, 0, cols+1), a[i]...), b[i])
+	}
+	var pivots []int
+	for col := 0; col < cols && len(pivots) < len(r); col++ {
+		row := len(pivots)
+		sel := row
+		for sel < len(r) && !r[sel][col] {
+			sel++
+		}
+		if sel == len(r) {
+			continue
+		}
+		r[row], r[sel] = r[sel], r[row]
+		for i := range r {
+			if i != row && r[i][col] {
+				for j := range r[i] {
+					r[i][j] = r[i][j] != r[row][j]
+				}
+			}
+		}
+		pivots = append(pivots, col)
+	}
+	for i := len(pivots); i < len(r); i++ {
+		if r[i][cols] {
+			return nil, false
+		}
+	}
+	x := make([]bool, cols)
+	for i, col := range pivots {
+		x[col] = r[i][cols]
+	}
+	return x, true
 }
 
 // decodeRef is a full general-path decode of s with trySolveRef, bypassing

@@ -100,9 +100,9 @@ type Decoder struct {
 	edgeNextU, edgeNextV []int32
 
 	// elimination scratch (general only)
-	localRow []int32  // cluster check → its row in the trySolve workspace
-	aug      []uint64 // row-major [H_cluster | s] workspace, grown on demand
-	pivots   []int32  // pivot column per reduced row
+	localRow []int32 // cluster check → its row in the trySolve workspace
+	aug      gf2.Mat // [H_cluster | s] workspace, grown on demand
+	pivots   []int   // pivot column per reduced row
 
 	// light-syndrome memo, indexed by memoKey; allocated on the first
 	// light syndrome, and never when m > memoMaxChecks

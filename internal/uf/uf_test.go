@@ -157,12 +157,20 @@ func TestInconsistentSyndromeFails(t *testing.T) {
 
 	// BB72: rank(HZ) < rows, so some unit syndrome is inconsistent
 	bb := mustCode(t, codes.BB72)
-	dense := bb.HZ.ToDense()
+	dense := make([][]bool, bb.HZ.Rows())
+	for i := range dense {
+		dense[i] = make([]bool, bb.HZ.Cols())
+		for _, j := range bb.HZ.RowSupport(i) {
+			dense[i][j] = true
+		}
+	}
 	found := false
 	for i := 0; i < bb.HZ.Rows() && !found; i++ {
 		s := gf2.NewVec(bb.HZ.Rows())
 		s.Set(i, true)
-		if _, ok := gf2.Solve(dense, s); ok {
+		unit := make([]bool, bb.HZ.Rows())
+		unit[i] = true
+		if _, ok := solveRef(dense, unit, bb.HZ.Cols()); ok {
 			continue
 		}
 		found = true

@@ -23,6 +23,8 @@ type subWindow struct {
 	dec decoding.Decoder
 	// subSyn is the reusable sub-syndrome scratch vector.
 	subSyn gf2.Vec
+	// committed backs the Mechs of this window's Commit.
+	committed []int
 }
 
 // Decoder is a sliding-window wrapper around any inner decoder family. It

@@ -16,7 +16,10 @@ type Commit struct {
 	Window int
 	// FirstRound/EndRound delimit the committed rounds.
 	FirstRound, EndRound int
-	// Mechs are the committed global mechanism indices, ascending.
+	// Mechs are the committed global mechanism indices, ascending. They
+	// alias a buffer of the window, valid until that window decodes again:
+	// every commit of one stream stays valid until the stream is Reset or
+	// another stream (or Decode) on the same Decoder reaches the window.
 	Mechs []int
 	// Success reports whether the window's inner decode satisfied its
 	// sub-syndrome.
@@ -42,9 +45,9 @@ type Stream struct {
 	nextWindow int
 	allOK      bool
 
-	iters, parIters, initIters int
-	postUsed                   bool
-	decodeTime, postTime       time.Duration
+	iters, initIters     int
+	postUsed             bool
+	decodeTime, postTime time.Duration
 
 	commitBuf []Commit
 }
@@ -68,7 +71,7 @@ func (s *Stream) Reset() {
 	s.nextRound = 0
 	s.nextWindow = 0
 	s.allOK = true
-	s.iters, s.parIters, s.initIters = 0, 0, 0
+	s.iters, s.initIters = 0, 0
 	s.postUsed = false
 	s.decodeTime, s.postTime = 0, 0
 }
@@ -91,7 +94,7 @@ func (s *Stream) ErrHat() gf2.Vec { return s.errHat }
 // RoundDets for that round) and decodes every window the round completes.
 // The returned commits — usually none or one; several only when the final
 // round completes multiple trailing windows — are valid until the next
-// PushRound/Reset, except their Mechs slices, which the caller owns.
+// PushRound/Reset; their Mechs slices live longer (see Commit.Mechs).
 func (s *Stream) PushRound(round gf2.Vec) ([]Commit, error) {
 	if s.Done() {
 		return nil, fmt.Errorf("window: stream already received all %d rounds", s.d.layout.NumRounds())
@@ -135,7 +138,7 @@ func (s *Stream) decodeWindow(wi int) Commit {
 	out := sw.dec.Decode(sw.subSyn)
 	dt := time.Since(t0)
 
-	var mechs []int
+	mechs := sw.committed[:0]
 	for wi, w := range out.ErrHat.Words() {
 		for ; w != 0; w &= w - 1 {
 			j := wi*64 + bits.TrailingZeros64(w)
@@ -151,9 +154,9 @@ func (s *Stream) decodeWindow(wi int) Commit {
 		}
 	}
 
+	sw.committed = mechs
 	s.allOK = s.allOK && out.Success
 	s.iters += out.Iterations
-	s.parIters += out.ParallelIterations
 	s.initIters += out.InitIterations
 	s.postUsed = s.postUsed || out.PostUsed
 	s.decodeTime += dt
@@ -176,13 +179,12 @@ func (s *Stream) decodeWindow(wi int) Commit {
 // checked anyway). ErrHat aliases the stream's buffer, valid until Reset.
 func (s *Stream) Finish() decoding.Outcome {
 	return decoding.Outcome{
-		Success:            s.Done() && s.allOK && s.residual.IsZero(),
-		ErrHat:             s.errHat,
-		Iterations:         s.iters,
-		ParallelIterations: s.parIters,
-		InitIterations:     s.initIters,
-		PostUsed:           s.postUsed,
-		Time:               s.decodeTime,
-		PostTime:           s.postTime,
+		Success:        s.Done() && s.allOK && s.residual.IsZero(),
+		ErrHat:         s.errHat,
+		Iterations:     s.iters,
+		InitIterations: s.initIters,
+		PostUsed:       s.postUsed,
+		Time:           s.decodeTime,
+		PostTime:       s.postTime,
 	}
 }
