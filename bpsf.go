@@ -267,8 +267,8 @@ type (
 const FrameBlockShots = frame.BlockShots
 
 // NewBatchDEMSampler returns the word-parallel batch counterpart of
-// NewDEMSampler — the engine behind MCConfig.Batch and the decode
-// service's server-side sampling.
+// NewDEMSampler — the engine behind bpsf-dem's default sampling and the
+// decode service's server-side sampling.
 func NewBatchDEMSampler(d *DEM, p float64, seed int64) *BatchDEMSampler {
 	return frame.NewDEMSampler(d, p, seed)
 }

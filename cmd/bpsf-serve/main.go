@@ -9,11 +9,12 @@
 //
 //	bpsf-serve -addr :7421 -pool-size 8 -queue-depth 1024
 //
-// SIGINT/SIGTERM drains gracefully: accepted work completes, final
-// per-pool stats print on exit. SIGUSR1 dumps the full telemetry
-// snapshot (pools, stage histograms, slowest traces, runtime) to stderr
-// without disturbing service. -admin binds the HTTP telemetry plane:
-// Prometheus /metrics, JSON /statusz and /debug/pprof (DESIGN.md §10).
+// SIGINT/SIGTERM drains gracefully: accepted work completes, and the full
+// telemetry snapshot (pools, stage histograms, slowest traces, runtime)
+// prints on exit and every -stats interval. SIGUSR1 dumps the same
+// snapshot to stderr without disturbing service. -admin binds the HTTP
+// telemetry plane: Prometheus /metrics, JSON /statusz and /debug/pprof
+// (DESIGN.md §10).
 package main
 
 import (
@@ -27,9 +28,7 @@ import (
 	"syscall"
 	"time"
 
-	"bpsf/internal/obs"
 	"bpsf/internal/service"
-	"bpsf/internal/sim"
 )
 
 func main() {
@@ -102,7 +101,7 @@ func main() {
 		defer ticker.Stop()
 		go func() {
 			for range ticker.C {
-				printStats(srv.Snapshot())
+				srv.Snapshot().WriteText(os.Stdout)
 			}
 		}()
 	}
@@ -112,7 +111,7 @@ func main() {
 	sig := waitSignals(sigs, func() { srv.Snapshot().WriteText(os.Stderr) })
 	log.Printf("%v: draining (grace %v)", sig, *drainGrace)
 	srv.Drain(*drainGrace)
-	printStats(srv.Snapshot())
+	srv.Snapshot().WriteText(os.Stdout)
 }
 
 // waitSignals blocks until a terminating signal arrives, invoking onDump
@@ -153,34 +152,4 @@ func parseDecoderKinds(s string) ([]string, error) {
 		out = append(out, name)
 	}
 	return out, nil
-}
-
-// printStats reports the pool table and, when a stream was ever opened,
-// the windowed-stream table: per-commit latency is the stream plane's
-// decode stage (round-frame arrival to commit emission).
-func printStats(snap service.ServerSnapshot) {
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	if len(snap.Pools) == 0 {
-		fmt.Println("no pools served")
-	} else {
-		tb := sim.NewTable("pool", "size", "decoded", "shed(queue)", "shed(deadline)",
-			"avg batch", "p50 ms", "p95 ms", "p99 ms", "p99.9 ms", "max ms")
-		for _, st := range snap.Pools {
-			tb.Row(st.Pool, st.Size, st.Decoded, st.ShedQueue, st.ShedDeadline, st.AvgBatch,
-				ms(st.Latency.P50), ms(st.Latency.P95), ms(st.Latency.P99), ms(st.Latency.P999), ms(st.Latency.Max))
-		}
-		if err := tb.Write(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if snap.Streams.Opened == 0 {
-		return
-	}
-	lat := snap.StreamStages.Stages[obs.StageDecode]
-	tb := sim.NewTable("streams", "windows", "commit p50 ms", "p95 ms", "p99 ms", "p99.9 ms", "max ms")
-	tb.Row(snap.Streams.Opened, snap.Streams.Windows,
-		ms(lat.P50), ms(lat.P95), ms(lat.P99), ms(lat.P999), ms(lat.Max))
-	if err := tb.Write(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
 }

@@ -2,21 +2,19 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"bpsf/internal/dem"
-	"bpsf/internal/gf2"
 	"bpsf/internal/service"
 	"bpsf/internal/sim"
 )
 
 // ServiceLatency characterizes the real-time decode service
 // (internal/service) the way Figs. 13–16 characterize the decoder: an
-// in-process server on loopback, closed-loop client sessions streaming
-// sampled syndromes, one measurement per warm-pool size. It reports
-// throughput and the service-latency percentiles per pool size — the
-// online counterpart of the sim.ScheduleLatency P-worker model.
+// in-process server on loopback, closed-loop client sessions
+// (service.DriveLoad) uploading client-sampled syndromes, one measurement
+// per warm-pool size. It reports throughput and the service-latency
+// percentiles per pool size — the online counterpart of the
+// sim.ScheduleLatency P-worker model.
 //
 // Timing series are hardware-dependent (not golden-pinned); the decode
 // responses themselves follow the service determinism contract
@@ -52,77 +50,22 @@ func ServiceLatency(o Opts) (FigureResult, error) {
 		if err := srv.Listen("127.0.0.1:0"); err != nil {
 			return FigureResult{}, err
 		}
-		var mu sync.Mutex
-		var lat []time.Duration
-		shed := 0
-
-		perSession := (shots + sessions - 1) / sessions
-		var wg sync.WaitGroup
-		errs := make(chan error, sessions)
-		t0 := time.Now()
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				h := service.Hello{
-					Code: codeName, Rounds: rounds, P: p,
-					StreamSeed: o.seed() + int64(s)*1000,
-					Spec:       spec,
-				}
-				c, err := service.Dial(srv.Addr().String(), h)
-				if err != nil {
-					errs <- err
-					return
-				}
-				defer c.Close()
-				sampler := dem.NewSampler(d, p, o.seed()+int64(s))
-				buf := make([]gf2.Vec, batch)
-				for i := range buf {
-					buf[i] = gf2.NewVec(d.NumDets)
-				}
-				for sent := 0; sent < perSession; {
-					n := batch
-					if perSession-sent < n {
-						n = perSession - sent
-					}
-					for i := 0; i < n; i++ {
-						syn, _ := sampler.SampleShared()
-						buf[i].CopyFrom(syn)
-					}
-					resps, err := c.Decode(buf[:n])
-					if err != nil {
-						errs <- err
-						return
-					}
-					sent += n
-					mu.Lock()
-					for _, resp := range resps {
-						if resp.Shed {
-							shed++
-						} else {
-							lat = append(lat, resp.Latency)
-						}
-					}
-					mu.Unlock()
-				}
-			}(s)
-		}
-		wg.Wait()
-		close(errs)
-		wall := time.Since(t0)
+		res, err := service.DriveLoad(srv.Addr().String(), service.LoadConfig{
+			Code: codeName, Rounds: rounds, P: p, Spec: spec,
+			Sessions: sessions, Shots: shots, BatchSize: batch,
+			DEM: d, Seed: o.seed(),
+		})
 		srv.Drain(5 * time.Second)
-		for err := range errs {
-			if err != nil {
-				return FigureResult{}, err
-			}
+		if err != nil {
+			return FigureResult{}, err
 		}
 
-		st := sim.Summarize(lat)
-		rate := float64(st.N) / wall.Seconds()
+		st := sim.Summarize(res.ServerLat)
+		rate := float64(st.N) / res.Wall.Seconds()
 		tput.Add(float64(ps), rate)
 		p50.Add(float64(ps), ms(st.P50))
 		p99.Add(float64(ps), ms(st.P99))
-		tb.Row(ps, st.N, shed, rate, ms(st.P50), ms(st.P95), ms(st.P99), ms(st.P999))
+		tb.Row(ps, st.N, res.Shed, rate, ms(st.P50), ms(st.P95), ms(st.P99), ms(st.P999))
 	}
 
 	fmt.Fprintf(o.out(), "== service-latency: %s decode service over loopback, %s ==\n", codeName, spec)

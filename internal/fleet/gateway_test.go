@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"bpsf/internal/codes"
+	"bpsf/internal/dem"
 	"bpsf/internal/gf2"
+	"bpsf/internal/memexp"
 	"bpsf/internal/obs"
 	"bpsf/internal/service"
 )
@@ -260,6 +263,47 @@ func TestGatewayStreamFailoverByteIdentical(t *testing.T) {
 	}
 	if n := f.Gateway().sessionsLost.Load(); n != 0 {
 		t.Fatalf("%d sessions lost", n)
+	}
+}
+
+// TestGatewayStreamLoad runs the stream plane of service.DriveLoad
+// through a gateway: the stream finishes with every window committed and
+// the same correction a direct server commits for the same session.
+func TestGatewayStreamLoad(t *testing.T) {
+	css, err := codes.Get("rsurf3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	circ, err := memexp.Build(css, 3, memexp.Uniform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dem.Extract(circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := testHello()
+	cfg := service.LoadConfig{
+		Code: h.Code, Rounds: 3, P: 0.02, Spec: h.Spec,
+		Shots: 1, DEM: d, Seed: h.StreamSeed,
+		Window: 3, Commit: 1,
+	}
+	f := startTestFleet(t, 2, service.Options{})
+	got, err := service.DriveLoad(f.GatewayAddr(), cfg)
+	if err != nil {
+		t.Fatalf("through the gateway: %v", err)
+	}
+	want, err := service.DriveLoad(startDirectServer(t, service.Options{}), cfg)
+	if err != nil {
+		t.Fatalf("direct: %v", err)
+	}
+	if got.Decoded != 1 || got.Windows == 0 || got.Windows != want.Windows ||
+		len(got.ServerLat) != got.Windows || len(got.ClientLat) != got.Windows {
+		t.Fatalf("gateway run: %d streams, %d windows (%d server, %d client latencies); direct: %d windows",
+			got.Decoded, got.Windows, len(got.ServerLat), len(got.ClientLat), want.Windows)
+	}
+	if !got.FirstStream.Equal(want.FirstStream) {
+		t.Fatal("stream correction through the gateway differs from the direct server's")
 	}
 }
 

@@ -121,37 +121,6 @@ func (m *Mat) SetRow(i int, v Vec) {
 	copy(m.rowWords(i), v.w)
 }
 
-// Col returns a copy of column j as a Vec of length Rows().
-func (m *Mat) Col(j int) Vec {
-	v := NewVec(m.rows)
-	for i := 0; i < m.rows; i++ {
-		if m.Get(i, j) {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
-// XorRows sets row dst ^= row src.
-func (m *Mat) XorRows(dst, src int) {
-	d := m.rowWords(dst)
-	s := m.rowWords(src)
-	for k := range d {
-		d[k] ^= s[k]
-	}
-}
-
-// SwapRows exchanges rows i and j.
-func (m *Mat) SwapRows(i, j int) {
-	if i == j {
-		return
-	}
-	a, b := m.rowWords(i), m.rowWords(j)
-	for k := range a {
-		a[k], b[k] = b[k], a[k]
-	}
-}
-
 // RowWeight returns the Hamming weight of row i.
 func (m *Mat) RowWeight(i int) int {
 	return m.RowView(i).Weight()
@@ -254,32 +223,6 @@ func HStack(m, b *Mat) *Mat {
 		}
 		for _, j := range b.RowView(i).Support() {
 			out.Set(i, m.cols+j, true)
-		}
-	}
-	return out
-}
-
-// VStack returns [m ; b] (vertical concatenation; equal column counts).
-func VStack(m, b *Mat) *Mat {
-	if m.cols != b.cols {
-		panic("gf2: VStack column mismatch")
-	}
-	out := NewMat(m.rows+b.rows, m.cols)
-	copy(out.data[:m.rows*out.stride], m.data)
-	copy(out.data[m.rows*out.stride:], b.data)
-	return out
-}
-
-// Kron returns the Kronecker product m ⊗ b.
-func Kron(m, b *Mat) *Mat {
-	out := NewMat(m.rows*b.rows, m.cols*b.cols)
-	for i := 0; i < m.rows; i++ {
-		for _, j := range m.RowView(i).Support() {
-			for bi := 0; bi < b.rows; bi++ {
-				for _, bj := range b.RowView(bi).Support() {
-					out.Set(i*b.rows+bi, j*b.cols+bj, true)
-				}
-			}
 		}
 	}
 	return out

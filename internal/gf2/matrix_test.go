@@ -84,8 +84,13 @@ func TestMulVecMatchesMul(t *testing.T) {
 		a := randMat(rr, p, q)
 		x := randVec(rr, q)
 		got := a.MulVec(x)
-		want := a.Mul(colMat(x)).Col(0)
-		return got.Equal(want)
+		want := a.Mul(colMat(x))
+		for i := 0; i < p; i++ {
+			if got.Get(i) != want.Get(i, 0) {
+				return false
+			}
+		}
+		return got.Len() == p
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: r}); err != nil {
 		t.Fatal(err)
@@ -100,8 +105,8 @@ func TestRowColAccess(t *testing.T) {
 	if !m.Row(0).Equal(VecFromInts([]int{1, 0, 1})) {
 		t.Fatal("Row(0) wrong")
 	}
-	if !m.Col(2).Equal(VecFromInts([]int{1, 1})) {
-		t.Fatal("Col(2) wrong")
+	if !m.Get(0, 2) || !m.Get(1, 2) || m.Get(1, 0) {
+		t.Fatal("Get wrong")
 	}
 	if m.RowWeight(1) != 2 {
 		t.Fatal("RowWeight wrong")
@@ -112,58 +117,12 @@ func TestRowColAccess(t *testing.T) {
 	}
 }
 
-func TestXorSwapRows(t *testing.T) {
-	m := MatFromRows([][]int{
-		{1, 1, 0},
-		{0, 1, 1},
-	})
-	m.XorRows(0, 1)
-	if !m.Row(0).Equal(VecFromInts([]int{1, 0, 1})) {
-		t.Fatal("XorRows wrong")
-	}
-	m.SwapRows(0, 1)
-	if !m.Row(0).Equal(VecFromInts([]int{0, 1, 1})) {
-		t.Fatal("SwapRows wrong")
-	}
-}
-
-func TestHStackVStack(t *testing.T) {
+func TestHStack(t *testing.T) {
 	a := MatFromRows([][]int{{1, 0}, {0, 1}})
 	b := MatFromRows([][]int{{1, 1}, {0, 0}})
 	h := HStack(a, b)
 	if h.Rows() != 2 || h.Cols() != 4 || !h.Get(0, 0) || !h.Get(0, 2) || !h.Get(0, 3) {
 		t.Fatalf("HStack wrong:\n%s", h)
-	}
-	v := VStack(a, b)
-	if v.Rows() != 4 || v.Cols() != 2 || !v.Get(2, 0) || !v.Get(2, 1) {
-		t.Fatalf("VStack wrong:\n%s", v)
-	}
-}
-
-func TestKronSmall(t *testing.T) {
-	a := MatFromRows([][]int{{1, 1}})
-	b := MatFromRows([][]int{{1, 0}, {0, 1}})
-	k := Kron(a, b)
-	// (1 1) ⊗ I2 = (I2 | I2)
-	want := MatFromRows([][]int{{1, 0, 1, 0}, {0, 1, 0, 1}})
-	if !k.Equal(want) {
-		t.Fatalf("Kron wrong:\n%s\nwant\n%s", k, want)
-	}
-}
-
-func TestKronMixedProduct(t *testing.T) {
-	// (A⊗B)(C⊗D) = (AC)⊗(BD)
-	r := rand.New(rand.NewSource(15))
-	f := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		a := randMat(rr, 1+rr.Intn(5), 1+rr.Intn(5))
-		b := randMat(rr, 1+rr.Intn(5), 1+rr.Intn(5))
-		c := randMat(rr, a.Cols(), 1+rr.Intn(5))
-		d := randMat(rr, b.Cols(), 1+rr.Intn(5))
-		return Kron(a, b).Mul(Kron(c, d)).Equal(Kron(a.Mul(c), b.Mul(d)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: r}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -279,7 +279,7 @@ func TestRowBasisSpansAndInRowSpace(t *testing.T) {
 		for i := 0; i < rank; i++ {
 			basis.SetRow(i, red.Row(i))
 		}
-		if Rank(VStack(basis, a)) != rank {
+		if Rank(HStack(basis.Transpose(), a.Transpose())) != rank {
 			t.Fatal("rows of a outside the span of its RREF rows")
 		}
 		// every original row is in the row space

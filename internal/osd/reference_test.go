@@ -193,10 +193,10 @@ func rowReduceRef(a *gf2.Mat, order []int) echelonRef {
 		if sel < 0 {
 			continue
 		}
-		r.SwapRows(row, sel)
+		swapRows(r, row, sel)
 		for i := 0; i < r.Rows(); i++ {
 			if i != row && r.Get(i, col) {
-				r.XorRows(i, row)
+				xorRows(r, i, row)
 			}
 		}
 		pivots = append(pivots, col)
@@ -381,5 +381,35 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 				t.Fatalf("warm decodes allocate %.1f objects per sweep of %d, want exactly 0", allocs, len(cases))
 			}
 		})
+	}
+}
+
+// xorRows sets row dst ^= row src.
+func xorRows(m *gf2.Mat, dst, src int) { m.RowView(dst).Xor(m.RowView(src)) }
+
+// swapRows exchanges rows i and j.
+func swapRows(m *gf2.Mat, i, j int) {
+	a, b := m.RowView(i).Words(), m.RowView(j).Words()
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
+	}
+}
+
+func TestXorSwapRows(t *testing.T) {
+	m := gf2.MatFromRows([][]int{
+		{1, 1, 0},
+		{0, 1, 1},
+	})
+	xorRows(m, 0, 1)
+	if !m.Row(0).Equal(gf2.VecFromInts([]int{1, 0, 1})) {
+		t.Fatal("xorRows wrong")
+	}
+	swapRows(m, 0, 1)
+	if !m.Row(0).Equal(gf2.VecFromInts([]int{0, 1, 1})) {
+		t.Fatal("swapRows wrong")
+	}
+	swapRows(m, 1, 1)
+	if !m.Row(1).Equal(gf2.VecFromInts([]int{1, 0, 1})) {
+		t.Fatal("swapRows(i, i) changed the row")
 	}
 }

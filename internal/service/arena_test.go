@@ -24,25 +24,38 @@ import (
 // frame arenas, job free lists and Pending recycling all hold, with no
 // hidden allocation anywhere between them.
 //
-// The gate covers three served decoder kinds: a one-syndrome BP-SF batch;
-// a uf batch of 16 rsurf5 r5 syndromes with more than two defects each, so
-// every decode misses the light-syndrome memo and runs general-path growth
-// with cluster solves; and a BP5-OSD-CS5 batch of 16 rsurf5 r5 syndromes
-// with more than four defects, so most decodes run OSD.
+// The gate covers every served decoder kind (SpecKinds), and fails if one
+// has no row: a one-syndrome BP-SF batch; a BP50 batch of 16 rsurf5 r5
+// syndromes with more than two defects; a uf batch of 16 such syndromes,
+// so every decode misses the light-syndrome memo and runs general-path
+// growth with cluster solves; and a BP5-OSD-CS5 batch of 16 rsurf5 r5
+// syndromes with more than four defects, so most decodes run OSD.
 func TestServicePathZeroAlloc(t *testing.T) {
-	for _, tc := range []struct {
+	rows := []struct {
 		name  string
 		hello Hello
 		batch int
 		keep  func(gf2.Vec) bool
 	}{
 		{"bb72-bpsf", testHello(7), 1, func(gf2.Vec) bool { return true }},
+		{"rsurf5-bp", Hello{Code: "rsurf5", Rounds: 5, P: 0.003, StreamSeed: 7, Spec: Spec{Kind: "bp", BPIters: 50}}, 16,
+			func(s gf2.Vec) bool { return s.Weight() > 2 }},
 		{"rsurf5-uf-memo-miss", Hello{Code: "rsurf5", Rounds: 5, P: 0.003, StreamSeed: 7, Spec: Spec{Kind: "uf"}}, 16,
 			func(s gf2.Vec) bool { return s.Weight() > 2 }},
 		// BP5 fails on most syndromes of weight > 4, so OSD runs on them
 		{"rsurf5-bposd", Hello{Code: "rsurf5", Rounds: 5, P: 0.003, StreamSeed: 7, Spec: Spec{Kind: "bposd", BPIters: 5, OSDOrder: 5}}, 16,
 			func(s gf2.Vec) bool { return s.Weight() > 4 }},
-	} {
+	}
+	covered := make(map[string]bool)
+	for _, tc := range rows {
+		covered[tc.hello.Spec.Kind] = true
+	}
+	for _, kind := range SpecKinds() {
+		if !covered[kind] {
+			t.Errorf("served decoder kind %q has no zero-alloc row", kind)
+		}
+	}
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			s := startServer(t, Options{PoolSize: 1, Logf: nil})
 			var syndromes []gf2.Vec

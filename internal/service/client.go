@@ -373,16 +373,6 @@ func (c *Client) Decode(syndromes []gf2.Vec) ([]Response, error) {
 	return p.Wait()
 }
 
-// ErrVec unpacks a Response's estimate into a fresh vector of the
-// session's mechanism length.
-func (c *Client) ErrVec(r Response) (gf2.Vec, error) {
-	v := gf2.NewVec(c.numMechs)
-	if err := v.SetBytes(r.ErrHat); err != nil {
-		return gf2.Vec{}, err
-	}
-	return v, nil
-}
-
 // Close ends the session; outstanding Pendings fail.
 func (c *Client) Close() error {
 	err := c.conn.Close()

@@ -3,11 +3,17 @@ package service
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"bpsf/internal/codes"
+	"bpsf/internal/decoding"
+	"bpsf/internal/dem"
+	"bpsf/internal/window"
 )
 
 // stallServer is a protocol-correct decode server that accepts sessions
@@ -204,6 +210,115 @@ func TestDriveLoadClosedLoop(t *testing.T) {
 	}
 }
 
+// streamLoad is a small stream-plane load over rsurf3 (3 rounds, so 4
+// layout rounds) against srv, sampling from srv's own DEM.
+func streamLoad(t *testing.T, srv *Server) LoadConfig {
+	t.Helper()
+	d, err := srv.demFor("rsurf3", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return LoadConfig{
+		Code: "rsurf3", Rounds: 3, P: 0.02, Spec: Spec{Kind: "uf"},
+		Sessions: 2, Shots: 6, DEM: d, Seed: 5,
+		Window: 2, Commit: 1,
+	}
+}
+
+// TestDriveLoadStreams drives the stream plane closed and open loop
+// against an in-process server: every stream finishes, every committed
+// window carries exactly one server and one client latency, and session
+// 0's first stream equals the library windowed decode of the same
+// syndrome under the same seed (what bpsf-load -replay relies on).
+func TestDriveLoadStreams(t *testing.T) {
+	srv := startServer(t, Options{PoolSize: 1})
+	base := streamLoad(t, srv)
+	css, err := codes.Get(base.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := window.MemexpLayout(css, base.Rounds)
+	spans, err := window.PartitionRounds(layout.NumRounds(), base.Window, base.Commit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := window.New(base.DEM.H, base.DEM.Priors(base.P), layout, base.Window, base.Commit,
+		decoding.Factory(base.Spec.NewDecoder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd.Reseed(RequestSeed(base.Seed, 0))
+	syn, _ := dem.NewSampler(base.DEM, base.P, base.Seed).SampleShared()
+	if syn.IsZero() {
+		t.Fatal("first syndrome is trivial; the replay check would be vacuous")
+	}
+	want := wd.Decode(syn).ErrHat
+
+	for _, mode := range []string{"closed", "open"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := base
+			cfg.Mode, cfg.Rate = mode, 2000 // round arrivals/s in open mode
+			res, err := DriveLoad(srv.Addr().String(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Decoded != cfg.Shots || res.FailedBatches != 0 || res.Shed != 0 {
+				t.Fatalf("decoded %d of %d streams, %d lost, %d shed",
+					res.Decoded, cfg.Shots, res.FailedBatches, res.Shed)
+			}
+			if res.Windows != cfg.Shots*len(spans) {
+				t.Errorf("%d windows committed, want %d streams × %d", res.Windows, cfg.Shots, len(spans))
+			}
+			if len(res.ServerLat) != res.Windows || len(res.ClientLat) != res.Windows {
+				t.Errorf("%d server and %d client latencies for %d windows",
+					len(res.ServerLat), len(res.ClientLat), res.Windows)
+			}
+			if !res.FirstStream.Equal(want) {
+				t.Error("first stream's correction differs from the library windowed decode")
+			}
+		})
+	}
+}
+
+// TestDriveLoadStreamsDeadServer: a server that dies with every stream
+// open returns an error naming each lost stream, and counts them.
+func TestDriveLoadStreamsDeadServer(t *testing.T) {
+	cfg := streamLoad(t, startServer(t, Options{PoolSize: 1}))
+	dead := newStallServer(t)
+	done := make(chan struct{})
+	var res LoadResult
+	var err error
+	go func() {
+		defer close(done)
+		res, err = DriveLoad(dead.ln.Addr().String(), cfg)
+	}()
+	for got := 0; got < cfg.Sessions; got++ { // one stream open per session
+		select {
+		case <-dead.accepted:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("server saw %d/%d stream opens", got, cfg.Sessions)
+		}
+	}
+	dead.kill()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("DriveLoad did not return after the server died")
+	}
+	if err == nil {
+		t.Fatal("DriveLoad returned nil error after the server died")
+	}
+	for s := 0; s < cfg.Sessions; s++ {
+		if want := fmt.Sprintf("session %d stream 0", s); !strings.Contains(err.Error(), want) {
+			t.Errorf("error is missing %q: %v", want, err)
+		}
+	}
+	if res.FailedBatches != cfg.Sessions || res.Decoded != 0 || res.Windows != 0 {
+		t.Errorf("lost %d streams, decoded %d, %d windows; want %d, 0, 0",
+			res.FailedBatches, res.Decoded, res.Windows, cfg.Sessions)
+	}
+}
+
 // TestLoadConfigValidation pins the config error paths bpsf-load relies
 // on.
 func TestLoadConfigValidation(t *testing.T) {
@@ -217,6 +332,7 @@ func TestLoadConfigValidation(t *testing.T) {
 		{"bad mode", func(c *LoadConfig) { c.Mode = "bursty" }, "closed|open"},
 		{"open without rate", func(c *LoadConfig) { c.Mode = "open" }, "Rate"},
 		{"client sampling without DEM", func(c *LoadConfig) { c.ServerSample = false }, "DEM"},
+		{"stream plane without DEM", func(c *LoadConfig) { c.Window = 3 }, "DEM"},
 		{"unknown code for default rounds", func(c *LoadConfig) { c.Code, c.Rounds = "nope", 0 }, "unknown code"},
 	}
 	for _, tc := range cases {

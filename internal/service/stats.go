@@ -81,8 +81,9 @@ func (s *Server) Snapshot() ServerSnapshot {
 	}
 }
 
-// WriteText renders the snapshot as the human-readable dump shared by
-// bpsf-serve's SIGUSR1 handler and bpsf-load -stats.
+// WriteText renders the snapshot as the one human-readable report:
+// bpsf-serve's exit report, -stats interval and SIGUSR1 dump, and
+// bpsf-load -stats.
 func (snap ServerSnapshot) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "server: up %v  sessions %d (%d active)  goroutines %d  heap %s\n",
 		snap.Uptime.Round(time.Millisecond), snap.SessionsTotal, snap.SessionsActive,
@@ -136,8 +137,8 @@ func writeHistLine(w io.Writer, label string, h obs.HistSnapshot) {
 		fmt.Fprintf(w, "%s: (no samples)\n", label)
 		return
 	}
-	fmt.Fprintf(w, "%s: n=%d avg=%v p50=%v p95=%v p99=%v max=%v\n",
-		label, h.N, h.Avg, h.P50, h.P95, h.P99, h.Max)
+	fmt.Fprintf(w, "%s: n=%d avg=%v p50=%v p95=%v p99=%v p99.9=%v max=%v\n",
+		label, h.N, h.Avg, h.P50, h.P95, h.P99, h.P999, h.Max)
 }
 
 func fmtBytes(b uint64) string {

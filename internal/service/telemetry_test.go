@@ -293,7 +293,7 @@ func TestServerStatsReconcile(t *testing.T) {
 	var buf strings.Builder
 	snap.WriteText(&buf)
 	text := buf.String()
-	for _, want := range []string{"server: up", "pool bb72", "stages (", "slowest"} {
+	for _, want := range []string{"server: up", "pool bb72", "stages (", "slowest", " p99.9="} {
 		if !strings.Contains(text, want) {
 			t.Errorf("WriteText missing %q:\n%s", want, text)
 		}

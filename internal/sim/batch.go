@@ -9,43 +9,6 @@ import (
 	"bpsf/internal/gf2"
 )
 
-// batchShot builds the common batch-path shot function: drain packed shots
-// from cur in lane order, decode against d, and fail on a wrong observable
-// prediction (the same rule as the scalar path).
-func batchShot(d *dem.DEM, dec Decoder, cur *frame.Cursor) ShotFunc {
-	syndrome := gf2.NewVec(d.NumDets)
-	obsFlips := gf2.NewVec(d.NumObs)
-	obsHat := gf2.NewVec(d.NumObs)
-	return func() (Outcome, bool) {
-		sb, ob := cur.Next()
-		// lengths match the DEM geometry by construction
-		_ = syndrome.SetBytes(sb)
-		_ = obsFlips.SetBytes(ob)
-		out := dec.Decode(syndrome)
-		return out, LogicalFailed(d.Obs, out, obsFlips, obsHat)
-	}
-}
-
-// runCircuitBatch is RunCircuit's bit-packed batch sampling path: each
-// shard owns a word-parallel frame.DEMSampler seeded with the same shard
-// seed the scalar path uses and consumes 64-shot blocks in lane order.
-// Shot i of a shard is lane i mod 64 of block i/64 — a pure function of
-// (Config, shard index) — so the engine's worker-count invariance and
-// shard determinism carry over unchanged (the batch shot stream just
-// differs from the scalar one, like any other sampler change).
-func runCircuitBatch(d *dem.DEM, rounds int, mk Factory, cfg Config) (*Result, error) {
-	sharder := func(shardSeed int64) (Shard, error) {
-		sampler := frame.NewDEMSampler(d, cfg.P, shardSeed)
-		dec, err := mk(d.H, sampler.Priors())
-		if err != nil {
-			return Shard{}, err
-		}
-		Reseed(dec, ShardSeed(shardSeed, 1))
-		return Shard{Name: dec.Name(), Shot: batchShot(d, dec, frame.NewCursor(sampler.SampleBlock))}, nil
-	}
-	return Run(cfg, rounds, sharder)
-}
-
 // RunCircuitFrames evaluates a decoder with shots sampled word-parallel
 // from the CIRCUIT itself (frame.CircuitSampler): 64 Pauli frames at a
 // time propagate through circ's gates, noise fires at its true circuit
@@ -56,7 +19,7 @@ func runCircuitBatch(d *dem.DEM, rounds int, mk Factory, cfg Config) (*Result, e
 // scalar sampler on a 5-round rsurf5 experiment) and the default behind
 // bpsf-sim's circuit model. Determinism matches the engine contract:
 // per-shard splitmix seeding, bit-identical results for any Workers
-// value; Config.Batch is ignored (this path is always word-parallel).
+// value.
 func RunCircuitFrames(circ *circuit.Circuit, d *dem.DEM, rounds int, mk Factory, cfg Config) (*Result, error) {
 	if len(circ.Detectors) != d.NumDets || len(circ.Observables) != d.NumObs {
 		return nil, fmt.Errorf("sim: circuit geometry (%d dets, %d obs) does not match the DEM (%d, %d)",
@@ -69,7 +32,19 @@ func RunCircuitFrames(circ *circuit.Circuit, d *dem.DEM, rounds int, mk Factory,
 			return Shard{}, err
 		}
 		Reseed(dec, ShardSeed(shardSeed, 1))
-		return Shard{Name: dec.Name(), Shot: batchShot(d, dec, frame.NewCursor(sampler.SampleBlock))}, nil
+		cur := frame.NewCursor(sampler.SampleBlock)
+		syndrome := gf2.NewVec(d.NumDets)
+		obsFlips := gf2.NewVec(d.NumObs)
+		obsHat := gf2.NewVec(d.NumObs)
+		shot := func() (Outcome, bool) {
+			sb, ob := cur.Next()
+			// lengths match the DEM geometry by construction
+			_ = syndrome.SetBytes(sb)
+			_ = obsFlips.SetBytes(ob)
+			out := dec.Decode(syndrome)
+			return out, LogicalFailed(d.Obs, out, obsFlips, obsHat)
+		}
+		return Shard{Name: dec.Name(), Shot: shot}, nil
 	}
 	return Run(cfg, rounds, sharder)
 }

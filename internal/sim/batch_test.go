@@ -29,100 +29,6 @@ func batchTestModel(t testing.TB) (*circuit.Circuit, *dem.DEM) {
 	return circ, d
 }
 
-func batchTestDEM(t testing.TB) *dem.DEM {
-	t.Helper()
-	_, d := batchTestModel(t)
-	return d
-}
-
-// TestRunCircuitBatchWorkerInvariance: the batch sampling path keeps the
-// engine's central guarantee — results are bit-identical for any Workers
-// value, because shards (not workers) own the samplers.
-func TestRunCircuitBatchWorkerInvariance(t *testing.T) {
-	d := batchTestDEM(t)
-	mk := DecoderSpecs()["uf"].NewDecoder
-	var ref *Result
-	for _, workers := range []int{1, 2, 8} {
-		cfg := Config{P: 0.02, Shots: 500, Seed: 5, Shards: 8, Workers: workers, Batch: true}
-		res, err := RunCircuit(d, 2, mk, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.Shots != ref.Shots || res.Failures != ref.Failures ||
-			res.LER != ref.LER || res.AvgIters != ref.AvgIters {
-			t.Errorf("workers=%d: (shots=%d failures=%d ler=%g iters=%g) != workers=1 (%d %d %g %g)",
-				workers, res.Shots, res.Failures, res.LER, res.AvgIters,
-				ref.Shots, ref.Failures, ref.LER, ref.AvgIters)
-		}
-	}
-}
-
-// TestRunCircuitBatchShardDeterminism: equal (Seed, Shots, Shards) give
-// bit-identical batch-path results across runs; a different seed diverges
-// in the sampled stream (asserted via the aggregate iteration average,
-// which is sensitive to every syndrome).
-func TestRunCircuitBatchShardDeterminism(t *testing.T) {
-	d := batchTestDEM(t)
-	mk := DecoderSpecs()["bp"].NewDecoder
-	cfg := Config{P: 0.03, Shots: 320, Seed: 11, Shards: 5, Workers: 2, Batch: true}
-	a, err := RunCircuit(d, 2, mk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCircuit(d, 2, mk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Failures != b.Failures || a.AvgIters != b.AvgIters || a.PostUsed != b.PostUsed {
-		t.Errorf("identical configs diverged: (%d, %g, %d) vs (%d, %g, %d)",
-			a.Failures, a.AvgIters, a.PostUsed, b.Failures, b.AvgIters, b.PostUsed)
-	}
-	cfg.Seed = 12
-	c, err := RunCircuit(d, 2, mk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.AvgIters == a.AvgIters && c.Failures == a.Failures {
-		t.Error("different seeds produced identical aggregates (sampler seed unused?)")
-	}
-}
-
-// TestRunCircuitBatchMatchesScalarRate: the batch and scalar sampling
-// paths estimate statistically indistinguishable logical error rates — a
-// 6σ binomial bound on the failure counts under fixed seeds.
-func TestRunCircuitBatchMatchesScalarRate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical equivalence run")
-	}
-	d := batchTestDEM(t)
-	mk := DecoderSpecs()["uf"].NewDecoder
-	const shots = 6000
-	scalar, err := RunCircuit(d, 2, mk, Config{P: 0.02, Shots: shots, Seed: 3, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := RunCircuit(d, 2, mk, Config{P: 0.02, Shots: shots, Seed: 3, Workers: 2, Batch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scalar.Shots != shots || batch.Shots != shots {
-		t.Fatalf("shot counts %d/%d, want %d", scalar.Shots, batch.Shots, shots)
-	}
-	pool := float64(scalar.Failures+batch.Failures) / float64(2*shots)
-	bound := 6*math.Sqrt(pool*(1-pool)*2/float64(shots)) + 2/float64(shots)
-	if diff := math.Abs(scalar.LER - batch.LER); diff > bound {
-		t.Errorf("batch LER %g vs scalar LER %g differ by %g (bound %g)",
-			batch.LER, scalar.LER, diff, bound)
-	}
-	if batch.Failures == 0 {
-		t.Error("no failures at p=0.02 over 6000 shots: sampling path suspiciously quiet")
-	}
-}
-
 // TestRunCircuitFramesWorkerInvariance: the circuit-level frame sampling
 // path (bpsf-sim's default circuit model) keeps worker-count invariance
 // and run-to-run determinism.
@@ -185,14 +91,44 @@ func TestRunCircuitFramesMatchesDEMRate(t *testing.T) {
 	}
 }
 
-// TestRunCircuitBatchEarlyStop: MaxLogicalErrors propagates through the
-// batch path (the failure budget is checked at shot granularity inside a
+// TestRunCircuitFramesShardDeterminism: equal (Seed, Shots, Shards) give
+// bit-identical frame-path results across runs; a different seed diverges
+// in the sampled stream (asserted via the aggregate iteration average,
+// which is sensitive to every syndrome).
+func TestRunCircuitFramesShardDeterminism(t *testing.T) {
+	circ, d := batchTestModel(t)
+	mk := DecoderSpecs()["bp"].NewDecoder
+	cfg := Config{P: 0.03, Shots: 320, Seed: 11, Shards: 5, Workers: 2}
+	a, err := RunCircuitFrames(circ, d, 2, mk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunCircuitFrames(circ, d, 2, mk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Failures != b.Failures || a.AvgIters != b.AvgIters || a.PostUsed != b.PostUsed {
+		t.Errorf("identical configs diverged: (%d, %g, %d) vs (%d, %g, %d)",
+			a.Failures, a.AvgIters, a.PostUsed, b.Failures, b.AvgIters, b.PostUsed)
+	}
+	cfg.Seed = 12
+	c, err := RunCircuitFrames(circ, d, 2, mk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.AvgIters == a.AvgIters && c.Failures == a.Failures {
+		t.Error("different seeds produced identical aggregates (sampler seed unused?)")
+	}
+}
+
+// TestRunCircuitFramesEarlyStop: MaxLogicalErrors propagates through the
+// frame path (the failure budget is checked at shot granularity inside a
 // block).
-func TestRunCircuitBatchEarlyStop(t *testing.T) {
-	d := batchTestDEM(t)
+func TestRunCircuitFramesEarlyStop(t *testing.T) {
+	circ, d := batchTestModel(t)
 	mk := DecoderSpecs()["uf"].NewDecoder
-	cfg := Config{P: 0.05, Shots: 20000, Seed: 1, MaxLogicalErrors: 5, Workers: 1, Batch: true}
-	res, err := RunCircuit(d, 2, mk, cfg)
+	cfg := Config{P: 0.05, Shots: 20000, Seed: 1, MaxLogicalErrors: 5, Workers: 1}
+	res, err := RunCircuitFrames(circ, d, 2, mk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

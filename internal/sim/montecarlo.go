@@ -39,14 +39,6 @@ type Config struct {
 	// the shard decomposition, so override it only to pin a decomposition
 	// across runs with different Shots.
 	Shards int
-	// Batch switches RunCircuit to the bit-packed batch sampling path:
-	// each shard draws 64-shot blocks from the word-parallel frame sampler
-	// (internal/frame) instead of one shot at a time. The shot stream
-	// differs from the scalar sampler's (the differential suite holds the
-	// two to identical statistics) but keeps the engine's determinism
-	// contract: per-shard splitmix seeding, and bit-identical results for
-	// any Workers value. Ignored by RunCapacity.
-	Batch bool
 }
 
 // Record is one shot's decoder telemetry (estimates dropped to save
@@ -190,12 +182,9 @@ func RunCapacity(css *code.CSS, mk Factory, cfg Config) (*Result, error) {
 // and a shot fails when the decoder's estimate predicts the wrong logical
 // observable flips (or fails to satisfy the syndrome). rounds is used for
 // the per-round rate. Shots run sharded across Config.Workers goroutines;
-// results are bit-identical for any worker count. Config.Batch selects the
-// word-parallel 64-shot sampling path (runCircuitBatch).
+// results are bit-identical for any worker count. RunCircuitFrames is the
+// word-parallel counterpart that samples the circuit itself.
 func RunCircuit(d *dem.DEM, rounds int, mk Factory, cfg Config) (*Result, error) {
-	if cfg.Batch {
-		return runCircuitBatch(d, rounds, mk, cfg)
-	}
 	sharder := func(shardSeed int64) (Shard, error) {
 		sampler := dem.NewSampler(d, cfg.P, shardSeed)
 		dec, err := mk(d.H, sampler.Priors())
