@@ -43,7 +43,6 @@ import (
 	"bpsf/internal/codes"
 	"bpsf/internal/decoding"
 	"bpsf/internal/dem"
-	"bpsf/internal/gf2"
 	"bpsf/internal/memexp"
 	"bpsf/internal/service"
 	"bpsf/internal/sim"
@@ -190,7 +189,7 @@ func main() {
 	}
 
 	if stream && *replay {
-		if err := verifyReplay(*addr, cfg, css, res.FirstStream); err != nil {
+		if err := verifyReplay(*addr, cfg, css, res); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("replay: byte-identical (library windowed decode + service stream replay)")
@@ -247,13 +246,15 @@ func pullSnapshot(addr string, h service.Hello) (service.ServerSnapshot, error) 
 // through the library windowed decoder under the session's deterministic
 // seed, and through a fresh one-stream service session — and requires both
 // committed corrections to equal the recorded run's (the streaming
-// determinism contract, DESIGN.md §7).
-func verifyReplay(addr string, cfg service.LoadConfig, css *code.CSS, want gf2.Vec) error {
+// determinism contract, DESIGN.md §7). The library decoder takes the
+// commit the server resolved, so -commit 0 replays the server's default.
+func verifyReplay(addr string, cfg service.LoadConfig, css *code.CSS, rec service.LoadResult) error {
+	want := rec.FirstStream
 	if want.Len() == 0 {
 		return errors.New("replay: no recorded stream")
 	}
 	wd, err := window.New(cfg.DEM.H, cfg.DEM.Priors(cfg.P), window.MemexpLayout(css, cfg.Rounds),
-		cfg.Window, cfg.Commit, decoding.Factory(cfg.Spec.NewDecoder))
+		cfg.Window, rec.FirstCommit, decoding.Factory(cfg.Spec.NewDecoder))
 	if err != nil {
 		return err
 	}

@@ -26,7 +26,7 @@ import (
 // session read loop, inline). Ordering is deterministic within a plane
 // but not across planes, so delivery accounting is per-plane: a count of
 // frames already delivered to the client and a running FNV-1a over their
-// canonical form (service.CanonicalFrame — latency fields masked, since
+// canonical form (service.AppendCanonicalFrame — latency fields masked, since
 // timings are measurements, not results). During replay the first
 // delivered[p] regenerated frames of each plane are swallowed and hashed;
 // when the count catches up the hashes must match, or the session dies

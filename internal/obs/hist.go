@@ -28,8 +28,9 @@ type HistData struct {
 }
 
 // HistSnapshot is a point-in-time read of one histogram, including the
-// raw bucket counts (Prometheus exposition and the wire msgStats frame
-// carry them; quantiles alone cannot be aggregated across a fleet).
+// raw bucket counts (Prometheus exposition and the snapshot's JSON
+// document, which /statusz and msgStats share, carry them; quantiles
+// alone cannot be aggregated across a fleet).
 // Percentiles are upper bounds of their power-of-two bucket. The struct
 // is comparable, so snapshots can be diffed with ==.
 type HistSnapshot struct {

@@ -6,8 +6,8 @@ import (
 )
 
 // RuntimeSnapshot is one read of the Go runtime's health counters — the
-// process-level section of /statusz, /metrics and the wire msgStats
-// frame.
+// process-level section of /metrics and of the snapshot's JSON document
+// (/statusz and msgStats).
 type RuntimeSnapshot struct {
 	Goroutines int
 	GoMaxProcs int

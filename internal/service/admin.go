@@ -89,7 +89,7 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatusz renders the full snapshot as JSON (durations are
-// nanosecond integers, matching the wire frame's resolution).
+// nanosecond integers). msgStats carries the same document, compact.
 func (a *Admin) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -101,8 +101,11 @@ type LoadResult struct {
 
 	Windows int // committed windows (stream plane)
 	// FirstStream is the committed correction of session 0's first
-	// stream, the reference a replay of that stream must reproduce.
+	// stream, the reference a replay of that stream must reproduce;
+	// FirstCommit is the commit-region size the server resolved for it
+	// (a zero Commit takes the server's default).
 	FirstStream gf2.Vec
+	FirstCommit int
 
 	Wall                 time.Duration
 	ServerLat, ClientLat []time.Duration
@@ -372,6 +375,7 @@ func (l *loadRun) streams(c *Client, s int, sampler *dem.Sampler, n int) {
 		}
 		if s == 0 && shot == 0 {
 			l.res.FirstStream = res.ErrHat
+			l.res.FirstCommit = st.CommitRounds()
 		}
 		l.mu.Unlock()
 	}

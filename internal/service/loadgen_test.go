@@ -280,6 +280,25 @@ func TestDriveLoadStreams(t *testing.T) {
 	}
 }
 
+// TestDriveLoadStreamsServerCommit: a zero Commit takes the server's
+// default, and DriveLoad reports the commit the server resolved — what
+// bpsf-load -commit 0 -replay hands the library windowed decoder.
+func TestDriveLoadStreamsServerCommit(t *testing.T) {
+	srv := startServer(t, Options{PoolSize: 1, StreamCommit: 2})
+	cfg := streamLoad(t, srv)
+	cfg.Window, cfg.Commit, cfg.Sessions, cfg.Shots = 3, 0, 1, 2
+	res, err := DriveLoad(srv.Addr().String(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Decoded != cfg.Shots || res.FirstStream.Len() == 0 {
+		t.Fatalf("decoded %d of %d streams, first stream %d bits", res.Decoded, cfg.Shots, res.FirstStream.Len())
+	}
+	if res.FirstCommit != 2 {
+		t.Fatalf("FirstCommit = %d, want the server's default 2", res.FirstCommit)
+	}
+}
+
 // TestDriveLoadStreamsDeadServer: a server that dies with every stream
 // open returns an error naming each lost stream, and counts them.
 func TestDriveLoadStreamsDeadServer(t *testing.T) {

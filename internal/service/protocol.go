@@ -47,7 +47,7 @@ const (
 	msgSample = 10
 	// msgStats pulls a server telemetry snapshot in-protocol (DESIGN.md
 	// §10): pools, streams, stage histograms, runtime. The reply is one
-	// msgStatsReply frame carrying the encoded ServerSnapshot, answered
+	// msgStatsReply frame carrying the ServerSnapshot as JSON, answered
 	// inline by the session read loop (so it observes every batch the
 	// session flushed before asking).
 	msgStats      = 11
@@ -408,14 +408,9 @@ func appendBatchHeader(b []byte, batchID uint64, count int) []byte {
 	return b
 }
 
-// parseBatch splits a Batch payload into its syndrome byte slices (views
-// into payload).
-func parseBatch(payload []byte, detBytes int) (batchID uint64, syndromes [][]byte, err error) {
-	return parseBatchInto(payload, detBytes, nil)
-}
-
-// parseBatchInto is parseBatch with a reusable view slice: scratch's
-// capacity is reused so a warm session parses batches without allocating.
+// parseBatchInto splits a Batch payload into its syndrome byte slices
+// (views into payload). scratch's capacity is reused, so a warm session
+// parses batches without allocating.
 // The returned views alias payload, which the session's read loop owns
 // only until its next frame read.
 func parseBatchInto(payload []byte, detBytes int, scratch [][]byte) (batchID uint64, syndromes [][]byte, err error) {
@@ -648,10 +643,6 @@ func appendResponse(b []byte, resp *Response, mechBytes int) []byte {
 	return b
 }
 
-func parseBatchReply(payload []byte, mechBytes int) (batchID uint64, resps []Response, err error) {
-	return parseBatchReplyInto(payload, mechBytes, nil)
-}
-
 // peekBatchReplyID reads just the batch id off a BatchReply frame, so
 // the receiver can look up the waiter (and its recycled Response slice)
 // before parsing the items into it.
@@ -667,7 +658,7 @@ func peekBatchReplyID(payload []byte) (uint64, error) {
 	return id, nil
 }
 
-// parseBatchReplyInto is parseBatchReply reusing scratch: both the
+// parseBatchReplyInto decodes a BatchReply payload into scratch: both the
 // Response slice capacity and each retained Response's ErrHat capacity
 // are recycled, so a warm client parses replies without allocating. Each
 // ErrHat is still a private copy of the payload bytes (never a view), so

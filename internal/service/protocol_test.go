@@ -140,7 +140,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		}
 		payload = vecs[i].AppendBytes(payload)
 	}
-	id, syns, err := parseBatch(payload, detBytes)
+	id, syns, err := parseBatchInto(payload, detBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatalf("syndrome %d corrupted", i)
 		}
 	}
-	if _, _, err := parseBatch(payload[:len(payload)-1], detBytes); err == nil {
+	if _, _, err := parseBatchInto(payload[:len(payload)-1], detBytes, nil); err == nil {
 		t.Fatal("short batch accepted")
 	}
 }
@@ -169,7 +169,7 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 	for i := range in {
 		payload = appendResponse(payload, &in[i], mechBytes)
 	}
-	id, out, err := parseBatchReply(payload, mechBytes)
+	id, out, err := parseBatchReplyInto(payload, mechBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -745,7 +745,7 @@ read:
 			for i, raw := range syndromes {
 				rq := fill(job, i, frameT)
 				if err := rq.syndrome.SetBytes(raw); err != nil {
-					// parseBatch already checked lengths; defensive only
+					// parseBatchInto already checked lengths; defensive only
 					rq.finish()
 					continue
 				}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,11 +20,14 @@ import (
 	"bpsf/internal/sim"
 )
 
-// TestStatsReplyRoundTrip pins the msgStats wire codec: a populated
-// ServerSnapshot must survive appendStatsReply → parseStatsReply exactly
-// (derived fields — histogram Avg, pool AvgBatch — are recomputed on
-// parse from the carried fields, so they round-trip too).
-func TestStatsReplyRoundTrip(t *testing.T) {
+// statsHeaderLen is the StatsReply header ahead of the JSON document:
+// type byte, stage count u8, bucket count u16.
+const statsHeaderLen = 1 + 1 + 2
+
+// populatedSnapshot is a ServerSnapshot with every section filled: a pool
+// with a 100-sample latency histogram, a two-request stage set, a trace
+// and a gateway's backend rows.
+func populatedSnapshot() ServerSnapshot {
 	var lat obs.Histogram
 	for i := 1; i <= 100; i++ {
 		lat.Observe(time.Duration(i) * time.Millisecond)
@@ -38,7 +42,7 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 	set.Record(&sp)
 	set.Record(&sp)
 
-	want := ServerSnapshot{
+	return ServerSnapshot{
 		Uptime: 90 * time.Second,
 		Runtime: obs.RuntimeSnapshot{
 			Goroutines: 12, GoMaxProcs: 8, NumCPU: 8,
@@ -61,7 +65,20 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 			{End: 1712345, Total: 4 * time.Microsecond,
 				Stages: [obs.NumStages]time.Duration{time.Microsecond, 0, 0, 2 * time.Microsecond, time.Microsecond}},
 		},
+		Backends: []BackendStats{
+			{Name: "b0", Addr: "127.0.0.1:9000", Healthy: true, Sessions: 2, SessionsTotal: 4,
+				Requests: 100, Failovers: 1, Replayed: 37},
+			{Name: "b1", Addr: "127.0.0.1:9001", Draining: true},
+		},
 	}
+}
+
+// TestStatsReplyRoundTrip pins the msgStats wire codec: a populated
+// ServerSnapshot must survive appendStatsReply → parseStatsReply exactly
+// (derived fields — histogram Avg, pool AvgBatch — travel in the
+// document), and re-encoding the parse must reproduce the frame.
+func TestStatsReplyRoundTrip(t *testing.T) {
+	want := populatedSnapshot()
 	// empty stage histograms encode as all-zero and parse back identically
 	payload := appendStatsReply(nil, want)
 	got, err := parseStatsReply(payload)
@@ -71,50 +88,111 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("stats reply round-trip diverges:\n got %+v\nwant %+v", got, want)
 	}
-	// canonical: re-encoding the parse reproduces the bytes
-	if re := appendStatsReply(nil, got); !reflect.DeepEqual(re, payload) {
+	if re := appendStatsReply(nil, got); !bytes.Equal(re, payload) {
 		t.Fatal("re-encoded stats reply is not byte-identical")
 	}
 }
 
-// TestStatsReplyRejectsMalformedHistograms pins the canonical sparse
-// histogram rules the parser enforces: non-increasing bucket indices,
-// zero counts and count/N mismatches are all errors, never silent.
+// TestStatsReplyMatchesStatusz pins the one snapshot encoding: the
+// msgStats body is /statusz's JSON document in compact form, and both
+// parse to the snapshot they were rendered from.
+func TestStatsReplyMatchesStatusz(t *testing.T) {
+	snap := populatedSnapshot()
+	admin := NewAdmin(func() ServerSnapshot { return snap }, func(*obs.PromWriter) {})
+	rec := httptest.NewRecorder()
+	admin.AdminHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/statusz: HTTP %d", rec.Code)
+	}
+	statusz := rec.Body.Bytes()
+
+	payload := appendStatsReply(nil, snap)
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, statusz); err != nil {
+		t.Fatal(err)
+	}
+	if body := payload[statsHeaderLen:]; !bytes.Equal(body, compact.Bytes()) {
+		t.Fatalf("msgStats body is not the compact /statusz document:\n%s\n%s", body, compact.Bytes())
+	}
+
+	fromWire, err := parseStatsReply(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(statusz))
+	dec.DisallowUnknownFields()
+	var fromHTTP ServerSnapshot
+	if err := dec.Decode(&fromHTTP); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromWire, fromHTTP) || !reflect.DeepEqual(fromWire, snap) {
+		t.Fatalf("surfaces disagree:\n wire   %+v\n statusz %+v\n want   %+v", fromWire, fromHTTP, snap)
+	}
+}
+
+// TestStatsReplyRejectsMalformedHistograms pins every refusal of the
+// stats reply parser: foreign stage or bucket counts (JSON would zero-fill
+// or truncate the fixed arrays), unknown fields, trailing bytes, and
+// histograms whose N is negative or disagrees with the bucket sum — in
+// the pool, stage and stream-stage sections alike.
 func TestStatsReplyRejectsMalformedHistograms(t *testing.T) {
-	base := func() []byte {
-		// a valid 1-sample histogram body
-		var h obs.HistData
-		h.Observe(time.Millisecond)
-		return appendHistSnapshot(nil, h.Snapshot())
+	valid := appendStatsReply(nil, populatedSnapshot())
+	if _, err := parseStatsReply(valid); err != nil {
+		t.Fatalf("valid reply refused: %v", err)
+	}
+	forge := func(edit func(*ServerSnapshot)) []byte {
+		snap := populatedSnapshot()
+		edit(&snap)
+		return appendStatsReply(nil, snap)
+	}
+	header := func(off int, v byte) []byte {
+		b := bytes.Clone(valid)
+		b[off] = v
+		return b
 	}
 	cases := []struct {
 		name    string
-		corrupt func(b []byte) []byte
+		payload []byte
 	}{
-		{"bucket count beyond max", func(b []byte) []byte {
-			b[8*8] = obs.NumBuckets + 1
-			return b
-		}},
-		{"zero bucket count", func(b []byte) []byte {
-			// keep the index but zero the count: sparse entries must be nonzero
-			for i := 8*8 + 2; i < 8*8+10; i++ {
-				b[i] = 0
-			}
-			return b
-		}},
-		{"bucket sum != N", func(b []byte) []byte {
-			b[0] = 99 // header N no longer matches the single bucket count
-			return b
-		}},
+		{"bucket sum != N", forge(func(s *ServerSnapshot) { s.Pools[0].Latency.N = 99 })},
+		// N = -5 over buckets summing to 2⁶⁴−5: the sum matches N's bits,
+		// and merging it with an N = 5 histogram would divide by zero
+		{"negative N", forge(func(s *ServerSnapshot) {
+			s.Pools[0].Latency = obs.HistSnapshot{N: -5}
+			s.Pools[0].Latency.Buckets[0] = ^uint64(4)
+		})},
+		{"bucket overflow", forge(func(s *ServerSnapshot) {
+			s.Pools[0].Latency = obs.HistSnapshot{N: 1}
+			s.Pools[0].Latency.Buckets[0] = ^uint64(0)
+			s.Pools[0].Latency.Buckets[1] = 2
+		})},
+		{"stage N != bucket sum", forge(func(s *ServerSnapshot) { s.Stages.Stages[obs.StageQueue].N++ })},
+		{"stage total N != bucket sum", forge(func(s *ServerSnapshot) { s.Stages.Total.N++ })},
+		{"stream stage N != bucket sum", forge(func(s *ServerSnapshot) { s.StreamStages.Stages[obs.StageWrite].N = 1 })},
+		{"stream total N != bucket sum", forge(func(s *ServerSnapshot) { s.StreamStages.Total.N = 1 })},
+		{"stage count mismatch", header(1, byte(obs.NumStages)+1)},
+		{"bucket count beyond max", header(2, obs.NumBuckets+1)},
+		{"bucket count below build", header(2, obs.NumBuckets-1)},
+		{"unknown field", bytes.Replace(valid, []byte(`{"Uptime"`), []byte(`{"Bogus":1,"Uptime"`), 1)},
+		{"trailing bytes", append(bytes.Clone(valid), ' ')},
+		{"second value", append(bytes.Clone(valid), "{}"...)},
+		{"truncated body", valid[:len(valid)-1]},
+		{"truncated header", valid[:statsHeaderLen-1]},
+		{"wrong type byte", header(0, msgBatchReply)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := &reader{b: tc.corrupt(base())}
-			if _, err := parseHistSnapshot(r); err == nil {
-				t.Fatal("malformed histogram parsed without error")
+			if _, err := parseStatsReply(tc.payload); err == nil {
+				t.Fatal("malformed stats reply parsed without error")
 			}
 		})
 	}
+	t.Run("error frame", func(t *testing.T) {
+		_, err := parseStatsReply(appendError(nil, "stats unavailable"))
+		if err == nil || !strings.Contains(err.Error(), "stats unavailable") {
+			t.Fatalf("error frame not returned as the error: %v", err)
+		}
+	})
 }
 
 // TestPoolStatsCoherentUnderHammer is the snapshot-consistency fix

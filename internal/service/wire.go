@@ -120,23 +120,18 @@ func ParseStatsReplyFrame(payload []byte) (ServerSnapshot, error) {
 	return parseStatsReply(payload)
 }
 
-// CanonicalFrame returns the replay-comparison form of a server→client
-// frame: BatchReply and StreamCommit frames get their per-response
-// service-latency fields zeroed (timings are measurements, not part of
-// the determinism contract), every other type passes through unchanged.
-// Two canonical frames being equal is exactly the per-session replay
-// guarantee: same flags, same iteration and flip counts, same error
-// estimates, same committed mechanisms. mechBytes is the session's
-// packed error-estimate width from the HelloAck. Malformed frames return
-// a copy unmodified — the comparison then fails loudly instead of
-// masking bytes at a wrong offset.
-func CanonicalFrame(payload []byte, mechBytes int) []byte {
-	return AppendCanonicalFrame(nil, payload, mechBytes)
-}
-
-// AppendCanonicalFrame is CanonicalFrame appending into dst — the
-// gateway's replay comparator canonicalizes every frame of a re-driven
-// session, so it recycles one buffer instead of copying per frame.
+// AppendCanonicalFrame appends to dst the replay-comparison form of a
+// server→client frame: BatchReply and StreamCommit frames get their
+// per-response service-latency fields zeroed (timings are measurements,
+// not part of the determinism contract), every other type passes through
+// unchanged. Two canonical frames being equal is exactly the per-session
+// replay guarantee: same flags, same iteration and flip counts, same
+// error estimates, same committed mechanisms. mechBytes is the session's
+// packed error-estimate width from the HelloAck. Malformed frames are
+// appended unmodified — the comparison then fails loudly instead of
+// masking bytes at a wrong offset. The gateway's replay comparator
+// canonicalizes every frame of a re-driven session, so it recycles one
+// dst buffer instead of copying per frame.
 func AppendCanonicalFrame(dst, payload []byte, mechBytes int) []byte {
 	base := len(dst)
 	dst = append(dst, payload...)

@@ -31,16 +31,16 @@ func TestCanonicalFrameBatchReply(t *testing.T) {
 	if bytes.Equal(a, b) {
 		t.Fatal("test frames should differ in raw latency bytes")
 	}
-	if ca, cb := CanonicalFrame(a, mechBytes), CanonicalFrame(b, mechBytes); !bytes.Equal(ca, cb) {
+	if ca, cb := AppendCanonicalFrame(nil, a, mechBytes), AppendCanonicalFrame(nil, b, mechBytes); !bytes.Equal(ca, cb) {
 		t.Fatalf("latency-only difference survives canonicalization:\n %x\n %x", ca, cb)
 	}
 	c := mk(time.Millisecond, 3*time.Microsecond, 0xAB)
-	if bytes.Equal(CanonicalFrame(a, mechBytes), CanonicalFrame(c, mechBytes)) {
+	if bytes.Equal(AppendCanonicalFrame(nil, a, mechBytes), AppendCanonicalFrame(nil, c, mechBytes)) {
 		t.Fatal("estimate difference erased by canonicalization")
 	}
 	// canonicalization must not corrupt the frame: it still parses, with
 	// latency zeroed and everything else intact
-	id, resps, err := parseBatchReply(CanonicalFrame(a, mechBytes), mechBytes)
+	id, resps, err := parseBatchReplyInto(AppendCanonicalFrame(nil, a, mechBytes), mechBytes, nil)
 	if err != nil {
 		t.Fatalf("canonical frame no longer parses: %v", err)
 	}
@@ -56,10 +56,10 @@ func TestCanonicalFrameStreamCommit(t *testing.T) {
 			flags: flagStreamWindowOK, firstRound: 2, endRound: 4,
 			latency: lat, mechs: []byte{mech}})
 	}
-	if !bytes.Equal(CanonicalFrame(mk(time.Second, 5), 1), CanonicalFrame(mk(time.Millisecond, 5), 1)) {
+	if !bytes.Equal(AppendCanonicalFrame(nil, mk(time.Second, 5), 1), AppendCanonicalFrame(nil, mk(time.Millisecond, 5), 1)) {
 		t.Fatal("commit latency difference survives canonicalization")
 	}
-	if bytes.Equal(CanonicalFrame(mk(time.Second, 5), 1), CanonicalFrame(mk(time.Second, 6), 1)) {
+	if bytes.Equal(AppendCanonicalFrame(nil, mk(time.Second, 5), 1), AppendCanonicalFrame(nil, mk(time.Second, 6), 1)) {
 		t.Fatal("commit mech difference erased by canonicalization")
 	}
 }
@@ -71,14 +71,14 @@ func TestCanonicalFramePassthrough(t *testing.T) {
 	hello, _ := appendHello(nil, Hello{Code: "bb72", P: 0.01, Spec: Spec{Kind: "bp", BPIters: 10}})
 	truncated := appendBatchReplyHeader(nil, 1, 3) // claims 3 items, carries none
 	for _, payload := range [][]byte{hello, truncated, {msgStreamCommit, 1, 2}, nil} {
-		got := CanonicalFrame(payload, 4)
+		got := AppendCanonicalFrame(nil, payload, 4)
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("passthrough frame modified: %x -> %x", payload, got)
 		}
 		if len(payload) > 0 {
 			got[0] ^= 0xFF
 			if payload[0] == got[0] {
-				t.Fatal("CanonicalFrame returned an alias, not a copy")
+				t.Fatal("AppendCanonicalFrame returned an alias, not a copy")
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Series is one labeled curve of a figure: y(x) with optional confidence
@@ -97,16 +98,17 @@ func formatFloat(v float64) string {
 	}
 }
 
-// Write renders the table.
+// Write renders the table. Cells are measured and padded in runes, so
+// columns holding non-ASCII text such as "→" still line up.
 func (t *Table) Write(w io.Writer) error {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -117,7 +119,7 @@ func (t *Table) Write(w io.Writer) error {
 				sb.WriteString("  ")
 			}
 			sb.WriteString(c)
-			for pad := len(c); pad < widths[i]; pad++ {
+			for pad := utf8.RuneCountInString(c); pad < widths[i]; pad++ {
 				sb.WriteByte(' ')
 			}
 		}

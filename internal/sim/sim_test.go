@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"bpsf/internal/bp"
 	"bpsf/internal/bpsf"
@@ -162,6 +163,42 @@ func TestTableRender(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "decoder") || !strings.Contains(out, "BP-SF") {
 		t.Fatalf("table output:\n%s", out)
+	}
+}
+
+// TestTableAlignsRunes: a cell with a multi-byte rune ("→", as in
+// bpsf-load's "server (arrival→commit)" row) pads by runes, so every
+// row's second column starts at the same display column.
+func TestTableAlignsRunes(t *testing.T) {
+	tb := NewTable("latency", "n", "p50 ms")
+	tb.Row("server (arrival→commit)", 12, 0.5)
+	tb.Row("client (send→recv)", 12, 0.75)
+	tb.Row("plain", 1, 2.0)
+	var buf bytes.Buffer
+	if err := tb.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("want header, rule and 3 rows:\n%s", buf.String())
+	}
+	// rune column where the second cell starts (cells are joined by two
+	// spaces)
+	col := func(line, cell string) int {
+		i := strings.Index(line, "  "+cell+" ")
+		if i < 0 {
+			t.Fatalf("%q missing from %q", cell, line)
+		}
+		return utf8.RuneCountInString(line[:i]) + 2
+	}
+	want := col(lines[0], "n")
+	for i, cell := range []string{"12", "12", "1"} {
+		if got := col(lines[2+i], cell); got != want {
+			t.Errorf("row %d: column 2 starts at rune %d, header at %d:\n%s", i, got, want, buf.String())
+		}
+	}
+	if rule := lines[1]; utf8.RuneCountInString(strings.Fields(rule)[0]) != utf8.RuneCountInString("server (arrival→commit)") {
+		t.Errorf("first rule %q is not the widest cell's rune width", strings.Fields(rule)[0])
 	}
 }
 

@@ -2,10 +2,11 @@
 // of Aaronson & Gottesman (CHP): exact simulation of Clifford circuits
 // with resets and Z-basis measurements.
 //
-// Its role in this repository is verification: the detector error model
-// pipeline (circuit → pauli → dem) only reasons about *deviations* from a
-// noiseless reference run, silently assuming every declared detector is
-// deterministic in that reference. The tableau simulator executes the
+// It is test code, imported by nothing outside this directory. Its role
+// is verification: the detector error model pipeline (circuit → pauli →
+// dem) only reasons about *deviations* from a noiseless reference run,
+// silently assuming every declared detector is deterministic in that
+// reference. The tableau simulator executes the
 // noiseless circuit exactly — including the randomness of gauge-operator
 // measurements in subsystem codes — so tests can confirm that every
 // detector XOR is constant and every observable is deterministic.
