@@ -27,6 +27,8 @@
 package bpsf
 
 import (
+	"io"
+
 	"bpsf/internal/bp"
 	bpsfcore "bpsf/internal/bpsf"
 	"bpsf/internal/code"
@@ -317,6 +319,21 @@ func RunMemoryCircuitFrames(c *Code, rounds int, mk Factory, cfg MCConfig) (*MCR
 // under a P-worker pool; see sim.ScheduleLatency.
 func ScheduleLatency(initIters int, trialIters []int, trialSuccess []bool, workers int) int {
 	return sim.ScheduleLatency(initIters, trialIters, trialSuccess, workers)
+}
+
+// LatencyRow is one per-shot time distribution of a latency study.
+type LatencyRow = sim.LatencyRow
+
+// LatencyStudy derives the paper's latency rows from a baseline run and a
+// serial decoder run over the same shots; see sim.LatencyStudy.
+func LatencyStudy(base, dec *MCResult, workers []int) ([]LatencyRow, error) {
+	return sim.LatencyStudy(base, dec, workers)
+}
+
+// WriteLatency renders latency rows as a table; see sim.WriteLatency.
+func WriteLatency(w io.Writer, rows []LatencyRow) error {
+	_, err := sim.WriteLatency(w, rows)
+	return err
 }
 
 // Real-time decode service re-exports (internal/service; wire protocol and

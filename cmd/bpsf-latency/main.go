@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"bpsf/internal/codes"
 	"bpsf/internal/dem"
@@ -110,61 +109,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// convert schedule-model iteration units to time via the measured
-	// per-iteration cost
-	var totTime time.Duration
-	totIters := 0
-	for _, rec := range sfRes.Records {
-		totTime += rec.Time
-		totIters += rec.Iterations
+	rows, err := sim.LatencyStudy(osdRes, sfRes, modelWorkers)
+	if err != nil {
+		log.Fatal(err)
 	}
-	iterUnit := time.Duration(0)
-	if totIters > 0 {
-		iterUnit = totTime / time.Duration(totIters)
-	}
-
-	gpu := sim.DefaultGPUModel()
-	tb := sim.NewTable("decoder", "LER/round", "min ms", "median ms", "avg ms", "p99 ms", "max ms")
-	ms := func(t time.Duration) float64 { return float64(t.Microseconds()) / 1000 }
-	row := func(label string, lerRound float64, ds []time.Duration) {
-		st := sim.Summarize(ds)
-		tb.Row(label, lerRound, ms(st.Min), ms(st.P50), ms(st.Avg), ms(st.P99), ms(st.Max))
-	}
-
-	times := func(recs []sim.Record) []time.Duration {
-		out := make([]time.Duration, len(recs))
-		for i, rec := range recs {
-			out[i] = rec.Time
-		}
-		return out
-	}
-	row(osdRes.Decoder, osdRes.LERRound, times(osdRes.Records))
-	row(sfRes.Decoder+" serial", sfRes.LERRound, times(sfRes.Records))
-	// the P-worker schedule model and the GPU estimator consume BP-SF
-	// per-trial records, so they only apply to the bare bpsf decoder. The
-	// serial records stop at the first success, and at P > 1 a later trial
-	// can finish first, so the "(model)" rows are upper bounds.
-	if spec.Kind == "bpsf" && spec.Window == 0 {
-		for _, w := range modelWorkers {
-			modeled := make([]time.Duration, len(sfRes.Records))
-			for i, rec := range sfRes.Records {
-				iters := sim.ScheduleLatency(rec.InitIterations, rec.TrialIterations, rec.TrialSuccess, w)
-				modeled[i] = time.Duration(iters) * iterUnit
-			}
-			row(fmt.Sprintf("BP-SF P=%d (model)", w), sfRes.LERRound, modeled)
-		}
-		var gpuEst []time.Duration
-		for _, rec := range sfRes.Records {
-			gpuEst = append(gpuEst, gpu.Estimate(sim.Outcome{
-				InitIterations:  rec.InitIterations,
-				TrialIterations: rec.TrialIterations,
-				TrialSuccess:    rec.TrialSuccess,
-			}))
-		}
-		row("BP-SF (GPU_Est)", sfRes.LERRound, gpuEst)
-	}
-
-	if err := tb.Write(os.Stdout); err != nil {
+	fmt.Printf("LER/round: %s %.3e, %s %.3e\n\n", osdRes.Decoder, osdRes.LERRound, sfRes.Decoder, sfRes.LERRound)
+	if _, err := sim.WriteLatency(os.Stdout, rows); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -1,7 +1,7 @@
-// Latency study in the style of the paper's Figures 14–15: measure the
-// decode-time distribution of BP-SF (serial, parallel workers, and the
-// P-worker schedule model) against BP-OSD on the J144,12,12K code under
-// circuit-level noise.
+// Latency study in the style of the paper's Figures 14–16: measure the
+// decode-time distribution of serial BP-SF against BP-OSD on the
+// J144,12,12K code under circuit-level noise, and derive the P-worker
+// schedule model and the GPU estimates from BP-SF's per-trial records.
 //
 //	go run ./examples/latency -shots 200 -p 0.003 -rounds 4
 package main
@@ -10,8 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sort"
-	"time"
+	"os"
 
 	"bpsf"
 )
@@ -44,16 +43,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// BP-SF serial with full per-trial records for the schedule model
+	// serial BP-SF: its per-trial records, which stop at the first
+	// success, feed the schedule model and the GPU estimates
 	sfMk := func(h *bpsf.Matrix, priors []float64) (bpsf.Decoder, error) {
 		return bpsf.NewBPSFDecoder(h, priors, bpsf.BPSFConfig{
-			Init:            bpsf.BPConfig{MaxIter: 100},
-			Trial:           bpsf.BPConfig{MaxIter: 100},
-			PhiSize:         50,
-			WMax:            10,
-			NS:              10,
-			Policy:          bpsf.Sampled,
-			DecodeAllTrials: true,
+			Init:    bpsf.BPConfig{MaxIter: 100},
+			Trial:   bpsf.BPConfig{MaxIter: 100},
+			PhiSize: 50,
+			WMax:    10,
+			NS:      10,
+			Policy:  bpsf.Sampled,
 		})
 	}
 	sfRes, err := bpsf.RunCircuit(d, *rounds, sfMk, bpsf.MCConfig{
@@ -62,42 +61,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// measured per-iteration wall-clock cost, to convert iteration units
-	var totTime time.Duration
-	totIters := 0
-	for _, r := range sfRes.Records {
-		totTime += r.Time
-		totIters += r.Iterations
+	rows, err := bpsf.LatencyStudy(osdRes, sfRes, []int{2, 4, 8})
+	if err != nil {
+		log.Fatal(err)
 	}
-	iterUnit := totTime / time.Duration(totIters)
-
-	summarize := func(label string, ds []time.Duration) {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		var sum time.Duration
-		for _, t := range ds {
-			sum += t
-		}
-		ms := func(t time.Duration) float64 { return float64(t.Microseconds()) / 1000 }
-		fmt.Printf("%-24s min %8.2f  median %8.2f  avg %8.2f  max %8.2f  (ms)\n",
-			label, ms(ds[0]), ms(ds[len(ds)/2]), ms(sum/time.Duration(len(ds))), ms(ds[len(ds)-1]))
-	}
-
-	collect := func(res *bpsf.MCResult) []time.Duration {
-		out := make([]time.Duration, len(res.Records))
-		for i, r := range res.Records {
-			out[i] = r.Time
-		}
-		return out
-	}
-	summarize("BP1000-OSD10", collect(osdRes))
-	summarize("BP-SF serial", collect(sfRes))
-	for _, workers := range []int{2, 4, 8} {
-		modeled := make([]time.Duration, len(sfRes.Records))
-		for i, r := range sfRes.Records {
-			iters := bpsf.ScheduleLatency(r.InitIterations, r.TrialIterations, r.TrialSuccess, workers)
-			modeled[i] = time.Duration(iters) * iterUnit
-		}
-		summarize(fmt.Sprintf("BP-SF P=%d (model)", workers), modeled)
+	if err := bpsf.WriteLatency(os.Stdout, rows); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("\nLER/round: BP-OSD %.2e, BP-SF %.2e (same seed)\n", osdRes.LERRound, sfRes.LERRound)
 }

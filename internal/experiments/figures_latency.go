@@ -199,7 +199,7 @@ func Table1(o Opts) (FigureResult, error) {
 // Fig14 reproduces Figure 14: average decoding time per syndrome vs
 // physical error rate on the J144,12,12K code: BP1000-OSD10, BP-SF
 // (serial), BP-SF (P=8 worker pool), BP100 (lower bound), and the modeled
-// GPU variants.
+// GPU rows of the latency study over the serial BP-SF and BP-OSD runs.
 func Fig14(o Opts) (FigureResult, error) {
 	rounds := roundsFor("bb144", 4, o)
 	d, _, err := CachedDEM("bb144", rounds)
@@ -208,7 +208,6 @@ func Fig14(o Opts) (FigureResult, error) {
 	}
 	shots := o.shots(30)
 	ps := []float64{0.001, 0.002, 0.003}
-	gpu := sim.DefaultGPUModel()
 
 	sfSerial := BPSFCircuitSpec(100, 50, 10, 10)
 	sfPar := BPSFCircuitSpec(100, 50, 10, 10)
@@ -216,8 +215,8 @@ func Fig14(o Opts) (FigureResult, error) {
 	specs := []sim.Spec{BPOSDSpec(1000, 10), sfSerial, sfPar, BPSpec(100)}
 
 	series := make([]sim.Series, len(specs))
-	gpuSF := sim.Series{Label: "BP-SF (GPU_Est)"}
-	gpuOSD := sim.Series{Label: "BP1000-OSD10 (GPU model)"}
+	runs := make([][]*sim.Result, len(specs))
+	ms := func(t time.Duration) float64 { return float64(t.Microseconds()) / 1000 }
 	tb := sim.NewTable("decoder", "p", "avg ms", "max ms")
 	for si, spec := range specs {
 		series[si] = sim.Series{Label: spec.String()}
@@ -230,133 +229,84 @@ func Fig14(o Opts) (FigureResult, error) {
 			}
 			var maxT time.Duration
 			for _, r := range mc.Records {
-				if r.Time > maxT {
-					maxT = r.Time
-				}
+				maxT = max(maxT, r.Time)
 			}
-			ms := float64(mc.AvgTime.Microseconds()) / 1000
-			series[si].Add(p, ms)
-			tb.Row(spec.String(), p, ms, float64(maxT.Microseconds())/1000)
-
-			// GPU estimates derive from the serial BP-SF and BP-OSD records
-			switch si {
-			case 0: // BP-OSD: device BP + OSD-stage share scaled to device
-				var tot time.Duration
-				for _, r := range mc.Records {
-					tot += gpu.Launch + time.Duration(r.InitIterations)*gpu.Iter +
-						time.Duration(float64(r.PostTime)*gpuOSDScale)
-				}
-				gpuOSD.Add(p, float64((tot/time.Duration(len(mc.Records))).Microseconds())/1000)
-			case 1: // serial BP-SF records → paper-style GPU_Est
-				var tot time.Duration
-				for _, r := range mc.Records {
-					tot += gpu.Estimate(sim.Outcome{
-						InitIterations:  r.InitIterations,
-						TrialIterations: r.TrialIterations,
-						TrialSuccess:    r.TrialSuccess,
-					})
-				}
-				gpuSF.Add(p, float64((tot/time.Duration(len(mc.Records))).Microseconds())/1000)
+			series[si].Add(p, ms(mc.AvgTime))
+			tb.Row(spec.String(), p, ms(mc.AvgTime), ms(maxT))
+			runs[si] = append(runs[si], mc)
+		}
+	}
+	// GPU curves: the modeled rows of the serial BP-SF vs BP-OSD study,
+	// which with no worker counts are all the rows after the measured two
+	var gpuSeries []sim.Series
+	for pi, p := range ps {
+		rows, err := sim.LatencyStudy(runs[0][pi], runs[1][pi], nil)
+		if err != nil {
+			return FigureResult{}, err
+		}
+		for k, r := range rows[2:] {
+			if pi == 0 {
+				gpuSeries = append(gpuSeries, sim.Series{Label: r.Label})
 			}
+			gpuSeries[k].Add(p, ms(r.Avg))
 		}
 	}
 	fmt.Fprintln(o.out(), "== fig14: avg decode time per syndrome, BB[[144,12,12]] ==")
 	err = tb.Write(o.out())
 	return FigureResult{
 		Name:   "fig14",
-		Series: append(series, gpuSF, gpuOSD),
-		Notes:  "GPU curves are modeled (see sim.GPUModel); P=8 wall-clock depends on host cores",
+		Series: append(series, gpuSeries...),
+		Notes:  "GPU curves are modeled (see sim.LatencyStudy); P=8 wall-clock depends on host cores",
 	}, err
 }
 
-// gpuOSDScale maps measured CPU OSD-stage time to the modeled device time,
-// calibrated from the paper's reported 36.44 ms CPU vs 7.37 ms GPU BP-OSD
-// averages.
-const gpuOSDScale = 0.2
+// latencyStudy runs Figs. 15–16's two measurements on the J144,12,12K
+// code at p = 3×10⁻³ — BP1000-OSD10 and serial BP-SF over the same shots
+// — and derives the study's rows, with P ∈ {2,4,8} worker-pool models.
+func latencyStudy(o Opts) ([]sim.LatencyRow, error) {
+	const p = 3e-3
+	rounds := roundsFor("bb144", 4, o)
+	d, _, err := CachedDEM("bb144", rounds)
+	if err != nil {
+		return nil, err
+	}
+	var runs [2]*sim.Result
+	for i, spec := range []sim.Spec{BPOSDSpec(1000, 10), BPSFCircuitSpec(100, 50, 10, 10)} {
+		runs[i], err = sim.RunCircuit(d, rounds, spec.NewDecoder, sim.Config{
+			P: p, Shots: o.shots(30), Seed: o.seed(), KeepRecords: true, Workers: 1,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sim.LatencyStudy(runs[0], runs[1], []int{2, 4, 8})
+}
+
+// latencyFigure renders the latency-study rows whose GPU flag is gpu.
+func latencyFigure(o Opts, name, title, notes string, gpu bool) (FigureResult, error) {
+	rows, err := latencyStudy(o)
+	if err != nil {
+		return FigureResult{}, err
+	}
+	var keep []sim.LatencyRow
+	for _, r := range rows {
+		if r.GPU == gpu {
+			keep = append(keep, r)
+		}
+	}
+	fmt.Fprintln(o.out(), title)
+	series, err := sim.WriteLatency(o.out(), keep)
+	return FigureResult{Name: name, Series: series, Notes: notes}, err
+}
 
 // Fig15 reproduces Figure 15: the distribution of single-syndrome decode
 // times at p = 0.003 — BP1000-OSD10 vs BP-SF serial, with the P ∈ {2,4,8}
 // worker-pool latencies derived from the measured per-trial iteration
 // records via the schedule model.
 func Fig15(o Opts) (FigureResult, error) {
-	const p = 3e-3
-	rounds := roundsFor("bb144", 4, o)
-	d, _, err := CachedDEM("bb144", rounds)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	shots := o.shots(30)
-
-	// measured BP-OSD distribution
-	osdMC, err := sim.RunCircuit(d, rounds, BPOSDSpec(1000, 10).NewDecoder, sim.Config{
-		P: p, Shots: shots, Seed: o.seed(), KeepRecords: true, Workers: 1,
-	})
-	if err != nil {
-		return FigureResult{}, err
-	}
-	// serial BP-SF. Its per-trial records stop at the first success, but
-	// with P > 1 workers a later trial can finish first, and the records
-	// do not hold it; the modeled P > 1 rows are therefore upper bounds
-	// (DecodeAllTrials records would make them exact)
-	sfSpec := BPSFCircuitSpec(100, 50, 10, 10)
-	sfMC, err := sim.RunCircuit(d, rounds, sfSpec.NewDecoder, sim.Config{
-		P: p, Shots: shots, Seed: o.seed(), KeepRecords: true, Workers: 1,
-	})
-	if err != nil {
-		return FigureResult{}, err
-	}
-
-	// per-shot wall-clock time of one BP iteration, for converting the
-	// schedule model's iteration units to time
-	var iterUnit time.Duration
-	var iterCount int
-	for _, r := range sfMC.Records {
-		iterUnit += r.Time
-		iterCount += r.Iterations
-	}
-	if iterCount > 0 {
-		iterUnit /= time.Duration(iterCount)
-	}
-
-	tb := sim.NewTable("decoder", "min ms", "median ms", "avg ms", "p99 ms", "max ms")
-	res := FigureResult{Name: "fig15", Notes: "P>1 rows derive from the schedule model (iteration units × measured per-iteration time) over serial per-trial records, which stop at the first success; a later trial can finish first at P>1, so these rows are upper bounds"}
-	ms := func(t time.Duration) float64 { return float64(t.Microseconds()) / 1000 }
-
-	report := func(label string, ds []time.Duration) {
-		st := sim.Summarize(ds)
-		tb.Row(label, ms(st.Min), ms(st.P50), ms(st.Avg), ms(st.P99), ms(st.Max))
-		s := sim.Series{Label: label}
-		s.Add(0, ms(st.Min))
-		s.Add(0.5, ms(st.P50))
-		s.Add(0.99, ms(st.P99))
-		s.Add(1, ms(st.Max))
-		res.Series = append(res.Series, s)
-	}
-
-	osdTimes := make([]time.Duration, len(osdMC.Records))
-	for i, r := range osdMC.Records {
-		osdTimes[i] = r.Time
-	}
-	report("BP1000-OSD10", osdTimes)
-
-	sfTimes := make([]time.Duration, len(sfMC.Records))
-	for i, r := range sfMC.Records {
-		sfTimes[i] = r.Time
-	}
-	report("BP-SF serial", sfTimes)
-
-	for _, workers := range []int{2, 4, 8} {
-		modeled := make([]time.Duration, len(sfMC.Records))
-		for i, r := range sfMC.Records {
-			iters := sim.ScheduleLatency(r.InitIterations, r.TrialIterations, r.TrialSuccess, workers)
-			modeled[i] = time.Duration(iters) * iterUnit
-		}
-		report(fmt.Sprintf("BP-SF P=%d (model)", workers), modeled)
-	}
-
-	fmt.Fprintln(o.out(), "== fig15: decode-time distribution, BB[[144,12,12]], p=3e-3 ==")
-	err = tb.Write(o.out())
-	return res, err
+	return latencyFigure(o, "fig15", "== fig15: decode-time distribution, BB[[144,12,12]], p=3e-3 ==",
+		"P>1 rows derive from the schedule model (iteration units × measured per-iteration time) over serial per-trial records, which stop at the first success; a later trial can finish first at P>1, so these rows are upper bounds",
+		false)
 }
 
 // Fig16 reproduces Figure 16: the modeled GPU decode-time distributions —
@@ -364,64 +314,6 @@ func Fig15(o Opts) (FigureResult, error) {
 // against the GPU BP-OSD model, plus the batched-trials improvement the
 // paper proposes.
 func Fig16(o Opts) (FigureResult, error) {
-	const p = 3e-3
-	rounds := roundsFor("bb144", 4, o)
-	d, _, err := CachedDEM("bb144", rounds)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	shots := o.shots(30)
-	gpu := sim.DefaultGPUModel()
-
-	sfSpec := BPSFCircuitSpec(100, 50, 10, 10)
-	sfMC, err := sim.RunCircuit(d, rounds, sfSpec.NewDecoder, sim.Config{
-		P: p, Shots: shots, Seed: o.seed(), KeepRecords: true, Workers: 1,
-	})
-	if err != nil {
-		return FigureResult{}, err
-	}
-	osdMC, err := sim.RunCircuit(d, rounds, BPOSDSpec(1000, 10).NewDecoder, sim.Config{
-		P: p, Shots: shots, Seed: o.seed(), KeepRecords: true, Workers: 1,
-	})
-	if err != nil {
-		return FigureResult{}, err
-	}
-
-	var est, batched, osdEst []time.Duration
-	for _, r := range sfMC.Records {
-		out := sim.Outcome{
-			InitIterations:  r.InitIterations,
-			TrialIterations: r.TrialIterations,
-			TrialSuccess:    r.TrialSuccess,
-		}
-		est = append(est, gpu.Estimate(out))
-		batched = append(batched, gpu.EstimateBatched(out))
-	}
-	for _, r := range osdMC.Records {
-		osdEst = append(osdEst, gpu.Launch+time.Duration(r.InitIterations)*gpu.Iter+
-			time.Duration(float64(r.PostTime)*gpuOSDScale))
-	}
-
-	tb := sim.NewTable("decoder", "avg ms", "p99 ms", "max ms")
-	res := FigureResult{Name: "fig16", Notes: "all rows modeled with sim.GPUModel constants"}
-	ms := func(t time.Duration) float64 { return float64(t.Microseconds()) / 1000 }
-	for _, row := range []struct {
-		label string
-		ds    []time.Duration
-	}{
-		{"BP-SF (GPU_Est, serial trials)", est},
-		{"BP-SF (GPU, batched trials)", batched},
-		{"BP1000-OSD10 (GPU model)", osdEst},
-	} {
-		st := sim.Summarize(row.ds)
-		tb.Row(row.label, ms(st.Avg), ms(st.P99), ms(st.Max))
-		s := sim.Series{Label: row.label}
-		s.Add(0, ms(st.Avg))
-		s.Add(0.99, ms(st.P99))
-		s.Add(1, ms(st.Max))
-		res.Series = append(res.Series, s)
-	}
-	fmt.Fprintln(o.out(), "== fig16: modeled GPU decode-time distribution, p=3e-3 ==")
-	err = tb.Write(o.out())
-	return res, err
+	return latencyFigure(o, "fig16", "== fig16: modeled GPU decode-time distribution, p=3e-3 ==",
+		"all rows modeled with the GPU model of sim.LatencyStudy", true)
 }

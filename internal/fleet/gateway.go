@@ -233,7 +233,11 @@ func (g *Gateway) acceptLoop() {
 }
 
 // Drain stops accepting, waits up to grace for live sessions, then
-// force-closes stragglers, the prober and the admin plane.
+// force-closes stragglers and stops the prober. A final probe round
+// (each dial, handshake and stats round trip bounded by ProbeTimeout)
+// refreshes every backend's snapshot, so Snapshot after Drain reports the
+// backends' final counts; then the probe clients and the admin plane
+// close.
 func (g *Gateway) Drain(grace time.Duration) {
 	if !g.draining.CompareAndSwap(false, true) {
 		return
@@ -262,6 +266,9 @@ func (g *Gateway) Drain(grace time.Duration) {
 		close(g.probeStop)
 		<-g.probeDone
 	}
+	// one last probe, so the drain report counts every decode the ended
+	// sessions asked for rather than the last periodic probe's view
+	g.ProbeOnce()
 	for _, be := range g.backends {
 		be.mu.Lock()
 		if be.probe != nil {
@@ -370,10 +377,11 @@ func (g *Gateway) probeLoop() {
 }
 
 // ProbeOnce health-checks every backend in parallel and returns when all
-// probes resolve: each backend answers a msgStats round trip within
-// ProbeTimeout (refreshing its cached snapshot) or is marked down. The
-// background loop calls this every ProbeInterval; tests and the
-// orchestrator call it directly for a deterministic view.
+// probes resolve: each backend accepts a probe session and answers a
+// msgStats round trip, each within ProbeTimeout (refreshing its cached
+// snapshot), or is marked down. The background loop calls this every
+// ProbeInterval; tests and the orchestrator call it directly for a
+// deterministic view.
 func (g *Gateway) ProbeOnce() {
 	var wg sync.WaitGroup
 	for _, be := range g.backends {
@@ -393,7 +401,7 @@ func (g *Gateway) probe(be *backend) {
 	be.mu.Unlock()
 	if c == nil {
 		var err error
-		c, err = service.Dial(addr, probeHello())
+		c, err = service.DialTimeout(addr, probeHello(), g.opts.ProbeTimeout)
 		if err != nil {
 			g.markDown(be, fmt.Errorf("probe dial: %w", err))
 			return

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -389,6 +390,86 @@ func TestGatewayStatsAggregation(t *testing.T) {
 	snap.WriteText(&sb)
 	if !strings.Contains(sb.String(), "backend b0 ") || !strings.Contains(sb.String(), "backend b1 ") {
 		t.Fatalf("WriteText dropped the backends section:\n%s", sb.String())
+	}
+}
+
+// TestGatewayDrainReportsFinalCounts: the drain report is as fresh as the
+// backends. With no background prober, Drain's final probe is the only
+// one, and it must count every decode of the ended session.
+func TestGatewayDrainReportsFinalCounts(t *testing.T) {
+	f := startTestFleet(t, 1, service.Options{})
+	gc, err := service.Dial(f.GatewayAddr(), testHello())
+	if err != nil {
+		t.Fatalf("dial gateway: %v", err)
+	}
+	sampleBatches(t, gc, 16, 16)
+	gc.Close()
+	f.Gateway().Drain(5 * time.Second)
+
+	decoded := func(snap service.ServerSnapshot, pool string) (uint64, bool) {
+		for _, ps := range snap.Pools {
+			if ps.Pool == pool {
+				return ps.Decoded, true
+			}
+		}
+		return 0, false
+	}
+	const pool = "rsurf3/r3/p0.003/UF"
+	want, ok := decoded(f.members[0].Snapshot(), pool)
+	if !ok || want != 256 {
+		t.Fatalf("backend decoded %d (pool present: %v), want 256", want, ok)
+	}
+	if got, ok := decoded(f.Gateway().Snapshot(), "b0|"+pool); !ok || got != want {
+		t.Fatalf("gateway drain report: decoded %d (pool row present: %v), backend decoded %d", got, ok, want)
+	}
+}
+
+// TestGatewayDrainBoundsSilentBackend: Drain's final probe must not hang
+// on a backend that accepts the connection but never acknowledges the
+// Hello; the probe gives up after ProbeTimeout and marks it down.
+func TestGatewayDrainBoundsSilentBackend(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		// hold every accepted connection open, unanswered, until the
+		// listener closes at the end of the test
+		var conns []net.Conn
+		defer func() {
+			for _, c := range conns {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, c)
+		}
+	}()
+	g, err := NewGateway(GatewayOptions{
+		Backends:      []BackendAddr{{Name: "mute", Addr: ln.Addr().String()}},
+		ProbeInterval: -1,
+		ProbeTimeout:  200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		g.Drain(time.Second)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain blocked on a backend that never acknowledges")
+	}
+	if bs := g.BackendStats(); len(bs) != 1 || bs[0].Healthy {
+		t.Fatalf("silent backend after the final probe: %+v, want marked down", bs)
 	}
 }
 

@@ -63,11 +63,11 @@ func TestIdenticalSpecsSameBackend(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			na, err := service.NormalizeHello(c.a)
+			na, err := service.ValidateHello(c.a)
 			if err != nil {
 				t.Fatalf("normalize a: %v", err)
 			}
-			nb, err := service.NormalizeHello(c.b)
+			nb, err := service.ValidateHello(c.b)
 			if err != nil {
 				t.Fatalf("normalize b: %v", err)
 			}

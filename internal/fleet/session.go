@@ -106,7 +106,7 @@ func (g *Gateway) session(conn net.Conn) {
 	cbr := bufio.NewReader(conn)
 	cbw := bufio.NewWriter(conn)
 	refuse := func(format string, args ...interface{}) {
-		payload := service.AppendErrorFrame(nil, fmt.Sprintf(format, args...))
+		payload := service.AppendError(nil, fmt.Sprintf(format, args...))
 		if service.WriteFrame(cbw, payload) == nil {
 			cbw.Flush()
 		}
@@ -116,12 +116,12 @@ func (g *Gateway) session(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	h, err := service.ParseHelloPayload(helloPayload)
+	h, err := service.ParseHello(helloPayload)
 	if err != nil {
 		refuse("%v", err)
 		return
 	}
-	norm, err := service.NormalizeHello(h)
+	norm, err := service.ValidateHello(h)
 	if err != nil {
 		refuse("%v", err)
 		return
@@ -195,7 +195,7 @@ func (e *helloRejected) Error() string { return e.msg }
 // frame verbatim and reading the acceptance. Returns the raw ack payload
 // so the gateway can forward it (new sessions) or discard it (failover).
 func (g *Gateway) dialBackend(be *backend, helloFrame []byte) (net.Conn, *bufio.Writer, []byte, service.AckGeometry, error) {
-	conn, err := service.DialAddr(be.getAddr())
+	conn, err := service.DialAddr(be.getAddr(), 0)
 	if err != nil {
 		return nil, nil, nil, service.AckGeometry{}, err
 	}
@@ -217,7 +217,7 @@ func (g *Gateway) dialBackend(be *backend, helloFrame []byte) (net.Conn, *bufio.
 	}
 	if service.FrameType(ack) == service.MsgError {
 		conn.Close()
-		return nil, nil, ack, service.AckGeometry{}, &helloRejected{msg: service.ParseErrorFrame(ack)}
+		return nil, nil, ack, service.AckGeometry{}, &helloRejected{msg: service.ParseErrorBody(ack)}
 	}
 	geom, err := service.ParseHelloAckPayload(ack)
 	if err != nil {
@@ -317,7 +317,7 @@ func (s *session) pump(epoch int, br *bufio.Reader, target replayTarget) {
 		default:
 			p := planeOf(t)
 			if p < 0 {
-				s.killSession(service.AppendErrorFrame(nil,
+				s.killSession(service.AppendError(nil,
 					fmt.Sprintf("fleet: backend sent unexpected message type %d", t)))
 				return
 			}
@@ -328,7 +328,7 @@ func (s *session) pump(epoch int, br *bufio.Reader, target replayTarget) {
 				replayed[p]++
 				if replayed[p] == target.count[p] && rsum[p] != target.sum[p] {
 					s.g.opts.Logf("session %s: replay diverged on plane %d after %d frames", s.key, p, replayed[p])
-					s.killSession(service.AppendErrorFrame(nil,
+					s.killSession(service.AppendError(nil,
 						"fleet: replay diverged from original delivery (determinism violation)"))
 					return
 				}
@@ -361,12 +361,12 @@ func (s *session) deliverStats(payload []byte) {
 	}
 	name := s.be.name
 	s.mu.Unlock()
-	inline, err := service.ParseStatsReplyFrame(payload)
+	inline, err := service.ParseStatsReply(payload)
 	var out []byte
 	if err != nil {
-		out = service.AppendErrorFrame(nil, fmt.Sprintf("fleet: bad backend stats reply: %v", err))
+		out = service.AppendError(nil, fmt.Sprintf("fleet: bad backend stats reply: %v", err))
 	} else {
-		out = service.AppendStatsReplyFrame(nil, s.g.snapshotWith(name, inline))
+		out = service.AppendStatsReply(nil, s.g.snapshotWith(name, inline))
 	}
 	if s.writeClient(out) != nil {
 		s.shutdown()
@@ -398,7 +398,7 @@ func (s *session) failover(fromEpoch int, cause error) bool {
 	}
 	s.bconn.Close()
 	if !s.replayable {
-		s.killSessionLocked(service.AppendErrorFrame(nil,
+		s.killSessionLocked(service.AppendError(nil,
 			"fleet: backend died and session exceeded the replay journal cap"))
 		return false
 	}
@@ -450,7 +450,7 @@ func (s *session) failover(fromEpoch int, cause error) bool {
 		go s.pump(s.epoch, bufio.NewReader(bconn), target)
 		return true
 	}
-	s.killSessionLocked(service.AppendErrorFrame(nil,
+	s.killSessionLocked(service.AppendError(nil,
 		"fleet: backend died and no eligible backend can take the session"))
 	return false
 }

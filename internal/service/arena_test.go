@@ -142,26 +142,26 @@ func TestReadFrameIntoReuse(t *testing.T) {
 	big := bytes.Repeat([]byte{0x5A}, 256)
 	var wire bytes.Buffer
 	for _, p := range [][]byte{small, big, small} {
-		if err := writeFrame(&wire, p); err != nil {
+		if err := WriteFrame(&wire, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	buf := make([]byte, 0, 64)
-	p1, err := readFrameInto(&wire, defaultMaxFrame, buf)
+	p1, err := ReadFrameInto(&wire, DefaultMaxFrame, buf)
 	if err != nil || !bytes.Equal(p1, small) {
 		t.Fatalf("first read: %v %x", err, p1)
 	}
 	if &p1[0] != &buf[:1][0] {
 		t.Fatal("16-byte frame did not reuse the 64-byte arena")
 	}
-	p2, err := readFrameInto(&wire, defaultMaxFrame, p1)
+	p2, err := ReadFrameInto(&wire, DefaultMaxFrame, p1)
 	if err != nil || !bytes.Equal(p2, big) {
 		t.Fatalf("second read: %v", err)
 	}
 	if cap(p2) < 256 {
 		t.Fatalf("arena did not grow: cap %d", cap(p2))
 	}
-	p3, err := readFrameInto(&wire, defaultMaxFrame, p2)
+	p3, err := ReadFrameInto(&wire, DefaultMaxFrame, p2)
 	if err != nil || !bytes.Equal(p3, small) {
 		t.Fatalf("third read: %v", err)
 	}
@@ -171,17 +171,17 @@ func TestReadFrameIntoReuse(t *testing.T) {
 }
 
 // TestAppendStatsReplyReusesBuffer pins the satellite-2 fix: the reply
-// writer hands its scratch buffer to appendStatsReply, which must append
+// writer hands its scratch buffer to AppendStatsReply, which must append
 // in place — the pre-PR10 call passed nil and allocated a fresh stats
 // frame on every telemetry barrier.
 func TestAppendStatsReplyReusesBuffer(t *testing.T) {
 	s := startServer(t, Options{PoolSize: 1})
 	snap := s.Snapshot()
-	first := appendStatsReply(nil, snap)
+	first := AppendStatsReply(nil, snap)
 	buf := make([]byte, 0, 2*len(first)+1024)
-	out := appendStatsReply(buf[:0], snap)
+	out := AppendStatsReply(buf[:0], snap)
 	if &out[0] != &buf[:1][0] {
-		t.Fatal("appendStatsReply abandoned the caller's buffer")
+		t.Fatal("AppendStatsReply abandoned the caller's buffer")
 	}
 	if !bytes.Equal(out, first) {
 		t.Fatal("reused-buffer encoding differs from fresh encoding")

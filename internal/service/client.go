@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"bpsf/internal/gf2"
 )
@@ -142,33 +143,44 @@ func (c *Client) getPending() *Pending {
 // DialAddr opens the client transport for addr: "unix:<path>", an
 // absolute path, or an abstract-socket name (leading '@') selects a
 // Unix-domain stream socket (the co-located transport of bpsf-serve
-// -uds); anything else dials TCP.
-func DialAddr(addr string) (net.Conn, error) {
+// -uds); anything else dials TCP. timeout bounds the connect (0 = none).
+func DialAddr(addr string, timeout time.Duration) (net.Conn, error) {
+	d := net.Dialer{Timeout: timeout}
 	if rest, ok := strings.CutPrefix(addr, "unix:"); ok {
-		return net.Dial("unix", rest)
+		return d.Dial("unix", rest)
 	}
 	if strings.HasPrefix(addr, "/") || strings.HasPrefix(addr, "@") {
-		return net.Dial("unix", addr)
+		return d.Dial("unix", addr)
 	}
-	return net.Dial("tcp", addr)
+	return d.Dial("tcp", addr)
 }
 
 // Dial opens a decode session (TCP, or UDS for "unix:"/path-shaped
 // addresses — see DialAddr). The Hello is validated locally first, so
 // configuration mistakes fail without a network round trip.
 func Dial(addr string, h Hello) (*Client, error) {
-	if _, err := validateHello(h); err != nil {
+	return DialTimeout(addr, h, 0)
+}
+
+// DialTimeout is Dial with the connect and the Hello/HelloAck handshake
+// bounded by timeout (0 = unbounded), so a backend that accepts but never
+// acknowledges cannot hold the caller.
+func DialTimeout(addr string, h Hello, timeout time.Duration) (*Client, error) {
+	if _, err := ValidateHello(h); err != nil {
 		return nil, err
 	}
-	conn, err := DialAddr(addr)
+	conn, err := DialAddr(addr, timeout)
 	if err != nil {
 		return nil, err
+	}
+	if timeout > 0 {
+		conn.SetDeadline(time.Now().Add(timeout))
 	}
 	c := &Client{
 		conn:     conn,
 		br:       bufio.NewReader(conn),
 		bw:       bufio.NewWriter(conn),
-		maxFrame: defaultMaxFrame,
+		maxFrame: DefaultMaxFrame,
 		freeP:    make(chan *Pending, 64),
 		pending:  make(map[uint64]*Pending),
 		streams:  make(map[uint64]*ClientStream),
@@ -179,7 +191,7 @@ func Dial(addr string, h Hello) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	if err := writeFrame(c.bw, payload); err != nil {
+	if err := WriteFrame(c.bw, payload); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -187,7 +199,7 @@ func Dial(addr string, h Hello) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	ackPayload, err := readFrame(c.br, c.maxFrame)
+	ackPayload, err := ReadFrame(c.br, c.maxFrame)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("service: reading session acceptance: %w", err)
@@ -196,6 +208,9 @@ func Dial(addr string, h Hello) (*Client, error) {
 	if err != nil {
 		conn.Close()
 		return nil, err
+	}
+	if timeout > 0 {
+		conn.SetDeadline(time.Time{})
 	}
 	c.numDets = int(ack.numDets)
 	c.numMechs = int(ack.numMechs)
@@ -291,7 +306,7 @@ func (c *Client) enroll() (*Pending, uint64, error) {
 
 // flushLocked writes one frame and flushes; caller holds sendMu.
 func (c *Client) flushLocked(buf []byte) error {
-	if err := writeFrame(c.bw, buf); err != nil {
+	if err := WriteFrame(c.bw, buf); err != nil {
 		return err
 	}
 	return c.bw.Flush()
@@ -351,7 +366,7 @@ func (c *Client) Stats() (ServerSnapshot, error) {
 	c.mu.Unlock()
 
 	c.sendMu.Lock()
-	err := writeFrame(c.bw, appendStatsRequest(nil))
+	err := WriteFrame(c.bw, appendStatsRequest(nil))
 	if err == nil {
 		err = c.bw.Flush()
 	}
@@ -382,14 +397,14 @@ func (c *Client) Close() error {
 
 func (c *Client) recvLoop() {
 	for {
-		payload, err := readFrameInto(c.br, c.maxFrame, c.recvBuf)
+		payload, err := ReadFrameInto(c.br, c.maxFrame, c.recvBuf)
 		if err != nil {
 			c.fail(classifyRecvErr(err))
 			return
 		}
 		c.recvBuf = payload
 		switch payload[0] {
-		case msgBatchReply:
+		case MsgBatchReply:
 			id, err := peekBatchReplyID(payload)
 			if err != nil {
 				c.fail(err)
@@ -415,7 +430,7 @@ func (c *Client) recvLoop() {
 			}
 			p.resps = resps
 			p.complete()
-		case msgStreamAck:
+		case MsgStreamAck:
 			ack, err := parseStreamAck(payload)
 			if err != nil {
 				c.fail(err)
@@ -432,7 +447,7 @@ func (c *Client) recvLoop() {
 			c.mu.Unlock()
 			po.ack = ack
 			close(po.done)
-		case msgStreamCommit:
+		case MsgStreamCommit:
 			m, err := parseStreamCommit(payload, (c.numMechs+7)/8)
 			if err != nil {
 				c.fail(err)
@@ -461,8 +476,8 @@ func (c *Client) recvLoop() {
 			if m.flags&flagStreamFinal != 0 {
 				close(st.commits)
 			}
-		case msgStatsReply:
-			snap, err := parseStatsReply(payload)
+		case MsgStatsReply:
+			snap, err := ParseStatsReply(payload)
 			if err != nil {
 				c.fail(err)
 				return
@@ -478,8 +493,8 @@ func (c *Client) recvLoop() {
 			c.mu.Unlock()
 			ps.snap = snap
 			close(ps.done)
-		case msgError:
-			c.fail(fmt.Errorf("service: server error: %s", parseErrorBody(payload)))
+		case MsgError:
+			c.fail(fmt.Errorf("service: server error: %s", ParseErrorBody(payload)))
 			return
 		default:
 			c.fail(fmt.Errorf("service: unexpected message type %d", payload[0]))

@@ -89,7 +89,7 @@ func (c *Client) OpenStream(windowRounds, commitRounds int) (*ClientStream, erro
 
 	payload := appendStreamOpen(nil, windowRounds, commitRounds)
 	c.sendMu.Lock()
-	err := writeFrame(c.bw, payload)
+	err := WriteFrame(c.bw, payload)
 	if err == nil {
 		err = c.bw.Flush()
 	}
@@ -161,7 +161,7 @@ func (s *ClientStream) SendRounds(rounds []gf2.Vec) error {
 		buf = r.AppendBytes(buf)
 	}
 	s.c.sendMu.Lock()
-	err := writeFrame(s.c.bw, buf)
+	err := WriteFrame(s.c.bw, buf)
 	if err == nil {
 		err = s.c.bw.Flush()
 	}

@@ -12,8 +12,8 @@ import (
 
 // FuzzFrameRoundTrip fuzzes the length-prefixed wire layer and every
 // payload parser: frames must round-trip byte-identically through
-// writeFrame/readFrame, a structured Hello must survive
-// parseHello(appendHello(h)) == h, and arbitrary bytes must never panic
+// WriteFrame/ReadFrame, a structured Hello must survive
+// ParseHello(appendHello(h)) == h, and arbitrary bytes must never panic
 // any parser — they either parse or return an error.
 func FuzzFrameRoundTrip(f *testing.F) {
 	hello, _ := appendHello(nil, Hello{
@@ -23,7 +23,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(hello, uint8(4))
 	f.Add(appendHelloAck(nil, helloAck{sessionID: 1, numDets: 24, numMechs: 201, poolSize: 2}), uint8(26))
 	f.Add(appendBatchHeader(nil, 3, 0), uint8(0))
-	f.Add(appendError(nil, "boom"), uint8(1))
+	f.Add(AppendError(nil, "boom"), uint8(1))
 	f.Add(appendStreamOpen(nil, 3, 1), uint8(2))
 	f.Add(appendStreamAck(nil, streamAck{id: 9, window: 3, commit: 1, detsPerRound: []int{4, 8, 4}}), uint8(3))
 	f.Add(appendStreamRoundsHeader(nil, 9, 0, 1), uint8(4))
@@ -34,7 +34,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	var statsHist obs.Histogram
 	statsHist.Observe(time.Millisecond)
 	statsHist.Observe(3 * time.Millisecond)
-	f.Add(appendStatsReply(nil, ServerSnapshot{
+	f.Add(AppendStatsReply(nil, ServerSnapshot{
 		Uptime:        time.Minute,
 		SessionsTotal: 2, SessionsActive: 1,
 		Pools: []PoolStats{{Pool: "bb72/r2/p0.02/bpsf", Size: 2,
@@ -49,33 +49,33 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		},
 	}), uint8(7))
 	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{msgBatch, 0xff}, uint8(255))
+	f.Add([]byte{MsgBatch, 0xff}, uint8(255))
 	f.Fuzz(func(t *testing.T, payload []byte, widthSeed uint8) {
 		width := int(widthSeed)%64 + 1 // syndrome/estimate byte width for the batch parsers
 
 		// 1. Arbitrary bytes through every parser: must not panic.
-		parseHello(payload)
+		ParseHello(payload)
 		parseHelloAck(payload)
 		parseBatchInto(payload, width, nil)
 		parseBatchReplyInto(payload, width, nil)
 		parseSample(payload)
-		parseErrorBody(payload)
+		ParseErrorBody(payload)
 		parseStreamOpen(payload)
 		parseStreamAck(payload)
 		parseStreamRounds(payload, []int{width, 8 * width, 1})
 		parseStreamCommit(payload, width)
 		parseStatsRequest(payload)
-		parseStatsReply(payload)
+		ParseStatsReply(payload)
 
 		// 2. Frame layer round-trip: decode(encode(x)) == x.
-		if len(payload) > 0 && len(payload) <= defaultMaxFrame {
+		if len(payload) > 0 && len(payload) <= DefaultMaxFrame {
 			var buf bytes.Buffer
-			if err := writeFrame(&buf, payload); err != nil {
-				t.Fatalf("writeFrame: %v", err)
+			if err := WriteFrame(&buf, payload); err != nil {
+				t.Fatalf("WriteFrame: %v", err)
 			}
-			got, err := readFrame(&buf, defaultMaxFrame)
+			got, err := ReadFrame(&buf, DefaultMaxFrame)
 			if err != nil {
-				t.Fatalf("readFrame(writeFrame(x)): %v", err)
+				t.Fatalf("ReadFrame(WriteFrame(x)): %v", err)
 			}
 			if !bytes.Equal(got, payload) {
 				t.Fatalf("frame round-trip: got %x, want %x", got, payload)
@@ -84,20 +84,20 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 		// 3. Arbitrary bytes as a frame stream: must not panic, and a
 		// successfully read frame obeys the length prefix.
-		if got, err := readFrame(bytes.NewReader(payload), 1<<16); err == nil {
+		if got, err := ReadFrame(bytes.NewReader(payload), 1<<16); err == nil {
 			if len(got) > 1<<16 {
-				t.Fatalf("readFrame returned %d bytes above the guard", len(got))
+				t.Fatalf("ReadFrame returned %d bytes above the guard", len(got))
 			}
 		}
 
 		// 4. Structured Hello round-trip when the payload parses: re-encoding
 		// the parsed Hello must reproduce the parse.
-		if h, err := parseHello(payload); err == nil {
+		if h, err := ParseHello(payload); err == nil {
 			enc, err := appendHello(nil, h)
 			if err != nil {
 				t.Fatalf("re-encode parsed hello: %v", err)
 			}
-			h2, err := parseHello(enc)
+			h2, err := ParseHello(enc)
 			if err != nil {
 				t.Fatalf("re-parse encoded hello: %v", err)
 			}
@@ -124,8 +124,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// 4c. Stats-reply round-trip when the payload parses: encoding the
 		// parsed snapshot and parsing it again must give the same snapshot
 		// (parse∘encode∘parse = parse).
-		if snap, err := parseStatsReply(payload); err == nil {
-			snap2, err := parseStatsReply(appendStatsReply(nil, snap))
+		if snap, err := ParseStatsReply(payload); err == nil {
+			snap2, err := ParseStatsReply(AppendStatsReply(nil, snap))
 			if err != nil {
 				t.Fatalf("re-parse encoded stats reply: %v", err)
 			}

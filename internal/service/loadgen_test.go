@@ -54,22 +54,22 @@ func newStallServer(t *testing.T) *stallServer {
 func (s *stallServer) session(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	payload, err := readFrame(br, defaultMaxFrame)
+	payload, err := ReadFrame(br, DefaultMaxFrame)
 	if err != nil {
 		return
 	}
-	if _, err := parseHello(payload); err != nil {
+	if _, err := ParseHello(payload); err != nil {
 		return
 	}
 	ack := appendHelloAck(nil, helloAck{sessionID: 1, numDets: 16, numMechs: 16, poolSize: 1})
-	if err := writeFrame(bw, ack); err != nil {
+	if err := WriteFrame(bw, ack); err != nil {
 		return
 	}
 	if err := bw.Flush(); err != nil {
 		return
 	}
 	for {
-		if _, err := readFrame(br, defaultMaxFrame); err != nil {
+		if _, err := ReadFrame(br, DefaultMaxFrame); err != nil {
 			return
 		}
 		s.accepted <- struct{}{}

@@ -27,31 +27,31 @@ const (
 	protocolMagic   = 0x42505346 // "BPSF"
 	protocolVersion = 1
 
-	msgHello      = 1
-	msgHelloAck   = 2
-	msgBatch      = 3
-	msgBatchReply = 4
-	msgError      = 5
+	MsgHello      = 1
+	MsgHelloAck   = 2
+	MsgBatch      = 3
+	MsgBatchReply = 4
+	MsgError      = 5
 	// Sliding-window streaming frames (DESIGN.md §7): a session may open
 	// round-by-round decode streams that coexist with its syndrome batches.
-	msgStreamOpen   = 6
-	msgStreamAck    = 7
-	msgStreamRounds = 8
-	msgStreamCommit = 9
-	// msgSample asks the server to draw the syndromes server-side via the
+	MsgStreamOpen   = 6
+	MsgStreamAck    = 7
+	MsgStreamRounds = 8
+	MsgStreamCommit = 9
+	// MsgSample asks the server to draw the syndromes server-side via the
 	// session's word-parallel batch frame sampler (internal/frame) and
 	// decode them: a Batch whose payload is a shot count instead of packed
 	// syndromes. The reply is an ordinary BatchReply whose responses
 	// additionally carry the Failed flag (the server knows the sampled
 	// observable flips, so it can report logical failures).
-	msgSample = 10
-	// msgStats pulls a server telemetry snapshot in-protocol (DESIGN.md
+	MsgSample = 10
+	// MsgStats pulls a server telemetry snapshot in-protocol (DESIGN.md
 	// §10): pools, streams, stage histograms, runtime. The reply is one
 	// msgStatsReply frame carrying the ServerSnapshot as JSON, answered
 	// inline by the session read loop (so it observes every batch the
 	// session flushed before asking).
-	msgStats      = 11
-	msgStatsReply = 12
+	MsgStats      = 11
+	MsgStatsReply = 12
 
 	// Response flags.
 	flagSuccess = 1 << 0
@@ -63,9 +63,11 @@ const (
 	flagStreamFinal    = 1 << 1 // last commit of the stream
 	flagStreamOK       = 1 << 2 // whole-stream verdict (valid with Final)
 
-	// defaultMaxFrame bounds a single frame (16 MiB ≈ 4k syndromes of the
+	// DefaultMaxFrame bounds a single frame (16 MiB ≈ 4k syndromes of the
 	// largest catalog DEM) so a corrupt length prefix cannot OOM the peer.
-	defaultMaxFrame = 16 << 20
+	// Servers, clients and both hops of the fleet gateway apply it, so every
+	// end agrees on the largest batch a session may send.
+	DefaultMaxFrame = 16 << 20
 
 	// frameHeaderLen is the length-prefix size.
 	frameHeaderLen = 4
@@ -124,7 +126,9 @@ type Response struct {
 
 // ---- frame IO ----
 
-func writeFrame(w io.Writer, payload []byte) error {
+// WriteFrame writes payload as one length-prefixed frame. Callers using a
+// buffered writer flush themselves.
+func WriteFrame(w io.Writer, payload []byte) error {
 	n := uint32(len(payload))
 	if bw, ok := w.(*bufio.Writer); ok {
 		// Byte-at-a-time header keeps the hot path allocation-free: a
@@ -148,17 +152,19 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	return readFrameInto(r, maxFrame, nil)
+// ReadFrame reads one length-prefixed frame payload (the length header is
+// stripped; payload[0] is the message type).
+func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
+	return ReadFrameInto(r, maxFrame, nil)
 }
 
-// readFrameInto reads one frame into buf, growing it only when the frame
+// ReadFrameInto reads one frame into buf, growing it only when the frame
 // exceeds its capacity, and returns the payload as buf[:n]. The returned
-// slice is valid until the next readFrameInto with the same buffer — this
+// slice is valid until the next ReadFrameInto with the same buffer — this
 // is the arena contract of DESIGN.md §13: a caller that retains payload
 // bytes past the next read must copy them. Passing nil behaves like the
-// historical readFrame (a fresh allocation per frame).
-func readFrameInto(r io.Reader, maxFrame int, buf []byte) ([]byte, error) {
+// historical ReadFrame (a fresh allocation per frame).
+func ReadFrameInto(r io.Reader, maxFrame int, buf []byte) ([]byte, error) {
 	n, err := readFrameLen(r)
 	if err != nil {
 		return nil, err
@@ -282,7 +288,7 @@ func appendHello(b []byte, h Hello) ([]byte, error) {
 	if len(h.Code) > 255 {
 		return nil, fmt.Errorf("service: code name too long")
 	}
-	b = append(b, msgHello)
+	b = append(b, MsgHello)
 	b = appendU32(b, protocolMagic)
 	b = append(b, protocolVersion)
 	b = append(b, byte(len(h.Code)))
@@ -305,9 +311,11 @@ func appendHello(b []byte, h Hello) ([]byte, error) {
 	return b, nil
 }
 
-func parseHello(payload []byte) (Hello, error) {
+// ParseHello decodes a Hello frame payload (the fleet gateway's routing
+// input).
+func ParseHello(payload []byte) (Hello, error) {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgHello {
+	if t := r.u8(); t != MsgHello {
 		return Hello{}, fmt.Errorf("service: expected Hello, got message type %d", t)
 	}
 	if magic := r.u32(); r.err == nil && magic != protocolMagic {
@@ -344,7 +352,7 @@ func parseHello(payload []byte) (Hello, error) {
 // ---- hello ack ----
 
 func appendHelloAck(b []byte, a helloAck) []byte {
-	b = append(b, msgHelloAck)
+	b = append(b, MsgHelloAck)
 	b = appendU64(b, a.sessionID)
 	b = appendU32(b, a.numDets)
 	b = appendU32(b, a.numMechs)
@@ -354,9 +362,9 @@ func appendHelloAck(b []byte, a helloAck) []byte {
 
 func parseHelloAck(payload []byte) (helloAck, error) {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgHelloAck {
-		if t == msgError {
-			return helloAck{}, fmt.Errorf("service: server rejected session: %s", parseErrorBody(payload))
+	if t := r.u8(); t != MsgHelloAck {
+		if t == MsgError {
+			return helloAck{}, fmt.Errorf("service: server rejected session: %s", ParseErrorBody(payload))
 		}
 		return helloAck{}, fmt.Errorf("service: expected HelloAck, got message type %d", t)
 	}
@@ -371,8 +379,9 @@ func parseHelloAck(payload []byte) (helloAck, error) {
 
 // ---- error ----
 
-func appendError(b []byte, msg string) []byte {
-	b = append(b, msgError)
+// AppendError encodes an Error frame payload.
+func AppendError(b []byte, msg string) []byte {
+	b = append(b, MsgError)
 	if len(msg) > 65535 {
 		msg = msg[:65535]
 	}
@@ -380,10 +389,10 @@ func appendError(b []byte, msg string) []byte {
 	return append(b, msg...)
 }
 
-// parseErrorBody extracts the message of an msgError payload (best effort).
-func parseErrorBody(payload []byte) string {
+// ParseErrorBody extracts the message of an msgError payload (best effort).
+func ParseErrorBody(payload []byte) string {
 	r := &reader{b: payload}
-	if r.u8() != msgError {
+	if r.u8() != MsgError {
 		return "malformed error frame"
 	}
 	n := int(r.u16())
@@ -402,7 +411,7 @@ const batchHeaderLen = 1 + 8 + 2
 // appendBatchHeader starts a Batch frame; the caller appends count packed
 // syndromes of detBytes each.
 func appendBatchHeader(b []byte, batchID uint64, count int) []byte {
-	b = append(b, msgBatch)
+	b = append(b, MsgBatch)
 	b = appendU64(b, batchID)
 	b = appendU16(b, uint16(count))
 	return b
@@ -415,7 +424,7 @@ func appendBatchHeader(b []byte, batchID uint64, count int) []byte {
 // only until its next frame read.
 func parseBatchInto(payload []byte, detBytes int, scratch [][]byte) (batchID uint64, syndromes [][]byte, err error) {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgBatch {
+	if t := r.u8(); t != MsgBatch {
 		return 0, nil, fmt.Errorf("service: expected Batch, got message type %d", t)
 	}
 	batchID = r.u64()
@@ -440,7 +449,7 @@ func parseBatchInto(payload []byte, detBytes int, scratch [][]byte) (batchID uin
 // count shots from the session's deterministic batch sampler and decodes
 // them.
 func appendSample(b []byte, batchID uint64, count int) []byte {
-	b = append(b, msgSample)
+	b = append(b, MsgSample)
 	b = appendU64(b, batchID)
 	b = appendU16(b, uint16(count))
 	return b
@@ -448,7 +457,7 @@ func appendSample(b []byte, batchID uint64, count int) []byte {
 
 func parseSample(payload []byte) (batchID uint64, count int, err error) {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgSample {
+	if t := r.u8(); t != MsgSample {
 		return 0, 0, fmt.Errorf("service: expected Sample, got message type %d", t)
 	}
 	batchID = r.u64()
@@ -470,7 +479,7 @@ func parseSample(payload []byte) (batchID uint64, count int, err error) {
 // appendStreamOpen starts a windowed stream: window/commit round counts
 // (0, 0 selects the server defaults).
 func appendStreamOpen(b []byte, window, commit int) []byte {
-	b = append(b, msgStreamOpen)
+	b = append(b, MsgStreamOpen)
 	b = appendU16(b, uint16(window))
 	b = appendU16(b, uint16(commit))
 	return b
@@ -478,7 +487,7 @@ func appendStreamOpen(b []byte, window, commit int) []byte {
 
 func parseStreamOpen(payload []byte) (window, commit int, err error) {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgStreamOpen {
+	if t := r.u8(); t != MsgStreamOpen {
 		return 0, 0, fmt.Errorf("service: expected StreamOpen, got message type %d", t)
 	}
 	window = int(r.u16())
@@ -497,7 +506,7 @@ type streamAck struct {
 }
 
 func appendStreamAck(b []byte, a streamAck) []byte {
-	b = append(b, msgStreamAck)
+	b = append(b, MsgStreamAck)
 	b = appendU64(b, a.id)
 	b = appendU16(b, uint16(a.window))
 	b = appendU16(b, uint16(a.commit))
@@ -510,7 +519,7 @@ func appendStreamAck(b []byte, a streamAck) []byte {
 
 func parseStreamAck(payload []byte) (streamAck, error) {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgStreamAck {
+	if t := r.u8(); t != MsgStreamAck {
 		return streamAck{}, fmt.Errorf("service: expected StreamAck, got message type %d", t)
 	}
 	a := streamAck{id: r.u64(), window: int(r.u16()), commit: int(r.u16())}
@@ -528,7 +537,7 @@ func parseStreamAck(payload []byte) (streamAck, error) {
 // count packed rounds, each byte-aligned at its own round's detector
 // count.
 func appendStreamRoundsHeader(b []byte, id uint64, firstRound, count int) []byte {
-	b = append(b, msgStreamRounds)
+	b = append(b, MsgStreamRounds)
 	b = appendU64(b, id)
 	b = appendU16(b, uint16(firstRound))
 	b = appendU16(b, uint16(count))
@@ -540,7 +549,7 @@ func appendStreamRoundsHeader(b []byte, id uint64, firstRound, count int) []byte
 // per-round detector counts.
 func parseStreamRounds(payload []byte, detsPerRound []int) (id uint64, firstRound int, rounds [][]byte, err error) {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgStreamRounds {
+	if t := r.u8(); t != MsgStreamRounds {
 		return 0, 0, nil, fmt.Errorf("service: expected StreamRounds, got message type %d", t)
 	}
 	id = r.u64()
@@ -574,7 +583,7 @@ type streamCommitMsg struct {
 }
 
 func appendStreamCommit(b []byte, m streamCommitMsg) []byte {
-	b = append(b, msgStreamCommit)
+	b = append(b, MsgStreamCommit)
 	b = appendU64(b, m.id)
 	b = appendU32(b, uint32(m.window))
 	b = append(b, m.flags)
@@ -587,7 +596,7 @@ func appendStreamCommit(b []byte, m streamCommitMsg) []byte {
 
 func parseStreamCommit(payload []byte, mechBytes int) (streamCommitMsg, error) {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgStreamCommit {
+	if t := r.u8(); t != MsgStreamCommit {
 		return streamCommitMsg{}, fmt.Errorf("service: expected StreamCommit, got message type %d", t)
 	}
 	m := streamCommitMsg{
@@ -610,7 +619,7 @@ func parseStreamCommit(payload []byte, mechBytes int) (streamCommitMsg, error) {
 const replyItemFixedLen = 1 + 4 + 4 + 8
 
 func appendBatchReplyHeader(b []byte, batchID uint64, count int) []byte {
-	b = append(b, msgBatchReply)
+	b = append(b, MsgBatchReply)
 	b = appendU64(b, batchID)
 	b = appendU16(b, uint16(count))
 	return b
@@ -648,7 +657,7 @@ func appendResponse(b []byte, resp *Response, mechBytes int) []byte {
 // before parsing the items into it.
 func peekBatchReplyID(payload []byte) (uint64, error) {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgBatchReply {
+	if t := r.u8(); t != MsgBatchReply {
 		return 0, fmt.Errorf("service: expected BatchReply, got message type %d", t)
 	}
 	id := r.u64()
@@ -665,7 +674,7 @@ func peekBatchReplyID(payload []byte) (uint64, error) {
 // callers may retain responses past the frame's lifetime.
 func parseBatchReplyInto(payload []byte, mechBytes int, scratch []Response) (batchID uint64, resps []Response, err error) {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgBatchReply {
+	if t := r.u8(); t != MsgBatchReply {
 		return 0, nil, fmt.Errorf("service: expected BatchReply, got message type %d", t)
 	}
 	batchID = r.u64()

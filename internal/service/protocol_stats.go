@@ -17,12 +17,12 @@ import (
 // than misread.
 
 func appendStatsRequest(b []byte) []byte {
-	return append(b, msgStats)
+	return append(b, MsgStats)
 }
 
 func parseStatsRequest(payload []byte) error {
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgStats {
+	if t := r.u8(); t != MsgStats {
 		return fmt.Errorf("service: expected Stats, got message type %d", t)
 	}
 	if r.rest() != 0 {
@@ -31,26 +31,28 @@ func parseStatsRequest(payload []byte) error {
 	return nil
 }
 
-// appendStatsReply encodes snap as a StatsReply: type byte, stage count
+// AppendStatsReply encodes snap as a StatsReply: type byte, stage count
 // u8, bucket count u16, then the JSON document. A snapshot encoding/json
 // refuses goes out as an Error frame, which the peer's parser returns as
 // its error.
-func appendStatsReply(b []byte, snap ServerSnapshot) []byte {
+func AppendStatsReply(b []byte, snap ServerSnapshot) []byte {
 	body, err := json.Marshal(snap)
 	if err != nil {
-		return appendError(b, fmt.Sprintf("service: encode stats reply: %v", err))
+		return AppendError(b, fmt.Sprintf("service: encode stats reply: %v", err))
 	}
-	b = append(b, msgStatsReply, byte(obs.NumStages))
+	b = append(b, MsgStatsReply, byte(obs.NumStages))
 	b = appendU16(b, obs.NumBuckets)
 	return append(b, body...)
 }
 
-func parseStatsReply(payload []byte) (ServerSnapshot, error) {
+// ParseStatsReply decodes a StatsReply payload; an Error frame in its
+// place returns the peer's message as the error.
+func ParseStatsReply(payload []byte) (ServerSnapshot, error) {
 	var snap ServerSnapshot
 	r := &reader{b: payload}
-	if t := r.u8(); t != msgStatsReply {
-		if t == msgError {
-			return snap, fmt.Errorf("service: %s", parseErrorBody(payload))
+	if t := r.u8(); t != MsgStatsReply {
+		if t == MsgError {
+			return snap, fmt.Errorf("service: %s", ParseErrorBody(payload))
 		}
 		return snap, fmt.Errorf("service: expected StatsReply, got message type %d", t)
 	}

@@ -36,7 +36,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", h.Spec, err)
 		}
-		out, err := parseHello(payload)
+		out, err := ParseHello(payload)
 		if err != nil {
 			t.Fatalf("%s: %v", h.Spec, err)
 		}
@@ -65,7 +65,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		if _, err := appendHello(nil, h); err == nil {
 			t.Errorf("%+v encoded", bad)
 		}
-		if _, err := validateHello(h); err == nil {
+		if _, err := ValidateHello(h); err == nil {
 			t.Errorf("%+v validated", bad)
 		}
 	}
@@ -77,34 +77,34 @@ func TestHelloRoundTrip(t *testing.T) {
 func TestHelloRejectsBadP(t *testing.T) {
 	for _, p := range []float64{math.NaN(), 0, -0.1, 1, 1.5, math.Inf(1)} {
 		h := Hello{Code: "bb72", P: p, Spec: Spec{Kind: "bp", BPIters: 10}}
-		if _, err := NormalizeHello(h); err == nil {
+		if _, err := ValidateHello(h); err == nil {
 			t.Errorf("P = %v validated", p)
 		}
 		payload, err := appendHello(nil, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parsed, err := parseHello(payload)
+		parsed, err := ParseHello(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NormalizeHello(parsed); err == nil {
+		if _, err := ValidateHello(parsed); err == nil {
 			t.Errorf("P = %v validated after a wire round trip", p)
 		}
 	}
 }
 
 func TestHelloRejectsGarbage(t *testing.T) {
-	if _, err := parseHello([]byte{msgHello, 1, 2, 3}); err == nil {
+	if _, err := ParseHello([]byte{MsgHello, 1, 2, 3}); err == nil {
 		t.Fatal("truncated hello accepted")
 	}
-	if _, err := parseHello([]byte{msgBatch}); err == nil {
+	if _, err := ParseHello([]byte{MsgBatch}); err == nil {
 		t.Fatal("wrong type accepted")
 	}
 	good, _ := appendHello(nil, Hello{Code: "bb72", P: 0.01, Spec: Spec{Kind: "bp", BPIters: 10}})
 	bad := append([]byte(nil), good...)
 	bad[1] ^= 0xFF // corrupt magic
-	if _, err := parseHello(bad); err == nil {
+	if _, err := ParseHello(bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	if _, err := appendHello(nil, Hello{Spec: Spec{Kind: "nope"}}); err == nil {
@@ -122,7 +122,7 @@ func TestHelloAckRoundTrip(t *testing.T) {
 		t.Fatalf("ack mismatch: %+v vs %+v", in, out)
 	}
 	// an error frame in place of the ack surfaces the server's message
-	if _, err := parseHelloAck(appendError(nil, "no such code")); err == nil {
+	if _, err := parseHelloAck(AppendError(nil, "no such code")); err == nil {
 		t.Fatal("error frame accepted as ack")
 	}
 }
@@ -191,16 +191,16 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 
 func TestFrameIO(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("hello")); err != nil {
+	if err := WriteFrame(&buf, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&buf, 64)
+	got, err := ReadFrame(&buf, 64)
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("frame round trip: %q, %v", got, err)
 	}
 	// oversized frames are rejected before allocation
-	writeFrame(&buf, make([]byte, 128))
-	if _, err := readFrame(&buf, 64); err == nil {
+	WriteFrame(&buf, make([]byte, 128))
+	if _, err := ReadFrame(&buf, 64); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }

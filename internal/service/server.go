@@ -375,9 +375,12 @@ func (s *Server) poolFor(h Hello) (*pool, error) {
 	return e.p, e.err
 }
 
-// validateHello normalizes and checks a Hello (shared with the client so
-// bad sessions fail before dialing).
-func validateHello(h Hello) (Hello, error) {
+// ValidateHello checks a Hello and resolves catalog defaults (zero Rounds
+// becomes the code's default). The server runs it before building pools,
+// the client before dialing, and the fleet gateway before hashing the
+// session key, so the key and the backend's pool key agree on the round
+// count.
+func ValidateHello(h Hello) (Hello, error) {
 	entry, ok := codes.Catalog()[h.Code]
 	if !ok {
 		return h, fmt.Errorf("service: unknown code %q (known: %v)", h.Code, codes.Names())
@@ -491,13 +494,13 @@ func (s *Server) session(conn net.Conn) {
 		writeMu.Lock()
 		defer writeMu.Unlock()
 		armWrite()
-		if err := writeFrame(bw, payload); err != nil {
+		if err := WriteFrame(bw, payload); err != nil {
 			return err
 		}
 		return bw.Flush()
 	}
 	fail := func(err error) {
-		writeOut(appendError(nil, err.Error()))
+		writeOut(AppendError(nil, err.Error()))
 		s.opts.Logf("session %s: %v", conn.RemoteAddr(), err)
 	}
 
@@ -510,7 +513,7 @@ func (s *Server) session(conn net.Conn) {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		payload, err := readFrameInto(br, defaultMaxFrame, readBuf)
+		payload, err := ReadFrameInto(br, DefaultMaxFrame, readBuf)
 		if err != nil {
 			return nil, err
 		}
@@ -527,9 +530,9 @@ func (s *Server) session(conn net.Conn) {
 		s.opts.Logf("session %s: hello read: %v", conn.RemoteAddr(), err)
 		return
 	}
-	h, err := parseHello(payload)
+	h, err := ParseHello(payload)
 	if err == nil {
-		h, err = validateHello(h)
+		h, err = ValidateHello(h)
 	}
 	if err == nil && !s.opts.kindAllowed(h.Spec.Kind) {
 		err = fmt.Errorf("service: decoder kind %q not served here (allowed: %v)", h.Spec.Kind, s.opts.AllowedKinds)
@@ -664,7 +667,7 @@ func (s *Server) session(conn net.Conn) {
 				// reply reuses the writer's scratch buffer — the pre-PR10
 				// writer rebuilt it from nil on every barrier.
 				flush()
-				buf = appendStatsReply(buf[:0], s.Snapshot())
+				buf = AppendStatsReply(buf[:0], s.Snapshot())
 			} else {
 				buf = appendBatchReplyHeader(buf[:0], job.id, len(job.resps))
 				for i := range job.resps {
@@ -672,7 +675,7 @@ func (s *Server) session(conn net.Conn) {
 				}
 			}
 			writeMu.Lock()
-			writeErr = writeFrame(bw, buf)
+			writeErr = WriteFrame(bw, buf)
 			writeMu.Unlock()
 			arena.writeFrames.Add(1)
 			unflushed = append(unflushed, job)
@@ -688,7 +691,7 @@ func (s *Server) session(conn net.Conn) {
 	reqIndex := 0
 	streams := newSessionStreams(s, h, p.dem.NumMechs())
 	defer streams.closeAll()
-	maxBatch := batchLimit(defaultMaxFrame, p.dem.NumDets, p.dem.NumMechs())
+	maxBatch := batchLimit(DefaultMaxFrame, p.dem.NumDets, p.dem.NumMechs())
 	// fill readies request slot i of a job for admission: the embedded
 	// slots and their syndrome vectors are recycled with the job, so a
 	// warm session admits without allocating.
@@ -728,7 +731,7 @@ read:
 		}
 		frameT := time.Now()
 		switch payload[0] {
-		case msgBatch:
+		case MsgBatch:
 			batchID, syndromes, perr := parseBatchInto(payload, detBytes, synScratch)
 			if perr == nil && len(syndromes) > maxBatch {
 				perr = fmt.Errorf("service: batch of %d syndromes exceeds session limit %d (reply would overflow the frame guard)",
@@ -751,7 +754,7 @@ read:
 				}
 				p.submit(rq)
 			}
-		case msgSample:
+		case MsgSample:
 			batchID, count, perr := parseSample(payload)
 			if perr == nil && count > maxBatch {
 				perr = fmt.Errorf("service: sample request of %d shots exceeds session limit %d (reply would overflow the frame guard)",
@@ -778,7 +781,7 @@ read:
 				rq.wantObs = rq.wantBuf
 				p.submit(rq)
 			}
-		case msgStats:
+		case MsgStats:
 			if perr := parseStatsRequest(payload); perr != nil {
 				fail(perr)
 				break read
@@ -787,7 +790,7 @@ read:
 			job := getJob(0)
 			job.stats = true
 			jobs <- job // answered by the reply writer, in order
-		case msgStreamOpen:
+		case MsgStreamOpen:
 			ack, oerr := streams.open(payload)
 			if oerr != nil {
 				fail(oerr)
@@ -796,7 +799,7 @@ read:
 			if err := writeOut(ack); err != nil {
 				break read
 			}
-		case msgStreamRounds:
+		case MsgStreamRounds:
 			replies, spans, rerr := streams.rounds(payload, frameT)
 			if rerr != nil {
 				fail(rerr)

@@ -241,7 +241,7 @@ func TestStreamRoundOrderEnforced(t *testing.T) {
 	buf := appendStreamRoundsHeader(nil, 0, 1, 1)
 	buf = gf2.NewVec(st.RoundDets(1)).AppendBytes(buf)
 	cl.sendMu.Lock()
-	werr := writeFrame(cl.bw, buf)
+	werr := WriteFrame(cl.bw, buf)
 	if werr == nil {
 		werr = cl.bw.Flush()
 	}

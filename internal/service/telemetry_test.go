@@ -74,21 +74,21 @@ func populatedSnapshot() ServerSnapshot {
 }
 
 // TestStatsReplyRoundTrip pins the msgStats wire codec: a populated
-// ServerSnapshot must survive appendStatsReply → parseStatsReply exactly
+// ServerSnapshot must survive AppendStatsReply → ParseStatsReply exactly
 // (derived fields — histogram Avg, pool AvgBatch — travel in the
 // document), and re-encoding the parse must reproduce the frame.
 func TestStatsReplyRoundTrip(t *testing.T) {
 	want := populatedSnapshot()
 	// empty stage histograms encode as all-zero and parse back identically
-	payload := appendStatsReply(nil, want)
-	got, err := parseStatsReply(payload)
+	payload := AppendStatsReply(nil, want)
+	got, err := ParseStatsReply(payload)
 	if err != nil {
-		t.Fatalf("parseStatsReply: %v", err)
+		t.Fatalf("ParseStatsReply: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("stats reply round-trip diverges:\n got %+v\nwant %+v", got, want)
 	}
-	if re := appendStatsReply(nil, got); !bytes.Equal(re, payload) {
+	if re := AppendStatsReply(nil, got); !bytes.Equal(re, payload) {
 		t.Fatal("re-encoded stats reply is not byte-identical")
 	}
 }
@@ -106,7 +106,7 @@ func TestStatsReplyMatchesStatusz(t *testing.T) {
 	}
 	statusz := rec.Body.Bytes()
 
-	payload := appendStatsReply(nil, snap)
+	payload := AppendStatsReply(nil, snap)
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, statusz); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestStatsReplyMatchesStatusz(t *testing.T) {
 		t.Fatalf("msgStats body is not the compact /statusz document:\n%s\n%s", body, compact.Bytes())
 	}
 
-	fromWire, err := parseStatsReply(payload)
+	fromWire, err := ParseStatsReply(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +136,14 @@ func TestStatsReplyMatchesStatusz(t *testing.T) {
 // histograms whose N is negative or disagrees with the bucket sum — in
 // the pool, stage and stream-stage sections alike.
 func TestStatsReplyRejectsMalformedHistograms(t *testing.T) {
-	valid := appendStatsReply(nil, populatedSnapshot())
-	if _, err := parseStatsReply(valid); err != nil {
+	valid := AppendStatsReply(nil, populatedSnapshot())
+	if _, err := ParseStatsReply(valid); err != nil {
 		t.Fatalf("valid reply refused: %v", err)
 	}
 	forge := func(edit func(*ServerSnapshot)) []byte {
 		snap := populatedSnapshot()
 		edit(&snap)
-		return appendStatsReply(nil, snap)
+		return AppendStatsReply(nil, snap)
 	}
 	header := func(off int, v byte) []byte {
 		b := bytes.Clone(valid)
@@ -178,17 +178,17 @@ func TestStatsReplyRejectsMalformedHistograms(t *testing.T) {
 		{"second value", append(bytes.Clone(valid), "{}"...)},
 		{"truncated body", valid[:len(valid)-1]},
 		{"truncated header", valid[:statsHeaderLen-1]},
-		{"wrong type byte", header(0, msgBatchReply)},
+		{"wrong type byte", header(0, MsgBatchReply)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := parseStatsReply(tc.payload); err == nil {
+			if _, err := ParseStatsReply(tc.payload); err == nil {
 				t.Fatal("malformed stats reply parsed without error")
 			}
 		})
 	}
 	t.Run("error frame", func(t *testing.T) {
-		_, err := parseStatsReply(appendError(nil, "stats unavailable"))
+		_, err := ParseStatsReply(AppendError(nil, "stats unavailable"))
 		if err == nil || !strings.Contains(err.Error(), "stats unavailable") {
 			t.Fatalf("error frame not returned as the error: %v", err)
 		}

@@ -70,7 +70,7 @@ func TestCanonicalFrameStreamCommit(t *testing.T) {
 func TestCanonicalFramePassthrough(t *testing.T) {
 	hello, _ := appendHello(nil, Hello{Code: "bb72", P: 0.01, Spec: Spec{Kind: "bp", BPIters: 10}})
 	truncated := appendBatchReplyHeader(nil, 1, 3) // claims 3 items, carries none
-	for _, payload := range [][]byte{hello, truncated, {msgStreamCommit, 1, 2}, nil} {
+	for _, payload := range [][]byte{hello, truncated, {MsgStreamCommit, 1, 2}, nil} {
 		got := AppendCanonicalFrame(nil, payload, 4)
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("passthrough frame modified: %x -> %x", payload, got)
@@ -98,15 +98,15 @@ func TestStatsReplyBackendsRoundTrip(t *testing.T) {
 			{Name: "b2", Addr: "127.0.0.1:9002"},
 		},
 	}
-	enc := AppendStatsReplyFrame(nil, snap)
-	got, err := ParseStatsReplyFrame(enc)
+	enc := AppendStatsReply(nil, snap)
+	got, err := ParseStatsReply(enc)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if !reflect.DeepEqual(got.Backends, snap.Backends) {
 		t.Fatalf("backends diverge:\n got %+v\nwant %+v", got.Backends, snap.Backends)
 	}
-	if re := AppendStatsReplyFrame(nil, got); !bytes.Equal(re, enc) {
+	if re := AppendStatsReply(nil, got); !bytes.Equal(re, enc) {
 		t.Fatalf("re-encode diverges:\n got %x\nwant %x", re, enc)
 	}
 }
@@ -116,14 +116,14 @@ func TestStatsReplyBackendsRoundTrip(t *testing.T) {
 // normalized — the property that keeps warm-pool affinity intact.
 func TestSessionKeyNormalization(t *testing.T) {
 	spec := Spec{Kind: "bp", BPIters: 10}
-	implicit, err := NormalizeHello(Hello{Code: "bb72", P: 0.01, Spec: spec})
+	implicit, err := ValidateHello(Hello{Code: "bb72", P: 0.01, Spec: spec})
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
 	if implicit.Rounds == 0 {
 		t.Fatal("normalization left Rounds at 0")
 	}
-	explicit, err := NormalizeHello(Hello{Code: "bb72", Rounds: implicit.Rounds, P: 0.01, Spec: spec})
+	explicit, err := ValidateHello(Hello{Code: "bb72", Rounds: implicit.Rounds, P: 0.01, Spec: spec})
 	if err != nil {
 		t.Fatalf("normalize explicit: %v", err)
 	}
@@ -184,14 +184,14 @@ func stubAccept(t *testing.T, ln net.Listener, numDets, numMechs int, fn func(ne
 		return
 	}
 	br := bufio.NewReader(conn)
-	if _, err := readFrame(br, defaultMaxFrame); err != nil {
+	if _, err := ReadFrame(br, DefaultMaxFrame); err != nil {
 		t.Errorf("stub reading hello: %v", err)
 		conn.Close()
 		return
 	}
 	ack := appendHelloAck(nil, helloAck{sessionID: 1, numDets: uint32(numDets), numMechs: uint32(numMechs), poolSize: 1})
 	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, ack); err == nil {
+	if err := WriteFrame(bw, ack); err == nil {
 		err = bw.Flush()
 		if err != nil {
 			t.Errorf("stub ack: %v", err)
@@ -215,7 +215,7 @@ func TestErrBackendClosed(t *testing.T) {
 		stubAccept(t, ln, 8, 8, func(conn net.Conn) {
 			// swallow the batch, then die abruptly without replying
 			br := bufio.NewReader(conn)
-			readFrame(br, defaultMaxFrame)
+			ReadFrame(br, DefaultMaxFrame)
 			conn.Close()
 		})
 	}()

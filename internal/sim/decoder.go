@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"bpsf/internal/bp"
@@ -47,7 +46,7 @@ type bpAdapter struct {
 // NewBP wraps a plain min-sum BP decoder.
 func NewBP(h *sparse.Mat, priors []float64, cfg bp.Config) Decoder {
 	return &bpAdapter{
-		name: fmt.Sprintf("BP%d", cfg.MaxIter),
+		name: Spec{Kind: "bp", BPIters: cfg.MaxIter, Layered: cfg.Schedule == bp.Layered}.String(),
 		d:    bp.New(tanner.New(h), priors, cfg),
 	}
 }
@@ -76,8 +75,9 @@ type bposdAdapter struct {
 // NewBPOSD wraps the BP-OSD baseline ("BP1000-OSD10" style).
 func NewBPOSD(h *sparse.Mat, priors []float64, bpCfg bp.Config, osdCfg osd.Config) Decoder {
 	return &bposdAdapter{
-		name: fmt.Sprintf("BP%d-%s%d", bpCfg.MaxIter, osdCfg.Method, osdCfg.Order),
-		d:    bposd.New(h, priors, bpCfg, osdCfg),
+		name: Spec{Kind: "bposd", BPIters: bpCfg.MaxIter, Layered: bpCfg.Schedule == bp.Layered,
+			OSDMethod: osdCfg.Method, OSDOrder: osdCfg.Order}.String(),
+		d: bposd.New(h, priors, bpCfg, osdCfg),
 	}
 }
 
@@ -109,15 +109,12 @@ func NewBPSF(h *sparse.Mat, priors []float64, cfg bpsf.Config) (Decoder, error) 
 	if err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("BP-SF(BP%d,wmax=%d,phi=%d", cfg.Init.MaxIter, cfg.WMax, cfg.PhiSize)
+	spec := Spec{Kind: "bpsf", BPIters: cfg.Init.MaxIter, Layered: cfg.Init.Schedule == bp.Layered,
+		Phi: cfg.PhiSize, WMax: cfg.WMax, Workers: cfg.Workers}
 	if cfg.Policy == bpsf.Sampled {
-		name += fmt.Sprintf(",ns=%d", cfg.NS)
+		spec.NS = cfg.NS
 	}
-	if cfg.Workers > 1 {
-		name += fmt.Sprintf(",P=%d", cfg.Workers)
-	}
-	name += ")"
-	return &bpsfAdapter{name: name, d: d}, nil
+	return &bpsfAdapter{name: spec.String(), d: d}, nil
 }
 
 func (a *bpsfAdapter) Name() string { return a.name }

@@ -109,23 +109,146 @@ func TestScheduleLatencyCancelsLateTrials(t *testing.T) {
 }
 
 func TestGPUModelEstimate(t *testing.T) {
-	m := GPUModel{Launch: time.Millisecond, Iter: time.Microsecond}
-	o := Outcome{
+	r := Record{
 		InitIterations:  100,
 		TrialIterations: []int{50, 60, 70},
 		TrialSuccess:    []bool{false, true, false},
+		PostTime:        4 * time.Millisecond,
 	}
-	// init: 1ms+100µs; trials: (1ms+50µs) + (1ms+60µs), stop at success
-	want := time.Millisecond + 100*time.Microsecond +
-		time.Millisecond + 50*time.Microsecond +
-		time.Millisecond + 60*time.Microsecond
-	if got := m.Estimate(o); got != want {
+	// init launch + 100 iterations; trials 50 and 60, each with a launch,
+	// stopping at the success
+	want := 3*gpuLaunch + (100+50+60)*gpuIter
+	if got := gpuEstimate(r); got != want {
 		t.Fatalf("estimate = %v, want %v", got, want)
 	}
 	// batched: one extra launch + winner's iterations
-	wantB := time.Millisecond + 100*time.Microsecond + time.Millisecond + 60*time.Microsecond
-	if got := m.EstimateBatched(o); got != wantB {
-		t.Fatalf("batched = %v, want %v", got, wantB)
+	if got, want := gpuEstimateBatched(r), 2*gpuLaunch+(100+60)*gpuIter; got != want {
+		t.Fatalf("batched = %v, want %v", got, want)
+	}
+	// baseline: one launch + BP iterations + the OSD stage scaled to the
+	// device (0.2 × 4ms)
+	if got, want := gpuEstimateBaseline(r), gpuLaunch+100*gpuIter+800*time.Microsecond; got != want {
+		t.Fatalf("baseline = %v, want %v", got, want)
+	}
+}
+
+func TestLatencyStudy(t *testing.T) {
+	base := &Result{Decoder: "BP1000-OSD10", Records: []Record{
+		{InitIterations: 1000, Time: 9 * time.Millisecond, PostTime: 8 * time.Millisecond},
+		{InitIterations: 10, Time: time.Millisecond},
+	}}
+	// 2000 iterations over 4ms: a 2µs iteration unit
+	const sf = "BP-SF(BP100,wmax=3,phi=3)"
+	dec := &Result{Decoder: sf, Records: []Record{
+		{Iterations: 100 + 300 + 200 + 400, InitIterations: 100, Time: 3 * time.Millisecond,
+			TrialIterations: []int{300, 200, 400}, TrialSuccess: []bool{false, false, true}},
+		{Iterations: 1000, InitIterations: 1000, Time: time.Millisecond},
+	}}
+	rows, err := LatencyStudy(base, dec, []int{2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const unit = 2 * time.Microsecond
+	type wantRow struct {
+		label    string
+		gpu      bool
+		min, max time.Duration
+	}
+	baseGPU := wantRow{"BP1000-OSD10 (GPU model)", true,
+		gpuLaunch + 10*gpuIter,
+		gpuLaunch + 1000*gpuIter + 1600*time.Microsecond} // 0.2 × 8ms OSD stage
+	check := func(name string, rows []LatencyRow, want []wantRow) {
+		t.Helper()
+		if len(rows) != len(want) {
+			t.Fatalf("%s: %d rows, want %d: %+v", name, len(rows), len(want), rows)
+		}
+		for i, w := range want {
+			r := rows[i]
+			lo, hi := min(w.min, w.max), max(w.min, w.max)
+			if r.Label != w.label || r.GPU != w.gpu || r.Min != lo || r.Max != hi || r.N != 2 {
+				t.Errorf("%s row %d = %q gpu=%v min=%v max=%v n=%d, want %q gpu=%v min=%v max=%v",
+					name, i, r.Label, r.GPU, r.Min, r.Max, r.N, w.label, w.gpu, lo, hi)
+			}
+		}
+	}
+	check("BP-SF", rows, []wantRow{
+		{"BP1000-OSD10", false, time.Millisecond, 9 * time.Millisecond},
+		{sf + " serial", false, time.Millisecond, 3 * time.Millisecond},
+		// P=2: {300,200} start at 0, the winner starts at 200 and ends at 600
+		{"BP-SF P=2 (model)", false, 700 * unit, 1000 * unit},
+		// P=3: every trial starts at 0, the winner ends at 400
+		{"BP-SF P=3 (model)", false, 500 * unit, 1000 * unit},
+		// serial GPU trials: a launch each, stopping at the success
+		{"BP-SF (GPU_Est)", true,
+			gpuLaunch + 1000*gpuIter,
+			4*gpuLaunch + (100+300+200+400)*gpuIter},
+		// batched: one launch for all trials, bounded by the winner
+		{"BP-SF (GPU, batched trials)", true,
+			2*gpuLaunch + (100+400)*gpuIter,
+			gpuLaunch + 1000*gpuIter},
+		baseGPU,
+	})
+
+	// a BP-SF run in which no shot reached post-processing keeps its
+	// model and GPU rows: the initial BP alone
+	quiet := &Result{Decoder: sf, Records: []Record{
+		{Iterations: 40, InitIterations: 40, Time: time.Millisecond},
+		{Iterations: 10, InitIterations: 10, Time: time.Millisecond},
+	}}
+	rows, err = LatencyStudy(base, quiet, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const quietUnit = 40 * time.Microsecond // 2ms over 50 iterations
+	check("BP-SF without trials", rows, []wantRow{
+		{"BP1000-OSD10", false, time.Millisecond, 9 * time.Millisecond},
+		{sf + " serial", false, time.Millisecond, time.Millisecond},
+		{"BP-SF P=2 (model)", false, 10 * quietUnit, 40 * quietUnit},
+		{"BP-SF (GPU_Est)", true, gpuLaunch + 10*gpuIter, gpuLaunch + 40*gpuIter},
+		{"BP-SF (GPU, batched trials)", true, gpuLaunch + 10*gpuIter, gpuLaunch + 40*gpuIter},
+		baseGPU,
+	})
+
+	// other decoders give the measured rows and the baseline's device model
+	plain := &Result{Decoder: "UF", Records: []Record{{Iterations: 3, Time: time.Millisecond}, {Time: time.Millisecond}}}
+	rows, err = LatencyStudy(base, plain, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("UF", rows, []wantRow{
+		{"BP1000-OSD10", false, time.Millisecond, 9 * time.Millisecond},
+		{"UF serial", false, time.Millisecond, time.Millisecond},
+		baseGPU,
+	})
+
+	// a trial recorded after a success (DecodeAllTrials, parallel lanes)
+	// would make the schedule model double-count; it is refused
+	all := &Result{Decoder: sf, Records: []Record{dec.Records[1], {
+		Iterations: 300, InitIterations: 100, Time: time.Millisecond,
+		TrialIterations: []int{100, 100}, TrialSuccess: []bool{true, false},
+	}}}
+	if _, err := LatencyStudy(base, all, []int{2}); err == nil || !strings.Contains(err.Error(), "after a success") {
+		t.Fatalf("trial after success: err = %v, want a refusal", err)
+	}
+	// the runs must cover the same shots, with records kept
+	if _, err := LatencyStudy(base, &Result{Decoder: sf}, nil); err == nil {
+		t.Fatal("study over a run without records accepted")
+	}
+
+	rows, err = LatencyStudy(base, dec, []int{2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	series, err := WriteLatency(&buf, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != len(rows) || series[2].Label != "BP-SF P=2 (model)" || series[2].Y[3] != 2 {
+		t.Fatalf("series = %+v", series)
+	}
+	if !strings.Contains(buf.String(), "BP-SF P=3 (model)") || !strings.Contains(buf.String(), "median ms") {
+		t.Fatalf("table:\n%s", buf.String())
 	}
 }
 

@@ -96,7 +96,11 @@ func (s Spec) String() string {
 	case "bp":
 		return fmt.Sprintf("BP%d%s", s.BPIters, sched)
 	case "bposd":
-		return fmt.Sprintf("BP%d-OSD%d%s", s.BPIters, s.OSDOrder, sched)
+		method := "" // OSD-CS and OSD-0 (order 0) read as OSD<order>
+		if s.OSDMethod == osd.OSDE {
+			method = "-E"
+		}
+		return fmt.Sprintf("BP%d-OSD%s%d%s", s.BPIters, method, s.OSDOrder, sched)
 	case "bpsf":
 		l := fmt.Sprintf("BP-SF(BP%d,wmax=%d,phi=%d", s.BPIters, s.WMax, s.Phi)
 		if s.NS > 0 {

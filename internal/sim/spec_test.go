@@ -30,6 +30,7 @@ func TestSpecValidateAndLabel(t *testing.T) {
 		{sim.Spec{Kind: "bposd", BPIters: 1000, OSDOrder: 10}, "BP1000-OSD10"},
 		{sim.Spec{Kind: "bposd", BPIters: 1000, OSDMethod: osd.OSD0}, "BP1000-OSD0"},
 		{sim.Spec{Kind: "bposd", BPIters: 100, OSDOrder: 5}, "BP100-OSD5"},
+		{sim.Spec{Kind: "bposd", BPIters: 100, OSDMethod: osd.OSDE, OSDOrder: 6}, "BP100-OSD-E6"},
 		{sim.Spec{Kind: "bp", BPIters: 1000}, "BP1000"},
 		{sim.Spec{Kind: "uf"}, "UF"},
 		{sim.Spec{Kind: "uf", Window: 2, Commit: 1, Layout: layout}, "W2C1[UF]"},
@@ -57,7 +58,7 @@ func TestSpecValidateAndLabel(t *testing.T) {
 			t.Errorf("%s: %v", tc.want, err)
 			continue
 		}
-		if dec, err := tc.spec.NewDecoder(specTestH(t)); err != nil || dec.Name() == "" {
+		if dec, err := tc.spec.NewDecoder(specTestH(t)); err != nil || dec.Name() != tc.want {
 			t.Errorf("%s: NewDecoder = %v, %v", tc.want, dec, err)
 		}
 	}
@@ -84,6 +85,33 @@ func TestSpecValidateAndLabel(t *testing.T) {
 	}
 	if got := (sim.Spec{Kind: "weird"}).String(); got != "weird" {
 		t.Errorf("fallback label %q, want the kind", got)
+	}
+}
+
+// TestDecoderNameIsSpecLabel: a decoder's Name() is its spec's label for
+// every registered spec and its layered, OSD-0 and OSD-E variants, so
+// reports, figure legends and pool keys name a decoder one way, and
+// decoders that differ are named apart.
+func TestDecoderNameIsSpecLabel(t *testing.T) {
+	for name, spec := range sim.DecoderSpecs() {
+		layered := spec
+		layered.Layered = true
+		osd0 := spec
+		osd0.OSDMethod, osd0.OSDOrder = osd.OSD0, 0
+		osdE := spec
+		osdE.OSDMethod = osd.OSDE
+		for _, s := range []sim.Spec{spec, layered, osd0, osdE} {
+			dec, err := s.NewDecoder(specTestH(t))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if dec.Name() != s.String() {
+				t.Errorf("%s: Name() = %q, Spec.String() = %q", name, dec.Name(), s.String())
+			}
+		}
+		if spec.Kind == "bposd" && osdE.String() == spec.String() {
+			t.Errorf("%s: OSD-E and OSD-CS share the label %q", name, spec.String())
+		}
 	}
 }
 
