@@ -295,9 +295,12 @@ func (d *Decoder) DecodeStop(s gf2.Vec, stop *atomic.Bool) Result {
 			break
 		}
 	}
-	if iters > d.cfg.MaxIter {
-		iters = d.cfg.MaxIter
-	}
+	return d.result(min(iters, d.cfg.MaxIter), success)
+}
+
+// result reports the decode that just ended, in the decoder's reusable
+// Result buffers.
+func (d *Decoder) result(iters int, success bool) Result {
 	for i, m := range d.marginal {
 		d.margOut[i] = float64(m)
 	}

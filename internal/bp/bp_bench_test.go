@@ -1,6 +1,7 @@
 package bp
 
 import (
+	"fmt"
 	"testing"
 
 	"bpsf/internal/codes"
@@ -57,7 +58,8 @@ func BenchmarkDecodeBB144Hard(b *testing.B) {
 // TestDecodeZeroAllocSteadyState pins the allocation-free hot path: after
 // warm-up, a BP decode must not allocate — for either schedule, with and
 // without oscillation tracking, with a fixed α, on both converging and
-// failing syndromes, and on a Clone as on the original.
+// failing syndromes, on a Clone as on the original, and split into parts
+// (whose helper goroutines come from closures built in NewSplit).
 func TestDecodeZeroAllocSteadyState(t *testing.T) {
 	c, err := codes.BB144()
 	if err != nil {
@@ -92,6 +94,16 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 			}
 		}
 	}
+	for _, parts := range []int{2, 4} {
+		sp := NewSplit(New(g, probs, Config{MaxIter: 30, TrackOscillation: true}), parts)
+		for _, s := range []gf2.Vec{converging, failing} {
+			sp.Decode(s)
+			allocs := testing.AllocsPerRun(20, func() { sp.Decode(s) })
+			if allocs != 0 {
+				t.Errorf("split parts=%d: %v allocs per steady-state decode, want 0", parts, allocs)
+			}
+		}
+	}
 }
 
 // BenchmarkIterationBB144DEM measures min-sum iteration cost on the graph
@@ -110,4 +122,23 @@ func BenchmarkIterationBB144DEM(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(iters)*float64(g.E)), "ns/edge")
 	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+}
+
+// BenchmarkSplitBB144DEM is BenchmarkIterationBB144DEM decoded through a
+// Split at each part count; one part is the fused pass.
+func BenchmarkSplitBB144DEM(b *testing.B) {
+	g, probs, syns := demProblem(b, "bb144", 2, 3e-3, 64)
+	for _, parts := range []int{1, 2} {
+		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
+			sp := NewSplit(New(g, probs, Config{MaxIter: 100}), parts)
+			iters := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				iters += sp.Decode(syns[i%len(syns)]).Iterations
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(iters)*float64(g.E)), "ns/edge")
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+		})
+	}
 }

@@ -3,7 +3,9 @@ package bpsf
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"bpsf/internal/bp"
 	"bpsf/internal/code"
@@ -486,5 +488,54 @@ func TestDecodeEasySyndromeSkipsPostProcessing(t *testing.T) {
 	}
 	if res.WinningTrial != -1 || res.Trials != 0 {
 		t.Fatal("no trials should be recorded")
+	}
+}
+
+// TestSplitInitOneProcessor decodes with a four-lane decoder, built while
+// GOMAXPROCS is 4 so that its initial BP runs in four parts, after
+// GOMAXPROCS has dropped to 1: the parts' spin barriers must yield, not
+// livelock, and with DecodeAllTrials every Result must equal one lane's.
+func TestSplitInitOneProcessor(t *testing.T) {
+	const seed = 94
+	c, probs, syndromes := bb154Corpus(t, 40, 9, seed)
+	cfg := bb154Config
+	cfg.DecodeAllTrials = true
+	one, err := New(c.HZ, probs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(syndromes))
+	for i, s := range syndromes {
+		want[i] = fields(one.Decode(s))
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg.Workers = 4
+	four, err := New(c.HZ, probs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.init.Parts() != 1 || four.init.Parts() != 4 {
+		t.Fatalf("initial BP in %d and %d parts at GOMAXPROCS=4 with one and four lanes, want 1 and 4", one.init.Parts(), four.init.Parts())
+	}
+
+	runtime.GOMAXPROCS(1)
+	done := make(chan error)
+	go func() {
+		for i, s := range syndromes {
+			if got := fields(four.Decode(s)); got != want[i] {
+				done <- fmt.Errorf("syndrome %d: four lanes on one processor\n got %s\nwant %s", i, got, want[i])
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("four-lane decodes on one processor did not finish in 2 minutes")
 	}
 }

@@ -3,6 +3,7 @@ package bpsf
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,10 +34,13 @@ type Config struct {
 	// Policy selects exhaustive (code capacity) or sampled (circuit level)
 	// trial generation.
 	Policy TrialPolicy
-	// Workers is the number of trial lanes decoding one syndrome's trials
-	// concurrently; 0 means 1, negative is rejected. Lanes start trials in
-	// index order and the first success to complete stops the rest, so
-	// one lane decodes trials strictly in order on the calling goroutine.
+	// Workers is the number of lanes decoding one syndrome; 0 means 1,
+	// negative is rejected. The lanes decode the trials concurrently:
+	// they start trials in index order and the first success to complete
+	// stops the rest, so one lane decodes trials strictly in order on the
+	// calling goroutine. Before that they split the initial BP, when it is
+	// flooding min-sum, into min(Workers, GOMAXPROCS) parts (bp.Split);
+	// its Result does not depend on the number of parts.
 	Workers int
 	// Seed seeds the trial-sampling RNG (Sampled policy).
 	Seed int64
@@ -93,13 +97,15 @@ type Result struct {
 
 // Decoder decodes syndromes of a fixed parity-check matrix with BP-SF. It
 // is not safe for concurrent use (each goroutine needs its own Decoder).
-// Its trial stage runs on Config.Workers lanes: lane 0 on the calling
-// goroutine, the others on goroutines spawned per post-processed decode.
+// Both stages run on Config.Workers lanes, lane 0 on the calling goroutine
+// and the others on goroutines spawned per decode: a flooding min-sum
+// initial BP is split into parts across them, and the trials are shared
+// out among them.
 type Decoder struct {
 	h   *sparse.Mat
 	cfg Config
 
-	init  *bp.Decoder
+	init  *bp.Split // the initial BP, in one part per lane up to GOMAXPROCS
 	lanes []lane
 	rng   *rand.Rand
 
@@ -155,7 +161,7 @@ func New(h *sparse.Mat, probs []float64, cfg Config) (*Decoder, error) {
 	d := &Decoder{
 		h:      h,
 		cfg:    cfg,
-		init:   bp.New(g, probs, initCfg),
+		init:   bp.NewSplit(bp.New(g, probs, initCfg), min(cfg.Workers, runtime.GOMAXPROCS(0))),
 		lanes:  make([]lane, max(cfg.Workers, 1)),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		errHat: gf2.NewVec(g.N),

@@ -136,9 +136,16 @@ type LatencyRow struct {
 // KeepRecords runs over the same shots: the baseline (BP-OSD) and the
 // measured decoder. It returns, in order, the measured baseline and
 // serial-decoder times; when the decoder is a bare BP-SF, one
-// schedule-model row per entry of workers (ScheduleLatency iteration
-// units × the measured per-iteration time), GPU_Est and batched GPU
+// schedule-model row per entry of workers, GPU_Est and batched GPU
 // trials; and last the baseline's device model.
+//
+// The model prices each shot at its own measured time per iteration,
+// r.Time / r.Iterations, times its ScheduleLatency iteration count. At
+// one worker that count is r.Iterations, so the P=1 row is the serial row
+// shot for shot, and no P row exceeds it on any shot. The initial BP keeps
+// its serial price at every P, although a decoder with more than one lane
+// splits it into parts (bp.Split), so at P > 1 the rows are looser upper
+// bounds.
 //
 // The BP-SF rows follow from the decoder, not from its records: a BP-SF
 // run in which no shot reached post-processing still has them, modeled
@@ -152,16 +159,12 @@ func LatencyStudy(base, dec *Result, workers []int) ([]LatencyRow, error) {
 		return nil, fmt.Errorf("sim: latency study needs KeepRecords runs over the same shots, got %d baseline and %d decoder records",
 			len(base.Records), len(dec.Records))
 	}
-	var total time.Duration
-	iters := 0
 	for i, r := range dec.Records {
 		for k, ok := range r.TrialSuccess {
 			if ok && k < len(r.TrialIterations)-1 {
 				return nil, fmt.Errorf("sim: latency study: shot %d records trial %d after a success (DecodeAllTrials or parallel trials); the schedule model needs serial records", i, k+1)
 			}
 		}
-		total += r.Time
-		iters += r.Iterations
 	}
 	row := func(label string, gpuRow bool, recs []Record, t func(Record) time.Duration) LatencyRow {
 		ds := make([]time.Duration, len(recs))
@@ -177,13 +180,13 @@ func LatencyStudy(base, dec *Result, workers []int) ([]LatencyRow, error) {
 	}
 	// decoder names are Spec labels, and only a bare BP-SF's begins so
 	if strings.HasPrefix(dec.Decoder, "BP-SF(") {
-		var unit time.Duration
-		if iters > 0 {
-			unit = total / time.Duration(iters)
-		}
 		for _, w := range workers {
 			rows = append(rows, row(fmt.Sprintf("BP-SF P=%d (model)", w), false, dec.Records, func(r Record) time.Duration {
-				return time.Duration(ScheduleLatency(r.InitIterations, r.TrialIterations, r.TrialSuccess, w)) * unit
+				if r.Iterations == 0 {
+					return r.Time
+				}
+				iters := ScheduleLatency(r.InitIterations, r.TrialIterations, r.TrialSuccess, w)
+				return r.Time * time.Duration(iters) / time.Duration(r.Iterations)
 			}))
 		}
 		rows = append(rows,

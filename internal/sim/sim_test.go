@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -137,7 +138,7 @@ func TestLatencyStudy(t *testing.T) {
 		{InitIterations: 1000, Time: 9 * time.Millisecond, PostTime: 8 * time.Millisecond},
 		{InitIterations: 10, Time: time.Millisecond},
 	}}
-	// 2000 iterations over 4ms: a 2µs iteration unit
+	// each shot is priced at its own time per iteration: 3µs, then 1µs
 	const sf = "BP-SF(BP100,wmax=3,phi=3)"
 	dec := &Result{Decoder: sf, Records: []Record{
 		{Iterations: 100 + 300 + 200 + 400, InitIterations: 100, Time: 3 * time.Millisecond,
@@ -148,7 +149,6 @@ func TestLatencyStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const unit = 2 * time.Microsecond
 	type wantRow struct {
 		label    string
 		gpu      bool
@@ -174,10 +174,11 @@ func TestLatencyStudy(t *testing.T) {
 	check("BP-SF", rows, []wantRow{
 		{"BP1000-OSD10", false, time.Millisecond, 9 * time.Millisecond},
 		{sf + " serial", false, time.Millisecond, 3 * time.Millisecond},
-		// P=2: {300,200} start at 0, the winner starts at 200 and ends at 600
-		{"BP-SF P=2 (model)", false, 700 * unit, 1000 * unit},
+		// P=2: {300,200} start at 0, the winner starts at 200 and ends
+		// at 600; the second shot has no trials and keeps its 1ms
+		{"BP-SF P=2 (model)", false, time.Millisecond, 700 * 3 * time.Microsecond},
 		// P=3: every trial starts at 0, the winner ends at 400
-		{"BP-SF P=3 (model)", false, 500 * unit, 1000 * unit},
+		{"BP-SF P=3 (model)", false, time.Millisecond, 500 * 3 * time.Microsecond},
 		// serial GPU trials: a launch each, stopping at the success
 		{"BP-SF (GPU_Est)", true,
 			gpuLaunch + 1000*gpuIter,
@@ -199,11 +200,10 @@ func TestLatencyStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const quietUnit = 40 * time.Microsecond // 2ms over 50 iterations
 	check("BP-SF without trials", rows, []wantRow{
 		{"BP1000-OSD10", false, time.Millisecond, 9 * time.Millisecond},
 		{sf + " serial", false, time.Millisecond, time.Millisecond},
-		{"BP-SF P=2 (model)", false, 10 * quietUnit, 40 * quietUnit},
+		{"BP-SF P=2 (model)", false, time.Millisecond, time.Millisecond},
 		{"BP-SF (GPU_Est)", true, gpuLaunch + 10*gpuIter, gpuLaunch + 40*gpuIter},
 		{"BP-SF (GPU, batched trials)", true, gpuLaunch + 10*gpuIter, gpuLaunch + 40*gpuIter},
 		baseGPU,
@@ -244,11 +244,51 @@ func TestLatencyStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != len(rows) || series[2].Label != "BP-SF P=2 (model)" || series[2].Y[3] != 2 {
+	if len(series) != len(rows) || series[2].Label != "BP-SF P=2 (model)" || series[2].Y[3] != 2.1 {
 		t.Fatalf("series = %+v", series)
 	}
 	if !strings.Contains(buf.String(), "BP-SF P=3 (model)") || !strings.Contains(buf.String(), "median ms") {
 		t.Fatalf("table:\n%s", buf.String())
+	}
+}
+
+// TestLatencyStudyModelBoundedBySerial prices random serial BP-SF records
+// one shot at a time: the P=1 model row equals the measured serial row on
+// every shot, and no P row exceeds it.
+func TestLatencyStudyModelBoundedBySerial(t *testing.T) {
+	const sf = "BP-SF(BP100,wmax=10,phi=50,ns=10)"
+	rng := rand.New(rand.NewSource(5))
+	base := &Result{Decoder: "BP1000-OSD-CS10", Records: []Record{{InitIterations: 10, Time: time.Millisecond}}}
+	workers := []int{1, 2, 3, 8, 100}
+	for shot := 0; shot < 500; shot++ {
+		r := Record{InitIterations: 1 + rng.Intn(100), Time: time.Duration(1 + rng.Int63n(int64(100*time.Millisecond)))}
+		r.Iterations = r.InitIterations
+		for k := rng.Intn(30); k > 0; k-- {
+			it, ok := 1+rng.Intn(100), rng.Intn(5) == 0
+			r.TrialIterations = append(r.TrialIterations, it)
+			r.TrialSuccess = append(r.TrialSuccess, ok)
+			r.Iterations += it
+			if ok {
+				break
+			}
+		}
+		rows, err := LatencyStudy(base, &Result{Decoder: sf, Records: []Record{r}}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := rows[1]
+		if serial.Max != r.Time {
+			t.Fatalf("shot %d: serial row %v, want the measured %v", shot, serial.Max, r.Time)
+		}
+		for i, w := range workers {
+			model := rows[2+i]
+			if w == 1 && model.Max != serial.Max {
+				t.Fatalf("shot %d: P=1 model %v, serial %v (%+v)", shot, model.Max, serial.Max, r)
+			}
+			if model.Max > serial.Max {
+				t.Fatalf("shot %d: P=%d model %v above serial %v (%+v)", shot, w, model.Max, serial.Max, r)
+			}
+		}
 	}
 }
 
