@@ -45,7 +45,7 @@ func main() {
 	phi := flag.Int("phi", 50, "BP-SF candidate set size |Φ|")
 	wmax := flag.Int("wmax", 10, "BP-SF maximum trial weight")
 	ns := flag.Int("ns", 10, "BP-SF sampled trials per weight (0 = exhaustive)")
-	trialWorkers := flag.Int("trial-workers", 0, "BP-SF lanes within one decode, which split its initial BP and share its trials (0 or 1 = serial; negative is an error)")
+	trialWorkers := flag.Int("trial-workers", 0, "BP-SF lanes within one decode, which split a large initial BP and share its trials (0 or 1 = serial; negative is an error)")
 	windowRounds := flag.Int("window", 0,
 		"sliding-window size in rounds: wrap the decoder in the streaming window scheduler (0 = whole-history decode)")
 	commitRounds := flag.Int("commit", 1, "committed rounds per window (with -window)")

@@ -59,7 +59,7 @@ func BenchmarkDecodeBB144Hard(b *testing.B) {
 // warm-up, a BP decode must not allocate — for either schedule, with and
 // without oscillation tracking, with a fixed α, on both converging and
 // failing syndromes, on a Clone as on the original, and split into parts
-// (whose helper goroutines come from closures built in NewSplit).
+// (whose helper goroutines come from a closure built in newSplit).
 func TestDecodeZeroAllocSteadyState(t *testing.T) {
 	c, err := codes.BB144()
 	if err != nil {
@@ -95,10 +95,10 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 	for _, parts := range []int{2, 4} {
-		sp := NewSplit(New(g, probs, Config{MaxIter: 30, TrackOscillation: true}), parts)
+		sp := newSplit(New(g, probs, Config{MaxIter: 30, TrackOscillation: true}), parts)
 		for _, s := range []gf2.Vec{converging, failing} {
-			sp.Decode(s)
-			allocs := testing.AllocsPerRun(20, func() { sp.Decode(s) })
+			sp.decode(s, true)
+			allocs := testing.AllocsPerRun(20, func() { sp.decode(s, true) })
 			if allocs != 0 {
 				t.Errorf("split parts=%d: %v allocs per steady-state decode, want 0", parts, allocs)
 			}
@@ -111,34 +111,32 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 // (2 rounds, p = 3e-3; 288 checks, 7897 mechanisms, 47,670 edges). Each op
 // is one BP100 decode of a sampled syndrome; ns/edge is the time per
 // iteration and edge, as perfbench's bp.ns_per_edge_update counts it.
+// "fused" is Decoder.Decode; "two-phase" splits every iteration into the
+// given number of parts, one included, which Split.Decode never does (it
+// decodes one part fused); "split" is Split.Decode, which splits an
+// iteration only while a helper is ready.
 func BenchmarkIterationBB144DEM(b *testing.B) {
 	g, probs, syns := demProblem(b, "bb144", 2, 3e-3, 64)
-	d := New(g, probs, Config{MaxIter: 100})
-	iters := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		iters += d.Decode(syns[i%len(syns)]).Iterations
+	bench := func(b *testing.B, decode func(gf2.Vec) Result) {
+		iters := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			iters += decode(syns[i%len(syns)]).Iterations
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(iters)*float64(g.E)), "ns/edge")
+		b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(iters)*float64(g.E)), "ns/edge")
-	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
-}
-
-// BenchmarkSplitBB144DEM is BenchmarkIterationBB144DEM decoded through a
-// Split at each part count; one part is the fused pass.
-func BenchmarkSplitBB144DEM(b *testing.B) {
-	g, probs, syns := demProblem(b, "bb144", 2, 3e-3, 64)
+	b.Run("fused", func(b *testing.B) {
+		bench(b, New(g, probs, Config{MaxIter: 100}).Decode)
+	})
 	for _, parts := range []int{1, 2} {
-		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			sp := NewSplit(New(g, probs, Config{MaxIter: 100}), parts)
-			iters := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				iters += sp.Decode(syns[i%len(syns)]).Iterations
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(iters)*float64(g.E)), "ns/edge")
-			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+		b.Run(fmt.Sprintf("two-phase/parts=%d", parts), func(b *testing.B) {
+			sp := newSplit(New(g, probs, Config{MaxIter: 100}), parts)
+			bench(b, func(s gf2.Vec) Result { return sp.decode(s, true) })
 		})
 	}
+	b.Run("split/parts=2", func(b *testing.B) {
+		bench(b, NewSplit(New(g, probs, Config{MaxIter: 100}), 2).Decode)
+	})
 }

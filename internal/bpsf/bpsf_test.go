@@ -10,7 +10,9 @@ import (
 	"bpsf/internal/bp"
 	"bpsf/internal/code"
 	"bpsf/internal/codes"
+	"bpsf/internal/dem"
 	"bpsf/internal/gf2"
+	"bpsf/internal/memexp"
 	"bpsf/internal/tanner"
 )
 
@@ -492,26 +494,58 @@ func TestDecodeEasySyndromeSkipsPostProcessing(t *testing.T) {
 }
 
 // TestSplitInitOneProcessor decodes with a four-lane decoder, built while
-// GOMAXPROCS is 4 so that its initial BP runs in four parts, after
-// GOMAXPROCS has dropped to 1: the parts' spin barriers must yield, not
-// livelock, and with DecodeAllTrials every Result must equal one lane's.
+// GOMAXPROCS is 4 so that its initial BP splits into four parts (the bb144
+// DEM has enough edges for five), after GOMAXPROCS has dropped to 1: the
+// split must make progress, helpers or no, and with DecodeAllTrials every
+// Result must equal one lane's.
 func TestSplitInitOneProcessor(t *testing.T) {
 	const seed = 94
-	c, probs, syndromes := bb154Corpus(t, 40, 9, seed)
-	cfg := bb154Config
-	cfg.DecodeAllTrials = true
-	one, err := New(c.HZ, probs, cfg)
+	css, err := codes.BB144()
+	if err != nil {
+		t.Fatal(err)
+	}
+	circ, err := memexp.Build(css, 2, memexp.Uniform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := dem.Extract(circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler := dem.NewSampler(m, 5e-3, seed)
+	syndromes := make([]gf2.Vec, 8)
+	for i := range syndromes {
+		syn, _ := sampler.SampleShared()
+		syndromes[i] = syn.Clone()
+	}
+	cfg := Config{
+		Init:            bp.Config{MaxIter: 30},
+		Trial:           bp.Config{MaxIter: 10},
+		PhiSize:         6,
+		WMax:            2,
+		NS:              2,
+		Policy:          Sampled,
+		Seed:            seed,
+		DecodeAllTrials: true,
+	}
+	one, err := New(m.H, sampler.Priors(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make([]string, len(syndromes))
+	trials := 0
 	for i, s := range syndromes {
-		want[i] = fields(one.Decode(s))
+		r := one.Decode(s)
+		want[i] = fields(r)
+		trials += r.Trials
+	}
+	if trials == 0 {
+		t.Fatal("no syndrome reached the trial stage")
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg.Workers = 4
-	four, err := New(c.HZ, probs, cfg)
+	four, err := New(m.H, sampler.Priors(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

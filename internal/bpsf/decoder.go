@@ -38,9 +38,10 @@ type Config struct {
 	// negative is rejected. The lanes decode the trials concurrently:
 	// they start trials in index order and the first success to complete
 	// stops the rest, so one lane decodes trials strictly in order on the
-	// calling goroutine. Before that they split the initial BP, when it is
-	// flooding min-sum, into min(Workers, GOMAXPROCS) parts (bp.Split);
-	// its Result does not depend on the number of parts.
+	// calling goroutine. Before that, a flooding min-sum initial BP is
+	// split into up to min(Workers, GOMAXPROCS) parts, fewer on a graph
+	// too small to pay for them (bp.NewSplit); its Result does not depend
+	// on the number of parts.
 	Workers int
 	// Seed seeds the trial-sampling RNG (Sampled policy).
 	Seed int64
@@ -97,15 +98,16 @@ type Result struct {
 
 // Decoder decodes syndromes of a fixed parity-check matrix with BP-SF. It
 // is not safe for concurrent use (each goroutine needs its own Decoder).
-// Both stages run on Config.Workers lanes, lane 0 on the calling goroutine
-// and the others on goroutines spawned per decode: a flooding min-sum
-// initial BP is split into parts across them, and the trials are shared
-// out among them.
+// Both stages use Config.Workers goroutines, the calling one among them:
+// a flooding min-sum initial BP runs in parts (bp.Split, whose helpers
+// take a part of an iteration whenever they have a processor), and the
+// trials are shared out among the lanes, lane 0 on the calling goroutine
+// and the others on goroutines spawned per decode.
 type Decoder struct {
 	h   *sparse.Mat
 	cfg Config
 
-	init  *bp.Split // the initial BP, in one part per lane up to GOMAXPROCS
+	init  *bp.Split // the initial BP, in up to one part per lane and processor
 	lanes []lane
 	rng   *rand.Rand
 

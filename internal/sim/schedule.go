@@ -144,7 +144,7 @@ type LatencyRow struct {
 // one worker that count is r.Iterations, so the P=1 row is the serial row
 // shot for shot, and no P row exceeds it on any shot. The initial BP keeps
 // its serial price at every P, although a decoder with more than one lane
-// splits it into parts (bp.Split), so at P > 1 the rows are looser upper
+// may split it into parts (bp.Split), so at P > 1 the rows are looser upper
 // bounds.
 //
 // The BP-SF rows follow from the decoder, not from its records: a BP-SF
