@@ -34,7 +34,6 @@ import (
 	"bpsf/internal/code"
 	"bpsf/internal/codes"
 	"bpsf/internal/dem"
-	"bpsf/internal/frame"
 	"bpsf/internal/gf2"
 	"bpsf/internal/memexp"
 	"bpsf/internal/noise"
@@ -42,7 +41,6 @@ import (
 	"bpsf/internal/service"
 	"bpsf/internal/sim"
 	"bpsf/internal/sparse"
-	"bpsf/internal/uf"
 	"bpsf/internal/window"
 )
 
@@ -165,21 +163,13 @@ func NewBPSFRaw(h *Matrix, priors []float64, cfg BPSFConfig) (*bpsfcore.Decoder,
 // elimination on general ones. It uses no priors and holds no randomness.
 func NewUFDecoder(h *Matrix) Decoder { return sim.NewUF(h) }
 
-// NewUFRaw builds a union-find decoder exposing the full uf.Result
-// (growth rounds, cluster count, extraction path) instead of the harness
-// Outcome.
-func NewUFRaw(h *Matrix) *uf.Decoder { return uf.New(h) }
-
-// UFResult is the detailed union-find decode report.
-type UFResult = uf.Result
-
 // DecoderNames lists the decoder registry names ("bp", "bposd", "bpsf",
 // "uf", "windowed") — the -decoder vocabulary of the CLIs and the decode
 // service.
 func DecoderNames() []string { return sim.DecoderNames() }
 
-// Sliding-window streaming decoder re-exports (internal/window; window/
-// commit semantics and the streaming determinism contract in DESIGN.md §7).
+// Sliding-window round layouts (internal/window; window/commit semantics
+// and the streaming determinism contract in DESIGN.md §7).
 type (
 	// WindowLayout groups a check matrix's detector rows into contiguous
 	// rounds — the axis sliding windows move along.
@@ -187,43 +177,11 @@ type (
 	// WindowSpan is one window of the partition: decoded rounds
 	// [Start, End), committed rounds [Start, CommitEnd).
 	WindowSpan = window.Span
-	// WindowedDecoder is the sliding-window wrapper around any inner
-	// decoder family; it implements Decoder and additionally serves
-	// incremental round streams through NewStream.
-	WindowedDecoder = window.Decoder
-	// WindowStream is one in-progress round-by-round decode.
-	WindowStream = window.Stream
-	// WindowCommit is one window's incremental committed correction.
-	WindowCommit = window.Commit
 )
-
-// NewWindowedDecoder builds a sliding-window decoder over h: windows of w
-// rounds committing c, sliced by layout, with any inner decoder factory.
-// Decode consumes a whole multi-round syndrome; NewStream decodes round
-// by round with bounded work per round.
-func NewWindowedDecoder(h *Matrix, priors []float64, layout WindowLayout, w, c int, inner Factory) (*WindowedDecoder, error) {
-	return window.New(h, priors, layout, w, c, inner)
-}
-
-// WindowedFactory wraps an inner decoder factory in the sliding-window
-// scheduler with the generic row-per-round layout (code capacity);
-// WindowedFactoryOver takes an explicit layout (circuit level).
-func WindowedFactory(inner Factory, w, c int) Factory { return sim.NewWindowed(inner, w, c) }
-
-// WindowedFactoryOver wraps an inner factory in the sliding-window
-// scheduler along an explicit round layout.
-func WindowedFactoryOver(inner Factory, layout WindowLayout, w, c int) Factory {
-	return sim.NewWindowedOver(inner, layout, w, c)
-}
 
 // RowRounds is the generic layout-free round layout: every check-matrix
 // row is its own round.
 func RowRounds(rows int) WindowLayout { return window.RowRounds(rows) }
-
-// MemoryLayout is the round layout of a code's memory-experiment DEM
-// (BuildMemoryDEM): circuit round blocks plus the final transversal data
-// measurement as one extra layout round.
-func MemoryLayout(c *Code, rounds int) WindowLayout { return window.MemexpLayout(c, rounds) }
 
 // PartitionRounds slices a round count into sliding windows of at most w
 // rounds committing c each (the last window commits through the end).
@@ -248,37 +206,6 @@ func NewDEMSampler(d *DEM, p float64, seed int64) *dem.Sampler {
 	return dem.NewSampler(d, p, seed)
 }
 
-// Bit-packed batch sampling re-exports (internal/frame; packing layout and
-// the 64-shot-block determinism contract in DESIGN.md §8).
-type (
-	// FrameBatch is one 64-shot block in detector-major words.
-	FrameBatch = frame.Batch
-	// FramePacked is the shot-major packed view of a FrameBatch (per-shot
-	// syndromes in Vec.SetBytes layout).
-	FramePacked = frame.Packed
-	// BatchCircuitSampler samples noisy circuit executions 64 shots at a
-	// time by word-parallel Pauli-frame propagation.
-	BatchCircuitSampler = frame.CircuitSampler
-	// BatchDEMSampler samples 64-shot blocks from a detector error model.
-	BatchDEMSampler = frame.DEMSampler
-	// FrameCursor drains per-shot packed rows from a block sampler.
-	FrameCursor = frame.Cursor
-)
-
-// FrameBlockShots is the number of shots per sampled block (64).
-const FrameBlockShots = frame.BlockShots
-
-// NewBatchDEMSampler returns the word-parallel batch counterpart of
-// NewDEMSampler — the engine behind bpsf-dem's default sampling and the
-// decode service's server-side sampling.
-func NewBatchDEMSampler(d *DEM, p float64, seed int64) *BatchDEMSampler {
-	return frame.NewDEMSampler(d, p, seed)
-}
-
-// PackFrameBatch transposes a sampled block into per-shot packed syndrome
-// and observable rows (frame.Pack).
-func PackFrameBatch(b *FrameBatch, p *FramePacked) { frame.Pack(b, p) }
-
 // Experiment harness re-exports.
 type (
 	// MCConfig controls a Monte-Carlo run.
@@ -297,28 +224,6 @@ func RunCapacity(c *Code, mk Factory, cfg MCConfig) (*MCResult, error) {
 // RunCircuit evaluates a decoder on a detector error model.
 func RunCircuit(d *DEM, rounds int, mk Factory, cfg MCConfig) (*MCResult, error) {
 	return sim.RunCircuit(d, rounds, mk, cfg)
-}
-
-// RunMemoryCircuitFrames builds the rounds-round memory experiment for a
-// code and evaluates a decoder with word-parallel circuit-level frame
-// sampling (sim.RunCircuitFrames): the repo's fastest sampling path, and
-// the engine behind bpsf-sim's default circuit model.
-func RunMemoryCircuitFrames(c *Code, rounds int, mk Factory, cfg MCConfig) (*MCResult, error) {
-	circ, err := memexp.Build(c, rounds, memexp.Uniform())
-	if err != nil {
-		return nil, err
-	}
-	d, err := dem.Extract(circ)
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunCircuitFrames(circ, d, rounds, mk, cfg)
-}
-
-// ScheduleLatency models BP-SF post-processing latency (iteration units)
-// under a P-worker pool; see sim.ScheduleLatency.
-func ScheduleLatency(initIters int, trialIters []int, trialSuccess []bool, workers int) int {
-	return sim.ScheduleLatency(initIters, trialIters, trialSuccess, workers)
 }
 
 // LatencyRow is one per-shot time distribution of a latency study.

@@ -112,12 +112,6 @@ func TestFacadeMemoryDEMAndMonteCarlo(t *testing.T) {
 	}
 }
 
-func TestFacadeScheduleLatency(t *testing.T) {
-	if got := ScheduleLatency(5, []int{10, 20}, []bool{false, true}, 2); got != 25 {
-		t.Fatalf("ScheduleLatency = %d, want 25", got)
-	}
-}
-
 func TestFacadeRawDecoder(t *testing.T) {
 	code, err := NewCode("bb72")
 	if err != nil {

@@ -19,8 +19,8 @@ func main() {
 		code.Name, code.N, code.K, code.D)
 
 	// BP-SF: short initial BP, |Φ|=20 oscillating-bit candidates, all
-	// weight-1 syndrome flips, decoded speculatively.
-	const p = 0.03
+	// weight-1 syndrome flips, decoded speculatively on four lanes.
+	const p, lanes = 0.03, 4
 	dec, err := bpsf.NewBPSFRaw(code.HZ, bpsf.UniformPriors(code.N, bpsf.DepolarizingMarginal(p)),
 		bpsf.BPSFConfig{
 			Init:    bpsf.BPConfig{MaxIter: 8},
@@ -28,6 +28,7 @@ func main() {
 			PhiSize: 20,
 			WMax:    1,
 			Policy:  bpsf.Exhaustive,
+			Workers: lanes,
 		})
 	if err != nil {
 		log.Fatal(err)
@@ -77,7 +78,7 @@ func main() {
 		residual.Xor(res.ErrHat)
 		fmt.Printf("  decoded: estimate weight %d, logical error=%v\n",
 			res.ErrHat.Weight(), code.IsLogicalX(residual))
-		fmt.Printf("  serial cost: %d BP iterations; fully parallel latency: %d iterations\n",
-			res.TotalIterations, res.FullParallelIterations)
+		fmt.Printf("  work: %d BP iterations; latency on %d lanes: %d steps\n",
+			res.TotalIterations, lanes, res.Steps)
 	}
 }

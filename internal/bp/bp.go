@@ -258,10 +258,26 @@ func clampInf(m float32) float32 {
 // Decode runs BP on syndrome s.
 func (d *Decoder) Decode(s gf2.Vec) Result { return d.DecodeStop(s, nil) }
 
-// DecodeStop runs BP on syndrome s, aborting early (with Success=false) if
-// stop becomes true. stop may be nil. The abort check costs one atomic load
-// per iteration.
-func (d *Decoder) DecodeStop(s gf2.Vec, stop *atomic.Bool) Result {
+// Bound ends a decode early for a caller that runs several decodes in one
+// virtual time, such as BP-SF's trial lanes. Iteration i of the decode is
+// step Base+i, and it runs only while the pair (Base+i, Key), packed as
+// (Base+i)<<32 | Key, is below *Best, where the caller keeps the least
+// pair at which any of its decodes succeeded. A caller builds one Bound
+// per lane and sets Base and Key before each decode.
+type Bound struct {
+	Best      *atomic.Uint64
+	Base, Key int
+}
+
+// Allows reports whether iteration i of the decode may run: whether its
+// pair is below the best one so far. It costs one atomic load.
+func (b *Bound) Allows(i int) bool {
+	return uint64(b.Base+i)<<32|uint64(b.Key) < b.Best.Load()
+}
+
+// DecodeStop runs BP on syndrome s, ending early (with Success=false)
+// before the first iteration that b does not allow. b may be nil.
+func (d *Decoder) DecodeStop(s gf2.Vec, b *Bound) Result {
 	if s.Len() != d.g.M {
 		panic("bp: syndrome length mismatch")
 	}
@@ -278,7 +294,7 @@ func (d *Decoder) DecodeStop(s gf2.Vec, stop *atomic.Bool) Result {
 	var iters int
 	success := false
 	for iters = 1; iters <= d.cfg.MaxIter; iters++ {
-		if stop != nil && stop.Load() {
+		if b != nil && !b.Allows(iters) {
 			iters-- // this iteration never ran
 			break
 		}

@@ -163,19 +163,26 @@ func TestDecodeStopAborts(t *testing.T) {
 	}
 	g := tanner.New(c.HZ)
 	d := New(g, uniformProbs(c.N, 0.05), Config{MaxIter: 1000})
-	var stop atomic.Bool
-	stop.Store(true)
 	r := rand.New(rand.NewSource(62))
 	e := gf2.NewVec(c.N)
 	for k := 0; k < 25; k++ {
 		e.Set(r.Intn(c.N), true)
 	}
-	res := d.DecodeStop(c.SyndromeOfX(e), &stop)
-	if res.Success {
-		t.Fatal("stopped decode reported success")
-	}
-	if res.Iterations != 0 {
-		t.Fatalf("pre-stopped decode ran %d iterations", res.Iterations)
+	s := c.SyndromeOfX(e)
+	// the best pair (step 5, key 1) beats the first iteration at step 5,
+	// key 2, but not at step 5, key 0 or at step 4
+	var best atomic.Uint64
+	best.Store(5<<32 | 1)
+	for _, tc := range []struct {
+		base, key, iters int
+	}{{4, 2, 0}, {4, 0, 1}, {3, 2, 1}, {0, 7, 4}} {
+		res := d.DecodeStop(s, &Bound{Best: &best, Base: tc.base, Key: tc.key})
+		if res.Success {
+			t.Fatalf("%+v: bounded decode reported success", tc)
+		}
+		if res.Iterations != tc.iters {
+			t.Fatalf("%+v: bounded decode ran %d iterations, want %d", tc, res.Iterations, tc.iters)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bpsf/internal/codes"
 	"bpsf/internal/dem"
@@ -97,9 +96,13 @@ func sameResult(t *testing.T, what string, got, want Result) {
 // exactly the Result of the straightforward reference implementation
 // (reference_test.go) on sampled circuit-level and code-capacity
 // syndromes. One decoder serves all syndromes of a config, so state
-// carried between decodes is covered too.
+// carried between decodes is covered too. Under the race detector the
+// kernel runs tens of times slower, so the corpus shrinks to 40 syndromes.
 func TestKernelMatchesReference(t *testing.T) {
-	const shots = 300
+	shots := 300
+	if raceEnabled {
+		shots = 40
+	}
 	problems := []struct {
 		name string
 		load func(testing.TB) (*tanner.Graph, []float64, []gf2.Vec)
@@ -137,7 +140,7 @@ func TestKernelMatchesReference(t *testing.T) {
 					ref := newReference(d)
 					failures := 0
 					for i, s := range syns {
-						want := ref.decodeStop(s, nil)
+						want := ref.decode(s)
 						sameResult(t, fmt.Sprint("syndrome ", i), d.Decode(s), want)
 						if !want.Success {
 							failures++
@@ -150,9 +153,9 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestKernelStopThenDecode aborts a decode mid-run through DecodeStop and
-// checks both the aborted Result and the next decode on the same Decoder
-// against the reference: an abort must leave no state behind.
+// TestKernelStopThenDecode ends a decode mid-run through a Bound and
+// checks both the cut Result and the next decode on the same Decoder
+// against the reference: a cut must leave no state behind.
 func TestKernelStopThenDecode(t *testing.T) {
 	g, probs, syns := demProblem(t, "bb72", 2, 3e-3, 20)
 	// a dense random syndrome that BP cannot satisfy
@@ -161,31 +164,29 @@ func TestKernelStopThenDecode(t *testing.T) {
 	for c := 0; c < g.M; c++ {
 		hard.Set(c, r.Intn(3) == 0)
 	}
+	// step 50, key 2 beats the decode's iteration 38 at step 12+38, key 3
+	var best atomic.Uint64
+	best.Store(50<<32 | 2)
+	const ran = 37
 	for _, cfg := range []Config{
 		{MaxIter: 1 << 20, TrackOscillation: true},
 		{MaxIter: 1 << 20, Schedule: Layered},
 	} {
 		d := New(g, probs, cfg)
-		var stop atomic.Bool
-		timer := time.AfterFunc(20*time.Millisecond, func() { stop.Store(true) })
-		aborted := d.DecodeStop(hard, &stop)
-		timer.Stop()
-		if aborted.Success {
-			t.Fatal("aborted decode reported success")
+		cut := d.DecodeStop(hard, &Bound{Best: &best, Base: 12, Key: 3})
+		if cut.Success || cut.Iterations != ran {
+			t.Fatalf("cut decode: success %v after %d iterations, want a failure after %d", cut.Success, cut.Iterations, ran)
 		}
-		// the reference with the cap at the abort point runs the same
-		// iterations
+		// the reference with the cap at the cut runs the same iterations
 		refCfg := cfg
-		refCfg.MaxIter = max(aborted.Iterations, 1)
+		refCfg.MaxIter = ran
 		ref := newReference(New(g, probs, refCfg))
-		if aborted.Iterations > 0 {
-			sameResult(t, "aborted decode", aborted, ref.decodeStop(hard, nil))
-		}
+		sameResult(t, "cut decode", cut, ref.decode(hard))
 		// lower the cap so that the failing decodes below stay short
 		ref.cfg.MaxIter = 100
 		d.cfg.MaxIter = 100
 		for i, s := range syns {
-			sameResult(t, fmt.Sprint("decode after abort ", i), d.Decode(s), ref.decodeStop(s, nil))
+			sameResult(t, fmt.Sprint("decode after cut ", i), d.Decode(s), ref.decode(s))
 		}
 	}
 }

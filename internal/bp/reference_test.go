@@ -2,7 +2,6 @@ package bp
 
 import (
 	"math"
-	"sync/atomic"
 
 	"bpsf/internal/gf2"
 	"bpsf/internal/tanner"
@@ -42,9 +41,9 @@ func newReference(d *Decoder) *refDecoder {
 	}
 }
 
-// decodeStop is Decoder.DecodeStop on the reference kernel. The Result
-// owns fresh buffers.
-func (d *refDecoder) decodeStop(s gf2.Vec, stop *atomic.Bool) Result {
+// decode is Decoder.Decode on the reference kernel. The Result owns fresh
+// buffers.
+func (d *refDecoder) decode(s gf2.Vec) Result {
 	for i := range d.c2v {
 		d.c2v[i] = 0
 	}
@@ -57,10 +56,6 @@ func (d *refDecoder) decodeStop(s gf2.Vec, stop *atomic.Bool) Result {
 	var iters int
 	success := false
 	for iters = 1; iters <= d.cfg.MaxIter; iters++ {
-		if stop != nil && stop.Load() {
-			iters--
-			break
-		}
 		alpha := float32(d.alpha(iters))
 		var satisfied bool
 		switch {

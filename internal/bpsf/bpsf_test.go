@@ -57,7 +57,7 @@ func TestPrecisionRecall(t *testing.T) {
 
 func TestExhaustiveTrialsWeightOne(t *testing.T) {
 	phi := []int{7, 3, 9}
-	trials, err := GenerateTrials(phi, Exhaustive, 1, 0, nil)
+	trials, err := new(trialGenerator).generate(phi, Exhaustive, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestExhaustiveTrialsWeightOne(t *testing.T) {
 
 func TestExhaustiveTrialsWeightTwo(t *testing.T) {
 	phi := []int{1, 2, 3, 4}
-	trials, err := GenerateTrials(phi, Exhaustive, 2, 0, nil)
+	trials, err := new(trialGenerator).generate(phi, Exhaustive, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestExhaustiveTrialsWeightTwo(t *testing.T) {
 }
 
 func TestExhaustiveTrialsClampWMax(t *testing.T) {
-	trials, err := GenerateTrials([]int{1, 2}, Exhaustive, 5, 0, nil)
+	trials, err := new(trialGenerator).generate([]int{1, 2}, Exhaustive, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestExhaustiveTrialsClampWMax(t *testing.T) {
 func TestSampledTrials(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	phi := []int{10, 20, 30, 40, 50}
-	trials, err := GenerateTrials(phi, Sampled, 3, 4, rng)
+	trials, err := new(trialGenerator).generate(phi, Sampled, 3, 4, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +131,13 @@ func TestSampledTrials(t *testing.T) {
 }
 
 func TestGenerateTrialsErrors(t *testing.T) {
-	if _, err := GenerateTrials([]int{1}, Exhaustive, 0, 0, nil); err == nil {
+	if _, err := new(trialGenerator).generate([]int{1}, Exhaustive, 0, 0, nil); err == nil {
 		t.Fatal("wMax=0 accepted")
 	}
-	if _, err := GenerateTrials([]int{1}, Sampled, 1, 0, nil); err == nil {
+	if _, err := new(trialGenerator).generate([]int{1}, Sampled, 1, 0, nil); err == nil {
 		t.Fatal("ns=0 accepted for sampled")
 	}
-	if _, err := GenerateTrials([]int{1}, TrialPolicy(9), 1, 1, nil); err == nil {
+	if _, err := new(trialGenerator).generate([]int{1}, TrialPolicy(9), 1, 1, nil); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -232,8 +232,8 @@ func decodeMany(t *testing.T, workers int, seed int64) (successes, postUses int)
 		if res.TotalIterations < res.InitIterations {
 			t.Fatal("total iterations below init iterations")
 		}
-		if res.FullParallelIterations > res.TotalIterations {
-			t.Fatal("full-parallel latency exceeds serial latency")
+		if res.Steps > res.TotalIterations {
+			t.Fatal("latency in steps exceeds the work")
 		}
 	}
 	return successes, postUses
@@ -266,43 +266,78 @@ func decodeTrial(g *tanner.Graph, probs []float64, trialCfg bp.Config, s gf2.Vec
 // serialReference is Algorithm 1 as a plain in-order loop, with the
 // one-lane accounting: trials decode in index order, the first success
 // wins and ends the stage unless cfg.DecodeAllTrials. Sampled trials draw
-// from a fresh generator seeded with seed.
-func serialReference(g *tanner.Graph, probs []float64, cfg Config, s gf2.Vec, seed int64) Result {
+// from a fresh generator seeded with seed. It also returns the trials.
+func serialReference(g *tanner.Graph, probs []float64, cfg Config, s gf2.Vec, seed int64) (Result, [][]int) {
 	initCfg, trialCfg := trialConfigs(cfg)
 	ir := bp.New(g, probs, initCfg).Decode(s)
 	res := Result{Success: ir.Success, ErrHat: ir.ErrHat, InitIterations: ir.Iterations, WinningTrial: -1,
-		TotalIterations: ir.Iterations, FullParallelIterations: ir.Iterations}
+		TotalIterations: ir.Iterations, Steps: ir.Iterations}
 	if ir.Success {
-		return res
+		return res, nil
 	}
 	res.UsedPostProcessing = true
 	res.Candidates = SelectCandidates(ir.FlipCount, ir.Marginal, cfg.PhiSize)
-	trials, _ := GenerateTrials(res.Candidates, cfg.Policy, cfg.WMax, cfg.NS, rand.New(rand.NewSource(seed)))
+	trials, _ := new(trialGenerator).generate(res.Candidates, cfg.Policy, cfg.WMax, cfg.NS, rand.New(rand.NewSource(seed)))
 	res.Trials = len(trials)
-	slowest := 0
 	for k, t := range trials {
 		tr := decodeTrial(g, probs, trialCfg, s, t)
 		res.TrialIterations = append(res.TrialIterations, tr.Iterations)
 		res.TrialSuccess = append(res.TrialSuccess, tr.Success)
-		slowest = max(slowest, tr.Iterations)
 		if res.WinningTrial >= 0 {
 			continue
 		}
 		res.TotalIterations += tr.Iterations
 		if tr.Success {
 			res.Success, res.ErrHat, res.WinningTrial = true, tr.ErrHat, k
-			res.FullParallelIterations += tr.Iterations
 			if !cfg.DecodeAllTrials {
-				return res
+				break
 			}
 		}
 	}
-	if res.WinningTrial < 0 && len(trials) > 0 {
-		if cfg.DecodeAllTrials {
-			res.FullParallelIterations += slowest
-		} else {
-			res.FullParallelIterations += trialCfg.MaxIter
+	res.Steps = res.TotalIterations
+	return res, trials
+}
+
+// laneReference is the Result at the given lane count in closed form.
+// From the syndrome's one-lane DecodeAllTrials records (all, over trials),
+// Schedule gives the winner and its step; each trial's record is then cut
+// to the iterations whose (step, trial) pair comes no later than the
+// winner's, one iteration at a time, and the winner's estimate is its own
+// trial's.
+func laneReference(g *tanner.Graph, probs []float64, cfg Config, s gf2.Vec, all Result, trials [][]int, lanes int) Result {
+	res := all
+	if !res.UsedPostProcessing {
+		return res
+	}
+	steps, winner := Schedule(all.TrialIterations, all.TrialSuccess, lanes)
+	res.Steps = res.InitIterations + steps
+	res.TotalIterations = res.InitIterations
+	res.WinningTrial = winner
+	if winner >= 0 {
+		_, trialCfg := trialConfigs(cfg)
+		res.ErrHat = decodeTrial(g, probs, trialCfg, s, trials[winner]).ErrHat
+	}
+	iters := make([]int, len(trials))
+	succ := make([]bool, len(trials))
+	started := 0
+	for k, n := range all.TrialIterations {
+		base := 0
+		for j := k % lanes; j < k; j += lanes {
+			base += all.TrialIterations[j]
 		}
+		for i := 1; i <= n; i++ {
+			if step := base + i; winner < 0 || step < steps || step == steps && k <= winner {
+				iters[k] = i
+			}
+		}
+		succ[k] = all.TrialSuccess[k] && iters[k] == n
+		res.TotalIterations += iters[k]
+		if iters[k] > 0 {
+			started = k + 1
+		}
+	}
+	if !cfg.DecodeAllTrials {
+		res.TrialIterations, res.TrialSuccess = iters[:started], succ[:started]
 	}
 	return res
 }
@@ -316,9 +351,9 @@ func fields(r Result) string {
 }
 
 // TestDecodeWorkerCounts pins the trial engine at every lane count on a
-// heavier decodeMany corpus (about a third of it post-processed): one lane equals the serial reference in every field,
-// more lanes return a valid winning trial's own estimate, and with
-// DecodeAllTrials the Result does not depend on the lane count at all.
+// heavier decodeMany corpus (about a third of it post-processed): at P
+// lanes the Result equals laneReference field for field, with and without
+// DecodeAllTrials, and one lane also equals the serial reference.
 func TestDecodeWorkerCounts(t *testing.T) {
 	const seed = 93
 	c, probs, syndromes := bb154Corpus(t, 200, 9, seed)
@@ -332,12 +367,27 @@ func TestDecodeWorkerCounts(t *testing.T) {
 		name string
 		cfg  Config
 	}{{"exhaustive", bb154Config}, {"sampled", sampled}} {
+		allCfg := base.cfg
+		allCfg.DecodeAllTrials = true
+		records := make([]Result, len(syndromes))
+		trials := make([][][]int, len(syndromes))
+		post, wins := 0, 0
+		for i, s := range syndromes {
+			records[i], trials[i] = serialReference(g, probs, allCfg, s, seed+int64(i))
+			if records[i].UsedPostProcessing {
+				post++
+			}
+			if records[i].WinningTrial >= 0 {
+				wins++
+			}
+		}
+		if post == 0 || wins == 0 {
+			t.Fatalf("%s: %d post-processed, %d trial wins; corpus too easy", base.name, post, wins)
+		}
 		for _, all := range []bool{false, true} {
 			cfg := base.cfg
 			cfg.DecodeAllTrials = all
-			_, trialCfg := trialConfigs(cfg)
-			oneLane := make([]string, len(syndromes))
-			post, wins := 0, 0
+			changed := 0
 			for _, workers := range []int{1, 2, 4, 8} {
 				cfg.Workers = workers
 				d, err := New(c.HZ, probs, cfg)
@@ -349,42 +399,22 @@ func TestDecodeWorkerCounts(t *testing.T) {
 					d.Reseed(seed + int64(i))
 					r := d.Decode(s)
 					got := fields(r)
+					if want := fields(laneReference(g, probs, cfg, s, records[i], trials[i], workers)); got != want {
+						t.Fatalf("%s: differs from the closed form\n got %s\nwant %s", name, got, want)
+					}
 					if workers == 1 {
-						oneLane[i] = got
-						if want := fields(serialReference(g, probs, cfg, s, seed+int64(i))); got != want {
+						serial, _ := serialReference(g, probs, cfg, s, seed+int64(i))
+						if want := fields(serial); got != want {
 							t.Fatalf("%s: one lane differs from the serial reference\n got %s\nwant %s", name, got, want)
 						}
-						if r.UsedPostProcessing {
-							post++
-						}
-						if r.WinningTrial >= 0 {
-							wins++
-						}
-						continue
 					}
-					if all && got != oneLane[i] {
-						t.Fatalf("%s: DecodeAllTrials result differs from one lane\n got %s\nwant %s", name, got, oneLane[i])
-					}
-					if r.Success && !c.SyndromeOfX(r.ErrHat).Equal(s) {
-						t.Fatalf("%s: estimate does not satisfy the syndrome", name)
-					}
-					if r.WinningTrial < 0 {
-						continue
-					}
-					if r.WinningTrial >= len(r.TrialIterations) || !r.TrialSuccess[r.WinningTrial] {
-						t.Fatalf("%s: WinningTrial %d is not a recorded success (%v)", name, r.WinningTrial, r.TrialSuccess)
-					}
-					trials, err := GenerateTrials(r.Candidates, cfg.Policy, cfg.WMax, cfg.NS, rand.New(rand.NewSource(seed+int64(i))))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := decodeTrial(g, probs, trialCfg, s, trials[r.WinningTrial]).ErrHat; !r.ErrHat.Equal(want) {
-						t.Fatalf("%s: ErrHat is not trial %d's own estimate", name, r.WinningTrial)
+					if r.WinningTrial != records[i].WinningTrial {
+						changed++
 					}
 				}
 			}
-			if post == 0 || wins == 0 {
-				t.Fatalf("%s all=%v: %d post-processed, %d trial wins; corpus too easy", base.name, all, post, wins)
+			if changed == 0 {
+				t.Fatalf("%s all=%v: every lane count kept the serial winner; the corpus does not tell the schedules apart", base.name, all)
 			}
 		}
 	}
@@ -496,8 +526,8 @@ func TestDecodeEasySyndromeSkipsPostProcessing(t *testing.T) {
 // TestSplitInitOneProcessor decodes with a four-lane decoder, built while
 // GOMAXPROCS is 4 so that its initial BP splits into four parts (the bb144
 // DEM has enough edges for five), after GOMAXPROCS has dropped to 1: the
-// split must make progress, helpers or no, and with DecodeAllTrials every
-// Result must equal one lane's.
+// split must make progress, helpers or no, and the four lanes, more than
+// there are processors, must still return laneReference's Result.
 func TestSplitInitOneProcessor(t *testing.T) {
 	const seed = 94
 	css, err := codes.BB144()
@@ -519,31 +549,32 @@ func TestSplitInitOneProcessor(t *testing.T) {
 		syndromes[i] = syn.Clone()
 	}
 	cfg := Config{
-		Init:            bp.Config{MaxIter: 30},
-		Trial:           bp.Config{MaxIter: 10},
-		PhiSize:         6,
-		WMax:            2,
-		NS:              2,
-		Policy:          Sampled,
-		Seed:            seed,
-		DecodeAllTrials: true,
+		Init:    bp.Config{MaxIter: 30},
+		Trial:   bp.Config{MaxIter: 10},
+		PhiSize: 6,
+		WMax:    2,
+		NS:      2,
+		Policy:  Sampled,
 	}
-	one, err := New(m.H, sampler.Priors(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := tanner.New(m.H)
+	allCfg := cfg
+	allCfg.DecodeAllTrials = true
 	want := make([]string, len(syndromes))
 	trials := 0
 	for i, s := range syndromes {
-		r := one.Decode(s)
-		want[i] = fields(r)
-		trials += r.Trials
+		all, ts := serialReference(g, sampler.Priors(), allCfg, s, seed+int64(i))
+		want[i] = fields(laneReference(g, sampler.Priors(), cfg, s, all, ts, 4))
+		trials += all.Trials
 	}
 	if trials == 0 {
 		t.Fatal("no syndrome reached the trial stage")
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	one, err := New(m.H, sampler.Priors(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Workers = 4
 	four, err := New(m.H, sampler.Priors(), cfg)
 	if err != nil {
@@ -557,6 +588,7 @@ func TestSplitInitOneProcessor(t *testing.T) {
 	done := make(chan error)
 	go func() {
 		for i, s := range syndromes {
+			four.Reseed(seed + int64(i))
 			if got := fields(four.Decode(s)); got != want[i] {
 				done <- fmt.Errorf("syndrome %d: four lanes on one processor\n got %s\nwant %s", i, got, want[i])
 				return
@@ -571,5 +603,35 @@ func TestSplitInitOneProcessor(t *testing.T) {
 		}
 	case <-time.After(2 * time.Minute):
 		t.Fatal("four-lane decodes on one processor did not finish in 2 minutes")
+	}
+}
+
+func TestSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		iters         []int
+		success       []bool
+		lanes         int
+		steps, winner int
+	}{
+		// one lane: the first success, after every earlier trial
+		{[]int{6, 6, 3, 6, 2}, []bool{false, false, true, false, true}, 1, 15, 2},
+		// lane 0 takes trials 0, 2, 4 and wins with trial 2 at 6+3
+		{[]int{6, 6, 3, 6, 2}, []bool{false, false, true, false, true}, 2, 9, 2},
+		// trial 4 (lane 1) at 6+2 loses to trial 2 (lane 2) at 3
+		{[]int{6, 6, 3, 6, 2}, []bool{false, false, true, false, true}, 3, 3, 2},
+		// a later trial wins when it succeeds at an earlier step
+		{[]int{6, 3, 6, 6, 1}, []bool{false, true, false, false, true}, 4, 3, 1},
+		{[]int{6, 3, 6, 6, 1}, []bool{false, true, false, false, true}, 5, 1, 4},
+		// equal steps: the lower trial wins
+		{[]int{3, 3}, []bool{true, true}, 2, 3, 0},
+		// no success: the longest lane
+		{[]int{6, 6, 6}, nil, 2, 12, -1},
+		{[]int{6, 6, 6}, nil, 0, 18, -1},
+		{nil, nil, 4, 0, -1},
+	} {
+		steps, winner := Schedule(tc.iters, tc.success, tc.lanes)
+		if steps != tc.steps || winner != tc.winner {
+			t.Errorf("Schedule(%v, %v, %d) = %d, %d, want %d, %d", tc.iters, tc.success, tc.lanes, steps, winner, tc.steps, tc.winner)
+		}
 	}
 }

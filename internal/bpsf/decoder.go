@@ -2,6 +2,7 @@ package bpsf
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -34,21 +35,23 @@ type Config struct {
 	// Policy selects exhaustive (code capacity) or sampled (circuit level)
 	// trial generation.
 	Policy TrialPolicy
-	// Workers is the number of lanes decoding one syndrome; 0 means 1,
-	// negative is rejected. The lanes decode the trials concurrently:
-	// they start trials in index order and the first success to complete
-	// stops the rest, so one lane decodes trials strictly in order on the
-	// calling goroutine. Before that, a flooding min-sum initial BP is
-	// split into up to min(Workers, GOMAXPROCS) parts, fewer on a graph
+	// Workers is the number of lanes P decoding one syndrome; 0 means 1,
+	// negative is rejected. Lane l decodes trials l, l+P, l+2P, … in
+	// order, and the winner is the success first in virtual time (see
+	// Schedule), so the Result is a function of the syndrome, the seed
+	// and P, whatever the timing. One lane is serial Algorithm 1 on the
+	// calling goroutine. Before the trials, a flooding min-sum initial BP
+	// is split into up to min(Workers, GOMAXPROCS) parts, fewer on a graph
 	// too small to pay for them (bp.NewSplit); its Result does not depend
 	// on the number of parts.
 	Workers int
 	// Seed seeds the trial-sampling RNG (Sampled policy).
 	Seed int64
-	// DecodeAllTrials keeps decoding after the first success so that every
+	// DecodeAllTrials decodes every trial to its end so that every
 	// trial's iteration count is recorded (needed by the latency schedule
-	// model and the GPU estimator). Nothing is cancelled, so the lowest
-	// successful trial wins and the Result is the same for every Workers.
+	// and the GPU estimator). It changes only TrialIterations and
+	// TrialSuccess: the winner, the estimate and the iteration totals are
+	// those of the decode without it.
 	DecodeAllTrials bool
 }
 
@@ -73,25 +76,30 @@ type Result struct {
 	Candidates []int
 	// Trials is the number of trial vectors generated.
 	Trials int
-	// TrialIterations[k] is the iteration count of trial k. It covers
-	// every trial a lane started: trials 0..WinningTrial with one lane,
-	// all of them with DecodeAllTrials. A trial cancelled by another
-	// lane's success records the iterations it ran, possibly 0.
+	// TrialIterations[k] is the iteration count of trial k up to the
+	// winner's virtual step: the iterations every lane runs whatever the
+	// timing. It covers the trials whose first iteration precedes the
+	// winner's success in virtual time (trials 0..WinningTrial with one
+	// lane), or all of them when no trial succeeds. With DecodeAllTrials
+	// it covers every trial in full.
 	TrialIterations []int
-	// TrialSuccess[k] reports whether trial k converged. Used by the
-	// worker-schedule latency model.
+	// TrialSuccess[k] reports whether trial k converged within its
+	// TrialIterations[k]; only the winner does, unless DecodeAllTrials.
 	TrialSuccess []bool
 	// WinningTrial is the index of the trial whose estimate is ErrHat (an
 	// index into Trial* and the generated trials), or -1.
 	WinningTrial int
-	// TotalIterations is the serial-accounting complexity: initial
-	// iterations plus the recorded iterations of trials 0..WinningTrial,
-	// or of every recorded trial when none succeeded (paper §V-C).
+	// TotalIterations is the work: initial iterations plus the trial
+	// iterations that precede the winner's step. With one lane that is
+	// the paper's serial accounting (§V-C): the trials 0..WinningTrial, or
+	// every trial when none succeeded.
 	TotalIterations int
-	// FullParallelIterations is the latency in BP-iteration units assuming
-	// one worker per trial: init iterations + the winning trial's
-	// iterations (or the slowest recorded trial's when all fail).
-	FullParallelIterations int
+	// Steps is the latency in BP-iteration units at this decoder's lanes:
+	// initial iterations plus the trial stage's virtual steps (Schedule).
+	// With one lane it equals TotalIterations; with a lane per trial it is
+	// the winning trial's own iterations, or the slowest trial's when all
+	// fail.
+	Steps int
 	// InitTime and PostTime are the wall-clock stage durations.
 	InitTime, PostTime time.Duration
 }
@@ -101,7 +109,7 @@ type Result struct {
 // Both stages use Config.Workers goroutines, the calling one among them:
 // a flooding min-sum initial BP runs in parts (bp.Split, whose helpers
 // take a part of an iteration whenever they have a processor), and the
-// trials are shared out among the lanes, lane 0 on the calling goroutine
+// trials are dealt out among the lanes, lane 0 on the calling goroutine
 // and the others on goroutines spawned per decode.
 type Decoder struct {
 	h   *sparse.Mat
@@ -114,24 +122,24 @@ type Decoder struct {
 	// per-decode scratch, reused so steady-state decoding is allocation-free
 	phiSel     candidateSelector
 	trialGen   trialGenerator
-	trialIters []int   // Result.TrialIterations backing, trial-indexed
-	trialSucc  []bool  // Result.TrialSuccess backing, trial-indexed
-	errHat     gf2.Vec // the winning trial's estimate, flipped back
+	trialIters []int  // Result.TrialIterations backing, trial-indexed
+	trialSucc  []bool // Result.TrialSuccess backing, trial-indexed
 
 	// trial-stage state shared by the lanes during one decode
 	s      gf2.Vec
 	trials [][]int
-	next   atomic.Int64 // next unclaimed trial index
-	stop   atomic.Bool  // set by the first success unless DecodeAllTrials
+	best   atomic.Uint64 // least success so far, step<<32 | trial
 	wg     sync.WaitGroup
-	mu     sync.Mutex // guards winner and errHat
-	winner int
 }
 
-// lane is one trial worker: a BP decoder and its trial-syndrome buffer.
+// lane is one trial worker: a BP decoder, its trial-syndrome buffer and
+// the estimate of its first success.
 type lane struct {
-	bp *bp.Decoder
-	sp gf2.Vec
+	bp    *bp.Decoder
+	sp    gf2.Vec
+	bound bp.Bound // the lane's current trial against Decoder.best
+	est   gf2.Vec  // the lane's first successful estimate, flipped back
+	won   bool     // est holds an estimate from this decode
 	// spawn runs the lane and signals wg; built once in New so that
 	// starting a lane goroutine allocates nothing
 	spawn func()
@@ -161,12 +169,11 @@ func New(h *sparse.Mat, probs []float64, cfg Config) (*Decoder, error) {
 	}
 	trialCfg.TrackOscillation = false
 	d := &Decoder{
-		h:      h,
-		cfg:    cfg,
-		init:   bp.NewSplit(bp.New(g, probs, initCfg), min(cfg.Workers, runtime.GOMAXPROCS(0))),
-		lanes:  make([]lane, max(cfg.Workers, 1)),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		errHat: gf2.NewVec(g.N),
+		h:     h,
+		cfg:   cfg,
+		init:  bp.NewSplit(bp.New(g, probs, initCfg), min(cfg.Workers, runtime.GOMAXPROCS(0))),
+		lanes: make([]lane, max(cfg.Workers, 1)),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for i := range d.lanes {
 		l := &d.lanes[i]
@@ -176,9 +183,11 @@ func New(h *sparse.Mat, probs []float64, cfg Config) (*Decoder, error) {
 			l.bp = d.lanes[0].bp.Clone()
 		}
 		l.sp = gf2.NewVec(g.M)
+		l.est = gf2.NewVec(g.N)
+		l.bound.Best = &d.best
 		l.spawn = func() {
 			defer d.wg.Done()
-			d.runLane(l)
+			d.runLane(i)
 		}
 	}
 	return d, nil
@@ -202,13 +211,13 @@ func (d *Decoder) Decode(s gf2.Vec) Result {
 	t0 := time.Now()
 	initRes := d.init.Decode(s)
 	res := Result{
-		Success:                initRes.Success,
-		ErrHat:                 initRes.ErrHat,
-		InitIterations:         initRes.Iterations,
-		WinningTrial:           -1,
-		TotalIterations:        initRes.Iterations,
-		FullParallelIterations: initRes.Iterations,
-		InitTime:               time.Since(t0),
+		Success:         initRes.Success,
+		ErrHat:          initRes.ErrHat,
+		InitIterations:  initRes.Iterations,
+		WinningTrial:    -1,
+		TotalIterations: initRes.Iterations,
+		Steps:           initRes.Iterations,
+		InitTime:        time.Since(t0),
 	}
 	if initRes.Success {
 		return res
@@ -224,74 +233,87 @@ func (d *Decoder) Decode(s gf2.Vec) Result {
 
 	t1 := time.Now()
 	res.Trials = len(trials)
-	started := d.decodeTrials(s, trials)
-	res.TrialIterations = d.trialIters[:started]
-	res.TrialSuccess = d.trialSucc[:started]
-	res.WinningTrial = d.winner
-	counted := res.TrialIterations
-	if d.winner >= 0 {
+	d.decodeTrials(s, trials)
+	iters, succ := d.trialIters, d.trialSucc
+	steps, winner := Schedule(iters, succ, len(d.lanes))
+	work, started := cutToWinner(iters, succ, len(d.lanes), steps, winner, !d.cfg.DecodeAllTrials)
+	if d.cfg.DecodeAllTrials {
+		started = len(trials)
+	}
+	res.TrialIterations, res.TrialSuccess = iters[:started], succ[:started]
+	res.WinningTrial = winner
+	if winner >= 0 {
 		res.Success = true
-		res.ErrHat = d.errHat
-		counted = counted[:d.winner+1]
-		res.FullParallelIterations += counted[d.winner]
-	} else if len(counted) > 0 {
-		res.FullParallelIterations += slices.Max(counted)
+		res.ErrHat = d.lanes[winner%len(d.lanes)].est
 	}
-	for _, it := range counted {
-		res.TotalIterations += it
-	}
+	res.TotalIterations += work
+	res.Steps += steps
 	res.PostTime = time.Since(t1)
 	return res
 }
 
-// decodeTrials decodes the trial syndromes s ⊕ tHᵀ on every lane, filling
-// the trial-indexed records and d.winner, and returns how many trials were
-// started (the length of the records).
-func (d *Decoder) decodeTrials(s gf2.Vec, trials [][]int) int {
+// decodeTrials decodes the trial syndromes s ⊕ tHᵀ on every lane, leaving
+// in the trial-indexed records each trial's iterations and success as its
+// lane ran them (0 and false for a trial never started) and in each lane
+// the estimate of its first success.
+func (d *Decoder) decodeTrials(s gf2.Vec, trials [][]int) {
 	d.s, d.trials = s, trials
 	d.trialIters = slices.Grow(d.trialIters[:0], len(trials))[:len(trials)]
 	d.trialSucc = slices.Grow(d.trialSucc[:0], len(trials))[:len(trials)]
-	d.next.Store(0)
-	d.stop.Store(false)
-	d.winner = -1
+	clear(d.trialIters)
+	clear(d.trialSucc)
+	d.best.Store(math.MaxUint64)
 	d.wg.Add(len(d.lanes) - 1)
 	for i := 1; i < len(d.lanes); i++ {
 		go d.lanes[i].spawn()
 	}
-	d.runLane(&d.lanes[0])
+	d.runLane(0)
 	d.wg.Wait()
-	return min(int(d.next.Load()), len(trials))
 }
 
-// runLane claims trial indices in order until they run out or a success
-// stops the stage. A success offers its flipped-back estimate to the
-// decoder; the lowest trial index among the offers wins, which with one
-// lane or DecodeAllTrials is the lowest successful trial.
-func (d *Decoder) runLane(l *lane) {
-	for !d.stop.Load() {
-		k := int(d.next.Add(1) - 1)
-		if k >= len(d.trials) {
+// runLane decodes lane i's trials i, i+P, i+2P, … in order, each starting
+// at the virtual step where the lane's previous trial ended. A success at
+// step f offers (f, k) to d.best; the lane then stops, since its later
+// trials start after f. Unless DecodeAllTrials, the lane drops a trial as
+// soon as d.best beats its (step, k), and starts none whose first step is
+// beaten: only iterations that cannot precede the winner are skipped.
+func (d *Decoder) runLane(i int) {
+	l := &d.lanes[i]
+	l.won = false
+	var bound *bp.Bound
+	if !d.cfg.DecodeAllTrials {
+		bound = &l.bound
+	}
+	base := 0
+	for k := i; k < len(d.trials); k += len(d.lanes) {
+		l.bound.Base, l.bound.Key = base, k
+		if bound != nil && !bound.Allows(1) {
 			return
 		}
 		t := d.trials[k]
 		l.sp.CopyFrom(d.s)
 		d.h.MulSupportInto(l.sp, t)
-		tr := l.bp.DecodeStop(l.sp, &d.stop)
+		tr := l.bp.DecodeStop(l.sp, bound)
 		d.trialIters[k], d.trialSucc[k] = tr.Iterations, tr.Success
-		if !tr.Success {
+		base += tr.Iterations
+		if !tr.Success || l.won {
 			continue
 		}
-		d.mu.Lock()
-		if d.winner < 0 || k < d.winner {
-			d.winner = k
-			d.errHat.CopyFrom(tr.ErrHat)
-			for _, col := range t {
-				d.errHat.Flip(col)
-			}
+		l.won = true
+		l.est.CopyFrom(tr.ErrHat)
+		for _, col := range t {
+			l.est.Flip(col)
 		}
-		d.mu.Unlock()
-		if !d.cfg.DecodeAllTrials {
-			d.stop.Store(true)
+		if bound == nil {
+			continue
 		}
+		offer(&d.best, uint64(base)<<32|uint64(k))
+		return
+	}
+}
+
+// offer lowers best to v unless it already holds a lower value.
+func offer(best *atomic.Uint64, v uint64) {
+	for old := best.Load(); v < old && !best.CompareAndSwap(old, v); old = best.Load() {
 	}
 }

@@ -32,18 +32,12 @@ func (p TrialPolicy) String() string {
 // maxExhaustiveTrials bounds combinatorial explosion in Exhaustive mode.
 const maxExhaustiveTrials = 200000
 
-// GenerateTrials produces the trial vectors (as candidate-index subsets of
-// phi) for one failed decode. rng is only used by the Sampled policy.
-func GenerateTrials(phi []int, policy TrialPolicy, wMax, ns int, rng *rand.Rand) ([][]int, error) {
-	var gen trialGenerator
-	return gen.generate(phi, policy, wMax, ns, rng)
-}
-
-// trialGenerator is the reusable-scratch implementation behind
-// GenerateTrials: all trial supports live in one arena slice and the
-// returned [][]int views are rebuilt over it each call, so trial generation
-// in the decode hot path is allocation-free after warm-up. The returned
-// slices stay valid until the next generate call.
+// trialGenerator produces the trial vectors (as candidate-index subsets of
+// Φ) for one failed decode, in reusable scratch: all trial supports live
+// in one arena slice and the returned [][]int views are rebuilt over it
+// each call, so trial generation in the decode hot path is allocation-free
+// after warm-up. The returned slices stay valid until the next generate
+// call.
 type trialGenerator struct {
 	arena   []int   // concatenated trial supports
 	lens    []int   // per-trial weights

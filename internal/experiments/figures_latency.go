@@ -305,7 +305,7 @@ func latencyFigure(o Opts, name, title, notes string, gpu bool) (FigureResult, e
 // records via the schedule model.
 func Fig15(o Opts) (FigureResult, error) {
 	return latencyFigure(o, "fig15", "== fig15: decode-time distribution, BB[[144,12,12]], p=3e-3 ==",
-		"P>1 rows derive from the schedule model (iteration units × each shot's measured time per iteration) over serial per-trial records, which stop at the first success; a later trial can finish first at P>1, so these rows are upper bounds",
+		"P>1 rows derive from the schedule model (iteration units × each shot's measured time per iteration) over serial per-trial records, which stop at the first success; a later trial can win in virtual time at P>1, so these rows are upper bounds",
 		false)
 }
 

@@ -164,7 +164,9 @@ func TestRunCapacityWorkerInvariance(t *testing.T) {
 }
 
 // TestRunCircuitWorkerInvariance covers the circuit-level path, including
-// the stochastic (Sampled) BP-SF trial stream, which must reseed per shard.
+// the stochastic (Sampled) BP-SF trial stream, which must reseed per shard,
+// with one trial lane and with two: a decoder's lanes are part of its
+// identity, and its run must not depend on the shard workers either.
 func TestRunCircuitWorkerInvariance(t *testing.T) {
 	css, err := codes.Surface(3)
 	if err != nil {
@@ -178,25 +180,31 @@ func TestRunCircuitWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(h *sparse.Mat, priors []float64) (Decoder, error) {
-		return NewBPSF(h, priors, bpsf.Config{
-			Init:    bp.Config{MaxIter: 30},
-			Trial:   bp.Config{MaxIter: 30},
-			PhiSize: 8, WMax: 2, NS: 3, Policy: bpsf.Sampled,
-		})
-	}
-	cfg := Config{P: 0.01, Shots: 80, Seed: 13, KeepRecords: true, Workers: 1}
-	base, err := RunCircuit(d, 2, mk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		cfg.Workers = workers
-		got, err := RunCircuit(d, 2, mk, cfg)
+	for _, lanes := range []int{1, 2} {
+		mk := func(h *sparse.Mat, priors []float64) (Decoder, error) {
+			return NewBPSF(h, priors, bpsf.Config{
+				Init:    bp.Config{MaxIter: 30},
+				Trial:   bp.Config{MaxIter: 30},
+				PhiSize: 8, WMax: 2, NS: 3, Policy: bpsf.Sampled,
+				Workers: lanes,
+			})
+		}
+		cfg := Config{P: 0.01, Shots: 80, Seed: 13, KeepRecords: true, Workers: 1}
+		base, err := RunCircuit(d, 2, mk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertRunsIdentical(t, fmt.Sprintf("workers=%d", workers), base, got)
+		if base.PostUsed == 0 {
+			t.Fatalf("lanes=%d: no shot reached the trial stage", lanes)
+		}
+		for _, workers := range []int{2, 8} {
+			cfg.Workers = workers
+			got, err := RunCircuit(d, 2, mk, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRunsIdentical(t, fmt.Sprintf("lanes=%d workers=%d", lanes, workers), base, got)
+		}
 	}
 }
 

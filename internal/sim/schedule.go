@@ -1,74 +1,25 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"strings"
 	"time"
+
+	"bpsf/internal/bpsf"
 )
 
-// ScheduleLatency models the BP-SF post-processing latency, in BP-iteration
-// units, on a machine with `workers` parallel workers (the paper's
-// multi-process CPU pool): trials are dispatched in order to the earliest
-// free worker; the first successful trial's completion time ends the
-// decode (remaining work is cancelled and does not add latency). When no
-// trial succeeds, the result is the makespan of all trials.
-//
-// initIters (the initial serial BP stage) is added to the returned latency.
-// With workers ≥ len(trialIters) this reduces to the paper's fully-parallel
-// bound: init + the winning trial's own iteration count.
+// ScheduleLatency is the latency, in BP-iteration units, of a BP-SF decode
+// on `workers` trial lanes: initIters (the initial BP stage) plus the
+// trial stage's virtual steps in closed form (bpsf.Schedule). Lane l takes
+// trials l, l+P, l+2P, …; the success first in virtual time ends the
+// decode, and when no trial succeeds the longest lane does. On a decode's
+// full trial records it is exactly the Steps a bpsf.Decoder with that
+// many lanes reports. With workers ≥ len(trialIters) it is the paper's
+// fully parallel bound: init + the winning trial's own iteration count.
 func ScheduleLatency(initIters int, trialIters []int, trialSuccess []bool, workers int) int {
-	if len(trialIters) == 0 {
-		return initIters
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(trialIters) {
-		workers = len(trialIters)
-	}
-	free := make(intHeap, workers) // worker availability times, all 0
-	heap.Init(&free)
-	best := -1
-	makespan := 0
-	for k, iters := range trialIters {
-		start := free[0]
-		if best >= 0 && start >= best {
-			// a success already completed before this trial could start;
-			// it is cancelled
-			continue
-		}
-		done := start + iters
-		heap.Pop(&free)
-		heap.Push(&free, done)
-		if done > makespan {
-			makespan = done
-		}
-		if k < len(trialSuccess) && trialSuccess[k] {
-			if best < 0 || done < best {
-				best = done
-			}
-		}
-	}
-	if best >= 0 {
-		return initIters + best
-	}
-	return initIters + makespan
-}
-
-type intHeap []int
-
-func (h intHeap) Len() int            { return len(h) }
-func (h intHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x interface{}) { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	steps, _ := bpsf.Schedule(trialIters, trialSuccess, workers)
+	return initIters + steps
 }
 
 // The GPU model estimates device decode latency the way the paper's
@@ -153,7 +104,7 @@ type LatencyRow struct {
 // success, as a serial decode writes them; a record with a trial after a
 // success (a DecodeAllTrials or Workers > 1 run) is refused. Since the
 // records hold no trial past the first success, and at P > 1 a later
-// trial can finish first, the model rows are upper bounds.
+// trial can win in virtual time, the model rows are upper bounds.
 func LatencyStudy(base, dec *Result, workers []int) ([]LatencyRow, error) {
 	if len(dec.Records) == 0 || len(base.Records) != len(dec.Records) {
 		return nil, fmt.Errorf("sim: latency study needs KeepRecords runs over the same shots, got %d baseline and %d decoder records",

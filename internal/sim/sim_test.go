@@ -12,6 +12,7 @@ import (
 	"bpsf/internal/bpsf"
 	"bpsf/internal/codes"
 	"bpsf/internal/dem"
+	"bpsf/internal/gf2"
 	"bpsf/internal/memexp"
 	"bpsf/internal/osd"
 	"bpsf/internal/sparse"
@@ -109,6 +110,59 @@ func TestScheduleLatencyCancelsLateTrials(t *testing.T) {
 	}
 }
 
+// TestScheduleLatencyMatchesEngine holds the closed form to the engine:
+// ScheduleLatency at P over a one-lane DecodeAllTrials decode's records
+// equals the Steps of a P-lane decode of the same syndrome, and so does
+// ScheduleLatency over the P-lane decode's own records.
+func TestScheduleLatencyMatchesEngine(t *testing.T) {
+	css, err := codes.CoprimeBB154()
+	if err != nil {
+		t.Fatal(err)
+	}
+	priors := uniformPriors(css.N, 0.05)
+	cfg := bpsf.Config{
+		Init:    bp.Config{MaxIter: 12},
+		Trial:   bp.Config{MaxIter: 50},
+		PhiSize: 8, WMax: 2, Policy: bpsf.Exhaustive,
+	}
+	decoders := map[int]*bpsf.Decoder{}
+	for _, lanes := range []int{1, 2, 4, 8} {
+		c := cfg
+		c.Workers, c.DecodeAllTrials = lanes, lanes == 1
+		if decoders[lanes], err = bpsf.New(css.HZ, priors, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := rand.New(rand.NewSource(95))
+	wins := 0
+	for shot := 0; shot < 60; shot++ {
+		e := gf2.NewVec(css.N)
+		for k := 0; k < 9+r.Intn(6); k++ {
+			e.Set(r.Intn(css.N), true)
+		}
+		s := css.SyndromeOfX(e)
+		rec := decoders[1].Decode(s)
+		if rec.WinningTrial >= 0 {
+			wins++
+		}
+		for _, lanes := range []int{1, 2, 4, 8} {
+			got := rec
+			if lanes > 1 {
+				got = decoders[lanes].Decode(s)
+			}
+			if w := ScheduleLatency(rec.InitIterations, rec.TrialIterations, rec.TrialSuccess, lanes); w != got.Steps {
+				t.Fatalf("shot %d, %d lanes: ScheduleLatency over one lane's records = %d, engine Steps = %d", shot, lanes, w, got.Steps)
+			}
+			if w := ScheduleLatency(got.InitIterations, got.TrialIterations, got.TrialSuccess, lanes); w != got.Steps {
+				t.Fatalf("shot %d, %d lanes: ScheduleLatency over the engine's records = %d, engine Steps = %d", shot, lanes, w, got.Steps)
+			}
+		}
+	}
+	if wins == 0 {
+		t.Fatal("no trial won; the corpus does not reach the trial stage")
+	}
+}
+
 func TestGPUModelEstimate(t *testing.T) {
 	r := Record{
 		InitIterations:  100,
@@ -174,9 +228,9 @@ func TestLatencyStudy(t *testing.T) {
 	check("BP-SF", rows, []wantRow{
 		{"BP1000-OSD10", false, time.Millisecond, 9 * time.Millisecond},
 		{sf + " serial", false, time.Millisecond, 3 * time.Millisecond},
-		// P=2: {300,200} start at 0, the winner starts at 200 and ends
-		// at 600; the second shot has no trials and keeps its 1ms
-		{"BP-SF P=2 (model)", false, time.Millisecond, 700 * 3 * time.Microsecond},
+		// P=2: lane 0 takes trials 0 and 2, so the winner ends at
+		// 300+400; the second shot has no trials and keeps its 1ms
+		{"BP-SF P=2 (model)", false, time.Millisecond, 800 * 3 * time.Microsecond},
 		// P=3: every trial starts at 0, the winner ends at 400
 		{"BP-SF P=3 (model)", false, time.Millisecond, 500 * 3 * time.Microsecond},
 		// serial GPU trials: a launch each, stopping at the success
@@ -244,7 +298,7 @@ func TestLatencyStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != len(rows) || series[2].Label != "BP-SF P=2 (model)" || series[2].Y[3] != 2.1 {
+	if len(series) != len(rows) || series[2].Label != "BP-SF P=2 (model)" || series[2].Y[3] != 2.4 {
 		t.Fatalf("series = %+v", series)
 	}
 	if !strings.Contains(buf.String(), "BP-SF P=3 (model)") || !strings.Contains(buf.String(), "median ms") {

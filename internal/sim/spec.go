@@ -27,7 +27,7 @@ type Spec struct {
 	Phi       int // bpsf: |Φ|
 	WMax      int // bpsf: maximum trial weight
 	NS        int // bpsf: sampled trials per weight (0 = exhaustive)
-	Workers   int // bpsf: lanes within one decode, splitting a large initial BP and sharing the trials (0 or 1 = one)
+	Workers   int // bpsf: lanes within one decode, splitting a large initial BP and taking the trials by lane (0 or 1 = one); part of the decoder
 	// Window > 0 wraps the decoder in the sliding-window scheduler
 	// (internal/window): windows of Window rounds committing Commit
 	// (0 = 1), sliced by Layout — or rows-as-rounds when Layout is zero
