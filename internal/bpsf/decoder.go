@@ -48,10 +48,12 @@ type Config struct {
 	// Seed seeds the trial-sampling RNG (Sampled policy).
 	Seed int64
 	// DecodeAllTrials decodes every trial to its end so that every
-	// trial's iteration count is recorded (needed by the latency schedule
-	// and the GPU estimator). It changes only TrialIterations and
-	// TrialSuccess: the winner, the estimate and the iteration totals are
-	// those of the decode without it.
+	// trial's iteration count and success are recorded; the first-success
+	// ablation (experiments.AblationFirstSuccess) reads them. It changes
+	// only TrialIterations and TrialSuccess: the winner, the estimate and
+	// the iteration totals are those of the decode without it.
+	// sim.LatencyStudy refuses such records, since the schedule model
+	// needs serial ones.
 	DecodeAllTrials bool
 }
 

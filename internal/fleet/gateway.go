@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,18 +134,15 @@ type Gateway struct {
 	backends []*backend
 	byName   map[string]*backend
 
-	ln       net.Listener
-	sessions sync.WaitGroup
-	draining atomic.Bool
+	// Acceptor binds the listener and runs and drains the client
+	// sessions; its Drain is the gateway's (see drained).
+	*service.Acceptor
 
 	sessionsTotal  atomic.Uint64
 	sessionsActive atomic.Int64
 	failoversTotal atomic.Uint64
 	replaysOK      atomic.Uint64
 	sessionsLost   atomic.Uint64
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -168,8 +164,8 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		opts:   opts,
 		start:  time.Now(),
 		byName: make(map[string]*backend),
-		conns:  make(map[net.Conn]struct{}),
 	}
+	g.Acceptor = service.NewAcceptor(g.session, g.drained, opts.Logf)
 	g.Admin = service.NewAdmin(g.Snapshot, g.writeLocalMetrics)
 	for _, ba := range opts.Backends {
 		if ba.Name == "" || ba.Addr == "" {
@@ -190,78 +186,12 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	return g, nil
 }
 
-// Listen binds addr ("host:port"; port 0 picks a free port, see Addr)
-// and starts accepting client sessions in the background.
-func (g *Gateway) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	g.ln = ln
-	g.sessions.Add(1) // the accept loop itself
-	go g.acceptLoop()
-	return nil
-}
-
-// Addr returns the bound listen address (nil before Listen).
-func (g *Gateway) Addr() net.Addr {
-	if g.ln == nil {
-		return nil
-	}
-	return g.ln.Addr()
-}
-
-func (g *Gateway) acceptLoop() {
-	defer g.sessions.Done()
-	for {
-		conn, err := g.ln.Accept()
-		if err != nil {
-			return // listener closed (Drain)
-		}
-		g.connMu.Lock()
-		g.conns[conn] = struct{}{}
-		g.connMu.Unlock()
-		g.sessions.Add(1)
-		go func() {
-			defer g.sessions.Done()
-			g.session(conn)
-			g.connMu.Lock()
-			delete(g.conns, conn)
-			g.connMu.Unlock()
-		}()
-	}
-}
-
-// Drain stops accepting, waits up to grace for live sessions, then
-// force-closes stragglers and stops the prober. A final probe round
-// (each dial, handshake and stats round trip bounded by ProbeTimeout)
-// refreshes every backend's snapshot, so Snapshot after Drain reports the
-// backends' final counts; then the probe clients and the admin plane
-// close.
-func (g *Gateway) Drain(grace time.Duration) {
-	if !g.draining.CompareAndSwap(false, true) {
-		return
-	}
-	if g.ln != nil {
-		g.ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		g.sessions.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(grace):
-		g.connMu.Lock()
-		n := len(g.conns)
-		for c := range g.conns {
-			c.Close()
-		}
-		g.connMu.Unlock()
-		g.opts.Logf("gateway drain: grace expired, closed %d live sessions", n)
-		<-done
-	}
+// drained is the gateway's tail of Drain, run once every client session
+// has ended: it stops the prober, then a final probe round (each dial,
+// handshake and stats round trip bounded by ProbeTimeout) refreshes every
+// backend's snapshot, so Snapshot after Drain reports the backends' final
+// counts; then the probe clients and the admin plane close.
+func (g *Gateway) drained() {
 	if g.probeStop != nil {
 		close(g.probeStop)
 		<-g.probeDone

@@ -102,7 +102,6 @@ type session struct {
 // session is the per-connection entry point: route the Hello, splice
 // until either side ends.
 func (g *Gateway) session(conn net.Conn) {
-	defer conn.Close()
 	cbr := bufio.NewReader(conn)
 	cbw := bufio.NewWriter(conn)
 	refuse := func(format string, args ...interface{}) {

@@ -14,15 +14,15 @@
 // layout, so decoders and the decode service consume batch-sampled shots
 // without any per-bit shuffling.
 //
-// Three samplers share the Batch/Packed machinery:
+// Two samplers share the Batch/Packed machinery:
 //
 //   - CircuitSampler: 64-shot word-parallel Pauli-frame simulation of a
-//     circuit (the fast path).
-//   - ScalarSampler: the same stochastic process one shot at a time (the
-//     retained fallback; the differential suite holds the two to identical
-//     statistics).
+//     circuit.
 //   - DEMSampler: 64-shot word-parallel mechanism sampling from an
 //     extracted DEM (the batch counterpart of dem.Sampler).
+//
+// The tests hold CircuitSampler to identical statistics against a
+// one-shot-at-a-time reference of the same stochastic process.
 //
 // Determinism contract (DESIGN.md §8): every sampler is a deterministic
 // function of (its construction arguments, seed); blocks are always drawn

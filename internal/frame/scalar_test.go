@@ -10,9 +10,10 @@ import (
 
 // ScalarSampler samples noisy circuit executions one shot at a time: the
 // same Pauli-frame process as CircuitSampler with a single Bernoulli draw
-// per noise channel per shot instead of word-parallel lanes. It is the
-// retained fallback the differential and chi-square suites hold the batch
-// path against, and the baseline of BenchmarkScalarSample.
+// per noise channel per shot instead of word-parallel lanes. It exists
+// only for tests: the differential and chi-square suites hold the batch
+// path against it, and it is the baseline of BenchmarkScalarSample and
+// TestBatchSamplerSpeedup.
 //
 // Not safe for concurrent use; create one per goroutine with distinct
 // seeds.

@@ -76,12 +76,20 @@ func bucketQuantile(buckets [NumBuckets]uint64, n uint64, max time.Duration, q f
 	return max
 }
 
-// MergeStages merges two stage snapshots histogram by histogram.
+// MergeStages merges two stage snapshots histogram by histogram; their
+// traces interleave slowest first, keeping as many as one StageSet does.
 func MergeStages(a, b StageSnapshot) StageSnapshot {
 	var m StageSnapshot
 	for st := 0; st < int(NumStages); st++ {
 		m.Stages[st] = MergeHist(a.Stages[st], b.Stages[st])
 	}
 	m.Total = MergeHist(a.Total, b.Total)
+	if n := len(a.Traces) + len(b.Traces); n > 0 {
+		m.Traces = append(append(make([]Trace, 0, n), a.Traces...), b.Traces...)
+		sortTraces(m.Traces)
+		if len(m.Traces) > traceSlots {
+			m.Traces = m.Traces[:traceSlots]
+		}
+	}
 	return m
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -59,7 +60,7 @@ func TestMergeStagesMatchesSingle(t *testing.T) {
 	a := mk(time.Microsecond, 3*time.Millisecond)
 	b := mk(40 * time.Microsecond)
 	want := mk(time.Microsecond, 3*time.Millisecond, 40*time.Microsecond)
-	if got := MergeStages(a, b); got != want {
+	if got := MergeStages(a, b); !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged stages diverge:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -28,13 +28,8 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	}
 	var ss *StageSet
 	ss.Record(&Span{})
-	if ss.Snapshot() != (StageSnapshot{}) {
+	if snap := ss.Snapshot(); snap.Total != (HistSnapshot{}) || snap.Traces != nil {
 		t.Fatal("nil StageSet has a snapshot")
-	}
-	var r *TraceRing
-	r.Offer(Trace{Total: time.Second})
-	if r.Snapshot() != nil || r.Cap() != 0 {
-		t.Fatal("nil ring retained a trace")
 	}
 }
 

@@ -6,62 +6,68 @@ import (
 	"time"
 )
 
-// TestTraceRingKeepsSlowest pins the single-writer semantics: after
-// offering totals 1..100ms into an 8-slot ring, the snapshot holds
-// exactly 93..100ms, slowest first.
+// recordTotal records one span of the given total into set, all of it in
+// the decode stage, ending at Unix(0, total) so End encodes Total.
+func recordTotal(set *StageSet, total time.Duration) {
+	var sp Span
+	start := time.Unix(0, 0)
+	sp.Begin(start)
+	sp.Mark(StageDecode, start.Add(total))
+	set.Record(&sp)
+}
+
+// TestTraceRingKeepsSlowest pins the retention semantics: after
+// recording totals 1..100ms, the snapshot holds exactly the slowest
+// traceSlots of them, slowest first, whatever the recording order.
 func TestTraceRingKeepsSlowest(t *testing.T) {
-	r := NewTraceRing(8)
-	if r.Cap() != 8 {
-		t.Fatalf("cap = %d", r.Cap())
-	}
+	var set StageSet
 	for i := 1; i <= 100; i++ {
-		tr := Trace{End: int64(i), Total: time.Duration(i) * time.Millisecond}
-		tr.Stages[StageDecode] = tr.Total
-		r.Offer(tr)
+		recordTotal(&set, time.Duration(i)*time.Millisecond)
 	}
-	snap := r.Snapshot()
-	if len(snap) != 8 {
-		t.Fatalf("retained %d traces, want 8", len(snap))
+	snap := set.Snapshot().Traces
+	if len(snap) != traceSlots {
+		t.Fatalf("retained %d traces, want %d", len(snap), traceSlots)
 	}
 	for i, tr := range snap {
 		want := time.Duration(100-i) * time.Millisecond
 		if tr.Total != want {
 			t.Errorf("slot %d total %v, want %v (slowest first)", i, tr.Total, want)
 		}
-		if tr.Stages[StageDecode] != tr.Total || tr.End != int64(tr.Total/time.Millisecond) {
+		if tr.Stages[StageDecode] != tr.Total || tr.End != int64(tr.Total) {
 			t.Errorf("slot %d trace fields inconsistent: %+v", i, tr)
 		}
 	}
-	// ascending order must retain the same set
-	r2 := NewTraceRing(4)
+	// descending order must retain the same set
+	var set2 StageSet
 	for i := 100; i >= 1; i-- {
-		r2.Offer(Trace{Total: time.Duration(i) * time.Millisecond})
+		recordTotal(&set2, time.Duration(i)*time.Millisecond)
 	}
-	snap2 := r2.Snapshot()
-	if len(snap2) != 4 || snap2[0].Total != 100*time.Millisecond || snap2[3].Total != 97*time.Millisecond {
-		t.Fatalf("descending offers retained %+v", snap2)
+	snap2 := set2.Snapshot().Traces
+	if len(snap2) != traceSlots || snap2[0].Total != 100*time.Millisecond ||
+		snap2[traceSlots-1].Total != time.Duration(100-traceSlots+1)*time.Millisecond {
+		t.Fatalf("descending records retained %+v", snap2)
 	}
 }
 
 // TestTraceRingPartialFill pins behavior below capacity: everything
-// offered is retained.
+// recorded is retained.
 func TestTraceRingPartialFill(t *testing.T) {
-	r := NewTraceRing(16)
+	var set StageSet
 	for i := 1; i <= 5; i++ {
-		r.Offer(Trace{Total: time.Duration(i)})
+		recordTotal(&set, time.Duration(i))
 	}
-	if snap := r.Snapshot(); len(snap) != 5 {
+	if snap := set.Snapshot().Traces; len(snap) != 5 {
 		t.Fatalf("retained %d, want 5", len(snap))
 	}
 }
 
 // TestTraceRingConcurrent is the race-detector hammer: concurrent
-// writers offering mixed totals while readers snapshot. Every retained
-// trace must be internally consistent — the seqlock forbids torn reads,
-// so a trace's End field always matches its Total (writers encode
-// Total into End) — and the ring must end up holding only slow traces.
+// writers recording mixed totals while readers snapshot. Every snapshot
+// is coherent — its traces number at most Total.N and none exceeds
+// Total.Max, and each trace is internally consistent (its End encodes
+// its Total) — and the set ends up holding only the slowest traces.
 func TestTraceRingConcurrent(t *testing.T) {
-	r := NewTraceRing(8)
+	var set StageSet
 	const writers = 8
 	const perWriter = 5000
 	var wg sync.WaitGroup
@@ -70,11 +76,26 @@ func TestTraceRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				total := time.Duration((i*writers+w)%1000+1) * time.Microsecond
-				r.Offer(Trace{End: int64(total), Total: total,
-					Stages: [NumStages]time.Duration{StageDecode: total}})
+				recordTotal(&set, time.Duration((i*writers+w)%1000+1)*time.Microsecond)
 			}
 		}(w)
+	}
+	check := func(snap StageSnapshot) bool {
+		if len(snap.Traces) > snap.Total.N {
+			t.Errorf("snapshot holds %d traces over %d requests", len(snap.Traces), snap.Total.N)
+			return false
+		}
+		for _, tr := range snap.Traces {
+			if tr.Total > snap.Total.Max {
+				t.Errorf("trace %v exceeds the snapshot's max %v", tr.Total, snap.Total.Max)
+				return false
+			}
+			if tr.End != int64(tr.Total) || tr.Stages[StageDecode] != tr.Total {
+				t.Errorf("torn trace: %+v", tr)
+				return false
+			}
+		}
+		return true
 	}
 	stop := make(chan struct{})
 	var readerWG sync.WaitGroup
@@ -87,11 +108,8 @@ func TestTraceRingConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			for _, tr := range r.Snapshot() {
-				if tr.End != int64(tr.Total) || tr.Stages[StageDecode] != tr.Total {
-					t.Errorf("torn trace: %+v", tr)
-					return
-				}
+			if !check(set.Snapshot()) {
+				return
 			}
 		}
 	}()
@@ -99,18 +117,16 @@ func TestTraceRingConcurrent(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 
-	snap := r.Snapshot()
-	if len(snap) == 0 {
-		t.Fatal("ring empty after hammer")
+	snap := set.Snapshot()
+	check(snap)
+	if len(snap.Traces) != traceSlots {
+		t.Fatalf("retained %d traces after the hammer, want %d", len(snap.Traces), traceSlots)
 	}
-	for _, tr := range snap {
-		if tr.End != int64(tr.Total) {
-			t.Errorf("torn trace survived: %+v", tr)
-		}
-		// best-effort slowest-N: everything retained should be in the top
-		// half of the offered distribution (1..1000µs)
-		if tr.Total < 500*time.Microsecond {
-			t.Errorf("fast trace %v retained after full hammer (slowest-N is too lossy)", tr.Total)
+	// every offered total 1..1000µs appears 40 times, so the slowest 32
+	// are all 1000µs
+	for _, tr := range snap.Traces {
+		if tr.Total != 1000*time.Microsecond {
+			t.Errorf("trace %v retained, want only the slowest (1000µs)", tr.Total)
 		}
 	}
 }

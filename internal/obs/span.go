@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -97,15 +99,32 @@ func (s *Span) End() time.Time {
 	return s.last
 }
 
+// Trace is one slow request's stage breakdown retained by a StageSet.
+type Trace struct {
+	// End is the wall-clock completion time (UnixNano).
+	End int64
+	// Total is the request's full residence time.
+	Total time.Duration
+	// Stages are the per-stage durations (Span slot order).
+	Stages [NumStages]time.Duration
+}
+
+// traceSlots is how many of the slowest traces a StageSet retains.
+const traceSlots = 32
+
 // StageSet is the per-stage histogram bank spans are recorded into: one
-// power-of-two histogram per stage plus a total-latency histogram, all
-// updated and snapshotted under one mutex so a snapshot is coherent
-// (every stage histogram holds exactly the same request population).
+// power-of-two histogram per stage, a total-latency histogram and the
+// slowest traceSlots traces, all updated and snapshotted under one mutex
+// so a snapshot is coherent (every stage histogram holds exactly the same
+// request population, and every retained trace is one of them).
 // The zero value is ready; methods are safe on a nil receiver.
 type StageSet struct {
 	mu    sync.Mutex
 	h     [NumStages]HistData
 	total HistData
+	slow  [traceSlots]Trace
+	nslow int // filled slots of slow
+	min   int // index of the fastest retained trace once slow is full
 }
 
 // Record folds one finished span into the set. Stages the span never
@@ -115,31 +134,67 @@ func (s *StageSet) Record(sp *Span) {
 	if s == nil || sp == nil {
 		return
 	}
+	total := sp.Total()
 	s.mu.Lock()
 	for st := Stage(0); st < NumStages; st++ {
 		s.h[st].Observe(sp.stages[st])
 	}
-	s.total.Observe(sp.Total())
+	s.total.Observe(total)
+	switch {
+	case s.nslow < traceSlots:
+		s.slow[s.nslow] = Trace{End: sp.last.UnixNano(), Total: total, Stages: sp.stages}
+		s.nslow++
+		if s.nslow == traceSlots {
+			s.min = s.fastest()
+		}
+	case total > s.slow[s.min].Total:
+		s.slow[s.min] = Trace{End: sp.last.UnixNano(), Total: total, Stages: sp.stages}
+		s.min = s.fastest()
+	}
 	s.mu.Unlock()
+}
+
+// fastest returns the index of the smallest retained total. Caller holds
+// s.mu.
+func (s *StageSet) fastest() int {
+	m := 0
+	for i := 1; i < s.nslow; i++ {
+		if s.slow[i].Total < s.slow[m].Total {
+			m = i
+		}
+	}
+	return m
 }
 
 // StageSnapshot is one coherent read of a StageSet.
 type StageSnapshot struct {
 	Stages [NumStages]HistSnapshot
 	Total  HistSnapshot
+	// Traces are the slowest recorded requests, slowest first.
+	Traces []Trace `json:",omitempty"`
 }
 
-// Snapshot reads every stage histogram under one lock.
+// Snapshot reads every stage histogram and the retained traces under one
+// lock.
 func (s *StageSet) Snapshot() StageSnapshot {
 	if s == nil {
 		return StageSnapshot{}
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out StageSnapshot
 	for st := Stage(0); st < NumStages; st++ {
 		out.Stages[st] = s.h[st].Snapshot()
 	}
 	out.Total = s.total.Snapshot()
+	if s.nslow > 0 {
+		out.Traces = append([]Trace(nil), s.slow[:s.nslow]...)
+	}
+	s.mu.Unlock()
+	sortTraces(out.Traces)
 	return out
+}
+
+// sortTraces orders traces slowest first.
+func sortTraces(ts []Trace) {
+	slices.SortStableFunc(ts, func(a, b Trace) int { return cmp.Compare(b.Total, a.Total) })
 }

@@ -86,23 +86,25 @@ func TestStageNames(t *testing.T) {
 
 // TestInstrumentationZeroAlloc is the zero-alloc instrumentation
 // contract (DESIGN.md §10): the full per-request record sequence the
-// service hot path runs — span lifecycle, stage-set record, ring offer,
-// atomic counter/gauge updates, histogram observe — allocates nothing, so
-// turning observability on cannot break the service path's steady-state
-// allocation discipline.
+// service hot path runs — span lifecycle, stage-set record with its
+// slowest-trace retention, atomic counter/gauge updates, histogram
+// observe — allocates nothing, so turning observability on cannot break
+// the service path's steady-state allocation discipline.
 func TestInstrumentationZeroAlloc(t *testing.T) {
 	var ctr atomic.Uint64
 	var gauge atomic.Int64
 	var hist Histogram
 	var set StageSet
-	ring := NewTraceRing(8)
-	// pre-fill the ring so Offer exercises both the retained-insert and
-	// the fast-reject path below
-	for i := 1; i <= 8; i++ {
-		ring.Offer(Trace{Total: time.Duration(i) * time.Second})
-	}
-	var sp Span
+	var sp, slow Span
+	var k time.Duration
 	now := time.Unix(1000, 0)
+	// fill the set's trace slots so Record exercises both the fast reject
+	// and the displacing insert below
+	for i := 1; i <= traceSlots; i++ {
+		sp.Begin(now)
+		sp.Mark(StageDecode, now.Add(time.Duration(i)*time.Second))
+		set.Record(&sp)
+	}
 
 	allocs := testing.AllocsPerRun(200, func() {
 		sp.Begin(now)
@@ -111,9 +113,11 @@ func TestInstrumentationZeroAlloc(t *testing.T) {
 		sp.Mark(StageCoalesce, now.Add(3*time.Microsecond))
 		sp.Mark(StageDecode, now.Add(4*time.Microsecond))
 		sp.Mark(StageWrite, now.Add(5*time.Microsecond))
-		set.Record(&sp)
-		ring.Offer(Trace{End: 1, Total: sp.Total()})       // fast reject (below floor)
-		ring.Offer(Trace{End: 2, Total: 10 * time.Second}) // displaces the minimum
+		set.Record(&sp) // fast reject: faster than every retained trace
+		slow.Begin(now)
+		k++
+		slow.Mark(StageDecode, now.Add(time.Hour+k))
+		set.Record(&slow) // displaces the fastest retained trace
 		ctr.Add(1)
 		gauge.Add(1)
 		gauge.Add(-1)

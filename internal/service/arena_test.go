@@ -29,7 +29,9 @@ import (
 // syndromes with more than two defects; a uf batch of 16 such syndromes,
 // so every decode misses the light-syndrome memo and runs general-path
 // growth with cluster solves; and a BP5-OSD-CS5 batch of 16 rsurf5 r5
-// syndromes with more than four defects, so most decodes run OSD.
+// syndromes with more than four defects, so most decodes run OSD. The
+// stream plane has one row too: a warm windowed uf stream, one round up
+// and one commit back per operation.
 func TestServicePathZeroAlloc(t *testing.T) {
 	rows := []struct {
 		name  string
@@ -98,6 +100,65 @@ func TestServicePathZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	t.Run("rsurf3-uf-stream", func(t *testing.T) {
+		// 150 rounds leave room for the warm-up and the 101 measured
+		// rounds in one stream: a W3C1 stream commits one window per round
+		// once its first window fills.
+		h := Hello{Code: "rsurf3", Rounds: 150, P: 0.003, StreamSeed: 7, Spec: Spec{Kind: "uf"}}
+		s := startServer(t, Options{PoolSize: 1})
+		syndrome := sampleSyndromes(t, s, h, 1, 3)[0]
+		c, err := Dial(s.Addr().String(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		open := func() (*ClientStream, []gf2.Vec) {
+			st, err := c.OpenStream(3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dets := make([]int, st.NumRounds())
+			for r := range dets {
+				dets[r] = st.RoundDets(r)
+			}
+			return st, splitRounds(syndrome, dets)
+		}
+		// A first stream over the same rounds warms the pool's windowed
+		// decoder, whose inner decoders each see one window per stream.
+		st, rounds := open()
+		for _, r := range rounds {
+			if err := st.SendRounds([]gf2.Vec{r}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := st.Finish(); err != nil {
+			t.Fatal(err)
+		}
+
+		st, rounds = open()
+		if err := st.SendRounds(rounds[:2]); err != nil {
+			t.Fatal(err)
+		}
+		one := make([]gf2.Vec, 1)
+		roundTrip := func() {
+			one[0] = rounds[st.NextRound()]
+			if err := st.SendRounds(one); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.NextCommit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			roundTrip()
+		}
+		if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+			t.Fatalf("steady-state stream round trip allocates %.1f objects/op, want exactly 0", allocs)
+		}
+		if st.NextRound() >= len(rounds) {
+			t.Fatalf("the measured rounds ran past the stream's %d rounds", len(rounds))
+		}
+	})
 }
 
 // BenchmarkServiceRoundTrip measures the warm loopback round trip the

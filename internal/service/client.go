@@ -463,6 +463,11 @@ func (c *Client) recvLoop() {
 				c.fail(fmt.Errorf("service: commit for unknown stream %d", m.id))
 				return
 			}
+			mechs, err := st.keepMechs(m.window, m.mechs)
+			if err != nil {
+				c.fail(err)
+				return
+			}
 			st.commits <- StreamCommit{
 				Window:        m.window,
 				FirstRound:    m.firstRound,
@@ -471,7 +476,7 @@ func (c *Client) recvLoop() {
 				Final:         m.flags&flagStreamFinal != 0,
 				StreamSuccess: m.flags&flagStreamOK != 0,
 				Latency:       m.latency,
-				Mechs:         m.mechs,
+				Mechs:         mechs,
 			}
 			if m.flags&flagStreamFinal != 0 {
 				close(st.commits)

@@ -56,6 +56,14 @@ type ClientStream struct {
 	commits chan StreamCommit
 	errHat  gf2.Vec
 	drained []StreamCommit
+
+	// Reused per round and per commit, so a warm stream sends rounds and
+	// takes commits without allocating: the round frame under build, the
+	// commit bitmap being folded into errHat, and one mechanism bitmap
+	// slot per window that StreamCommit.Mechs points into.
+	sendBuf []byte
+	mechVec gf2.Vec
+	mechs   []byte
 }
 
 // pendingOpen is an in-flight StreamOpen awaiting its ack; acks arrive in
@@ -115,6 +123,9 @@ func (c *Client) OpenStream(windowRounds, commitRounds int) (*ClientStream, erro
 		spans:   spans,
 		commits: make(chan StreamCommit, len(spans)),
 		errHat:  gf2.NewVec(c.numMechs),
+		drained: make([]StreamCommit, 0, len(spans)),
+		mechVec: gf2.NewVec(c.numMechs),
+		mechs:   make([]byte, len(spans)*((c.numMechs+7)/8)),
 	}
 	c.mu.Lock()
 	c.streams[st.id] = st
@@ -156,10 +167,11 @@ func (s *ClientStream) SendRounds(rounds []gf2.Vec) error {
 				s.nextRound+i, r.Len(), s.dets[s.nextRound+i])
 		}
 	}
-	buf := appendStreamRoundsHeader(nil, s.id, s.nextRound, len(rounds))
+	buf := appendStreamRoundsHeader(s.sendBuf[:0], s.id, s.nextRound, len(rounds))
 	for _, r := range rounds {
 		buf = r.AppendBytes(buf)
 	}
+	s.sendBuf = buf
 	s.c.sendMu.Lock()
 	err := WriteFrame(s.c.bw, buf)
 	if err == nil {
@@ -198,13 +210,23 @@ func (s *ClientStream) NextCommit() (StreamCommit, error) {
 	if !ok {
 		return StreamCommit{}, fmt.Errorf("service: stream %d closed", s.id)
 	}
-	v := gf2.NewVec(s.c.numMechs)
-	if err := v.SetBytes(cm.Mechs); err != nil {
+	if err := s.mechVec.SetBytes(cm.Mechs); err != nil {
 		return StreamCommit{}, err
 	}
-	s.errHat.Xor(v)
+	s.errHat.Xor(s.mechVec)
 	s.drained = append(s.drained, cm)
 	return cm, nil
+}
+
+// keepMechs copies window w's commit bitmap out of the receive buffer
+// into the stream's slot for that window. It runs on the session's
+// receive goroutine.
+func (s *ClientStream) keepMechs(w int, mechs []byte) ([]byte, error) {
+	n := len(mechs)
+	if w < 0 || w >= len(s.spans) {
+		return nil, fmt.Errorf("service: commit for window %d of a %d-window stream", w, len(s.spans))
+	}
+	return append(s.mechs[w*n:w*n:(w+1)*n], mechs...), nil
 }
 
 // Finish drains the remaining commits through the final one and returns

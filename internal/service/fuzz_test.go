@@ -41,7 +41,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			Admitted: 2, Decoded: 2, Batches: 1, Coalesced: 2,
 			Latency: statsHist.Snapshot()}},
 		Streams: StreamStats{Opened: 1, Windows: 2},
-		Traces:  []obs.Trace{{End: 99, Total: time.Millisecond}},
+		Stages:  obs.StageSnapshot{Traces: []obs.Trace{{End: 99, Total: time.Millisecond}}},
 		Backends: []BackendStats{
 			{Name: "b0", Addr: "127.0.0.1:9000", Healthy: true, Sessions: 1,
 				SessionsTotal: 3, Requests: 40, Failovers: 1, Replayed: 12},
@@ -62,7 +62,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		ParseErrorBody(payload)
 		parseStreamOpen(payload)
 		parseStreamAck(payload)
-		parseStreamRounds(payload, []int{width, 8 * width, 1})
+		parseStreamRounds(payload, []int{width, 8 * width, 1}, nil)
 		parseStreamCommit(payload, width)
 		parseStatsRequest(payload)
 		ParseStatsReply(payload)

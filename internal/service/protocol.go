@@ -546,8 +546,10 @@ func appendStreamRoundsHeader(b []byte, id uint64, firstRound, count int) []byte
 
 // parseStreamRounds splits a StreamRounds payload into per-round byte
 // slices (views into payload), validated against the stream layout's
-// per-round detector counts.
-func parseStreamRounds(payload []byte, detsPerRound []int) (id uint64, firstRound int, rounds [][]byte, err error) {
+// per-round detector counts. The views go into scratch's backing array
+// when it is large enough, so a caller that passes the previous result
+// back parses without allocating.
+func parseStreamRounds(payload []byte, detsPerRound []int, scratch [][]byte) (id uint64, firstRound int, rounds [][]byte, err error) {
 	r := &reader{b: payload}
 	if t := r.u8(); t != MsgStreamRounds {
 		return 0, 0, nil, fmt.Errorf("service: expected StreamRounds, got message type %d", t)
@@ -562,9 +564,9 @@ func parseStreamRounds(payload []byte, detsPerRound []int) (id uint64, firstRoun
 		return 0, 0, nil, fmt.Errorf("service: stream rounds [%d,%d) outside the %d-round layout",
 			firstRound, firstRound+count, len(detsPerRound))
 	}
-	rounds = make([][]byte, count)
-	for i := range rounds {
-		rounds[i] = r.bytes((detsPerRound[firstRound+i] + 7) / 8)
+	rounds = scratch[:0]
+	for i := 0; i < count; i++ {
+		rounds = append(rounds, r.bytes((detsPerRound[firstRound+i]+7)/8))
 	}
 	if r.err == nil && r.rest() != 0 {
 		return 0, 0, nil, fmt.Errorf("service: stream rounds frame carries %d trailing bytes", r.rest())
@@ -579,7 +581,7 @@ type streamCommitMsg struct {
 	flags                byte
 	firstRound, endRound int
 	latency              time.Duration
-	mechs                []byte // packed committed-mechanism bitmap
+	mechs                []byte // packed committed-mechanism bitmap (parsed: a view into the payload)
 }
 
 func appendStreamCommit(b []byte, m streamCommitMsg) []byte {
@@ -607,7 +609,7 @@ func parseStreamCommit(payload []byte, mechBytes int) (streamCommitMsg, error) {
 		endRound:   int(r.u16()),
 		latency:    time.Duration(r.i64()),
 	}
-	m.mechs = append([]byte(nil), r.bytes(mechBytes)...)
+	m.mechs = r.bytes(mechBytes)
 	if r.err == nil && r.rest() != 0 {
 		return streamCommitMsg{}, fmt.Errorf("service: stream commit frame carries %d trailing bytes", r.rest())
 	}

@@ -90,9 +90,6 @@ const (
 	// have at most this many unanswered batches in flight before its read
 	// loop stalls.
 	sessionPipeline = 64
-	// traceSlots is the retention capacity of the slowest-request trace
-	// ring served on /statusz.
-	traceSlots = 32
 )
 
 // demEntry / poolEntry are singleflight cache slots: concurrent sessions
@@ -105,8 +102,10 @@ type demEntry struct {
 
 type poolEntry struct {
 	once sync.Once
-	p    *pool
-	err  error
+	// p is atomic because Stats and the drain read it without the Once,
+	// possibly while a session's first Hello is still building it.
+	p   atomic.Pointer[pool]
+	err error
 }
 
 // Server is the streaming decode service. Create with NewServer, start
@@ -115,21 +114,18 @@ type Server struct {
 	opts  Options
 	start time.Time
 
-	lnMu        sync.Mutex
-	ln          net.Listener   // first listener (Addr)
-	listeners   []net.Listener // every live listener (TCP and/or UDS)
-	pools       sync.Map       // pool key → *poolEntry
-	dems        sync.Map       // code/rounds → *demEntry
-	windowPools sync.Map       // pool key + W/C → *windowPoolEntry
-	sessions    sync.WaitGroup
+	// Acceptor binds the listeners and runs and drains the sessions.
+	*Acceptor
+	pools       sync.Map // pool key → *poolEntry
+	dems        sync.Map // code/rounds → *demEntry
+	windowPools sync.Map // pool key + W/C → *windowPoolEntry
 	nextSession atomic.Uint64
-	draining    atomic.Bool
 
 	// Observability plane (DESIGN.md §10): plain atomic counters, stages
-	// the per-request stage histograms (admit/queue/coalesce/decode/write),
-	// streamStages the per-commit decode/write timings, and traces the
-	// slowest-request ring served on /statusz. The embedded Admin serves
-	// them (ServeAdmin).
+	// the per-request stage histograms (admit/queue/coalesce/decode/write)
+	// with the slowest requests served on /statusz, and streamStages the
+	// per-commit decode/write timings. The embedded Admin serves them
+	// (ServeAdmin).
 	*Admin
 	sessionsTotal  atomic.Uint64
 	sessionsActive atomic.Int64
@@ -138,13 +134,9 @@ type Server struct {
 	windowsDecoded atomic.Uint64
 	stages         obs.StageSet
 	streamStages   obs.StageSet
-	traces         *obs.TraceRing
 
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-
-	// arena is written per frame by every session; it sits after the
-	// rarely written connection set, away from the stage sets' locks.
+	// arena is written per frame by every session; it sits away from the
+	// stage sets' locks.
 	arena arenaCounters
 }
 
@@ -169,12 +161,8 @@ type arenaCounters struct {
 // NewServer builds a server; pools are created lazily on the first Hello
 // naming them.
 func NewServer(opts Options) *Server {
-	s := &Server{
-		opts:   opts.withDefaults(),
-		start:  time.Now(),
-		conns:  make(map[net.Conn]struct{}),
-		traces: obs.NewTraceRing(traceSlots),
-	}
+	s := &Server{opts: opts.withDefaults(), start: time.Now()}
+	s.Acceptor = NewAcceptor(s.session, s.closePools, s.opts.Logf)
 	s.Admin = NewAdmin(s.Snapshot, s.writeLocalMetrics)
 	return s
 }
@@ -191,115 +179,26 @@ func (s *Server) writeLocalMetrics(p *obs.PromWriter) {
 	p.Counter("bpsf_arena_write_flushes_total", s.arena.writeFlushes.Load())
 }
 
-// Listen binds addr ("host:port"; port 0 picks a free port, see Addr) and
-// starts accepting sessions in the background. Listen and ListenUnix may
-// both be active: the same service then answers TCP and co-located UDS
-// clients.
-func (s *Server) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.addListener(ln)
-	return nil
-}
-
-// ListenUnix binds a Unix-domain stream socket at path — the co-located
-// client transport (bpsf-serve -uds): same wire protocol, no TCP stack
-// in the round trip. A stale socket file from a previous run is an
-// ordinary bind error; callers remove it first.
-func (s *Server) ListenUnix(path string) error {
-	ln, err := net.Listen("unix", path)
-	if err != nil {
-		return err
-	}
-	s.addListener(ln)
-	return nil
-}
-
-func (s *Server) addListener(ln net.Listener) {
-	s.lnMu.Lock()
-	if s.ln == nil {
-		s.ln = ln
-	}
-	s.listeners = append(s.listeners, ln)
-	s.lnMu.Unlock()
-	s.sessions.Add(1) // the accept loop itself
-	go s.acceptLoop(ln)
-}
-
-// Addr returns the first bound listen address (nil before Listen).
-func (s *Server) Addr() net.Addr {
-	s.lnMu.Lock()
-	defer s.lnMu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.sessions.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed (Drain)
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.sessions.Add(1)
-		go s.session(conn)
-	}
-}
-
 // Drain is the graceful shutdown: stop accepting, wait up to grace for
 // live sessions to finish, force-close stragglers, then stop every pool —
 // pool workers complete all admitted work before exiting. The admin
 // listener (ServeAdmin), when present, closes too. Returns the final
 // per-pool stats.
 func (s *Server) Drain(grace time.Duration) []PoolStats {
-	if s.draining.CompareAndSwap(false, true) {
-		s.lnMu.Lock()
-		for _, ln := range s.listeners {
-			ln.Close()
-		}
-		s.lnMu.Unlock()
-		done := make(chan struct{})
-		go func() {
-			s.sessions.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(grace):
-			s.opts.Logf("drain: grace expired, closing %d live connections", s.connCount())
-			s.closeConns()
-			<-done
-		}
-		s.pools.Range(func(_, v interface{}) bool {
-			if e := v.(*poolEntry); e.p != nil {
-				e.p.close()
-			}
-			return true
-		})
-		s.CloseAdmin()
-	}
+	s.Acceptor.Drain(grace)
 	return s.Stats()
 }
 
-func (s *Server) connCount() int {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return len(s.conns)
-}
-
-func (s *Server) closeConns() {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	for c := range s.conns {
-		c.Close()
-	}
+// closePools is the server's tail of a drain, run once every session has
+// ended.
+func (s *Server) closePools() {
+	s.pools.Range(func(_, v interface{}) bool {
+		if p := v.(*poolEntry).p.Load(); p != nil {
+			p.close()
+		}
+		return true
+	})
+	s.CloseAdmin()
 }
 
 // StreamingStats snapshots the server's cumulative windowed-stream
@@ -315,8 +214,8 @@ func (s *Server) StreamingStats() StreamStats {
 func (s *Server) Stats() []PoolStats {
 	var out []PoolStats
 	s.pools.Range(func(_, v interface{}) bool {
-		if e := v.(*poolEntry); e.p != nil {
-			out = append(out, e.p.stats())
+		if p := v.(*poolEntry).p.Load(); p != nil {
+			out = append(out, p.stats())
 		}
 		return true
 	})
@@ -363,16 +262,19 @@ func (s *Server) poolFor(h Hello) (*pool, error) {
 		}
 		priors := d.Priors(h.P)
 		mk := func() (sim.Decoder, error) { return h.Spec.NewDecoder(d.H, priors) }
-		e.p, e.err = newPool(key, d, mk, poolOptions{
+		p, err := newPool(key, d, mk, poolOptions{
 			size:       s.opts.PoolSize,
 			queueDepth: s.opts.QueueDepth,
 			maxBatch:   s.opts.MaxBatch,
 		})
-		if e.err == nil {
-			s.opts.Logf("pool %s: %d warm decoders ready", key, s.opts.PoolSize)
+		if err != nil {
+			e.err = err
+			return
 		}
+		e.p.Store(p)
+		s.opts.Logf("pool %s: %d warm decoders ready", key, s.opts.PoolSize)
 	})
-	return e.p, e.err
+	return e.p.Load(), e.err
 }
 
 // ValidateHello checks a Hello and resolves catalog defaults (zero Rounds
@@ -465,17 +367,10 @@ func (job *batchJob) sized(n int) *batchJob {
 }
 
 func (s *Server) session(conn net.Conn) {
-	defer s.sessions.Done()
 	s.sessionsTotal.Add(1)
 	s.sessionsActive.Add(1)
+	defer s.sessionsActive.Add(-1)
 	arena := &s.arena
-	defer func() {
-		s.sessionsActive.Add(-1)
-		conn.Close()
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-	}()
 
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
@@ -568,7 +463,7 @@ func (s *Server) session(conn net.Conn) {
 	// job is already complete (peeked via job.pending), so a burst of
 	// ready replies rides one syscall. Once a flush lands, the writer
 	// closes each covered request's write stage and folds the span into
-	// the server's stage histograms and slow-trace ring (shed requests
+	// the server's stage set (shed requests
 	// are skipped: their spans never reached the decode stage), then
 	// recycles the job onto the session free list.
 	jobs := make(chan *batchJob, sessionPipeline)
@@ -618,15 +513,6 @@ func (s *Server) session(conn net.Conn) {
 						sp := &job.spans[i]
 						sp.Mark(obs.StageWrite, flushT)
 						s.stages.Record(sp)
-						s.traces.Offer(obs.Trace{
-							End:   sp.End().UnixNano(),
-							Total: sp.Total(),
-							Stages: [obs.NumStages]time.Duration{
-								sp.Stage(obs.StageAdmit), sp.Stage(obs.StageQueue),
-								sp.Stage(obs.StageCoalesce), sp.Stage(obs.StageDecode),
-								sp.Stage(obs.StageWrite),
-							},
-						})
 					}
 				}
 				recycle(job)

@@ -29,15 +29,14 @@ type ServerSnapshot struct {
 	// Streams is the windowed-streaming section.
 	Streams StreamStats
 	// Stages carries the batch plane's per-request stage histograms
-	// (admit/queue/coalesce/decode/write + total): every stage histogram's
-	// N equals the number of decoded (non-shed) requests, which is the
-	// reconciliation invariant the e2e tests pin.
+	// (admit/queue/coalesce/decode/write + total) and its slowest request
+	// traces: every stage histogram's N equals the number of decoded
+	// (non-shed) requests, which is the reconciliation invariant the e2e
+	// tests pin.
 	Stages obs.StageSnapshot
 	// StreamStages is the commit plane's counterpart (decode/write only;
 	// the queueing stages read zero — commits decode inline).
 	StreamStages obs.StageSnapshot
-	// Traces are the slowest retained request traces, slowest first.
-	Traces []obs.Trace
 	// Backends is the fleet section: per-backend routing counters, present
 	// only in snapshots assembled by a gateway (DESIGN.md §12). A single
 	// bpsf-serve leaves it empty.
@@ -77,7 +76,6 @@ func (s *Server) Snapshot() ServerSnapshot {
 		Streams:        s.StreamingStats(),
 		Stages:         s.stages.Snapshot(),
 		StreamStages:   s.streamStages.Snapshot(),
-		Traces:         s.traces.Snapshot(),
 	}
 }
 
@@ -122,9 +120,9 @@ func (snap ServerSnapshot) WriteText(w io.Writer) {
 		writeHistLine(w, "  decode", snap.StreamStages.Stages[obs.StageDecode])
 		writeHistLine(w, "  write", snap.StreamStages.Stages[obs.StageWrite])
 	}
-	if len(snap.Traces) > 0 {
-		fmt.Fprintf(w, "slowest %d requests:\n", len(snap.Traces))
-		for _, tr := range snap.Traces {
+	if traces := snap.Stages.Traces; len(traces) > 0 {
+		fmt.Fprintf(w, "slowest %d requests:\n", len(traces))
+		for _, tr := range traces {
 			fmt.Fprintf(w, "  %v  admit=%v queue=%v coalesce=%v decode=%v write=%v\n",
 				tr.Total, tr.Stages[obs.StageAdmit], tr.Stages[obs.StageQueue],
 				tr.Stages[obs.StageCoalesce], tr.Stages[obs.StageDecode], tr.Stages[obs.StageWrite])

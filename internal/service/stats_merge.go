@@ -1,10 +1,6 @@
 package service
 
-import (
-	"sort"
-
-	"bpsf/internal/obs"
-)
+import "bpsf/internal/obs"
 
 // Fleet-wide snapshot aggregation (DESIGN.md §12). The gateway probes
 // each backend with msgStats and folds the per-process ServerSnapshots
@@ -19,17 +15,14 @@ type NamedSnapshot struct {
 	Snap ServerSnapshot
 }
 
-// mergedTraceCap bounds the slowest-traces section of a merged snapshot
-// so fleet size can't bloat the stats reply frame.
-const mergedTraceCap = 8
-
 // MergeSnapshots folds per-backend snapshots into a fleet-wide one.
 // Uptime is the oldest backend's (the fleet has been up at least that
 // long); runtime gauges sum (fleet capacity and footprint) except
 // LastGCPause, which takes the worst backend; session and stream
 // counters sum; stage histograms merge exactly (bucket counts add, so
 // the merged quantiles carry the same factor-of-two accuracy as any
-// single backend's); traces interleave slowest-first, capped; Backends
+// single backend's) and their traces interleave slowest first, capped at
+// one server's retention (obs.MergeStages); Backends
 // sections concatenate in input order. An empty input yields the zero
 // snapshot.
 func MergeSnapshots(parts []NamedSnapshot) ServerSnapshot {
@@ -61,12 +54,7 @@ func MergeSnapshots(parts []NamedSnapshot) ServerSnapshot {
 		m.Streams.Windows += s.Streams.Windows
 		m.Stages = obs.MergeStages(m.Stages, s.Stages)
 		m.StreamStages = obs.MergeStages(m.StreamStages, s.StreamStages)
-		m.Traces = append(m.Traces, s.Traces...)
 		m.Backends = append(m.Backends, s.Backends...)
-	}
-	sort.SliceStable(m.Traces, func(i, j int) bool { return m.Traces[i].Total > m.Traces[j].Total })
-	if len(m.Traces) > mergedTraceCap {
-		m.Traces = m.Traces[:mergedTraceCap]
 	}
 	return m
 }

@@ -118,8 +118,20 @@ type serverStream struct {
 	st   *window.Stream
 
 	detsPerRound []int
-	roundBits    gf2.Vec // reusable per-round scratch (max round width)
-	mechVec      gf2.Vec // reusable committed-mechanism bitmap
+	roundBits    []gf2.Vec // reusable round scratch, one per distinct round width
+	mechVec      gf2.Vec   // reusable committed-mechanism bitmap
+}
+
+// roundVec returns the stream's scratch vector of n bits.
+func (strm *serverStream) roundVec(n int) gf2.Vec {
+	for _, v := range strm.roundBits {
+		if v.Len() == n {
+			return v
+		}
+	}
+	v := gf2.NewVec(n)
+	strm.roundBits = append(strm.roundBits, v)
+	return v
 }
 
 // sessionStreams tracks the windowed streams of one connection; accessed
@@ -130,6 +142,14 @@ type sessionStreams struct {
 	streams map[uint64]*serverStream
 	nextID  uint64
 	numMech int
+
+	// Per-frame scratch that rounds reuses, so a warm stream decodes
+	// without allocating: the parsed round views, the commit replies
+	// (each keeping its buffer) and their spans, and the packed bitmap.
+	roundViews [][]byte
+	replies    [][]byte
+	spans      []obs.Span
+	mechBytes  []byte
 }
 
 func newSessionStreams(srv *Server, h Hello, numMechs int) *sessionStreams {
@@ -174,19 +194,16 @@ func (ss *sessionStreams) open(payload []byte) ([]byte, error) {
 	st := dec.NewStream()
 	layout := dec.Layout()
 	dets := make([]int, layout.NumRounds())
-	maxDets := 0
-	for r := range dets {
-		dets[r] = layout.RoundDets(r)
-		if dets[r] > maxDets {
-			maxDets = dets[r]
-		}
-	}
-	ss.streams[id] = &serverStream{
+	strm := &serverStream{
 		id: id, pool: pool, dec: dec, st: st,
 		detsPerRound: dets,
-		roundBits:    gf2.NewVec(maxDets),
 		mechVec:      gf2.NewVec(ss.numMech),
 	}
+	for r := range dets {
+		dets[r] = layout.RoundDets(r)
+		strm.roundVec(dets[r])
+	}
+	ss.streams[id] = strm
 	ss.srv.streamsOpened.Add(1)
 	return appendStreamAck(nil, streamAck{id: id, window: w, commit: c, detsPerRound: dets}), nil
 }
@@ -196,9 +213,10 @@ func (ss *sessionStreams) open(payload []byte) ([]byte, error) {
 // payload per committed window (emitted in order by the caller), plus a
 // parallel stage span per commit — decode marked here at commit emission,
 // write closed by the caller once the reply frame is flushed, then folded
-// into the server's streamStages histograms. When the final round arrives
-// the last commit carries the Final flag and the whole-stream verdict, and
-// the warm decoder returns to its pool.
+// into the server's streamStages histograms. Both slices are valid until
+// the next call. When the final round arrives the last commit carries the
+// Final flag and the whole-stream verdict, and the warm decoder returns
+// to its pool.
 func (ss *sessionStreams) rounds(payload []byte, recvT time.Time) ([][]byte, []obs.Span, error) {
 	r := &reader{b: payload}
 	r.u8()
@@ -210,19 +228,18 @@ func (ss *sessionStreams) rounds(payload []byte, recvT time.Time) ([][]byte, []o
 	if !ok {
 		return nil, nil, fmt.Errorf("service: rounds for unknown stream %d", id)
 	}
-	_, firstRound, rounds, err := parseStreamRounds(payload, strm.detsPerRound)
+	_, firstRound, rounds, err := parseStreamRounds(payload, strm.detsPerRound, ss.roundViews)
 	if err != nil {
 		return nil, nil, err
 	}
+	ss.roundViews = rounds
 	if firstRound != strm.st.NextRound() {
 		return nil, nil, fmt.Errorf("service: stream %d expects round %d, got %d (rounds must arrive in order)",
 			id, strm.st.NextRound(), firstRound)
 	}
-	var replies [][]byte
-	var spans []obs.Span
+	replies, spans := ss.replies[:0], ss.spans[:0]
 	for i, raw := range rounds {
-		nd := strm.detsPerRound[firstRound+i]
-		bits := gf2.NewVec(nd)
+		bits := strm.roundVec(strm.detsPerRound[firstRound+i])
 		if err := bits.SetBytes(raw); err != nil {
 			return nil, nil, err
 		}
@@ -254,20 +271,26 @@ func (ss *sessionStreams) rounds(payload []byte, recvT time.Time) ([][]byte, []o
 			sp.Begin(recvT)
 			sp.Mark(obs.StageDecode, doneT)
 			spans = append(spans, sp)
-			replies = append(replies, appendStreamCommit(nil, streamCommitMsg{
+			ss.mechBytes = strm.mechVec.AppendBytes(ss.mechBytes[:0])
+			var buf []byte
+			if n := len(replies); n < cap(replies) {
+				buf = replies[:n+1][n][:0]
+			}
+			replies = append(replies, appendStreamCommit(buf, streamCommitMsg{
 				id:         id,
 				window:     cm.Window,
 				flags:      flags,
 				firstRound: cm.FirstRound,
 				endRound:   cm.EndRound,
 				latency:    lat,
-				mechs:      strm.mechVec.AppendBytes(nil),
+				mechs:      ss.mechBytes,
 			}))
 		}
 		if done {
 			ss.close(id)
 		}
 	}
+	ss.replies, ss.spans = replies, spans
 	return replies, spans, nil
 }
 

@@ -61,10 +61,6 @@ func populatedSnapshot() ServerSnapshot {
 		Streams:      StreamStats{Opened: 3, Windows: 9},
 		Stages:       set.Snapshot(),
 		StreamStages: obs.StageSnapshot{},
-		Traces: []obs.Trace{
-			{End: 1712345, Total: 4 * time.Microsecond,
-				Stages: [obs.NumStages]time.Duration{time.Microsecond, 0, 0, 2 * time.Microsecond, time.Microsecond}},
-		},
 		Backends: []BackendStats{
 			{Name: "b0", Addr: "127.0.0.1:9000", Healthy: true, Sessions: 2, SessionsTotal: 4,
 				Requests: 100, Failovers: 1, Replayed: 37},
@@ -341,10 +337,11 @@ func TestServerStatsReconcile(t *testing.T) {
 	if snap.Runtime.Goroutines < 1 || snap.Uptime <= 0 {
 		t.Fatalf("runtime section empty: %+v", snap.Runtime)
 	}
-	if len(snap.Traces) == 0 {
+	traces := snap.Stages.Traces
+	if len(traces) == 0 {
 		t.Fatal("no slow traces retained after decoding")
 	}
-	for i, tr := range snap.Traces {
+	for i, tr := range traces {
 		var sum time.Duration
 		for _, d := range tr.Stages {
 			sum += d
@@ -352,7 +349,7 @@ func TestServerStatsReconcile(t *testing.T) {
 		if sum != tr.Total {
 			t.Errorf("trace %d stages sum %v != total %v", i, sum, tr.Total)
 		}
-		if i > 0 && tr.Total > snap.Traces[i-1].Total {
+		if i > 0 && tr.Total > traces[i-1].Total {
 			t.Errorf("traces not sorted slowest first at %d", i)
 		}
 	}
@@ -499,9 +496,9 @@ func TestAdminEndpoints(t *testing.T) {
 			Decoded uint64
 		}
 		Stages struct {
-			Total struct{ N int }
+			Total  struct{ N int }
+			Traces []struct{ Total int64 }
 		}
-		Traces []struct{ Total int64 }
 	}
 	if err := json.Unmarshal([]byte(get("/statusz")), &statusz); err != nil {
 		t.Fatalf("/statusz is not JSON: %v", err)
@@ -512,7 +509,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if statusz.Stages.Total.N != total {
 		t.Fatalf("/statusz stage total N=%d, want %d", statusz.Stages.Total.N, total)
 	}
-	if len(statusz.Traces) == 0 {
+	if len(statusz.Stages.Traces) == 0 {
 		t.Fatal("/statusz has no slow traces")
 	}
 

@@ -37,7 +37,7 @@ func TestRunCircuitFramesWorkerInvariance(t *testing.T) {
 	mk := DecoderSpecs()["uf"].NewDecoder
 	var ref *Result
 	for _, workers := range []int{1, 2, 8} {
-		cfg := Config{P: 0.02, Shots: 500, Seed: 5, Shards: 8, Workers: workers}
+		cfg := Config{P: 0.02, Shots: 500, Seed: 5, Workers: workers}
 		res, err := RunCircuitFrames(circ, d, 2, mk, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -91,14 +91,14 @@ func TestRunCircuitFramesMatchesDEMRate(t *testing.T) {
 	}
 }
 
-// TestRunCircuitFramesShardDeterminism: equal (Seed, Shots, Shards) give
+// TestRunCircuitFramesShardDeterminism: equal (Seed, Shots) give
 // bit-identical frame-path results across runs; a different seed diverges
 // in the sampled stream (asserted via the aggregate iteration average,
 // which is sensitive to every syndrome).
 func TestRunCircuitFramesShardDeterminism(t *testing.T) {
 	circ, d := batchTestModel(t)
 	mk := DecoderSpecs()["bp"].NewDecoder
-	cfg := Config{P: 0.03, Shots: 320, Seed: 11, Shards: 5, Workers: 2}
+	cfg := Config{P: 0.03, Shots: 320, Seed: 11, Workers: 2}
 	a, err := RunCircuitFrames(circ, d, 2, mk, cfg)
 	if err != nil {
 		t.Fatal(err)

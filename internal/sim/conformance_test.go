@@ -168,7 +168,9 @@ func TestWindowedConformanceWorkerInvariance(t *testing.T) {
 	reg := DecoderSpecs()
 	css := conformanceCodes(t)
 	for _, name := range DecoderNames() {
-		mk := NewWindowed(reg[name].NewDecoder, 3, 1)
+		spec := reg[name]
+		spec.Window, spec.Commit = 3, 1
+		mk := spec.NewDecoder
 		for _, c := range css {
 			var ref *Result
 			for _, workers := range []int{1, 8} {

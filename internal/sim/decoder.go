@@ -17,7 +17,6 @@ import (
 	"bpsf/internal/sparse"
 	"bpsf/internal/tanner"
 	"bpsf/internal/uf"
-	"bpsf/internal/window"
 )
 
 // Outcome is the unified per-shot decoder report consumed by the harness
@@ -163,31 +162,5 @@ func (a *ufAdapter) Decode(s gf2.Vec) Outcome {
 		Iterations:     r.GrowthRounds,
 		InitIterations: r.GrowthRounds,
 		Time:           time.Since(t0),
-	}
-}
-
-// ---- sliding-window wrapper ----
-
-// NewWindowedOver wraps an inner decoder factory with the sliding-window
-// scheduler (internal/window): the decoding problem is sliced along the
-// given round layout into overlapping windows of w rounds, each window
-// committing its first c rounds (the last window commits everything), with
-// committed corrections' boundary syndromes propagated into the next
-// window. The returned factory builds one warm windowed decoder per call;
-// its result is a deterministic pure function of (seed, w, c, inner spec).
-func NewWindowedOver(inner Factory, layout window.Layout, w, c int) Factory {
-	return func(h *sparse.Mat, priors []float64) (Decoder, error) {
-		return window.New(h, priors, layout, w, c, decoding.Factory(inner))
-	}
-}
-
-// NewWindowed is NewWindowedOver with the generic row-per-round layout:
-// every row of the check matrix is its own "round" — the layout a windowed
-// Spec with a zero Layout uses. Circuit-level callers should pass the
-// memory-experiment layout (window.MemexpLayout) to NewWindowedOver
-// instead.
-func NewWindowed(inner Factory, w, c int) Factory {
-	return func(h *sparse.Mat, priors []float64) (Decoder, error) {
-		return window.New(h, priors, window.RowRounds(h.Rows()), w, c, decoding.Factory(inner))
 	}
 }

@@ -54,8 +54,13 @@ func TestConfigShardsIndependentOfWorkers(t *testing.T) {
 	if a.shards() != b.shards() {
 		t.Fatal("shard count must not depend on Workers")
 	}
-	if (Config{Shots: 500, Shards: 3}).shards() != 3 {
-		t.Fatal("explicit Shards override ignored")
+	for _, tc := range []struct{ shots, want int }{
+		{1, 1}, {4, 1}, {5, 2}, {100, 25}, {256, 64}, {500, 64},
+	} {
+		if got := (Config{Shots: tc.shots, Workers: 3}).shards(); got != tc.want {
+			t.Fatalf("%d shots: %d shards, want %d (ceil(shots/%d) capped at %d)",
+				tc.shots, got, tc.want, minShardShots, defaultMaxShards)
+		}
 	}
 	if (Config{Shots: 0}).shards() != 1 {
 		t.Fatal("zero shots should still produce one shard")

@@ -1,6 +1,6 @@
 // Sharded parallel Monte-Carlo engine.
 //
-// A run's Shots are split into Shards fixed-size shards; each shard owns an
+// A run's Shots are split into a fixed number of shards; each shard owns an
 // independent noise sampler and decoder whose seeds derive deterministically
 // from (Config.Seed, shard index), so the shard decomposition — and therefore
 // every sampled error and every Record — is a pure function of the Config and
@@ -10,7 +10,7 @@
 // shared atomic failure counter checked once per shot.
 //
 // Determinism contract (see DESIGN.md §4): for MaxLogicalErrors == 0, two
-// runs with equal (Seed, Shots, Shards) produce bit-identical Failures, LER
+// runs with equal (Seed, Shots) produce bit-identical Failures, LER
 // and Record ordering for ANY Workers value. With MaxLogicalErrors > 0 the
 // collected failure count is still guaranteed to reach the threshold when the
 // workload contains enough failures, but the exact number of executed shots
@@ -76,14 +76,10 @@ func (cfg Config) workers() int {
 	return runtime.NumCPU()
 }
 
-// shards resolves Config.Shards: the explicit override, or the automatic
-// count min(defaultMaxShards, ceil(Shots/minShardShots)). It depends only on
-// the Config — never on Workers — which is what makes results worker-count
-// invariant.
+// shards returns the shard count min(defaultMaxShards,
+// ceil(Shots/minShardShots)). It depends only on Shots — never on Workers —
+// which is what makes results worker-count invariant.
 func (cfg Config) shards() int {
-	if cfg.Shards > 0 {
-		return cfg.Shards
-	}
 	n := (cfg.Shots + minShardShots - 1) / minShardShots
 	if n > defaultMaxShards {
 		n = defaultMaxShards

@@ -35,10 +35,6 @@ type Config struct {
 	// Workers is the number of goroutines decoding shards in parallel
 	// (0 = runtime.NumCPU()). Results are bit-identical for any value.
 	Workers int
-	// Shards overrides the shard count (0 = automatic). Results depend on
-	// the shard decomposition, so override it only to pin a decomposition
-	// across runs with different Shots.
-	Shards int
 }
 
 // Record is one shot's decoder telemetry (estimates dropped to save

@@ -8,7 +8,7 @@ import "bpsf/internal/code"
 // final transversal data measurement contributes one more Z-stabilizer
 // block, treated as an extra layout round T. The layout therefore has
 // rounds+1 rounds and memexp's full detector count; it is what circuit
-// -level callers hand to New / sim.NewWindowedOver.
+// -level callers hand to New (or as sim.Spec.Layout).
 func MemexpLayout(css *code.CSS, rounds int) Layout {
 	numZ := css.CombZ.Rows()
 	numX := css.CombX.Rows()
