@@ -63,6 +63,27 @@ func TestMergeStagesMatchesSingle(t *testing.T) {
 	if got := MergeStages(a, b); !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged stages diverge:\n got %+v\nwant %+v", got, want)
 	}
+
+	// Two full trace sets interleave: the merge keeps the traceSlots
+	// slowest of both, slowest first, as one set recording every span does.
+	var even, odd, all []time.Duration
+	for i := 1; i <= 2*traceSlots; i++ {
+		d := time.Duration(i) * time.Millisecond
+		if i%2 == 0 {
+			even = append(even, d)
+		} else {
+			odd = append(odd, d)
+		}
+		all = append(all, d)
+	}
+	got, want := MergeStages(mk(even...), mk(odd...)), mk(all...)
+	if len(got.Traces) != traceSlots || got.Traces[0].Total != 4*time.Duration(traceSlots)*time.Millisecond {
+		t.Fatalf("merged %d traces, slowest %v; want %d, slowest %v",
+			len(got.Traces), got.Traces[0].Total, traceSlots, want.Traces[0].Total)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged full trace sets diverge:\n got %+v\nwant %+v", got.Traces, want.Traces)
+	}
 }
 
 func TestLabel(t *testing.T) {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	}
 	var ss *StageSet
 	ss.Record(&Span{})
-	if snap := ss.Snapshot(); snap.Total != (HistSnapshot{}) || snap.Traces != nil {
+	if !reflect.DeepEqual(ss.Snapshot(), StageSnapshot{}) {
 		t.Fatal("nil StageSet has a snapshot")
 	}
 }

@@ -25,7 +25,7 @@ import (
 // payload length followed by the payload; payload[0] is the message type.
 const (
 	protocolMagic   = 0x42505346 // "BPSF"
-	protocolVersion = 1
+	protocolVersion = 2
 
 	MsgHello      = 1
 	MsgHelloAck   = 2

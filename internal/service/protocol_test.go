@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,6 +44,14 @@ func TestHelloRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(out, h) {
 			t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", h, out)
 		}
+	}
+
+	// a Hello from a build of another protocol version is refused: the
+	// stats reply's JSON shape is part of the version
+	payload, _ := appendHello(nil, in)
+	payload[5] = protocolVersion - 1 // type byte, u32 magic, version
+	if _, err := ParseHello(payload); err == nil || !strings.Contains(err.Error(), "protocol version") {
+		t.Fatalf("older protocol version accepted (err %v)", err)
 	}
 
 	// a field the wire cannot carry is refused, never dropped or truncated
