@@ -66,7 +66,7 @@ func main() {
 	poolSize := flag.Int("pool-size", 2, "warm decoders per pool, per member")
 	queueDepth := flag.Int("queue-depth", 1024, "admission queue bound per pool, per member")
 	maxBatch := flag.Int("max-batch", 32, "adaptive coalescing cap per member")
-	windowRounds := flag.Int("window", 3, "default sliding-window size for streams (members and routing key)")
+	windowRounds := flag.Int("window", 3, "default sliding-window size for the members' streams")
 	commitRounds := flag.Int("commit", 1, "default committed rounds per stream window")
 	var kills []killSpec
 	flag.Func("kill", "kill member i after a delay, as index@delay e.g. 1@2s (repeatable)", func(v string) error {

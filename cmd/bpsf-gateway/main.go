@@ -1,8 +1,9 @@
 // Command bpsf-gateway fronts a fleet of bpsf-serve backends with one
 // client-facing decode endpoint. It speaks the same length-prefixed
 // protocol on both sides: sessions are routed by rendezvous-hashing
-// their decode identity (code, rounds, p, spec, W, C) so identical
-// workloads share warm pools, every client frame is journaled before it
+// their decode identity (code, rounds, p, spec: the backends' pool key)
+// so identical workloads share warm pools, every client frame is
+// journaled before it
 // is forwarded, and when a backend dies mid-session the gateway replays
 // the journal onto the next-ranked healthy backend — the determinism
 // contract makes the resumed stream byte-identical, and the gateway
@@ -71,12 +72,10 @@ func main() {
 		backendVals = append(backendVals, v)
 		return nil
 	})
-	windowRounds := flag.Int("window", 3, "stream window size in the session routing key (match the backends')")
-	commitRounds := flag.Int("commit", 1, "committed rounds per window in the routing key (match the backends')")
 	maxSessions := flag.Int("max-sessions", 64, "session cap per backend; full backends are skipped in the ranking")
 	maxJournal := flag.Int("max-journal", 8<<20, "replay journal cap per session in bytes; beyond it a session survives but cannot fail over")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "backend health probe period")
-	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "backend health probe round-trip bound")
+	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "bound on one backend handshake or health-probe round trip; a backend that misses it is marked down")
 	drainGrace := flag.Duration("drain-grace", 10*time.Second, "session grace period on shutdown")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop a session whose client sends nothing for this long (client hop only; 0 = never)")
 	writeTimeout := flag.Duration("write-timeout", 0, "drop a session whose client stops reading replies (per frame write; 0 = never)")
@@ -91,13 +90,8 @@ func main() {
 	if *quiet {
 		logf = func(string, ...interface{}) {}
 	}
-	if *commitRounds < 1 || *commitRounds > *windowRounds {
-		log.Fatalf("need 1 ≤ -commit ≤ -window, got -window %d -commit %d", *windowRounds, *commitRounds)
-	}
 	gw, err := fleet.NewGateway(fleet.GatewayOptions{
 		Backends:              backends,
-		StreamWindow:          *windowRounds,
-		StreamCommit:          *commitRounds,
 		MaxSessionsPerBackend: *maxSessions,
 		MaxJournalBytes:       *maxJournal,
 		ProbeInterval:         *probeInterval,
@@ -112,8 +106,7 @@ func main() {
 	if err := gw.Listen(*listen); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("routing %d backend(s) on %s (window=%d commit=%d max-sessions=%d)",
-		len(backends), gw.Addr(), *windowRounds, *commitRounds, *maxSessions)
+	log.Printf("routing %d backend(s) on %s (max-sessions=%d)", len(backends), gw.Addr(), *maxSessions)
 	for _, b := range backends {
 		log.Printf("  backend %s = %s", b.Name, b.Addr)
 	}

@@ -19,8 +19,7 @@ type FleetOptions struct {
 	// Server configures every member (PoolSize, StreamWindow, ...).
 	Server service.Options
 	// Gateway configures the front door; its Backends field is ignored
-	// (the orchestrator fills it from the members it starts). Leave
-	// StreamWindow/StreamCommit zero to inherit the members'.
+	// (the orchestrator fills it from the members it starts).
 	Gateway GatewayOptions
 	// GatewayListen is the gateway's listen address (default loopback
 	// ephemeral; bpsf-fleet sets it so CI can dial a fixed port).
@@ -43,12 +42,6 @@ func memberName(i int) string { return fmt.Sprintf("b%d", i) }
 func StartLocal(opts FleetOptions) (*Fleet, error) {
 	if opts.Backends <= 0 {
 		opts.Backends = 3
-	}
-	if opts.Gateway.StreamWindow == 0 {
-		opts.Gateway.StreamWindow = opts.Server.StreamWindow
-	}
-	if opts.Gateway.StreamCommit == 0 {
-		opts.Gateway.StreamCommit = opts.Server.StreamCommit
 	}
 	f := &Fleet{opts: opts}
 	var addrs []BackendAddr

@@ -23,12 +23,6 @@ type BackendAddr struct {
 type GatewayOptions struct {
 	// Backends is the fixed backend registry (at least one).
 	Backends []BackendAddr
-	// StreamWindow/StreamCommit are the W and C the session hash key uses
-	// (routing happens at Hello time, before any StreamOpen names its own).
-	// They should match the backends' configuration (defaults 3 and 1,
-	// like service.Options).
-	StreamWindow int
-	StreamCommit int
 	// MaxSessionsPerBackend bounds the gateway's connection pool per
 	// backend; a full backend is skipped in the rendezvous ranking
 	// (default 64).
@@ -42,13 +36,15 @@ type GatewayOptions struct {
 	// negative disables the background loop — tests and the orchestrator
 	// then call ProbeOnce themselves).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe round trip (default 2s).
+	// ProbeTimeout bounds one backend handshake or probe round trip
+	// (default 2s): a backend that misses it is marked down and the
+	// session goes on down the ranking.
 	ProbeTimeout time.Duration
 	// IdleTimeout bounds the wait for the next CLIENT frame; a session
 	// idle past it is shut down cleanly (0 = never). It applies only to
-	// the client hop — backend conns carry no read deadline, so a quiet
-	// backend link is never mistaken for backend death (which would trip
-	// a spurious failover).
+	// the client hop — backend Conns are dialed and carry no deadline, so
+	// a quiet backend link is never mistaken for backend death (which
+	// would trip a spurious failover).
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each client-hop frame write (0 = never).
 	WriteTimeout time.Duration
@@ -57,12 +53,6 @@ type GatewayOptions struct {
 }
 
 func (o GatewayOptions) withDefaults() GatewayOptions {
-	if o.StreamWindow <= 0 {
-		o.StreamWindow = 3
-	}
-	if o.StreamCommit <= 0 {
-		o.StreamCommit = 1
-	}
 	if o.MaxSessionsPerBackend <= 0 {
 		o.MaxSessionsPerBackend = 64
 	}

@@ -424,18 +424,17 @@ func TestGatewayDrainReportsFinalCounts(t *testing.T) {
 	}
 }
 
-// TestGatewayDrainBoundsSilentBackend: Drain's final probe must not hang
-// on a backend that accepts the connection but never acknowledges the
-// Hello; the probe gives up after ProbeTimeout and marks it down.
-func TestGatewayDrainBoundsSilentBackend(t *testing.T) {
+// muteBackend listens on loopback and holds every accepted connection
+// open, unanswered, until the test ends: a backend that accepts the
+// connection but never acknowledges the Hello.
+func muteBackend(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
-		// hold every accepted connection open, unanswered, until the
-		// listener closes at the end of the test
 		var conns []net.Conn
 		defer func() {
 			for _, c := range conns {
@@ -450,26 +449,132 @@ func TestGatewayDrainBoundsSilentBackend(t *testing.T) {
 			conns = append(conns, c)
 		}
 	}()
+	return ln.Addr().String()
+}
+
+// drainWithin runs g.Drain(grace) and fails the test if it has not
+// returned within limit.
+func drainWithin(t *testing.T, g *Gateway, grace, limit time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		g.Drain(grace)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		t.Fatalf("Drain(%v) still blocked after %v", grace, limit)
+	}
+}
+
+// TestGatewayDrainBoundsSilentBackend: Drain's final probe must not hang
+// on a backend that accepts the connection but never acknowledges the
+// Hello; the probe gives up after ProbeTimeout and marks it down.
+func TestGatewayDrainBoundsSilentBackend(t *testing.T) {
 	g, err := NewGateway(GatewayOptions{
-		Backends:      []BackendAddr{{Name: "mute", Addr: ln.Addr().String()}},
+		Backends:      []BackendAddr{{Name: "mute", Addr: muteBackend(t)}},
 		ProbeInterval: -1,
 		ProbeTimeout:  200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		g.Drain(time.Second)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Drain blocked on a backend that never acknowledges")
-	}
+	drainWithin(t, g, time.Second, 10*time.Second)
 	if bs := g.BackendStats(); len(bs) != 1 || bs[0].Healthy {
 		t.Fatalf("silent backend after the final probe: %+v, want marked down", bs)
+	}
+}
+
+// TestGatewaySkipsMuteBackend: the session's top-ranked backend accepts
+// connections but never acknowledges the Hello, and a live server ranks
+// second. The backend handshake is bounded by ProbeTimeout, so the
+// session lands on the live server, the mute backend is marked down, and
+// Drain returns.
+func TestGatewaySkipsMuteBackend(t *testing.T) {
+	h, err := service.ValidateHello(testHello())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := Rank([]string{"x", "y"}, service.SessionKey(h)) // mute first
+	g, err := NewGateway(GatewayOptions{
+		Backends: []BackendAddr{
+			{Name: names[0], Addr: muteBackend(t)},
+			{Name: names[1], Addr: startDirectServer(t, service.Options{})},
+		},
+		ProbeInterval: -1,
+		ProbeTimeout:  200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := service.DialTimeout(g.Addr().String(), testHello(), 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial through the gateway with a live backend: %v", err)
+	}
+	defer c.Close()
+	sampleBatches(t, c, 1, 4)
+	bs := g.BackendStats()
+	if bs[0].Healthy {
+		t.Fatalf("mute backend %s still healthy: %+v", bs[0].Name, bs)
+	}
+	if bs[1].Sessions != 1 {
+		t.Fatalf("session not on the live backend %s: %+v", bs[1].Name, bs)
+	}
+	drainWithin(t, g, 200*time.Millisecond, 10*time.Second)
+}
+
+// TestGatewayClientIdleTimeout: a client that goes quiet past
+// IdleTimeout loses its session cleanly, with no failover and no lost
+// session. The client first sends stream rounds that complete no
+// window, so the backend hop carries no reply for longer than the
+// timeout while the client hop stays busy: a failover or a lost session
+// here would mean the backend Conn carried an idle deadline too.
+func TestGatewayClientIdleTimeout(t *testing.T) {
+	const idle = 200 * time.Millisecond
+	f, err := StartLocal(FleetOptions{
+		Backends: 2,
+		Server:   service.Options{PoolSize: 1},
+		Gateway:  GatewayOptions{ProbeInterval: -1, IdleTimeout: idle},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	c, err := service.Dial(f.GatewayAddr(), testHello())
+	if err != nil {
+		t.Fatalf("dial gateway: %v", err)
+	}
+	defer c.Close()
+	st, err := c.OpenStream(3, 1)
+	if err != nil {
+		t.Fatalf("open stream: %v", err)
+	}
+	for r := 0; r < st.Window()-1; r++ { // the first commit needs Window rounds
+		time.Sleep(idle * 2 / 5)
+		if err := st.SendRounds([]gf2.Vec{gf2.NewVec(st.RoundDets(r))}); err != nil {
+			t.Fatalf("send round %d: %v", r, err)
+		}
+	}
+	// now stall: the session must end on the client hop's deadline
+	if _, err := st.NextCommit(); err == nil {
+		t.Fatal("a commit arrived for an incomplete window")
+	}
+	g := f.Gateway()
+	for deadline := time.Now().Add(5 * time.Second); g.sessionsActive.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still active after the client idled out", g.sessionsActive.Load())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := g.failoversTotal.Load(); n != 0 {
+		t.Fatalf("failovers_total %d after a client idle timeout, want 0", n)
+	}
+	if n := g.sessionsLost.Load(); n != 0 {
+		t.Fatalf("sessions_lost_total %d after a client idle timeout, want 0", n)
 	}
 }
 

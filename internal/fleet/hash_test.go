@@ -8,8 +8,8 @@ import (
 )
 
 // corpus is the fixed seeded session-key corpus the stability tests
-// run over: 4096 keys shaped like real session keys (pool key + W/C),
-// salted with a constant chosen so the remap bound below holds exactly
+// run over: 4096 keys shaped like session keys (a pool key with extra
+// suffixes), salted with a constant chosen so the remap bound below holds exactly
 // for every table row (the corpus is part of the test's pinned input,
 // not a random sample).
 func corpus() []string {
@@ -71,8 +71,8 @@ func TestIdenticalSpecsSameBackend(t *testing.T) {
 			if err != nil {
 				t.Fatalf("normalize b: %v", err)
 			}
-			ka := service.SessionKey(na, 3, 1)
-			kb := service.SessionKey(nb, 3, 1)
+			ka := service.SessionKey(na)
+			kb := service.SessionKey(nb)
 			if ka != kb {
 				t.Fatalf("keys differ: %q vs %q", ka, kb)
 			}
@@ -89,6 +89,23 @@ func TestIdenticalSpecsSameBackend(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("64 distinct keys all routed to one backend: %v", seen)
+	}
+}
+
+// TestFleetSmokeRouting pins the routing the CI fleet smoke relies on:
+// its kill leg's workload (bpsf-load -code bb72 -rounds 2 -p 0.003
+// -decoder bp -bp-iters 50, the other decoder flags at their defaults)
+// ranks b0 first over {b0, b1, b2}, so killing b0 kills the backend
+// serving every session.
+func TestFleetSmokeRouting(t *testing.T) {
+	h, err := service.ValidateHello(service.Hello{Code: "bb72", Rounds: 2, P: 0.003,
+		Spec: service.Spec{Kind: "bp", BPIters: 50, OSDOrder: 10, Phi: 50, WMax: 10, NS: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := service.SessionKey(h)
+	if got := Rank([]string{"b0", "b1", "b2"}, key); got[0] != "b0" {
+		t.Fatalf("fleet-smoke key %q ranks %v; the CI kill leg kills b0", key, got)
 	}
 }
 

@@ -1,12 +1,10 @@
 package fleet
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"bpsf/internal/service"
 )
@@ -76,19 +74,16 @@ type session struct {
 	geom      service.AckGeometry
 	mechBytes int
 
-	cconn net.Conn
-	cbr   *bufio.Reader
-
-	cwMu sync.Mutex // serializes client writes (pump vs error paths)
-	cbw  *bufio.Writer
+	// cconn is the client hop: upstream reads it, and the pump and the
+	// error paths write to it.
+	cconn *service.Conn
 
 	// mu guards the backend link, journal and delivery accounting; held
 	// across a whole failover so upstream writes block until the new
 	// backend has the full journal.
 	mu           sync.Mutex
 	be           *backend
-	bconn        net.Conn
-	bbw          *bufio.Writer
+	bconn        *service.Conn
 	epoch        int
 	closed       bool
 	journal      [][]byte
@@ -101,39 +96,28 @@ type session struct {
 
 // session is the per-connection entry point: route the Hello, splice
 // until either side ends.
-func (g *Gateway) session(conn net.Conn) {
-	cbr := bufio.NewReader(conn)
-	cbw := bufio.NewWriter(conn)
-	refuse := func(format string, args ...interface{}) {
-		payload := service.AppendError(nil, fmt.Sprintf(format, args...))
-		if service.WriteFrame(cbw, payload) == nil {
-			cbw.Flush()
-		}
-	}
-
-	helloPayload, err := service.ReadFrame(cbr, service.DefaultMaxFrame)
+func (g *Gateway) session(nc net.Conn) {
+	cconn := service.NewConn(nc, g.opts.IdleTimeout, g.opts.WriteTimeout)
+	helloPayload, err := cconn.Read()
 	if err != nil {
 		return
 	}
 	h, err := service.ParseHello(helloPayload)
+	if err == nil {
+		h, err = service.ValidateHello(h)
+	}
 	if err != nil {
-		refuse("%v", err)
+		cconn.Write(service.AppendError(nil, err.Error()))
 		return
 	}
-	norm, err := service.ValidateHello(h)
-	if err != nil {
-		refuse("%v", err)
-		return
-	}
-	key := service.SessionKey(norm, g.opts.StreamWindow, g.opts.StreamCommit)
+	key := service.SessionKey(h)
 
 	s := &session{
-		g:          g,
-		key:        key,
-		hello:      helloPayload,
-		cconn:      conn,
-		cbr:        cbr,
-		cbw:        cbw,
+		g:   g,
+		key: key,
+		// the Hello outlives the read arena: failover replays it
+		hello:      append([]byte(nil), helloPayload...),
+		cconn:      cconn,
 		replayable: true,
 	}
 	for p := range s.sums {
@@ -146,26 +130,24 @@ func (g *Gateway) session(conn net.Conn) {
 		if !g.eligible(be) {
 			continue
 		}
-		bconn, bbw, ack, geom, derr := g.dialBackend(be, helloPayload)
+		bconn, ack, geom, derr := g.dialBackend(be, s.hello)
 		if derr != nil {
 			if _, isReject := derr.(*helloRejected); isReject {
 				// the backend is alive and rejected the Hello: that verdict
 				// is the client's, not grounds for trying elsewhere
-				if service.WriteFrame(cbw, ack) == nil {
-					cbw.Flush()
-				}
+				cconn.Write(ack)
 				return
 			}
 			g.markDown(be, derr)
 			continue
 		}
-		s.be, s.bconn, s.bbw = be, bconn, bbw
+		s.be, s.bconn = be, bconn
 		s.geom, s.mechBytes = geom, (geom.NumMechs+7)/8
 		ackPayload = ack
 		break
 	}
 	if s.be == nil {
-		refuse("fleet: no eligible backend for session key %s", key)
+		cconn.Write(service.AppendError(nil, "fleet: no eligible backend for session key "+key))
 		g.sessionsLost.Add(1)
 		return
 	}
@@ -176,11 +158,11 @@ func (g *Gateway) session(conn net.Conn) {
 	s.be.sessions.Add(1)
 	s.be.sessionsTotal.Add(1)
 
-	if err := s.writeClient(ackPayload); err != nil {
+	if err := cconn.Write(ackPayload); err != nil {
 		s.shutdown()
 		return
 	}
-	go s.pump(0, bufio.NewReader(s.bconn), replayTarget{})
+	go s.pump(0, s.bconn, replayTarget{})
 	s.upstream()
 }
 
@@ -191,56 +173,38 @@ type helloRejected struct{ msg string }
 func (e *helloRejected) Error() string { return e.msg }
 
 // dialBackend opens a backend session by forwarding the client's Hello
-// frame verbatim and reading the acceptance. Returns the raw ack payload
-// so the gateway can forward it (new sessions) or discard it (failover).
-func (g *Gateway) dialBackend(be *backend, helloFrame []byte) (net.Conn, *bufio.Writer, []byte, service.AckGeometry, error) {
-	conn, err := service.DialAddr(be.getAddr(), 0)
+// frame verbatim and reading the acceptance, both within ProbeTimeout so
+// a backend that accepts but never answers cannot hold the session (or,
+// in failover, s.mu). Returns the raw ack payload, valid until the
+// Conn's first Read, so the gateway can forward it (new sessions) or
+// discard it (failover).
+func (g *Gateway) dialBackend(be *backend, hello []byte) (*service.Conn, []byte, service.AckGeometry, error) {
+	conn, ack, err := service.DialConn(be.getAddr(), hello, g.opts.ProbeTimeout)
 	if err != nil {
-		return nil, nil, nil, service.AckGeometry{}, err
-	}
-	bw := bufio.NewWriter(conn)
-	err = service.WriteFrame(bw, helloFrame)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err != nil {
-		conn.Close()
-		return nil, nil, nil, service.AckGeometry{}, err
-	}
-	// read the ack straight off the conn (no bufio): nothing else is in
-	// flight yet, and an unbuffered read can never swallow a later frame
-	ack, err := service.ReadFrame(conn, service.DefaultMaxFrame)
-	if err != nil {
-		conn.Close()
-		return nil, nil, nil, service.AckGeometry{}, err
+		return nil, nil, service.AckGeometry{}, err
 	}
 	if service.FrameType(ack) == service.MsgError {
 		conn.Close()
-		return nil, nil, ack, service.AckGeometry{}, &helloRejected{msg: service.ParseErrorBody(ack)}
+		return nil, ack, service.AckGeometry{}, &helloRejected{msg: service.ParseErrorBody(ack)}
 	}
 	geom, err := service.ParseHelloAckPayload(ack)
 	if err != nil {
 		conn.Close()
-		return nil, nil, nil, service.AckGeometry{}, err
+		return nil, nil, service.AckGeometry{}, err
 	}
-	return conn, bw, ack, geom, nil
+	return conn, ack, geom, nil
 }
 
 // upstream is the client→backend pump (the session goroutine itself):
 // journal, forward, and on a backend write failure let failover repair
 // it — the frame is journaled before the write, so replay re-drives it.
 func (s *session) upstream() {
-	var readBuf []byte // frame arena; the journal copies what it keeps
 	for {
-		if s.g.opts.IdleTimeout > 0 {
-			s.cconn.SetReadDeadline(time.Now().Add(s.g.opts.IdleTimeout))
-		}
-		payload, err := service.ReadFrameInto(s.cbr, service.DefaultMaxFrame, readBuf)
+		payload, err := s.cconn.Read()
 		if err != nil {
 			s.shutdown() // client went away (or idled out); nothing to preserve
 			return
 		}
-		readBuf = payload
 		t := service.FrameType(payload)
 
 		s.mu.Lock()
@@ -266,10 +230,7 @@ func (s *session) upstream() {
 			}
 			s.be.requests.Add(1)
 		}
-		werr := service.WriteFrame(s.bbw, payload)
-		if werr == nil {
-			werr = s.bbw.Flush()
-		}
+		werr := s.bconn.Write(payload)
 		s.mu.Unlock()
 
 		if werr != nil {
@@ -283,19 +244,19 @@ func (s *session) upstream() {
 // pump is the backend→client pump for one backend epoch. target carries
 // the replay obligation: swallow and hash-check the first target.count[p]
 // frames of each plane before resuming live delivery.
-func (s *session) pump(epoch int, br *bufio.Reader, target replayTarget) {
+func (s *session) pump(epoch int, bconn *service.Conn, target replayTarget) {
 	var replayed [numPlanes]uint64
 	var rsum [numPlanes]uint64
 	for p := range rsum {
 		rsum[p] = fnvOffset64
 	}
-	// Frame and canonical-form arenas. Backend conns deliberately carry no
-	// idle deadline: a quiet session is normal (the client paces the
-	// traffic), and an idle timeout here would read as backend death and
-	// trip a spurious failover.
-	var readBuf, canonBuf []byte
+	// The canonical-form arena. The backend Conn, dialed, carries no idle
+	// deadline: a quiet session is normal (the client paces the traffic),
+	// and an idle timeout here would read as backend death and trip a
+	// spurious failover.
+	var canonBuf []byte
 	for {
-		payload, err := service.ReadFrameInto(br, service.DefaultMaxFrame, readBuf)
+		payload, err := bconn.Read()
 		if err != nil {
 			s.mu.Lock()
 			stale := s.closed || s.epoch != epoch
@@ -305,7 +266,6 @@ func (s *session) pump(epoch int, br *bufio.Reader, target replayTarget) {
 			}
 			return
 		}
-		readBuf = payload
 		switch t := service.FrameType(payload); t {
 		case service.MsgStatsReply:
 			s.deliverStats(payload)
@@ -341,7 +301,7 @@ func (s *session) pump(epoch int, br *bufio.Reader, target replayTarget) {
 			s.sums[p] = hashFrame(s.sums[p], canon)
 			s.delivered[p]++
 			s.mu.Unlock()
-			if s.writeClient(payload) != nil {
+			if s.cconn.Write(payload) != nil {
 				s.shutdown()
 				return
 			}
@@ -367,7 +327,7 @@ func (s *session) deliverStats(payload []byte) {
 	} else {
 		out = service.AppendStatsReply(nil, s.g.snapshotWith(name, inline))
 	}
-	if s.writeClient(out) != nil {
+	if s.cconn.Write(out) != nil {
 		s.shutdown()
 	}
 }
@@ -407,7 +367,7 @@ func (s *session) failover(fromEpoch int, cause error) bool {
 		if be == dead || !s.g.eligible(be) {
 			continue
 		}
-		bconn, bbw, _, geom, derr := s.g.dialBackend(be, s.hello)
+		bconn, _, geom, derr := s.g.dialBackend(be, s.hello)
 		if derr != nil {
 			if _, isReject := derr.(*helloRejected); !isReject {
 				s.g.markDown(be, derr)
@@ -422,15 +382,15 @@ func (s *session) failover(fromEpoch int, cause error) bool {
 		}
 		var werr error
 		for _, frame := range s.journal {
-			if werr = service.WriteFrame(bbw, frame); werr != nil {
+			if werr = bconn.Buffer(frame); werr != nil {
 				break
 			}
 		}
 		for i := 0; werr == nil && i < s.statsPending; i++ {
-			werr = service.WriteFrame(bbw, []byte{service.MsgStats})
+			werr = bconn.Buffer([]byte{service.MsgStats})
 		}
 		if werr == nil {
-			werr = bbw.Flush()
+			werr = bconn.Flush()
 		}
 		if werr != nil {
 			bconn.Close()
@@ -442,29 +402,16 @@ func (s *session) failover(fromEpoch int, cause error) bool {
 		be.sessionsTotal.Add(1)
 		be.requests.Add(uint64(len(s.journal)))
 		be.replayed.Add(uint64(len(s.journal)))
-		s.be, s.bconn, s.bbw = be, bconn, bbw
+		s.be, s.bconn = be, bconn
 		s.epoch++
 		s.g.replaysOK.Add(1)
 		s.g.opts.Logf("session %s: failed over %s -> %s, replayed %d frames", s.key, dead.name, be.name, len(s.journal))
-		go s.pump(s.epoch, bufio.NewReader(bconn), target)
+		go s.pump(s.epoch, bconn, target)
 		return true
 	}
 	s.killSessionLocked(service.AppendError(nil,
 		"fleet: backend died and no eligible backend can take the session"))
 	return false
-}
-
-// writeClient sends one frame to the client under the write mutex.
-func (s *session) writeClient(payload []byte) error {
-	s.cwMu.Lock()
-	defer s.cwMu.Unlock()
-	if s.g.opts.WriteTimeout > 0 {
-		s.cconn.SetWriteDeadline(time.Now().Add(s.g.opts.WriteTimeout))
-	}
-	if err := service.WriteFrame(s.cbw, payload); err != nil {
-		return err
-	}
-	return s.cbw.Flush()
 }
 
 // killSession ends the session with an error frame to the client.
@@ -480,7 +427,7 @@ func (s *session) killSessionLocked(errFrame []byte) {
 	}
 	s.markClosedLocked()
 	s.g.sessionsLost.Add(1)
-	s.writeClient(errFrame)
+	s.cconn.Write(errFrame)
 	s.cconn.Close()
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -202,27 +203,32 @@ func TestReadFrameIntoReuse(t *testing.T) {
 	small := bytes.Repeat([]byte{0xA5}, 16)
 	big := bytes.Repeat([]byte{0x5A}, 256)
 	var wire bytes.Buffer
+	bw := bufio.NewWriter(&wire)
 	for _, p := range [][]byte{small, big, small} {
-		if err := WriteFrame(&wire, p); err != nil {
+		if err := writeFrame(bw, p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(&wire)
 	buf := make([]byte, 0, 64)
-	p1, err := ReadFrameInto(&wire, DefaultMaxFrame, buf)
+	p1, err := readFrameInto(br, DefaultMaxFrame, buf)
 	if err != nil || !bytes.Equal(p1, small) {
 		t.Fatalf("first read: %v %x", err, p1)
 	}
 	if &p1[0] != &buf[:1][0] {
 		t.Fatal("16-byte frame did not reuse the 64-byte arena")
 	}
-	p2, err := ReadFrameInto(&wire, DefaultMaxFrame, p1)
+	p2, err := readFrameInto(br, DefaultMaxFrame, p1)
 	if err != nil || !bytes.Equal(p2, big) {
 		t.Fatalf("second read: %v", err)
 	}
 	if cap(p2) < 256 {
 		t.Fatalf("arena did not grow: cap %d", cap(p2))
 	}
-	p3, err := ReadFrameInto(&wire, DefaultMaxFrame, p2)
+	p3, err := readFrameInto(br, DefaultMaxFrame, p2)
 	if err != nil || !bytes.Equal(p3, small) {
 		t.Fatalf("third read: %v", err)
 	}

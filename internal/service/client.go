@@ -1,12 +1,10 @@
 package service
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -49,22 +47,14 @@ func classifyRecvErr(err error) error {
 // safe for concurrent use; responses always come back in submission order
 // per Pending.
 type Client struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	conn *Conn // recvLoop reads; any goroutine sends
 
 	// geometry from the server's session acceptance
 	numDets  int
 	numMechs int
 	poolSize int
 
-	maxFrame int
 	maxBatch int
-
-	sendMu  sync.Mutex // serializes frame writes
-	sendBuf []byte     // request-frame arena, guarded by sendMu
-
-	recvBuf []byte // reply-frame arena, recvLoop only
 
 	freeP chan *Pending // recycled Pendings (Release)
 
@@ -140,23 +130,8 @@ func (c *Client) getPending() *Pending {
 	}
 }
 
-// DialAddr opens the client transport for addr: "unix:<path>", an
-// absolute path, or an abstract-socket name (leading '@') selects a
-// Unix-domain stream socket (the co-located transport of bpsf-serve
-// -uds); anything else dials TCP. timeout bounds the connect (0 = none).
-func DialAddr(addr string, timeout time.Duration) (net.Conn, error) {
-	d := net.Dialer{Timeout: timeout}
-	if rest, ok := strings.CutPrefix(addr, "unix:"); ok {
-		return d.Dial("unix", rest)
-	}
-	if strings.HasPrefix(addr, "/") || strings.HasPrefix(addr, "@") {
-		return d.Dial("unix", addr)
-	}
-	return d.Dial("tcp", addr)
-}
-
 // Dial opens a decode session (TCP, or UDS for "unix:"/path-shaped
-// addresses — see DialAddr). The Hello is validated locally first, so
+// addresses — see dialAddr). The Hello is validated locally first, so
 // configuration mistakes fail without a network round trip.
 func Dial(addr string, h Hello) (*Client, error) {
 	return DialTimeout(addr, h, 0)
@@ -169,53 +144,30 @@ func DialTimeout(addr string, h Hello, timeout time.Duration) (*Client, error) {
 	if _, err := ValidateHello(h); err != nil {
 		return nil, err
 	}
-	conn, err := DialAddr(addr, timeout)
+	hello, err := appendHello(nil, h)
 	if err != nil {
 		return nil, err
 	}
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-	}
-	c := &Client{
-		conn:     conn,
-		br:       bufio.NewReader(conn),
-		bw:       bufio.NewWriter(conn),
-		maxFrame: DefaultMaxFrame,
-		freeP:    make(chan *Pending, 64),
-		pending:  make(map[uint64]*Pending),
-		streams:  make(map[uint64]*ClientStream),
-		done:     make(chan struct{}),
-	}
-	payload, err := appendHello(nil, h)
+	conn, ackPayload, err := DialConn(addr, hello, timeout)
 	if err != nil {
-		conn.Close()
 		return nil, err
-	}
-	if err := WriteFrame(c.bw, payload); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	ackPayload, err := ReadFrame(c.br, c.maxFrame)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("service: reading session acceptance: %w", err)
 	}
 	ack, err := parseHelloAck(ackPayload)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if timeout > 0 {
-		conn.SetDeadline(time.Time{})
+	c := &Client{
+		conn:     conn,
+		numDets:  int(ack.numDets),
+		numMechs: int(ack.numMechs),
+		poolSize: int(ack.poolSize),
+		maxBatch: batchLimit(DefaultMaxFrame, int(ack.numDets), int(ack.numMechs)),
+		freeP:    make(chan *Pending, 64),
+		pending:  make(map[uint64]*Pending),
+		streams:  make(map[uint64]*ClientStream),
+		done:     make(chan struct{}),
 	}
-	c.numDets = int(ack.numDets)
-	c.numMechs = int(ack.numMechs)
-	c.poolSize = int(ack.poolSize)
-	c.maxBatch = batchLimit(c.maxFrame, c.numDets, c.numMechs)
 	go c.recvLoop()
 	return c, nil
 }
@@ -270,13 +222,13 @@ func (c *Client) Submit(syndromes []gf2.Vec) (*Pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.sendMu.Lock()
-	c.sendBuf = appendBatchHeader(c.sendBuf[:0], id, len(syndromes))
-	for _, v := range syndromes {
-		c.sendBuf = v.AppendBytes(c.sendBuf)
-	}
-	err = c.flushLocked(c.sendBuf)
-	c.sendMu.Unlock()
+	err = c.conn.Send(func(b []byte) []byte {
+		b = appendBatchHeader(b, id, len(syndromes))
+		for _, v := range syndromes {
+			b = v.AppendBytes(b)
+		}
+		return b
+	})
 	if err != nil {
 		c.fail(err)
 		return nil, err
@@ -286,8 +238,8 @@ func (c *Client) Submit(syndromes []gf2.Vec) (*Pending, error) {
 
 // enroll registers a (possibly recycled) Pending under the next batch id
 // — the request-side half shared by Submit and SubmitSample. The frame is
-// then built into the send arena and written under sendMu; registration
-// happens first so a reply can never race its waiter.
+// sent after it; registration happens first so a reply can never race
+// its waiter.
 func (c *Client) enroll() (*Pending, uint64, error) {
 	p := c.getPending()
 	c.mu.Lock()
@@ -302,14 +254,6 @@ func (c *Client) enroll() (*Pending, uint64, error) {
 	c.pending[id] = p
 	c.mu.Unlock()
 	return p, id, nil
-}
-
-// flushLocked writes one frame and flushes; caller holds sendMu.
-func (c *Client) flushLocked(buf []byte) error {
-	if err := WriteFrame(c.bw, buf); err != nil {
-		return err
-	}
-	return c.bw.Flush()
 }
 
 // SubmitSample asks the server to draw count syndromes server-side — via
@@ -328,10 +272,7 @@ func (c *Client) SubmitSample(count int) (*Pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.sendMu.Lock()
-	c.sendBuf = appendSample(c.sendBuf[:0], id, count)
-	err = c.flushLocked(c.sendBuf)
-	c.sendMu.Unlock()
+	err = c.conn.Send(func(b []byte) []byte { return appendSample(b, id, count) })
 	if err != nil {
 		c.fail(err)
 		return nil, err
@@ -365,13 +306,7 @@ func (c *Client) Stats() (ServerSnapshot, error) {
 	c.statsQ = append(c.statsQ, ps)
 	c.mu.Unlock()
 
-	c.sendMu.Lock()
-	err := WriteFrame(c.bw, appendStatsRequest(nil))
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.sendMu.Unlock()
-	if err != nil {
+	if err := c.conn.Send(appendStatsRequest); err != nil {
 		c.fail(err)
 		return ServerSnapshot{}, err
 	}
@@ -397,12 +332,11 @@ func (c *Client) Close() error {
 
 func (c *Client) recvLoop() {
 	for {
-		payload, err := ReadFrameInto(c.br, c.maxFrame, c.recvBuf)
+		payload, err := c.conn.Read()
 		if err != nil {
 			c.fail(classifyRecvErr(err))
 			return
 		}
-		c.recvBuf = payload
 		switch payload[0] {
 		case MsgBatchReply:
 			id, err := peekBatchReplyID(payload)

@@ -57,11 +57,10 @@ type ClientStream struct {
 	errHat  gf2.Vec
 	drained []StreamCommit
 
-	// Reused per round and per commit, so a warm stream sends rounds and
-	// takes commits without allocating: the round frame under build, the
-	// commit bitmap being folded into errHat, and one mechanism bitmap
-	// slot per window that StreamCommit.Mechs points into.
-	sendBuf []byte
+	// Reused per commit, so a warm stream takes commits without
+	// allocating: the commit bitmap being folded into errHat, and one
+	// mechanism bitmap slot per window that StreamCommit.Mechs points
+	// into. Round frames are built in the session Conn's write arena.
 	mechVec gf2.Vec
 	mechs   []byte
 }
@@ -95,13 +94,7 @@ func (c *Client) OpenStream(windowRounds, commitRounds int) (*ClientStream, erro
 	c.opens = append(c.opens, po)
 	c.mu.Unlock()
 
-	payload := appendStreamOpen(nil, windowRounds, commitRounds)
-	c.sendMu.Lock()
-	err := WriteFrame(c.bw, payload)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.sendMu.Unlock()
+	err := c.conn.Send(func(b []byte) []byte { return appendStreamOpen(b, windowRounds, commitRounds) })
 	if err != nil {
 		c.fail(err)
 		return nil, err
@@ -167,17 +160,13 @@ func (s *ClientStream) SendRounds(rounds []gf2.Vec) error {
 				s.nextRound+i, r.Len(), s.dets[s.nextRound+i])
 		}
 	}
-	buf := appendStreamRoundsHeader(s.sendBuf[:0], s.id, s.nextRound, len(rounds))
-	for _, r := range rounds {
-		buf = r.AppendBytes(buf)
-	}
-	s.sendBuf = buf
-	s.c.sendMu.Lock()
-	err := WriteFrame(s.c.bw, buf)
-	if err == nil {
-		err = s.c.bw.Flush()
-	}
-	s.c.sendMu.Unlock()
+	err := s.c.conn.Send(func(b []byte) []byte {
+		b = appendStreamRoundsHeader(b, s.id, s.nextRound, len(rounds))
+		for _, r := range rounds {
+			b = r.AppendBytes(b)
+		}
+		return b
+	})
 	if err != nil {
 		s.c.fail(err)
 		return err

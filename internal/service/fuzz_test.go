@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"reflect"
@@ -12,7 +13,7 @@ import (
 
 // FuzzFrameRoundTrip fuzzes the length-prefixed wire layer and every
 // payload parser: frames must round-trip byte-identically through
-// WriteFrame/ReadFrame, a structured Hello must survive
+// writeFrame/readFrameInto, a structured Hello must survive
 // ParseHello(appendHello(h)) == h, and arbitrary bytes must never panic
 // any parser — they either parse or return an error.
 func FuzzFrameRoundTrip(f *testing.F) {
@@ -70,12 +71,16 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// 2. Frame layer round-trip: decode(encode(x)) == x.
 		if len(payload) > 0 && len(payload) <= DefaultMaxFrame {
 			var buf bytes.Buffer
-			if err := WriteFrame(&buf, payload); err != nil {
-				t.Fatalf("WriteFrame: %v", err)
+			bw := bufio.NewWriter(&buf)
+			if err := writeFrame(bw, payload); err != nil {
+				t.Fatalf("writeFrame: %v", err)
 			}
-			got, err := ReadFrame(&buf, DefaultMaxFrame)
+			if err := bw.Flush(); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+			got, err := readFrameInto(bufio.NewReader(&buf), DefaultMaxFrame, nil)
 			if err != nil {
-				t.Fatalf("ReadFrame(WriteFrame(x)): %v", err)
+				t.Fatalf("readFrameInto(writeFrame(x)): %v", err)
 			}
 			if !bytes.Equal(got, payload) {
 				t.Fatalf("frame round-trip: got %x, want %x", got, payload)
@@ -84,9 +89,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 		// 3. Arbitrary bytes as a frame stream: must not panic, and a
 		// successfully read frame obeys the length prefix.
-		if got, err := ReadFrame(bytes.NewReader(payload), 1<<16); err == nil {
+		if got, err := readFrameInto(bufio.NewReader(bytes.NewReader(payload)), 1<<16, nil); err == nil {
 			if len(got) > 1<<16 {
-				t.Fatalf("ReadFrame returned %d bytes above the guard", len(got))
+				t.Fatalf("readFrameInto returned %d bytes above the guard", len(got))
 			}
 		}
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -51,10 +50,9 @@ func newStallServer(t *testing.T) *stallServer {
 	return s
 }
 
-func (s *stallServer) session(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	payload, err := ReadFrame(br, DefaultMaxFrame)
+func (s *stallServer) session(nc net.Conn) {
+	conn := NewConn(nc, 0, 0)
+	payload, err := conn.Read()
 	if err != nil {
 		return
 	}
@@ -62,14 +60,11 @@ func (s *stallServer) session(conn net.Conn) {
 		return
 	}
 	ack := appendHelloAck(nil, helloAck{sessionID: 1, numDets: 16, numMechs: 16, poolSize: 1})
-	if err := WriteFrame(bw, ack); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
+	if err := conn.Write(ack); err != nil {
 		return
 	}
 	for {
-		if _, err := ReadFrame(br, DefaultMaxFrame); err != nil {
+		if _, err := conn.Read(); err != nil {
 			return
 		}
 		s.accepted <- struct{}{}

@@ -13,10 +13,8 @@
 package service
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"time"
 )
@@ -68,9 +66,6 @@ const (
 	// Servers, clients and both hops of the fleet gateway apply it, so every
 	// end agrees on the largest batch a session may send.
 	DefaultMaxFrame = 16 << 20
-
-	// frameHeaderLen is the length-prefix size.
-	frameHeaderLen = 4
 )
 
 // Hello opens a session: it selects the decode pool and fixes the
@@ -122,94 +117,6 @@ type Response struct {
 	// ErrHat is the packed error estimate (gf2.Vec.AppendBytes layout,
 	// numMechs bits); zero bytes when Shed.
 	ErrHat []byte
-}
-
-// ---- frame IO ----
-
-// WriteFrame writes payload as one length-prefixed frame. Callers using a
-// buffered writer flush themselves.
-func WriteFrame(w io.Writer, payload []byte) error {
-	n := uint32(len(payload))
-	if bw, ok := w.(*bufio.Writer); ok {
-		// Byte-at-a-time header keeps the hot path allocation-free: a
-		// stack header array passed through io.Writer (or even through
-		// bufio.Writer.Write, whose parameter can flow to the underlying
-		// writer) is forced to the heap by escape analysis.
-		for shift := 0; shift < 32; shift += 8 {
-			if err := bw.WriteByte(byte(n >> shift)); err != nil {
-				return err
-			}
-		}
-		_, err := bw.Write(payload)
-		return err
-	}
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], n)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame payload (the length header is
-// stripped; payload[0] is the message type).
-func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	return ReadFrameInto(r, maxFrame, nil)
-}
-
-// ReadFrameInto reads one frame into buf, growing it only when the frame
-// exceeds its capacity, and returns the payload as buf[:n]. The returned
-// slice is valid until the next ReadFrameInto with the same buffer — this
-// is the arena contract of DESIGN.md §13: a caller that retains payload
-// bytes past the next read must copy them. Passing nil behaves like the
-// historical ReadFrame (a fresh allocation per frame).
-func ReadFrameInto(r io.Reader, maxFrame int, buf []byte) ([]byte, error) {
-	n, err := readFrameLen(r)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("service: empty frame")
-	}
-	if int64(n) > int64(maxFrame) {
-		return nil, fmt.Errorf("service: frame of %d bytes exceeds limit %d", n, maxFrame)
-	}
-	if uint64(cap(buf)) < uint64(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readFrameLen reads the 4-byte little-endian length header. Buffered
-// readers take a byte-at-a-time path so the hot loop needs no header
-// scratch (a stack array passed through io.ReadFull's interface is
-// heap-escaped); the error shape matches io.ReadFull — io.EOF only on a
-// clean boundary, io.ErrUnexpectedEOF inside the header.
-func readFrameLen(r io.Reader) (uint32, error) {
-	if br, ok := r.(*bufio.Reader); ok {
-		var n uint32
-		for shift := 0; shift < 32; shift += 8 {
-			c, err := br.ReadByte()
-			if err != nil {
-				if err == io.EOF && shift > 0 {
-					err = io.ErrUnexpectedEOF
-				}
-				return 0, err
-			}
-			n |= uint32(c) << shift
-		}
-		return n, nil
-	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(hdr[:]), nil
 }
 
 // ---- payload encoding ----

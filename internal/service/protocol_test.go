@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"math/rand"
@@ -200,16 +201,19 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 
 func TestFrameIO(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("hello")); err != nil {
+	bw, br := bufio.NewWriter(&buf), bufio.NewReader(&buf)
+	if err := writeFrame(bw, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf, 64)
+	bw.Flush()
+	got, err := readFrameInto(br, 64, nil)
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("frame round trip: %q, %v", got, err)
 	}
 	// oversized frames are rejected before allocation
-	WriteFrame(&buf, make([]byte, 128))
-	if _, err := ReadFrame(&buf, 64); err == nil {
+	writeFrame(bw, make([]byte, 128))
+	bw.Flush()
+	if _, err := readFrameInto(br, 64, nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }

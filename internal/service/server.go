@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"runtime"
@@ -366,63 +365,35 @@ func (job *batchJob) sized(n int) *batchJob {
 	return job
 }
 
-func (s *Server) session(conn net.Conn) {
+// read takes a session's next frame from conn and counts it: every frame
+// goes through the Conn's arena, and one that outgrew it is a miss.
+func (a *arenaCounters) read(conn *Conn) ([]byte, error) {
+	payload, err := conn.Read()
+	if err == nil {
+		a.frameReads.Add(1)
+		if conn.grew {
+			a.frameGrows.Add(1)
+		}
+	}
+	return payload, err
+}
+
+func (s *Server) session(nc net.Conn) {
 	s.sessionsTotal.Add(1)
 	s.sessionsActive.Add(1)
 	defer s.sessionsActive.Add(-1)
 	arena := &s.arena
 
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	// writeMu serializes frame writes: the reply-writer goroutine and the
-	// read loop's error path share the connection
-	var writeMu sync.Mutex
-	// armWrite sets the per-flush write deadline (a peer that stops
-	// reading replies is dropped, not waited on forever). Caller holds
-	// writeMu.
-	armWrite := func() {
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-	}
-	writeOut := func(payload []byte) error {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		armWrite()
-		if err := WriteFrame(bw, payload); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
+	// the reply-writer goroutine and the read loop both write to conn
+	conn := NewConn(nc, s.opts.IdleTimeout, s.opts.WriteTimeout)
 	fail := func(err error) {
-		writeOut(AppendError(nil, err.Error()))
-		s.opts.Logf("session %s: %v", conn.RemoteAddr(), err)
+		conn.Write(AppendError(nil, err.Error()))
+		s.opts.Logf("session %s: %v", nc.RemoteAddr(), err)
 	}
 
-	// readNext reads one frame into the session's arena buffer
-	// (DESIGN.md §13): the payload is valid until the next readNext, and
-	// anything retained past that must be copied. The idle deadline is
-	// re-armed per frame.
-	var readBuf []byte
-	readNext := func() ([]byte, error) {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		payload, err := ReadFrameInto(br, DefaultMaxFrame, readBuf)
-		if err != nil {
-			return nil, err
-		}
-		arena.frameReads.Add(1)
-		if cap(payload) > cap(readBuf) {
-			arena.frameGrows.Add(1)
-		}
-		readBuf = payload
-		return payload, nil
-	}
-
-	payload, err := readNext()
+	payload, err := arena.read(conn)
 	if err != nil {
-		s.opts.Logf("session %s: hello read: %v", conn.RemoteAddr(), err)
+		s.opts.Logf("session %s: hello read: %v", nc.RemoteAddr(), err)
 		return
 	}
 	h, err := ParseHello(payload)
@@ -451,7 +422,7 @@ func (s *Server) session(conn net.Conn) {
 		numMechs:  uint32(p.dem.NumMechs()),
 		poolSize:  uint16(p.opts.size),
 	}
-	if err := writeOut(appendHelloAck(nil, ack)); err != nil {
+	if err := conn.Write(appendHelloAck(nil, ack)); err != nil {
 		return
 	}
 
@@ -497,10 +468,7 @@ func (s *Server) session(conn net.Conn) {
 				return
 			}
 			if writeErr == nil {
-				writeMu.Lock()
-				armWrite()
-				writeErr = bw.Flush()
-				writeMu.Unlock()
+				writeErr = conn.Flush()
 				arena.writeFlushes.Add(1)
 			}
 			flushT := time.Now()
@@ -560,9 +528,7 @@ func (s *Server) session(conn net.Conn) {
 					buf = appendResponse(buf, &job.resps[i], mechBytes)
 				}
 			}
-			writeMu.Lock()
-			writeErr = WriteFrame(bw, buf)
-			writeMu.Unlock()
+			writeErr = conn.Buffer(buf)
 			arena.writeFrames.Add(1)
 			unflushed = append(unflushed, job)
 		}
@@ -573,7 +539,7 @@ func (s *Server) session(conn net.Conn) {
 	// syndrome stream. Windowed streams (StreamOpen/StreamRounds) coexist
 	// with batches on the same connection: batches go through the warm
 	// pools, stream windows decode inline in this goroutine (bounded work
-	// per round) with their commits written through the shared write mutex.
+	// per round) with their commits written through the shared Conn.
 	reqIndex := 0
 	streams := newSessionStreams(s, h, p.dem.NumMechs())
 	defer streams.closeAll()
@@ -611,7 +577,7 @@ func (s *Server) session(conn net.Conn) {
 	var synScratch [][]byte // parseBatchInto view arena, recycled per frame
 read:
 	for {
-		payload, err := readNext()
+		payload, err := arena.read(conn)
 		if err != nil {
 			break // EOF = client done; anything else ends the session too
 		}
@@ -682,7 +648,7 @@ read:
 				fail(oerr)
 				break read
 			}
-			if err := writeOut(ack); err != nil {
+			if err := conn.Write(ack); err != nil {
 				break read
 			}
 		case MsgStreamRounds:
@@ -692,7 +658,7 @@ read:
 				break read
 			}
 			for ri, reply := range replies {
-				if err := writeOut(reply); err != nil {
+				if err := conn.Write(reply); err != nil {
 					break read
 				}
 				// close the commit's write stage and record it: decode was

@@ -240,14 +240,8 @@ func TestStreamRoundOrderEnforced(t *testing.T) {
 	// hand-craft an out-of-order frame: firstRound 1 while server expects 0
 	buf := appendStreamRoundsHeader(nil, 0, 1, 1)
 	buf = gf2.NewVec(st.RoundDets(1)).AppendBytes(buf)
-	cl.sendMu.Lock()
-	werr := WriteFrame(cl.bw, buf)
-	if werr == nil {
-		werr = cl.bw.Flush()
-	}
-	cl.sendMu.Unlock()
-	if werr != nil {
-		t.Fatal(werr)
+	if err := cl.conn.Write(buf); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := st.NextCommit(); err == nil {
 		t.Fatal("out-of-order round accepted")

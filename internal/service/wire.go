@@ -1,18 +1,16 @@
 package service
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Wire access for the fleet tier (DESIGN.md §12). The gateway in
 // internal/fleet proxies this package's protocol frame by frame — it
 // routes on the Hello, splices everything else verbatim, and re-drives
 // journaled frames onto a fresh backend on failover — so it needs just
 // enough of the wire surface to read frames, classify them, and compare
-// replayed replies against what it already delivered. The frame IO, the
-// Hello, Error and StatsReply codecs and the Msg* type bytes are exported
-// where they are defined; this file holds what only the gateway needs.
+// replayed replies against what it already delivered. Conn (the frame
+// IO), the Hello, Error and StatsReply codecs and the Msg* type bytes are
+// exported where they are defined; this file holds what only the gateway
+// needs.
 // The frame layouts stay private to this package.
 
 // AckGeometry is the session geometry a HelloAck carries, as the gateway
@@ -83,7 +81,7 @@ func AppendCanonicalFrame(dst, payload []byte, mechBytes int) []byte {
 }
 
 // FrameType returns payload[0], the message-type byte (0 for an empty
-// payload, which ReadFrame never produces).
+// payload, which Conn.Read never returns).
 func FrameType(payload []byte) byte {
 	if len(payload) == 0 {
 		return 0
@@ -91,14 +89,11 @@ func FrameType(payload []byte) byte {
 	return payload[0]
 }
 
-// SessionKey is the fleet routing key: every field a backend's pool and
-// stream-pool construction depends on — (code, rounds, p, spec) plus the
-// gateway's default stream window/commit — rendered canonically. Sessions
-// with equal keys share warm pools, so the gateway rendezvous-hashes this
-// key (not the connection) onto backends: identical workloads always land
-// where their decoders are already warm. The Hello must be normalized
-// first (ValidateHello), or the catalog-default and explicit round
-// counts would hash apart.
-func SessionKey(h Hello, window, commit int) string {
-	return fmt.Sprintf("%s/W%d/C%d", poolKey(h), window, commit)
-}
+// SessionKey is the fleet routing key: the backend's pool key, every
+// field its pool construction depends on (code, rounds, p, spec),
+// rendered canonically. Sessions with equal keys share warm pools, so
+// the gateway rendezvous-hashes this key (not the connection) onto
+// backends: identical workloads always land where their decoders are
+// already warm. The Hello must be normalized first (ValidateHello), or
+// the catalog-default and explicit round counts would hash apart.
+func SessionKey(h Hello) string { return poolKey(h) }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"net"
@@ -127,11 +126,8 @@ func TestSessionKeyNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("normalize explicit: %v", err)
 	}
-	if k1, k2 := SessionKey(implicit, 3, 1), SessionKey(explicit, 3, 1); k1 != k2 {
+	if k1, k2 := SessionKey(implicit), SessionKey(explicit); k1 != k2 {
 		t.Fatalf("normalized keys differ: %q vs %q", k1, k2)
-	}
-	if SessionKey(implicit, 3, 1) == SessionKey(implicit, 4, 1) {
-		t.Fatal("stream window not part of the session key")
 	}
 }
 
@@ -176,26 +172,22 @@ func TestMergeSnapshots(t *testing.T) {
 // the Hello frame, write a fixed HelloAck, then hand the connection to
 // fn. It lets tests drive exact wire behaviour (like abrupt close) that
 // a real Server never exhibits.
-func stubAccept(t *testing.T, ln net.Listener, numDets, numMechs int, fn func(net.Conn)) {
+func stubAccept(t *testing.T, ln net.Listener, numDets, numMechs int, fn func(*Conn)) {
 	t.Helper()
-	conn, err := ln.Accept()
+	nc, err := ln.Accept()
 	if err != nil {
 		t.Errorf("stub accept: %v", err)
 		return
 	}
-	br := bufio.NewReader(conn)
-	if _, err := ReadFrame(br, DefaultMaxFrame); err != nil {
+	conn := NewConn(nc, 0, 0)
+	if _, err := conn.Read(); err != nil {
 		t.Errorf("stub reading hello: %v", err)
 		conn.Close()
 		return
 	}
 	ack := appendHelloAck(nil, helloAck{sessionID: 1, numDets: uint32(numDets), numMechs: uint32(numMechs), poolSize: 1})
-	bw := bufio.NewWriter(conn)
-	if err := WriteFrame(bw, ack); err == nil {
-		err = bw.Flush()
-		if err != nil {
-			t.Errorf("stub ack: %v", err)
-		}
+	if err := conn.Write(ack); err != nil {
+		t.Errorf("stub ack: %v", err)
 	}
 	fn(conn)
 }
@@ -212,10 +204,9 @@ func TestErrBackendClosed(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		stubAccept(t, ln, 8, 8, func(conn net.Conn) {
+		stubAccept(t, ln, 8, 8, func(conn *Conn) {
 			// swallow the batch, then die abruptly without replying
-			br := bufio.NewReader(conn)
-			ReadFrame(br, DefaultMaxFrame)
+			conn.Read()
 			conn.Close()
 		})
 	}()
@@ -250,9 +241,9 @@ func TestClientCloseIsNotBackendClosed(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		stubAccept(t, ln, 8, 8, func(conn net.Conn) {
+		stubAccept(t, ln, 8, 8, func(conn *Conn) {
 			// hold the connection open until the client hangs up
-			bufio.NewReader(conn).ReadByte()
+			conn.Read()
 			conn.Close()
 		})
 	}()
