@@ -75,7 +75,7 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 64, "session cap per backend; full backends are skipped in the ranking")
 	maxJournal := flag.Int("max-journal", 8<<20, "replay journal cap per session in bytes; beyond it a session survives but cannot fail over")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "backend health probe period")
-	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "bound on one backend handshake or health-probe round trip; a backend that misses it is marked down")
+	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "bound on one health-probe round trip and on each wait for a backend's ack; a backend whose ack is late is probed and marked down only if the probe fails too")
 	drainGrace := flag.Duration("drain-grace", 10*time.Second, "session grace period on shutdown")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop a session whose client sends nothing for this long (client hop only; 0 = never)")
 	writeTimeout := flag.Duration("write-timeout", 0, "drop a session whose client stops reading replies (per frame write; 0 = never)")

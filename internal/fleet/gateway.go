@@ -36,8 +36,10 @@ type GatewayOptions struct {
 	// negative disables the background loop — tests and the orchestrator
 	// then call ProbeOnce themselves).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one backend handshake or probe round trip
-	// (default 2s): a backend that misses it is marked down and the
+	// ProbeTimeout bounds one probe round trip, and each wait in a
+	// backend handshake (default 2s). A backend whose ack is later than
+	// that is probed: one that answers is building the session's pool,
+	// and the wait goes on; one that does not is marked down, and the
 	// session goes on down the ranking.
 	ProbeTimeout time.Duration
 	// IdleTimeout bounds the wait for the next CLIENT frame; a session
@@ -75,6 +77,10 @@ func (o GatewayOptions) withDefaults() GatewayOptions {
 // counters, the persistent probe session and its last snapshot.
 type backend struct {
 	name string
+
+	// probeMu serializes probes: the prober's and those of sessions
+	// waiting on this backend's handshake
+	probeMu sync.Mutex
 
 	mu       sync.Mutex
 	addr     string
@@ -314,7 +320,10 @@ func (g *Gateway) ProbeOnce() {
 	wg.Wait()
 }
 
-func (g *Gateway) probe(be *backend) {
+// probe runs one health check and reports whether the backend passed.
+func (g *Gateway) probe(be *backend) bool {
+	be.probeMu.Lock()
+	defer be.probeMu.Unlock()
 	be.mu.Lock()
 	c := be.probe
 	addr := be.addr
@@ -324,7 +333,7 @@ func (g *Gateway) probe(be *backend) {
 		c, err = service.DialTimeout(addr, probeHello(), g.opts.ProbeTimeout)
 		if err != nil {
 			g.markDown(be, fmt.Errorf("probe dial: %w", err))
-			return
+			return false
 		}
 		be.mu.Lock()
 		be.probe = c
@@ -333,7 +342,7 @@ func (g *Gateway) probe(be *backend) {
 	snap, err := statsWithTimeout(c, g.opts.ProbeTimeout)
 	if err != nil {
 		g.markDown(be, fmt.Errorf("probe stats: %w", err))
-		return
+		return false
 	}
 	be.mu.Lock()
 	if !be.healthy {
@@ -343,6 +352,7 @@ func (g *Gateway) probe(be *backend) {
 	be.lastSnap = snap
 	be.haveSnap = true
 	be.mu.Unlock()
+	return true
 }
 
 // statsWithTimeout bounds one probe round trip: on timeout the client is

@@ -527,12 +527,130 @@ func TestGatewaySkipsMuteBackend(t *testing.T) {
 	drainWithin(t, g, 200*time.Millisecond, 10*time.Second)
 }
 
+// slowAckBackend fronts the server at addr with a proxy that holds each
+// session's ack for delay before passing it on, as a backend building a
+// cold pool would; the prober's Hello is acked at once, as a live
+// backend's is while another pool builds. It returns the proxy's
+// address.
+func slowAckBackend(t *testing.T, addr string, delay time.Duration) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	splice := func(from, to *service.Conn) {
+		for {
+			p, err := from.Read()
+			if err != nil || to.Write(p) != nil {
+				from.Close()
+				to.Close()
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				client := service.NewConn(nc, 0, 0)
+				hello, err := client.Read()
+				if err != nil {
+					client.Close()
+					return
+				}
+				server, ack, err := service.DialConn(addr, hello, 0, nil)
+				if err != nil {
+					client.Close()
+					return
+				}
+				if h, err := service.ParseHello(hello); err == nil && h.P != probeHello().P {
+					time.Sleep(delay)
+				}
+				if client.Write(ack) != nil {
+					client.Close()
+					server.Close()
+					return
+				}
+				go splice(server, client)
+				splice(client, server)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestGatewayWaitsForSlowBackend: a backend whose ack comes several
+// ProbeTimeouts late but which answers probes meanwhile is live, not
+// dead. A failover onto it and a new session on it both succeed, no
+// session is lost, and it stays healthy.
+func TestGatewayWaitsForSlowBackend(t *testing.T) {
+	const probeTimeout = 100 * time.Millisecond
+	h, err := service.ValidateHello(testHello())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := Rank([]string{"x", "y"}, service.SessionKey(h))
+	first := service.NewServer(service.Options{PoolSize: 1})
+	if err := first.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { first.Drain(0) })
+	slow := slowAckBackend(t, startDirectServer(t, service.Options{}), 5*probeTimeout)
+	g, err := NewGateway(GatewayOptions{
+		Backends: []BackendAddr{
+			{Name: names[0], Addr: first.Addr().String()},
+			{Name: names[1], Addr: slow},
+		},
+		ProbeInterval: -1,
+		ProbeTimeout:  probeTimeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Drain(0) })
+
+	c, err := service.Dial(g.Addr().String(), testHello())
+	if err != nil {
+		t.Fatalf("dial gateway: %v", err)
+	}
+	defer c.Close()
+	sampleBatches(t, c, 2, 4)
+	first.Drain(0) // kill the serving backend: the failover lands on the slow one
+	sampleBatches(t, c, 2, 4)
+
+	// the first backend is down now, so a new session goes to the slow one too
+	c2, err := service.Dial(g.Addr().String(), testHello())
+	if err != nil {
+		t.Fatalf("dial gateway with only the slow backend left: %v", err)
+	}
+	defer c2.Close()
+	sampleBatches(t, c2, 1, 4)
+
+	if n := g.failoversTotal.Load(); n != 1 {
+		t.Fatalf("failovers_total %d, want 1", n)
+	}
+	if n := g.sessionsLost.Load(); n != 0 {
+		t.Fatalf("sessions_lost_total %d onto a slow but live backend, want 0", n)
+	}
+	if bs := g.BackendStats(); !bs[1].Healthy || bs[1].Sessions != 2 {
+		t.Fatalf("slow backend %s: %+v, want healthy with both sessions", bs[1].Name, bs)
+	}
+}
+
 // TestGatewayClientIdleTimeout: a client that goes quiet past
 // IdleTimeout loses its session cleanly, with no failover and no lost
-// session. The client first sends stream rounds that complete no
-// window, so the backend hop carries no reply for longer than the
-// timeout while the client hop stays busy: a failover or a lost session
-// here would mean the backend Conn carried an idle deadline too.
+// session, and one that never sends its Hello is dropped. The client
+// first sends stream rounds that complete no window, so the backend hop
+// carries no reply for longer than the timeout while the client hop
+// stays busy: a failover or a lost session here would mean the backend
+// Conn carried an idle deadline too.
 func TestGatewayClientIdleTimeout(t *testing.T) {
 	const idle = 200 * time.Millisecond
 	f, err := StartLocal(FleetOptions{
@@ -575,6 +693,18 @@ func TestGatewayClientIdleTimeout(t *testing.T) {
 	}
 	if n := g.sessionsLost.Load(); n != 0 {
 		t.Fatalf("sessions_lost_total %d after a client idle timeout, want 0", n)
+	}
+
+	// the Hello read is under the same deadline: a client that connects
+	// and sends nothing is dropped
+	nc, err := net.Dial("tcp", f.GatewayAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent client: read %d bytes, err %v; want the gateway to close the connection", n, err)
 	}
 }
 

@@ -173,13 +173,16 @@ type helloRejected struct{ msg string }
 func (e *helloRejected) Error() string { return e.msg }
 
 // dialBackend opens a backend session by forwarding the client's Hello
-// frame verbatim and reading the acceptance, both within ProbeTimeout so
-// a backend that accepts but never answers cannot hold the session (or,
-// in failover, s.mu). Returns the raw ack payload, valid until the
-// Conn's first Read, so the gateway can forward it (new sessions) or
-// discard it (failover).
+// frame verbatim and reading the acceptance. The dial and each
+// ProbeTimeout of waiting for the ack are bounded: a backend whose ack is
+// late is probed, and the wait goes on only while the probe answers, so a
+// backend that accepts but never answers cannot hold the session (or, in
+// failover, s.mu), while a live one building a cold pool is not taken for
+// dead. Returns the raw ack payload, valid until the Conn's first Read,
+// so the gateway can forward it (new sessions) or discard it (failover).
 func (g *Gateway) dialBackend(be *backend, hello []byte) (*service.Conn, []byte, service.AckGeometry, error) {
-	conn, ack, err := service.DialConn(be.getAddr(), hello, g.opts.ProbeTimeout)
+	conn, ack, err := service.DialConn(be.getAddr(), hello, g.opts.ProbeTimeout,
+		func() bool { return g.probe(be) })
 	if err != nil {
 		return nil, nil, service.AckGeometry{}, err
 	}

@@ -148,7 +148,7 @@ func DialTimeout(addr string, h Hello, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn, ackPayload, err := DialConn(addr, hello, timeout)
+	conn, ackPayload, err := DialConn(addr, hello, timeout, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -70,10 +71,14 @@ func dialAddr(addr string, timeout time.Duration) (net.Conn, error) {
 
 // DialConn opens a session on addr: it dials, sends hello (an encoded
 // Hello payload) and reads the server's answer, the dial and the
-// handshake together bounded by timeout (0 = unbounded). It returns the
-// raw answer, valid until the first Read: a HelloAck, or the Error frame
-// of a server that refuses the Hello. The caller decides which it got.
-func DialConn(addr string, hello []byte, timeout time.Duration) (*Conn, []byte, error) {
+// handshake together bounded by timeout (0 = unbounded). A server builds
+// a new session's pool before it answers, so a late answer need not mean
+// a dead server: when the bound passes with no answer, alive (if
+// non-nil) decides whether to wait another timeout, and is asked again
+// after each. It returns the raw answer, valid until the first Read: a
+// HelloAck, or the Error frame of a server that refuses the Hello. The
+// caller decides which it got.
+func DialConn(addr string, hello []byte, timeout time.Duration, alive func() bool) (*Conn, []byte, error) {
 	nc, err := dialAddr(addr, timeout)
 	if err != nil {
 		return nil, nil, err
@@ -85,7 +90,7 @@ func DialConn(addr string, hello []byte, timeout time.Duration) (*Conn, []byte, 
 	var ack []byte
 	err = c.Write(hello)
 	if err == nil {
-		if ack, err = c.Read(); err != nil {
+		if ack, err = c.awaitFrame(timeout, alive); err != nil {
 			err = fmt.Errorf("service: reading session acceptance: %w", err)
 		}
 	}
@@ -97,6 +102,24 @@ func DialConn(addr string, hello []byte, timeout time.Duration) (*Conn, []byte, 
 		return nil, nil, err
 	}
 	return c, ack, nil
+}
+
+// awaitFrame reads the next frame under the deadline already set. Until
+// the frame's first byte arrives, each timeout that passes asks alive
+// whether to wait another timeout. The byte is peeked, not consumed, so
+// a wait that times out leaves no partial frame behind.
+func (c *Conn) awaitFrame(timeout time.Duration, alive func() bool) ([]byte, error) {
+	for {
+		_, err := c.br.Peek(1)
+		if err == nil {
+			return c.Read()
+		}
+		var ne net.Error
+		if alive == nil || !errors.As(err, &ne) || !ne.Timeout() || !alive() {
+			return nil, err
+		}
+		c.nc.SetDeadline(time.Now().Add(timeout))
+	}
 }
 
 // Read returns the next frame's payload, valid until the next Read.
