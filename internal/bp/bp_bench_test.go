@@ -108,7 +108,7 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 
 // BenchmarkIterationBB144DEM measures min-sum iteration cost on the graph
 // the paper's headline decodes: the detector error model of the gross code
-// (2 rounds, p = 3e-3; 288 checks, 7897 mechanisms, 47,670 edges). Each op
+// (2 rounds, p = 3e-3; 288 checks, 7869 mechanisms, 47,556 edges). Each op
 // is one BP100 decode of a sampled syndrome; ns/edge is the time per
 // iteration and edge, as perfbench's bp.ns_per_edge_update counts it.
 // "fused" is Decoder.Decode; "two-phase" splits every iteration into the

@@ -73,12 +73,12 @@ func TestSelectCandidatesMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkSelectCandidates selects |Φ| = 50 of 7,897 bits — the bb144
+// BenchmarkSelectCandidates selects |Φ| = 50 of 7,869 bits — the bb144
 // DEM's mechanism count — from flip counts that are mostly zero, as after
 // an initial BP that oscillated on a few bits. The Ref variant runs the
 // stable-sort reference on the same input.
 func BenchmarkSelectCandidates(b *testing.B) {
-	flips, marg := selectionInput(7897)
+	flips, marg := selectionInput(7869)
 	var sel candidateSelector
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -87,7 +87,7 @@ func BenchmarkSelectCandidates(b *testing.B) {
 }
 
 func BenchmarkSelectCandidatesRef(b *testing.B) {
-	flips, marg := selectionInput(7897)
+	flips, marg := selectionInput(7869)
 	for i := 0; i < b.N; i++ {
 		selectCandidatesRef(flips, marg, 50)
 	}

@@ -3,8 +3,9 @@
 // substitution.
 //
 // Every possible elementary fault (each Pauli a noise channel can inject,
-// at each circuit position) is propagated with package pauli to find the
-// set of detectors and logical observables it flips. Faults with identical
+// at each circuit position) gets its signature, the set of detectors and
+// logical observables it flips, from one backward sweep of per-qubit
+// detector sensitivities over the circuit (Extract). Faults with identical
 // signatures are merged into one error mechanism whose probability is the
 // odd-parity combination of its faults' probabilities. The result is the
 // decoding problem the paper's circuit-level experiments operate on: a
@@ -14,12 +15,14 @@
 package dem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"bpsf/internal/circuit"
-	"bpsf/internal/pauli"
 	"bpsf/internal/sparse"
 )
 
@@ -86,161 +89,183 @@ func (d *DEM) MechanismFaults(m int) int {
 // declared on the circuit. Faults that flip nothing are dropped. It returns
 // an error if a fault flips an observable without flipping any detector
 // (an undetectable logical error — a symptom of a malformed experiment).
+//
+// One backward sweep over c.Ops keeps, per qubit, the signature an X and a
+// Z component injected at the current position would flip: bitsets over
+// the detectors, then the observables. A fault's signature is the XOR of
+// at most four such rows, read at its noise op. Faults are met in reverse
+// order, so the last fault a mechanism absorbs is its first in forward
+// order; mechanisms are numbered by the rank of that fault, as a forward
+// enumeration would number them.
 func Extract(c *circuit.Circuit) (*DEM, error) {
-	prop := pauli.New(c)
+	nd, no := len(c.Detectors), len(c.Observables)
+	w := (nd + no + 63) / 64
 
-	measToDets := make([][]int32, c.NumMeas)
+	// measBits[m] lists the signature bits (detector d, observable nd+o)
+	// whose parity includes measurement m.
+	measBits := make([][]int32, c.NumMeas)
 	for d, meas := range c.Detectors {
 		for _, m := range meas {
-			measToDets[m] = append(measToDets[m], int32(d))
+			measBits[m] = append(measBits[m], int32(d))
 		}
 	}
-	measToObs := make([][]int32, c.NumMeas)
 	for o, meas := range c.Observables {
 		for _, m := range meas {
-			measToObs[m] = append(measToObs[m], int32(o))
+			measBits[m] = append(measBits[m], int32(nd+o))
 		}
 	}
 
-	detParity := make([]bool, len(c.Detectors))
-	obsParity := make([]bool, len(c.Observables))
-	var detTouched, obsTouched []int
-
-	type mech struct {
-		dets, obs []int
-		coeffs    map[float64]int
+	// sx and sz hold one w-word row per qubit: what an X (Z) component on
+	// that qubit, injected after the ops not yet swept, flips.
+	sx := make([]uint64, c.NumQubits*w)
+	sz := make([]uint64, c.NumQubits*w)
+	row := func(s []uint64, q int) []uint64 { return s[q*w : (q+1)*w] }
+	flipMeas := func(r []uint64, m int) {
+		for _, b := range measBits[m] {
+			r[b>>6] ^= 1 << (b & 63)
+		}
 	}
-	var mechs []mech
+
+	// Mechanisms in order of discovery. Signatures are kept sparse (a
+	// signature has a few bits of nd+no): mechanism m's ascending bits are
+	// supp[off[m]:off[m+1]], and its little-endian bytes key index.
 	index := make(map[string]int)
-
-	var keyBuf []byte
-	addFault := func(opIdx int, qubits []int, paulis []pauli.Bits, coeff float64) error {
-		flips := prop.Propagate(opIdx, qubits, paulis)
-		if len(flips) == 0 {
-			return nil
-		}
-		for _, i := range detTouched {
-			detParity[i] = false
-		}
-		for _, i := range obsTouched {
-			obsParity[i] = false
-		}
-		detTouched = detTouched[:0]
-		obsTouched = obsTouched[:0]
-		for _, m := range flips {
-			for _, d := range measToDets[m] {
-				if !detParity[d] {
-					detTouched = append(detTouched, int(d))
-				}
-				detParity[d] = !detParity[d]
-			}
-			for _, o := range measToObs[m] {
-				if !obsParity[o] {
-					obsTouched = append(obsTouched, int(o))
-				}
-				obsParity[o] = !obsParity[o]
+	var supp []int32
+	off := []int{0}
+	var coeffs []map[float64]int
+	var first []int // rank of each mechanism's earliest fault, the last met
+	var undetected error
+	sig := make([]uint64, w)
+	var key []byte
+	var rows [4][]uint64 // X and Z rows of the noise op's Q0, then Q1
+	rank := 0
+	// addFault merges the fault whose Pauli selects rows (bit k: rows[k]).
+	addFault := func(opIdx, sel int, coeff float64) {
+		rank--
+		clear(sig)
+		for k := 0; sel != 0; k, sel = k+1, sel>>1 {
+			if sel&1 != 0 {
+				xorInto(sig, rows[k])
 			}
 		}
-		var dets, obs []int
-		for _, d := range detTouched {
-			if detParity[d] {
-				dets = append(dets, d)
+		start := len(supp)
+		for k, x := range sig {
+			for ; x != 0; x &= x - 1 {
+				supp = append(supp, int32(k*64+bits.TrailingZeros64(x)))
 			}
 		}
-		for _, o := range obsTouched {
-			if obsParity[o] {
-				obs = append(obs, o)
+		set := supp[start:]
+		switch {
+		case len(set) == 0:
+			return
+		case set[0] >= int32(nd):
+			obs := make([]int, len(set))
+			for i, b := range set {
+				obs[i] = int(b) - nd
 			}
+			undetected = fmt.Errorf("dem: fault at op %d flips observables %v with no detector", opIdx, obs)
+			supp = supp[:start]
+			return
 		}
-		if len(dets) == 0 && len(obs) == 0 {
-			return nil
+		key = key[:0]
+		for _, b := range set {
+			key = binary.LittleEndian.AppendUint32(key, uint32(b))
 		}
-		if len(dets) == 0 {
-			return fmt.Errorf("dem: fault at op %d flips observables %v with no detector", opIdx, obs)
+		mi, ok := index[string(key)]
+		if ok {
+			supp = supp[:start]
+		} else {
+			mi = len(coeffs)
+			index[string(key)] = mi
+			off = append(off, len(supp))
+			coeffs = append(coeffs, make(map[float64]int))
+			first = append(first, 0)
 		}
-		sort.Ints(dets)
-		sort.Ints(obs)
-
-		// length-prefixed varint encoding: uniquely decodable, hence
-		// injective on (dets, obs) pairs
-		keyBuf = keyBuf[:0]
-		keyBuf = appendVarint(keyBuf, uint64(len(dets)))
-		for _, d := range dets {
-			keyBuf = appendVarint(keyBuf, uint64(d))
-		}
-		for _, o := range obs {
-			keyBuf = appendVarint(keyBuf, uint64(o))
-		}
-		k := string(keyBuf)
-		mi, ok := index[k]
-		if !ok {
-			mi = len(mechs)
-			index[k] = mi
-			mechs = append(mechs, mech{dets: dets, obs: obs, coeffs: make(map[float64]int)})
-		}
-		mechs[mi].coeffs[coeff]++
-		return nil
+		first[mi] = rank
+		coeffs[mi][coeff]++
 	}
 
-	q2 := make([]int, 2)
-	p2 := make([]pauli.Bits, 2)
-	for opIdx, op := range c.Ops {
-		var err error
+	// Each noise op's faults are met in reverse Pauli order: the forward
+	// order is X, Y, Z for depolarize1 and the pairs (a on Q0, b on Q1),
+	// a, b = 0..3 (bit 0 = X, bit 1 = Z), identity skipped, for depolarize2.
+	for i := len(c.Ops) - 1; i >= 0; i-- {
+		op := &c.Ops[i]
 		switch op.Type {
-		case circuit.OpNoiseX:
-			err = addFault(opIdx, []int{op.Q0}, []pauli.Bits{pauli.X}, op.Scale)
-		case circuit.OpNoiseZ:
-			err = addFault(opIdx, []int{op.Q0}, []pauli.Bits{pauli.Z}, op.Scale)
-		case circuit.OpNoiseDep1:
-			for _, pb := range []pauli.Bits{pauli.X, pauli.Y, pauli.Z} {
-				if err = addFault(opIdx, []int{op.Q0}, []pauli.Bits{pb}, op.Scale/3); err != nil {
-					break
+		case circuit.OpH:
+			x, z := row(sx, op.Q0), row(sz, op.Q0)
+			for k := range x {
+				x[k], z[k] = z[k], x[k]
+			}
+		case circuit.OpCX:
+			xorInto(row(sx, op.Q0), row(sx, op.Q1))
+			xorInto(row(sz, op.Q1), row(sz, op.Q0))
+		case circuit.OpM:
+			flipMeas(row(sx, op.Q0), op.Meas)
+			clear(row(sz, op.Q0))
+		case circuit.OpMR:
+			clear(row(sx, op.Q0))
+			flipMeas(row(sx, op.Q0), op.Meas)
+			clear(row(sz, op.Q0))
+		case circuit.OpR:
+			clear(row(sx, op.Q0))
+			clear(row(sz, op.Q0))
+		case circuit.OpNoiseX, circuit.OpNoiseZ, circuit.OpNoiseDep1:
+			rows[0], rows[1] = row(sx, op.Q0), row(sz, op.Q0)
+			switch op.Type {
+			case circuit.OpNoiseX:
+				addFault(i, 1, op.Scale)
+			case circuit.OpNoiseZ:
+				addFault(i, 2, op.Scale)
+			default:
+				for _, sel := range [3]int{2, 3, 1} { // Z, Y, X
+					addFault(i, sel, op.Scale/3)
 				}
 			}
 		case circuit.OpNoiseDep2:
-			for a := pauli.Bits(0); a <= 3 && err == nil; a++ {
-				for b := pauli.Bits(0); b <= 3; b++ {
-					if a == 0 && b == 0 {
-						continue
-					}
-					q2[0], q2[1] = op.Q0, op.Q1
-					p2[0], p2[1] = a, b
-					if err = addFault(opIdx, q2, p2, op.Scale/15); err != nil {
-						break
-					}
-				}
+			rows[0], rows[1] = row(sx, op.Q0), row(sz, op.Q0)
+			rows[2], rows[3] = row(sx, op.Q1), row(sz, op.Q1)
+			for sel := 15; sel >= 1; sel-- {
+				addFault(i, sel>>2|(sel&3)<<2, op.Scale/15)
 			}
 		}
-		if err != nil {
-			return nil, err
-		}
+	}
+	if undetected != nil {
+		return nil, undetected // the earliest such fault, met last
 	}
 
-	hb := sparse.NewBuilder(len(c.Detectors), len(mechs))
-	ob := sparse.NewBuilder(len(c.Observables), len(mechs))
-	coeffs := make([]map[float64]int, len(mechs))
-	for m, mm := range mechs {
-		for _, d := range mm.dets {
-			hb.Set(d, m)
+	// H and Obs in compressed columns, mechanisms in first-fault order.
+	nm := len(coeffs)
+	order := make([]int, nm)
+	for m := range order {
+		order[m] = m
+	}
+	slices.SortFunc(order, func(a, b int) int { return first[a] - first[b] })
+	hPtr, oPtr := make([]int, 1, nm+1), make([]int, 1, nm+1)
+	hIdx, oIdx := make([]int, 0, len(supp)), make([]int, 0)
+	sorted := make([]map[float64]int, nm)
+	for n, m := range order {
+		for _, b := range supp[off[m]:off[m+1]] {
+			if int(b) < nd {
+				hIdx = append(hIdx, int(b))
+			} else {
+				oIdx = append(oIdx, int(b)-nd)
+			}
 		}
-		for _, o := range mm.obs {
-			ob.Set(o, m)
-		}
-		coeffs[m] = mm.coeffs
+		hPtr = append(hPtr, len(hIdx))
+		oPtr = append(oPtr, len(oIdx))
+		sorted[n] = coeffs[m]
 	}
 	return &DEM{
-		NumDets: len(c.Detectors),
-		NumObs:  len(c.Observables),
-		H:       hb.Build(),
-		Obs:     ob.Build(),
-		coeffs:  coeffs,
+		NumDets: nd,
+		NumObs:  no,
+		H:       sparse.FromCols(nd, hPtr, hIdx),
+		Obs:     sparse.FromCols(no, oPtr, oIdx),
+		coeffs:  sorted,
 	}, nil
 }
 
-func appendVarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
+func xorInto(dst, src []uint64) {
+	for k, x := range src {
+		dst[k] ^= x
 	}
-	return append(b, byte(v))
 }

@@ -1,5 +1,7 @@
-// Package pauli propagates Pauli faults through stabilizer circuits using
-// sparse Pauli-frame tracking: the second half of the Stim substitution.
+// Package pauli propagates single Pauli faults forward through stabilizer
+// circuits using sparse Pauli-frame tracking. It is the test reference for
+// the circuit layer: dem's extraction (a backward sensitivity sweep), the
+// frame samplers and the tableau cross-validation are checked against it.
 //
 // A fault injected at a circuit position is conjugated forward through the
 // remaining Clifford operations; measurements whose outcomes it flips are

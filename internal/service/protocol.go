@@ -21,9 +21,11 @@ import (
 
 // Wire constants (DESIGN.md §5). Every frame is a little-endian uint32
 // payload length followed by the payload; payload[0] is the message type.
+// The version covers the stats reply's JSON shape and the DEM column set
+// that mechanism-indexed payloads (error estimates, stream commits) index.
 const (
 	protocolMagic   = 0x42505346 // "BPSF"
-	protocolVersion = 2
+	protocolVersion = 3
 
 	MsgHello      = 1
 	MsgHelloAck   = 2

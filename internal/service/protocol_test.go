@@ -48,11 +48,14 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 
 	// a Hello from a build of another protocol version is refused: the
-	// stats reply's JSON shape is part of the version
+	// stats reply's JSON shape is part of the version (2), and so is the
+	// DEM column set that error estimates and stream commits index (3)
 	payload, _ := appendHello(nil, in)
-	payload[5] = protocolVersion - 1 // type byte, u32 magic, version
-	if _, err := ParseHello(payload); err == nil || !strings.Contains(err.Error(), "protocol version") {
-		t.Fatalf("older protocol version accepted (err %v)", err)
+	for _, v := range []byte{1, 2, protocolVersion + 1} {
+		payload[5] = v // type byte, u32 magic, version
+		if _, err := ParseHello(payload); err == nil || !strings.Contains(err.Error(), "protocol version") {
+			t.Fatalf("protocol version %d accepted (err %v)", v, err)
+		}
 	}
 
 	// a field the wire cannot carry is refused, never dropped or truncated

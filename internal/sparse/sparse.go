@@ -9,6 +9,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bpsf/internal/gf2"
@@ -22,7 +23,7 @@ type Mat struct {
 	// CSR: rowPtr[i]..rowPtr[i+1] indexes into colIdx
 	rowPtr []int
 	colIdx []int
-	// CSC adjacency (column -> rows), built lazily at construction
+	// CSC adjacency (column -> rows)
 	colPtr []int
 	rowIdx []int
 }
@@ -62,46 +63,47 @@ func (b *Builder) Flip(i, j int) {
 
 // Build finalizes the matrix.
 func (b *Builder) Build() *Mat {
+	// column-major keys j<<32 | i, so column j's rows come out ascending
 	keys := make([]int64, 0, len(b.entries))
 	for k := range b.entries {
-		keys = append(keys, k)
+		keys = append(keys, int64(uint32(k))<<32|k>>32)
 	}
-	sort.Slice(keys, func(x, y int) bool { return keys[x] < keys[y] })
-	m := &Mat{rows: b.rows, cols: b.cols}
-	m.rowPtr = make([]int, b.rows+1)
-	m.colIdx = make([]int, len(keys))
-	for _, k := range keys {
-		m.rowPtr[int(k>>32)+1]++
+	slices.Sort(keys)
+	colPtr := make([]int, b.cols+1)
+	rowIdx := make([]int, len(keys))
+	for n, k := range keys {
+		colPtr[int(k>>32)+1]++
+		rowIdx[n] = int(uint32(k))
 	}
-	for i := 0; i < b.rows; i++ {
-		m.rowPtr[i+1] += m.rowPtr[i]
+	for j := 0; j < b.cols; j++ {
+		colPtr[j+1] += colPtr[j]
 	}
-	fill := make([]int, b.rows)
-	for _, k := range keys {
-		i, j := int(k>>32), int(int32(k))
-		m.colIdx[m.rowPtr[i]+fill[i]] = j
-		fill[i]++
-	}
-	m.buildCSC()
-	return m
+	return FromCols(b.rows, colPtr, rowIdx)
 }
 
-func (m *Mat) buildCSC() {
-	m.colPtr = make([]int, m.cols+1)
-	m.rowIdx = make([]int, len(m.colIdx))
-	for _, j := range m.colIdx {
-		m.colPtr[j+1]++
+// FromCols builds a rows×(len(colPtr)−1) matrix from its compressed
+// columns: column j's rows are rowIdx[colPtr[j]:colPtr[j+1]], ascending
+// and in range. The matrix takes ownership of both slices; its rows come
+// from one counting pass over them.
+func FromCols(rows int, colPtr, rowIdx []int) *Mat {
+	m := &Mat{rows: rows, cols: len(colPtr) - 1, colPtr: colPtr, rowIdx: rowIdx}
+	m.rowPtr = make([]int, rows+1)
+	m.colIdx = make([]int, len(rowIdx))
+	for _, i := range rowIdx {
+		m.rowPtr[i+1]++
 	}
+	for i := 0; i < rows; i++ {
+		m.rowPtr[i+1] += m.rowPtr[i]
+	}
+	next := make([]int, rows)
+	copy(next, m.rowPtr)
 	for j := 0; j < m.cols; j++ {
-		m.colPtr[j+1] += m.colPtr[j]
-	}
-	fill := make([]int, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for _, j := range m.colIdx[m.rowPtr[i]:m.rowPtr[i+1]] {
-			m.rowIdx[m.colPtr[j]+fill[j]] = i
-			fill[j]++
+		for _, i := range rowIdx[colPtr[j]:colPtr[j+1]] {
+			m.colIdx[next[i]] = j
+			next[i]++
 		}
 	}
+	return m
 }
 
 // FromRows builds a sparse matrix from 0/1 int rows.

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -75,6 +76,46 @@ func TestBuilderPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	NewBuilder(2, 2).Set(2, 0)
+}
+
+// TestFromColsMatchesEntries builds random matrices from their
+// compressed columns and checks both adjacencies entry by entry, empty
+// rows and columns included.
+func TestFromColsMatchesEntries(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, shape := range [][2]int{{0, 0}, {3, 0}, {0, 4}, {7, 13}, {40, 25}} {
+		for _, density := range []float64{0, 0.1, 0.5} {
+			rows, cols := shape[0], shape[1]
+			colPtr := make([]int, cols+1)
+			var rowIdx []int
+			wantRows := make([][]int, rows)
+			wantCols := make([][]int, cols)
+			for j := 0; j < cols; j++ {
+				for i := 0; i < rows; i++ {
+					if r.Float64() < density {
+						rowIdx = append(rowIdx, i)
+						wantRows[i] = append(wantRows[i], j)
+						wantCols[j] = append(wantCols[j], i)
+					}
+				}
+				colPtr[j+1] = len(rowIdx)
+			}
+			m := FromCols(rows, colPtr, rowIdx)
+			if m.Rows() != rows || m.Cols() != cols || m.NNZ() != len(rowIdx) {
+				t.Fatalf("%dx%d: got %dx%d nnz %d", rows, cols, m.Rows(), m.Cols(), m.NNZ())
+			}
+			for i, want := range wantRows {
+				if got := m.RowSupport(i); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("%dx%d density %v row %d: %v, want %v", rows, cols, density, i, got, want)
+				}
+			}
+			for j, want := range wantCols {
+				if got := m.ColSupport(j); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("%dx%d density %v column %d: %v, want %v", rows, cols, density, j, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestDenseRoundTrip(t *testing.T) {
