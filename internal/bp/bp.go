@@ -4,9 +4,10 @@
 // bit-level oscillation (flip-count) tracking that drives BP-SF candidate
 // selection.
 //
-// A Decoder is a reusable workspace bound to one Tanner graph and one prior
-// vector. It is NOT safe for concurrent use; parallel decoding engines give
-// each worker its own Decoder (see Clone).
+// A Decoder is a reusable workspace bound to one parity-check matrix, read
+// in place as its Tanner graph (see package sparse), and one prior vector.
+// It is NOT safe for concurrent use; parallel decoding engines give each
+// worker its own Decoder (see Clone).
 //
 // Messages are stored as float32: the LLR dynamic range is tiny (clamped
 // priors, α ≤ 1), and halving the message footprint nearly doubles
@@ -20,7 +21,7 @@ import (
 	"sync/atomic"
 
 	"bpsf/internal/gf2"
-	"bpsf/internal/tanner"
+	"bpsf/internal/sparse"
 )
 
 // Schedule selects the message-passing order.
@@ -95,7 +96,7 @@ type Result struct {
 
 // Decoder is a reusable min-sum BP workspace.
 type Decoder struct {
-	g     *tanner.Graph
+	h     *sparse.Mat // shared, never written
 	cfg   Config
 	prior []float32
 	// alphas[i] is the normalization factor of iteration i as float32;
@@ -120,17 +121,18 @@ type Decoder struct {
 	spIn, spOut []float64
 }
 
-// New builds a decoder for graph g with per-variable error probabilities
-// probs (converted to channel LLRs; probabilities are clamped away from 0
-// and 0.5 to keep LLRs finite and positive).
-func New(g *tanner.Graph, probs []float64, cfg Config) *Decoder {
-	if len(probs) != g.N {
+// New builds a decoder for parity-check matrix h with per-variable error
+// probabilities probs (converted to channel LLRs; probabilities are clamped
+// away from 0 and 0.5 to keep LLRs finite and positive). The decoder reads
+// h's adjacency in place: every decoder on one matrix shares it.
+func New(h *sparse.Mat, probs []float64, cfg Config) *Decoder {
+	if len(probs) != h.Cols() {
 		panic("bp: prior length mismatch")
 	}
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = 100
 	}
-	d := newWorkspace(g, cfg)
+	d := newWorkspace(h, cfg)
 	d.alphas = make([]float32, min(cfg.MaxIter, alphaTable)+1)
 	for i := 1; i < len(d.alphas); i++ {
 		d.alphas[i] = float32(d.alpha(i))
@@ -140,26 +142,27 @@ func New(g *tanner.Graph, probs []float64, cfg Config) *Decoder {
 }
 
 // newWorkspace allocates a decoder's per-decode buffers.
-func newWorkspace(g *tanner.Graph, cfg Config) *Decoder {
+func newWorkspace(h *sparse.Mat, cfg Config) *Decoder {
+	n := h.Cols()
 	return &Decoder{
-		g:        g,
+		h:        h,
 		cfg:      cfg,
-		prior:    make([]float32, g.N),
-		c2v:      make([]float32, g.E),
-		marginal: make([]float32, g.N),
-		delta:    make([]float32, g.N),
-		margOut:  make([]float64, g.N),
-		hard:     gf2.NewVec(g.N),
-		unsat:    gf2.NewVec(g.M),
-		flip:     make([]int, g.N),
-		errOut:   gf2.NewVec(g.N),
-		flipOut:  make([]int, g.N),
+		prior:    make([]float32, n),
+		c2v:      make([]float32, h.NNZ()),
+		marginal: make([]float32, n),
+		delta:    make([]float32, n),
+		margOut:  make([]float64, n),
+		hard:     gf2.NewVec(n),
+		unsat:    gf2.NewVec(h.Rows()),
+		flip:     make([]int, n),
+		errOut:   gf2.NewVec(n),
+		flipOut:  make([]int, n),
 	}
 }
 
 // SetPriors replaces the channel LLRs from a probability vector.
 func (d *Decoder) SetPriors(probs []float64) {
-	if len(probs) != d.g.N {
+	if len(probs) != d.h.Cols() {
 		panic("bp: prior length mismatch")
 	}
 	for i, p := range probs {
@@ -186,17 +189,14 @@ func LLRFromProb(p float64) float64 {
 	return l
 }
 
-// Graph returns the decoder's Tanner graph.
-func (d *Decoder) Graph() *tanner.Graph { return d.g }
-
 // Config returns the decoder's configuration.
 func (d *Decoder) Config() Config { return d.cfg }
 
-// Clone returns an independent decoder with the same graph, priors and
+// Clone returns an independent decoder with the same matrix, priors and
 // config (fresh message buffers). Used to hand one decoder to each parallel
 // worker.
 func (d *Decoder) Clone() *Decoder {
-	nd := newWorkspace(d.g, d.cfg)
+	nd := newWorkspace(d.h, d.cfg)
 	nd.alphas = d.alphas
 	copy(nd.prior, d.prior)
 	return nd
@@ -278,7 +278,7 @@ func (b *Bound) Allows(i int) bool {
 // DecodeStop runs BP on syndrome s, ending early (with Success=false)
 // before the first iteration that b does not allow. b may be nil.
 func (d *Decoder) DecodeStop(s gf2.Vec, b *Bound) Result {
-	if s.Len() != d.g.M {
+	if s.Len() != d.h.Rows() {
 		panic("bp: syndrome length mismatch")
 	}
 	d.reset(s)
@@ -361,9 +361,9 @@ func (d *Decoder) alpha(i int) float64 {
 // delta for a flooding pass). The extrinsic inputs are v2c = marginal −
 // c2v: the marginal holds prior + Σ c2v.
 func (d *Decoder) minSumPass(s gf2.Vec, alpha float32, acc []float32) {
-	g := d.g
-	ptr, vars, c2v, marg := g.CheckPtr, g.EdgeVar, d.c2v, d.marginal
-	for c := 0; c < g.M; c++ {
+	ptr, vars := d.h.CSR()
+	c2v, marg := d.c2v, d.marginal
+	for c := range len(ptr) - 1 {
 		lo, hi := ptr[c], ptr[c+1]
 		base := alpha
 		if s.Get(c) {
@@ -416,11 +416,9 @@ func (d *Decoder) flipVar(v int) {
 	if d.cfg.TrackOscillation {
 		d.flip[v]++
 	}
-	g := d.g
-	for _, e := range g.VarEdges[g.VarPtr[v]:g.VarPtr[v+1]] {
-		c := int(g.EdgeCheck[e])
-		d.unsat.Flip(c)
-		if d.unsat.Get(c) {
+	for _, c := range d.h.ColSupport(v) {
+		d.unsat.Flip(int(c))
+		if d.unsat.Get(int(c)) {
 			d.nUnsat++
 		} else {
 			d.nUnsat--

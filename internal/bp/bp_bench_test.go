@@ -6,7 +6,6 @@ import (
 
 	"bpsf/internal/codes"
 	"bpsf/internal/gf2"
-	"bpsf/internal/tanner"
 )
 
 // BenchmarkIterationBB144Capacity measures raw min-sum iteration throughput
@@ -16,13 +15,13 @@ func BenchmarkIterationBB144Capacity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := tanner.New(c.HZ)
+	g := c.HZ
 	probs := make([]float64, c.N)
 	for i := range probs {
 		probs[i] = 0.01
 	}
 	d := New(g, probs, Config{MaxIter: 1})
-	s := gf2.NewVec(g.M)
+	s := gf2.NewVec(g.Rows())
 	s.Set(3, true)
 	s.Set(17, true)
 	b.ReportAllocs()
@@ -30,7 +29,7 @@ func BenchmarkIterationBB144Capacity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Decode(s) // exactly 1 iteration (will not converge)
 	}
-	b.ReportMetric(float64(g.E), "edges")
+	b.ReportMetric(float64(g.NNZ()), "edges")
 }
 
 // BenchmarkDecodeBB144Hard measures a full failing decode at the trial cap.
@@ -39,14 +38,14 @@ func BenchmarkDecodeBB144Hard(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := tanner.New(c.HZ)
+	g := c.HZ
 	probs := make([]float64, c.N)
 	for i := range probs {
 		probs[i] = 0.01
 	}
 	d := New(g, probs, Config{MaxIter: 100})
 	// weight-1 syndrome: inconsistent-looking target that BP cannot satisfy
-	s := gf2.NewVec(g.M)
+	s := gf2.NewVec(g.Rows())
 	s.Set(3, true)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -65,13 +64,13 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := tanner.New(c.HZ)
+	g := c.HZ
 	probs := make([]float64, c.N)
 	for i := range probs {
 		probs[i] = 0.01
 	}
 	converging := c.SyndromeOfX(gf2.VecFromSupport(c.N, []int{3}))
-	failing := gf2.NewVec(g.M)
+	failing := gf2.NewVec(g.Rows())
 	failing.Set(3, true)
 	for _, tc := range []struct {
 		name string
@@ -124,7 +123,7 @@ func BenchmarkIterationBB144DEM(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			iters += decode(syns[i%len(syns)]).Iterations
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(iters)*float64(g.E)), "ns/edge")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(iters)*float64(g.NNZ())), "ns/edge")
 		b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 	}
 	b.Run("fused", func(b *testing.B) {

@@ -9,7 +9,6 @@ import (
 	"bpsf/internal/codes"
 	"bpsf/internal/gf2"
 	"bpsf/internal/sparse"
-	"bpsf/internal/tanner"
 )
 
 func uniformProbs(n int, p float64) []float64 {
@@ -18,11 +17,6 @@ func uniformProbs(n int, p float64) []float64 {
 		probs[i] = p
 	}
 	return probs
-}
-
-// repetition-code graph: trivially decodable single errors
-func repGraph(d int) *tanner.Graph {
-	return tanner.New(codes.RepetitionCheck(d))
 }
 
 func TestLLRFromProb(t *testing.T) {
@@ -38,7 +32,7 @@ func TestLLRFromProb(t *testing.T) {
 }
 
 func TestDecodeZeroSyndrome(t *testing.T) {
-	g := repGraph(5)
+	g := codes.RepetitionCheck(5)
 	d := New(g, uniformProbs(5, 0.05), Config{MaxIter: 50})
 	res := d.Decode(gf2.NewVec(4))
 	if !res.Success || !res.ErrHat.IsZero() {
@@ -51,11 +45,11 @@ func TestDecodeZeroSyndrome(t *testing.T) {
 
 func TestDecodeSingleErrorRepetition(t *testing.T) {
 	for _, sched := range []Schedule{Flooding, Layered} {
-		g := repGraph(7)
+		g := codes.RepetitionCheck(7)
 		d := New(g, uniformProbs(7, 0.05), Config{MaxIter: 50, Schedule: sched})
 		for bit := 0; bit < 7; bit++ {
 			e := gf2.VecFromSupport(7, []int{bit})
-			s := g.H.MulVec(e)
+			s := g.MulVec(e)
 			res := d.Decode(s)
 			if !res.Success {
 				t.Fatalf("%v: decode failed for bit %d", sched, bit)
@@ -63,7 +57,7 @@ func TestDecodeSingleErrorRepetition(t *testing.T) {
 			// decoded error must have the same syndrome; for the repetition
 			// code with a single error it should be the error itself or its
 			// complement — check syndrome only
-			if !g.H.MulVec(res.ErrHat).Equal(s) {
+			if !g.MulVec(res.ErrHat).Equal(s) {
 				t.Fatalf("%v: syndrome mismatch for bit %d", sched, bit)
 			}
 		}
@@ -75,7 +69,7 @@ func TestDecodeBB72SingleAndDoubleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := tanner.New(c.HZ) // decode X errors
+	g := c.HZ // decode X errors
 	for _, sched := range []Schedule{Flooding, Layered} {
 		d := New(g, uniformProbs(c.N, 0.01), Config{MaxIter: 100, Schedule: sched})
 		r := rand.New(rand.NewSource(60))
@@ -108,7 +102,7 @@ func TestDecodeReusableAcrossCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := tanner.New(c.HZ)
+	g := c.HZ
 	d := New(g, uniformProbs(c.N, 0.01), Config{MaxIter: 100})
 	e := gf2.VecFromSupport(c.N, []int{3})
 	s := c.SyndromeOfX(e)
@@ -130,7 +124,7 @@ func TestOscillationTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := tanner.New(c.HZ)
+	g := c.HZ
 	d := New(g, uniformProbs(c.N, 0.05), Config{MaxIter: 30, TrackOscillation: true})
 	r := rand.New(rand.NewSource(61))
 	// inject a big error to likely cause non-convergence and oscillation
@@ -161,7 +155,7 @@ func TestDecodeStopAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := tanner.New(c.HZ)
+	g := c.HZ
 	d := New(g, uniformProbs(c.N, 0.05), Config{MaxIter: 1000})
 	r := rand.New(rand.NewSource(62))
 	e := gf2.NewVec(c.N)
@@ -187,11 +181,11 @@ func TestDecodeStopAborts(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	g := repGraph(5)
+	g := codes.RepetitionCheck(5)
 	d := New(g, uniformProbs(5, 0.05), Config{MaxIter: 50})
 	d2 := d.Clone()
 	e := gf2.VecFromSupport(5, []int{2})
-	s := g.H.MulVec(e)
+	s := g.MulVec(e)
 	r1 := d.Decode(s)
 	r2 := d2.Decode(s)
 	if !r1.ErrHat.Equal(r2.ErrHat) {
@@ -206,7 +200,7 @@ func TestDegreeOneCheckNoNaN(t *testing.T) {
 		{1, 1, 0},
 		{0, 1, 1},
 	})
-	g := tanner.New(h)
+	g := h
 	d := New(g, uniformProbs(3, 0.1), Config{MaxIter: 20})
 	res := d.Decode(gf2.VecFromInts([]int{1, 0, 1}))
 	for _, m := range res.Marginal {
@@ -223,7 +217,7 @@ func TestDegreeOneCheckNoNaN(t *testing.T) {
 }
 
 func TestAdaptiveAlphaSequence(t *testing.T) {
-	g := repGraph(3)
+	g := codes.RepetitionCheck(3)
 	d := New(g, uniformProbs(3, 0.1), Config{MaxIter: 10})
 	if a := d.alpha(1); math.Abs(a-0.5) > 1e-12 {
 		t.Fatalf("alpha(1) = %v, want 0.5", a)
@@ -244,7 +238,7 @@ func TestScheduleString(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	g := repGraph(3)
+	g := codes.RepetitionCheck(3)
 	d := New(g, uniformProbs(3, 0.1), Config{})
 	if d.Config().MaxIter != 100 {
 		t.Fatal("default MaxIter not applied")

@@ -11,13 +11,13 @@ import (
 	"bpsf/internal/dem"
 	"bpsf/internal/gf2"
 	"bpsf/internal/memexp"
-	"bpsf/internal/tanner"
+	"bpsf/internal/sparse"
 )
 
 // demProblem builds the circuit-level decoding problem of a catalog code
 // (memory experiment, uniform noise at p) and samples n syndromes from its
 // detector error model.
-func demProblem(tb testing.TB, code string, rounds int, p float64, n int) (*tanner.Graph, []float64, []gf2.Vec) {
+func demProblem(tb testing.TB, code string, rounds int, p float64, n int) (*sparse.Mat, []float64, []gf2.Vec) {
 	tb.Helper()
 	css, err := codes.Get(code)
 	if err != nil {
@@ -37,12 +37,12 @@ func demProblem(tb testing.TB, code string, rounds int, p float64, n int) (*tann
 		syn, _ := sampler.SampleShared()
 		syns[i] = syn.Clone()
 	}
-	return tanner.New(d.H), sampler.Priors(), syns
+	return d.H, sampler.Priors(), syns
 }
 
 // capacityProblem samples n code-capacity X-error syndromes of a catalog
 // code at p.
-func capacityProblem(tb testing.TB, code string, p float64, n int) (*tanner.Graph, []float64, []gf2.Vec) {
+func capacityProblem(tb testing.TB, code string, p float64, n int) (*sparse.Mat, []float64, []gf2.Vec) {
 	tb.Helper()
 	css, err := codes.Get(code)
 	if err != nil {
@@ -60,7 +60,7 @@ func capacityProblem(tb testing.TB, code string, p float64, n int) (*tanner.Grap
 		}
 		syns[i] = css.SyndromeOfX(e)
 	}
-	return tanner.New(css.HZ), uniformProbs(css.N, p), syns
+	return css.HZ, uniformProbs(css.N, p), syns
 }
 
 // sameResult fails t unless got and want agree field for field, with
@@ -105,15 +105,15 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 	problems := []struct {
 		name string
-		load func(testing.TB) (*tanner.Graph, []float64, []gf2.Vec)
+		load func(testing.TB) (*sparse.Mat, []float64, []gf2.Vec)
 	}{
-		{"bb72-dem", func(tb testing.TB) (*tanner.Graph, []float64, []gf2.Vec) {
+		{"bb72-dem", func(tb testing.TB) (*sparse.Mat, []float64, []gf2.Vec) {
 			return demProblem(tb, "bb72", 2, 3e-3, shots)
 		}},
-		{"bb144-dem", func(tb testing.TB) (*tanner.Graph, []float64, []gf2.Vec) {
+		{"bb144-dem", func(tb testing.TB) (*sparse.Mat, []float64, []gf2.Vec) {
 			return demProblem(tb, "bb144", 2, 3e-3, shots)
 		}},
-		{"rsurf5-capacity", func(tb testing.TB) (*tanner.Graph, []float64, []gf2.Vec) {
+		{"rsurf5-capacity", func(tb testing.TB) (*sparse.Mat, []float64, []gf2.Vec) {
 			return capacityProblem(tb, "rsurf5", 0.08, shots)
 		}},
 	}
@@ -159,9 +159,9 @@ func TestKernelMatchesReference(t *testing.T) {
 func TestKernelStopThenDecode(t *testing.T) {
 	g, probs, syns := demProblem(t, "bb72", 2, 3e-3, 20)
 	// a dense random syndrome that BP cannot satisfy
-	hard := gf2.NewVec(g.M)
+	hard := gf2.NewVec(g.Rows())
 	r := rand.New(rand.NewSource(8))
-	for c := 0; c < g.M; c++ {
+	for c := 0; c < g.Rows(); c++ {
 		hard.Set(c, r.Intn(3) == 0)
 	}
 	// step 50, key 2 beats the decode's iteration 38 at step 12+38, key 3

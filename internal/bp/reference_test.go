@@ -4,7 +4,7 @@ import (
 	"math"
 
 	"bpsf/internal/gf2"
-	"bpsf/internal/tanner"
+	"bpsf/internal/sparse"
 )
 
 // refDecoder is the straightforward BP decoder the production kernel must
@@ -14,7 +14,7 @@ import (
 // syndrome recomputation over every edge after each iteration. It exists
 // only as the differential reference (TestKernelMatchesReference).
 type refDecoder struct {
-	g     *tanner.Graph
+	h     *sparse.Mat
 	cfg   Config
 	prior []float32
 
@@ -24,20 +24,20 @@ type refDecoder struct {
 	spIn, spOut          []float64
 }
 
-// newReference builds a reference decoder with d's graph, config and
+// newReference builds a reference decoder with d's matrix, config and
 // priors.
 func newReference(d *Decoder) *refDecoder {
-	g := d.g
+	h := d.h
 	return &refDecoder{
-		g:        g,
+		h:        h,
 		cfg:      d.cfg,
 		prior:    append([]float32(nil), d.prior...),
-		c2v:      make([]float32, g.E),
-		marginal: make([]float32, g.N),
-		delta:    make([]float32, g.N),
-		hard:     gf2.NewVec(g.N),
-		prevHard: gf2.NewVec(g.N),
-		flip:     make([]int, g.N),
+		c2v:      make([]float32, h.NNZ()),
+		marginal: make([]float32, h.Cols()),
+		delta:    make([]float32, h.Cols()),
+		hard:     gf2.NewVec(h.Cols()),
+		prevHard: gf2.NewVec(h.Cols()),
+		flip:     make([]int, h.Cols()),
 	}
 }
 
@@ -69,7 +69,7 @@ func (d *refDecoder) decode(s gf2.Vec) Result {
 			satisfied = d.floodIteration(s, alpha)
 		}
 		if d.cfg.TrackOscillation {
-			for v := 0; v < d.g.N; v++ {
+			for v := 0; v < d.h.Cols(); v++ {
 				if d.hard.Get(v) != d.prevHard.Get(v) {
 					d.flip[v]++
 				}
@@ -88,7 +88,7 @@ func (d *refDecoder) decode(s gf2.Vec) Result {
 		Success:    success,
 		Iterations: iters,
 		ErrHat:     d.hard.Clone(),
-		Marginal:   make([]float64, d.g.N),
+		Marginal:   make([]float64, d.h.Cols()),
 	}
 	for i, m := range d.marginal {
 		res.Marginal[i] = float64(m)
@@ -107,16 +107,16 @@ func (d *refDecoder) alpha(i int) float64 {
 }
 
 func (d *refDecoder) floodIteration(s gf2.Vec, alpha float32) bool {
-	g := d.g
+	h := d.h
+	ptr, vars := h.CSR()
 	c2v := d.c2v
 	marg := d.marginal
-	vars := g.EdgeVar
 	delta := d.delta
 	for v := range delta {
 		delta[v] = 0
 	}
-	for c := 0; c < g.M; c++ {
-		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
+	for c := 0; c < h.Rows(); c++ {
+		lo, hi := ptr[c], ptr[c+1]
 		min1 := float32(math.Inf(1))
 		min2 := min1
 		argmin := -1
@@ -158,7 +158,7 @@ func (d *refDecoder) floodIteration(s gf2.Vec, alpha float32) bool {
 			delta[v] += out - old
 		}
 	}
-	for v := 0; v < g.N; v++ {
+	for v := 0; v < h.Cols(); v++ {
 		marg[v] += delta[v]
 		d.hard.Set(v, marg[v] <= 0)
 	}
@@ -166,12 +166,12 @@ func (d *refDecoder) floodIteration(s gf2.Vec, alpha float32) bool {
 }
 
 func (d *refDecoder) layeredIteration(s gf2.Vec, alpha float32) bool {
-	g := d.g
+	h := d.h
+	ptr, vars := h.CSR()
 	c2v := d.c2v
 	marg := d.marginal
-	vars := g.EdgeVar
-	for c := 0; c < g.M; c++ {
-		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
+	for c := 0; c < h.Rows(); c++ {
+		lo, hi := ptr[c], ptr[c+1]
 		min1 := float32(math.Inf(1))
 		min2 := min1
 		argmin := -1
@@ -213,7 +213,7 @@ func (d *refDecoder) layeredIteration(s gf2.Vec, alpha float32) bool {
 			c2v[e] = out
 		}
 	}
-	for v := 0; v < g.N; v++ {
+	for v := 0; v < h.Cols(); v++ {
 		d.hard.Set(v, marg[v] <= 0)
 	}
 	return d.syndromeMatches(s)
@@ -223,26 +223,23 @@ func (d *refDecoder) spScratch() {
 	if d.spIn != nil {
 		return
 	}
-	maxDeg := 0
-	for c := 0; c < d.g.M; c++ {
-		maxDeg = max(maxDeg, d.g.CheckDegree(c))
-	}
+	maxDeg := d.h.MaxRowWeight()
 	d.spIn = make([]float64, maxDeg)
 	d.spOut = make([]float64, maxDeg)
 }
 
 func (d *refDecoder) floodIterationSP(s gf2.Vec) bool {
-	g := d.g
+	h := d.h
+	ptr, vars := h.CSR()
 	c2v := d.c2v
 	marg := d.marginal
-	vars := g.EdgeVar
 	delta := d.delta
 	for v := range delta {
 		delta[v] = 0
 	}
 	d.spScratch()
-	for c := 0; c < g.M; c++ {
-		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
+	for c := 0; c < h.Rows(); c++ {
+		lo, hi := ptr[c], ptr[c+1]
 		deg := hi - lo
 		in := d.spIn[:deg]
 		out := d.spOut[:deg]
@@ -263,7 +260,7 @@ func (d *refDecoder) floodIterationSP(s gf2.Vec) bool {
 			c2v[e] = nw
 		}
 	}
-	for v := 0; v < g.N; v++ {
+	for v := 0; v < h.Cols(); v++ {
 		marg[v] += delta[v]
 		d.hard.Set(v, marg[v] <= 0)
 	}
@@ -271,13 +268,13 @@ func (d *refDecoder) floodIterationSP(s gf2.Vec) bool {
 }
 
 func (d *refDecoder) layeredIterationSP(s gf2.Vec) bool {
-	g := d.g
+	h := d.h
+	ptr, vars := h.CSR()
 	c2v := d.c2v
 	marg := d.marginal
-	vars := g.EdgeVar
 	d.spScratch()
-	for c := 0; c < g.M; c++ {
-		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
+	for c := 0; c < h.Rows(); c++ {
+		lo, hi := ptr[c], ptr[c+1]
 		deg := hi - lo
 		in := d.spIn[:deg]
 		out := d.spOut[:deg]
@@ -298,7 +295,7 @@ func (d *refDecoder) layeredIterationSP(s gf2.Vec) bool {
 			c2v[e] = nw
 		}
 	}
-	for v := 0; v < g.N; v++ {
+	for v := 0; v < h.Cols(); v++ {
 		d.hard.Set(v, marg[v] <= 0)
 	}
 	return d.syndromeMatches(s)
@@ -306,12 +303,13 @@ func (d *refDecoder) layeredIterationSP(s gf2.Vec) bool {
 
 // syndromeMatches reports whether H·hard == s, recomputed over every edge.
 func (d *refDecoder) syndromeMatches(s gf2.Vec) bool {
-	g := d.g
-	for c := 0; c < g.M; c++ {
-		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
+	h := d.h
+	ptr, vars := h.CSR()
+	for c := 0; c < h.Rows(); c++ {
+		lo, hi := ptr[c], ptr[c+1]
 		parity := false
 		for e := lo; e < hi; e++ {
-			if d.hard.Get(int(g.EdgeVar[e])) {
+			if d.hard.Get(int(vars[e])) {
 				parity = !parity
 			}
 		}

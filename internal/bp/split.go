@@ -24,12 +24,13 @@ import (
 //     hard-decision word and counts flips, and toggles the checks of
 //     flipped bits in a check bit-vector of its own.
 //
-// tanner.New lists a variable's edges in check order, which is the order
-// in which the fused pass (minSumPass) accumulates the same float32
-// differences into delta, so the marginals agree to the bit. The caller
-// then merges: it XORs the parts' vectors into the decoder's unsatisfied
-// checks and counts them. A split iteration thus leaves the decoder as a
-// fused one does, and the two kinds can alternate within a decode.
+// The matrix's column side lists a variable's edges in ascending row
+// (check) order, which is the order in which the fused pass (minSumPass)
+// accumulates the same float32 differences into delta, so the marginals
+// agree to the bit. The caller then merges: it XORs the parts' vectors
+// into the decoder's unsatisfied checks and counts them. A split
+// iteration thus leaves the decoder as a fused one does, and the two
+// kinds can alternate within a decode.
 //
 // Helper goroutines take parts alongside the caller. The caller opens each
 // phase and claims its parts one at a time, as do the helpers; it then
@@ -90,9 +91,13 @@ const minPartEdges = 1 << 13
 
 // NewSplit prepares d's decodes to run in up to the given number of parts,
 // as many as give each part at least minPartEdges edges. A layered or
-// sum-product d, or parts < 2, gets one part.
+// sum-product d, or parts < 2, gets one part, which decodes fused and
+// holds no second message buffer.
 func NewSplit(d *Decoder, parts int) *Split {
-	return newSplit(d, min(parts, d.g.E/minPartEdges))
+	if parts = min(parts, d.h.NNZ()/minPartEdges); parts < 2 {
+		return &Split{d: d, parts: make([]splitPart, 1)}
+	}
+	return newSplit(d, parts)
 }
 
 // newSplit is NewSplit without the floor on a part's edges.
@@ -107,8 +112,10 @@ func newSplit(d *Decoder, parts int) *Split {
 	if !twoPhase {
 		return sp
 	}
-	g := d.g
-	sp.c2v = make([]float32, g.E)
+	h := d.h
+	rowPtr, _ := h.CSR()
+	colPtr, _, _ := h.CSC()
+	sp.c2v = make([]float32, h.NNZ())
 	// each part's toggles start on their own cache line
 	words := len(d.unsat.Words())
 	stride := (words + 7) &^ 7
@@ -117,9 +124,9 @@ func newSplit(d *Decoder, parts int) *Split {
 	// part p starts where p/parts of the edges lie before it: at the first
 	// check, and the first whole word of variables, past that share
 	cut := func(p int) (check, word int) {
-		share := p * g.E / parts
-		check = sort.Search(g.M, func(c int) bool { return g.CheckPtr[c] >= share })
-		word = sort.Search(nWords, func(w int) bool { return g.VarPtr[w*64] >= share })
+		share := p * h.NNZ() / parts
+		check = sort.Search(h.Rows(), func(c int) bool { return rowPtr[c] >= share })
+		word = sort.Search(nWords, func(w int) bool { return colPtr[w*64] >= share })
 		return check, word
 	}
 	for p := range sp.parts {
@@ -127,7 +134,7 @@ func newSplit(d *Decoder, parts int) *Split {
 		pt.checkLo, pt.wordLo = cut(p)
 		pt.checkHi, pt.wordHi = cut(p + 1)
 		if p == parts-1 {
-			pt.checkHi, pt.wordHi = g.M, nWords
+			pt.checkHi, pt.wordHi = h.Rows(), nWords
 		}
 		pt.toggles = backing[p*stride : p*stride+words : p*stride+words]
 	}
@@ -156,7 +163,7 @@ func (sp *Split) Decode(s gf2.Vec) Result {
 // for a part, or always (even with one part) if always is set.
 func (sp *Split) decode(s gf2.Vec, always bool) Result {
 	d := sp.d
-	if s.Len() != d.g.M {
+	if s.Len() != d.h.Rows() {
 		panic("bp: syndrome length mismatch")
 	}
 	d.reset(s)
@@ -274,8 +281,8 @@ func (sp *Split) merge() {
 // checkPhase writes the new messages of pt's checks, updated from the
 // decoder's, into the second buffer.
 func (sp *Split) checkPhase(pt *splitPart) {
-	g := sp.d.g
-	ptr, vars, marg := g.CheckPtr, g.EdgeVar, sp.d.marginal
+	ptr, vars := sp.d.h.CSR()
+	marg := sp.d.marginal
 	old, next := sp.d.c2v, sp.c2v
 	for c := pt.checkLo; c < pt.checkHi; c++ {
 		lo, hi := ptr[c], ptr[c+1]
@@ -328,16 +335,17 @@ func minSumCheckTo(vs []int32, cs, out, marg []float32, base float32) {
 // +0, as delta accumulates it in the fused pass.
 func (sp *Split) updateVars(pt *splitPart) {
 	d := sp.d
-	g := d.g
+	ptr, checks, edges := d.h.CSC()
+	n := d.h.Cols()
 	old, next := d.c2v, sp.c2v
 	marg, words, toggles := d.marginal, d.hard.Words(), pt.toggles
 	for w := pt.wordLo; w < pt.wordHi; w++ {
 		lo := w * 64
 		var word uint64
-		for i := range min(64, g.N-lo) {
+		for i := range min(64, n-lo) {
 			v := lo + i
 			var acc float32
-			for _, e := range g.VarEdges[g.VarPtr[v]:g.VarPtr[v+1]] {
+			for _, e := range edges[ptr[v]:ptr[v+1]] {
 				acc += next[e] - old[e]
 			}
 			m := marg[v] + acc
@@ -356,8 +364,7 @@ func (sp *Split) updateVars(pt *splitPart) {
 			if d.cfg.TrackOscillation {
 				d.flip[v]++
 			}
-			for _, e := range g.VarEdges[g.VarPtr[v]:g.VarPtr[v+1]] {
-				c := g.EdgeCheck[e]
+			for _, c := range checks[ptr[v]:ptr[v+1]] {
 				toggles[c>>6] ^= 1 << (uint(c) & 63)
 			}
 		}

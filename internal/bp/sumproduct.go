@@ -78,13 +78,12 @@ func spCheckUpdate(in, out []float64, base float64) {
 // sumProductPass runs the sum-product check update over every check,
 // adding each message change to acc, as minSumPass does.
 func (d *Decoder) sumProductPass(s gf2.Vec, acc []float32) {
-	g := d.g
+	ptr, vars := d.h.CSR()
 	c2v := d.c2v
 	marg := d.marginal
-	vars := g.EdgeVar
 	d.spScratch()
-	for c := 0; c < g.M; c++ {
-		lo, hi := g.CheckPtr[c], g.CheckPtr[c+1]
+	for c := range len(ptr) - 1 {
+		lo, hi := ptr[c], ptr[c+1]
 		deg := hi - lo
 		in := d.spIn[:deg]
 		out := d.spOut[:deg]
@@ -112,10 +111,7 @@ func (d *Decoder) spScratch() {
 	if d.spIn != nil {
 		return
 	}
-	maxDeg := 0
-	for c := 0; c < d.g.M; c++ {
-		maxDeg = max(maxDeg, d.g.CheckDegree(c))
-	}
+	maxDeg := d.h.MaxRowWeight()
 	d.spIn = make([]float64, maxDeg)
 	d.spOut = make([]float64, maxDeg)
 }

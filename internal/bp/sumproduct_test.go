@@ -7,7 +7,6 @@ import (
 
 	"bpsf/internal/codes"
 	"bpsf/internal/gf2"
-	"bpsf/internal/tanner"
 )
 
 func TestVariantString(t *testing.T) {
@@ -70,13 +69,13 @@ func TestSPCheckUpdateClamping(t *testing.T) {
 
 func TestSumProductDecodesRepetition(t *testing.T) {
 	for _, sched := range []Schedule{Flooding, Layered} {
-		g := tanner.New(codes.RepetitionCheck(7))
+		g := codes.RepetitionCheck(7)
 		d := New(g, uniformProbs(7, 0.05), Config{MaxIter: 50, Variant: SumProduct, Schedule: sched})
 		for bit := 0; bit < 7; bit++ {
 			e := gf2.VecFromSupport(7, []int{bit})
-			s := g.H.MulVec(e)
+			s := g.MulVec(e)
 			res := d.Decode(s)
-			if !res.Success || !g.H.MulVec(res.ErrHat).Equal(s) {
+			if !res.Success || !g.MulVec(res.ErrHat).Equal(s) {
 				t.Fatalf("%v: sum-product failed on bit %d", sched, bit)
 			}
 		}
@@ -88,7 +87,7 @@ func TestSumProductOnBB72(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := tanner.New(c.HZ)
+	g := c.HZ
 	d := New(g, uniformProbs(c.N, 0.01), Config{MaxIter: 100, Variant: SumProduct})
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 20; trial++ {
@@ -119,7 +118,7 @@ func TestSumProductComparableToMinSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := tanner.New(c.HZ)
+	g := c.HZ
 	ms := New(g, uniformProbs(c.N, 0.02), Config{MaxIter: 60})
 	sp := New(g, uniformProbs(c.N, 0.02), Config{MaxIter: 60, Variant: SumProduct})
 	r := rand.New(rand.NewSource(78))

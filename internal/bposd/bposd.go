@@ -11,7 +11,6 @@ import (
 	"bpsf/internal/gf2"
 	"bpsf/internal/osd"
 	"bpsf/internal/sparse"
-	"bpsf/internal/tanner"
 )
 
 // Result reports a BP-OSD decode.
@@ -41,9 +40,8 @@ type Decoder struct {
 // New builds a BP-OSD decoder over parity-check matrix h with per-bit error
 // probabilities probs.
 func New(h *sparse.Mat, probs []float64, bpCfg bp.Config, osdCfg osd.Config) *Decoder {
-	g := tanner.New(h)
 	return &Decoder{
-		BP:  bp.New(g, probs, bpCfg),
+		BP:  bp.New(h, probs, bpCfg),
 		OSD: osd.New(h, osdCfg),
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"bpsf/internal/dem"
 	"bpsf/internal/gf2"
 	"bpsf/internal/memexp"
-	"bpsf/internal/tanner"
+	"bpsf/internal/sparse"
 )
 
 func TestSelectCandidatesOrdering(t *testing.T) {
@@ -253,10 +253,10 @@ func trialConfigs(cfg Config) (initCfg, trialCfg bp.Config) {
 
 // decodeTrial decodes trial t of syndrome s with a fresh BP decoder and
 // returns its result, the estimate flipped back.
-func decodeTrial(g *tanner.Graph, probs []float64, trialCfg bp.Config, s gf2.Vec, t []int) bp.Result {
+func decodeTrial(h *sparse.Mat, probs []float64, trialCfg bp.Config, s gf2.Vec, t []int) bp.Result {
 	sp := s.Clone()
-	g.H.MulSupportInto(sp, t)
-	tr := bp.New(g, probs, trialCfg).Decode(sp)
+	h.MulSupportInto(sp, t)
+	tr := bp.New(h, probs, trialCfg).Decode(sp)
 	for _, col := range t {
 		tr.ErrHat.Flip(col)
 	}
@@ -267,9 +267,9 @@ func decodeTrial(g *tanner.Graph, probs []float64, trialCfg bp.Config, s gf2.Vec
 // one-lane accounting: trials decode in index order, the first success
 // wins and ends the stage unless cfg.DecodeAllTrials. Sampled trials draw
 // from a fresh generator seeded with seed. It also returns the trials.
-func serialReference(g *tanner.Graph, probs []float64, cfg Config, s gf2.Vec, seed int64) (Result, [][]int) {
+func serialReference(h *sparse.Mat, probs []float64, cfg Config, s gf2.Vec, seed int64) (Result, [][]int) {
 	initCfg, trialCfg := trialConfigs(cfg)
-	ir := bp.New(g, probs, initCfg).Decode(s)
+	ir := bp.New(h, probs, initCfg).Decode(s)
 	res := Result{Success: ir.Success, ErrHat: ir.ErrHat, InitIterations: ir.Iterations, WinningTrial: -1,
 		TotalIterations: ir.Iterations, Steps: ir.Iterations}
 	if ir.Success {
@@ -280,7 +280,7 @@ func serialReference(g *tanner.Graph, probs []float64, cfg Config, s gf2.Vec, se
 	trials, _ := new(trialGenerator).generate(res.Candidates, cfg.Policy, cfg.WMax, cfg.NS, rand.New(rand.NewSource(seed)))
 	res.Trials = len(trials)
 	for k, t := range trials {
-		tr := decodeTrial(g, probs, trialCfg, s, t)
+		tr := decodeTrial(h, probs, trialCfg, s, t)
 		res.TrialIterations = append(res.TrialIterations, tr.Iterations)
 		res.TrialSuccess = append(res.TrialSuccess, tr.Success)
 		if res.WinningTrial >= 0 {
@@ -304,7 +304,7 @@ func serialReference(g *tanner.Graph, probs []float64, cfg Config, s gf2.Vec, se
 // to the iterations whose (step, trial) pair comes no later than the
 // winner's, one iteration at a time, and the winner's estimate is its own
 // trial's.
-func laneReference(g *tanner.Graph, probs []float64, cfg Config, s gf2.Vec, all Result, trials [][]int, lanes int) Result {
+func laneReference(h *sparse.Mat, probs []float64, cfg Config, s gf2.Vec, all Result, trials [][]int, lanes int) Result {
 	res := all
 	if !res.UsedPostProcessing {
 		return res
@@ -315,7 +315,7 @@ func laneReference(g *tanner.Graph, probs []float64, cfg Config, s gf2.Vec, all 
 	res.WinningTrial = winner
 	if winner >= 0 {
 		_, trialCfg := trialConfigs(cfg)
-		res.ErrHat = decodeTrial(g, probs, trialCfg, s, trials[winner]).ErrHat
+		res.ErrHat = decodeTrial(h, probs, trialCfg, s, trials[winner]).ErrHat
 	}
 	iters := make([]int, len(trials))
 	succ := make([]bool, len(trials))
@@ -357,7 +357,7 @@ func fields(r Result) string {
 func TestDecodeWorkerCounts(t *testing.T) {
 	const seed = 93
 	c, probs, syndromes := bb154Corpus(t, 200, 9, seed)
-	g := tanner.New(c.HZ)
+	h := c.HZ
 	sampled := Config{
 		Init:    bp.Config{MaxIter: 12},
 		Trial:   bp.Config{MaxIter: 6},
@@ -373,7 +373,7 @@ func TestDecodeWorkerCounts(t *testing.T) {
 		trials := make([][][]int, len(syndromes))
 		post, wins := 0, 0
 		for i, s := range syndromes {
-			records[i], trials[i] = serialReference(g, probs, allCfg, s, seed+int64(i))
+			records[i], trials[i] = serialReference(h, probs, allCfg, s, seed+int64(i))
 			if records[i].UsedPostProcessing {
 				post++
 			}
@@ -399,11 +399,11 @@ func TestDecodeWorkerCounts(t *testing.T) {
 					d.Reseed(seed + int64(i))
 					r := d.Decode(s)
 					got := fields(r)
-					if want := fields(laneReference(g, probs, cfg, s, records[i], trials[i], workers)); got != want {
+					if want := fields(laneReference(h, probs, cfg, s, records[i], trials[i], workers)); got != want {
 						t.Fatalf("%s: differs from the closed form\n got %s\nwant %s", name, got, want)
 					}
 					if workers == 1 {
-						serial, _ := serialReference(g, probs, cfg, s, seed+int64(i))
+						serial, _ := serialReference(h, probs, cfg, s, seed+int64(i))
 						if want := fields(serial); got != want {
 							t.Fatalf("%s: one lane differs from the serial reference\n got %s\nwant %s", name, got, want)
 						}
@@ -556,14 +556,14 @@ func TestSplitInitOneProcessor(t *testing.T) {
 		NS:      2,
 		Policy:  Sampled,
 	}
-	g := tanner.New(m.H)
+	h := m.H
 	allCfg := cfg
 	allCfg.DecodeAllTrials = true
 	want := make([]string, len(syndromes))
 	trials := 0
 	for i, s := range syndromes {
-		all, ts := serialReference(g, sampler.Priors(), allCfg, s, seed+int64(i))
-		want[i] = fields(laneReference(g, sampler.Priors(), cfg, s, all, ts, 4))
+		all, ts := serialReference(h, sampler.Priors(), allCfg, s, seed+int64(i))
+		want[i] = fields(laneReference(h, sampler.Priors(), cfg, s, all, ts, 4))
 		trials += all.Trials
 	}
 	if trials == 0 {

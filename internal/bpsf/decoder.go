@@ -13,7 +13,6 @@ import (
 	"bpsf/internal/bp"
 	"bpsf/internal/gf2"
 	"bpsf/internal/sparse"
-	"bpsf/internal/tanner"
 )
 
 // Config parameterizes a BP-SF decoder. The paper's notation: a decoder
@@ -162,7 +161,6 @@ func New(h *sparse.Mat, probs []float64, cfg Config) (*Decoder, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("bpsf: Workers must not be negative, got %d", cfg.Workers)
 	}
-	g := tanner.New(h)
 	initCfg := cfg.Init
 	initCfg.TrackOscillation = true
 	trialCfg := cfg.Trial
@@ -173,19 +171,19 @@ func New(h *sparse.Mat, probs []float64, cfg Config) (*Decoder, error) {
 	d := &Decoder{
 		h:     h,
 		cfg:   cfg,
-		init:  bp.NewSplit(bp.New(g, probs, initCfg), min(cfg.Workers, runtime.GOMAXPROCS(0))),
+		init:  bp.NewSplit(bp.New(h, probs, initCfg), min(cfg.Workers, runtime.GOMAXPROCS(0))),
 		lanes: make([]lane, max(cfg.Workers, 1)),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for i := range d.lanes {
 		l := &d.lanes[i]
 		if i == 0 {
-			l.bp = bp.New(g, probs, trialCfg)
+			l.bp = bp.New(h, probs, trialCfg)
 		} else {
 			l.bp = d.lanes[0].bp.Clone()
 		}
-		l.sp = gf2.NewVec(g.M)
-		l.est = gf2.NewVec(g.N)
+		l.sp = gf2.NewVec(h.Rows())
+		l.est = gf2.NewVec(h.Cols())
 		l.bound.Best = &d.best
 		l.spawn = func() {
 			defer d.wg.Done()

@@ -20,7 +20,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"bpsf/internal/circuit"
 	"bpsf/internal/sparse"
@@ -36,10 +35,18 @@ type DEM struct {
 	H *sparse.Mat
 	// Obs is the NumObs × NumMechs observable matrix.
 	Obs *sparse.Mat
-	// coeffs[m] maps probability coefficient c to the number of elementary
-	// faults with probability c·p merged into mechanism m.
-	coeffs []map[float64]int
+	// coeffs is the ascending table of the distinct probability
+	// coefficients of the DEM's faults. Mechanism m merged classes[k].n
+	// elementary faults with probability coeffs[classes[k].c]·p for each k
+	// in classPtr[m]..classPtr[m+1], in ascending coefficient order.
+	coeffs   []float64
+	classPtr []int32
+	classes  []class
 }
+
+// class counts a mechanism's faults of one probability coefficient: n
+// faults of coefficient coeffs[c].
+type class struct{ c, n int32 }
 
 // NumMechs returns the number of error mechanisms (columns of H).
 func (d *DEM) NumMechs() int { return d.H.Cols() }
@@ -48,27 +55,25 @@ func (d *DEM) NumMechs() int { return d.H.Cols() }
 // rate p: the probability that an odd number of the mechanism's merged
 // faults fire, ½(1 − Π(1−2·cᵢ·p)).
 //
-// Coefficient classes are folded in ascending-coefficient order: float
-// multiplication is not associative, so iterating the class map directly
-// would let Go's randomized map order perturb priors by an ulp between
-// calls — enough to regroup the sampler's equal-probability classes and
-// derail shot-stream determinism.
+// Coefficient classes are folded in ascending-coefficient order, as they
+// are stored: float multiplication is not associative, and a prior that
+// moved by an ulp could regroup the sampler's equal-probability classes
+// and derail shot-stream determinism.
 func (d *DEM) Priors(p float64) []float64 {
-	out := make([]float64, d.NumMechs())
-	var cs []float64
-	for m, classes := range d.coeffs {
-		cs = cs[:0]
-		for c := range classes {
-			cs = append(cs, c)
+	// base[c] is 1−2·q for class c's fault probability q = coeffs[c]·p
+	base := make([]float64, len(d.coeffs))
+	for c, coeff := range d.coeffs {
+		q := coeff * p
+		if q > 0.5 {
+			q = 0.5
 		}
-		sort.Float64s(cs)
+		base[c] = 1 - 2*q
+	}
+	out := make([]float64, d.NumMechs())
+	for m := range out {
 		prod := 1.0
-		for _, c := range cs {
-			q := c * p
-			if q > 0.5 {
-				q = 0.5
-			}
-			prod *= math.Pow(1-2*q, float64(classes[c]))
+		for _, cl := range d.classes[d.classPtr[m]:d.classPtr[m+1]] {
+			prod *= math.Pow(base[cl.c], float64(cl.n))
 		}
 		out[m] = (1 - prod) / 2
 	}
@@ -79,8 +84,8 @@ func (d *DEM) Priors(p float64) []float64 {
 // mechanism m (introspection for tests and tools).
 func (d *DEM) MechanismFaults(m int) int {
 	total := 0
-	for _, count := range d.coeffs[m] {
-		total += count
+	for _, cl := range d.classes[d.classPtr[m]:d.classPtr[m+1]] {
+		total += int(cl.n)
 	}
 	return total
 }
@@ -132,15 +137,31 @@ func Extract(c *circuit.Circuit) (*DEM, error) {
 	index := make(map[string]int)
 	var supp []int32
 	off := []int{0}
-	var coeffs []map[float64]int
 	var first []int // rank of each mechanism's earliest fault, the last met
 	var undetected error
+
+	// Coefficient classes are numbered in order of discovery (classOf).
+	// Mechanism m's classes form a chain through pairs from last[m], each
+	// link pointing to the one added before it (-1 ends the chain).
+	classOf := make(map[float64]int32)
+	type link struct{ c, n, prev int32 }
+	var pairs []link
+	var last []int32
+	classID := func(coeff float64) int32 {
+		c, ok := classOf[coeff]
+		if !ok {
+			c = int32(len(classOf))
+			classOf[coeff] = c
+		}
+		return c
+	}
 	sig := make([]uint64, w)
 	var key []byte
 	var rows [4][]uint64 // X and Z rows of the noise op's Q0, then Q1
 	rank := 0
-	// addFault merges the fault whose Pauli selects rows (bit k: rows[k]).
-	addFault := func(opIdx, sel int, coeff float64) {
+	// addFault merges the fault whose Pauli selects rows (bit k: rows[k])
+	// and whose probability coefficient is class c.
+	addFault := func(opIdx, sel int, c int32) {
 		rank--
 		clear(sig)
 		for k := 0; sel != 0; k, sel = k+1, sel>>1 {
@@ -175,14 +196,24 @@ func Extract(c *circuit.Circuit) (*DEM, error) {
 		if ok {
 			supp = supp[:start]
 		} else {
-			mi = len(coeffs)
+			mi = len(first)
 			index[string(key)] = mi
 			off = append(off, len(supp))
-			coeffs = append(coeffs, make(map[float64]int))
 			first = append(first, 0)
+			last = append(last, -1)
 		}
 		first[mi] = rank
-		coeffs[mi][coeff]++
+		for k := last[mi]; ; k = pairs[k].prev {
+			if k < 0 {
+				pairs = append(pairs, link{c, 1, last[mi]})
+				last[mi] = int32(len(pairs) - 1)
+				break
+			}
+			if pairs[k].c == c {
+				pairs[k].n++
+				break
+			}
+		}
 	}
 
 	// Each noise op's faults are met in reverse Pauli order: the forward
@@ -213,19 +244,21 @@ func Extract(c *circuit.Circuit) (*DEM, error) {
 			rows[0], rows[1] = row(sx, op.Q0), row(sz, op.Q0)
 			switch op.Type {
 			case circuit.OpNoiseX:
-				addFault(i, 1, op.Scale)
+				addFault(i, 1, classID(op.Scale))
 			case circuit.OpNoiseZ:
-				addFault(i, 2, op.Scale)
+				addFault(i, 2, classID(op.Scale))
 			default:
+				c := classID(op.Scale / 3)
 				for _, sel := range [3]int{2, 3, 1} { // Z, Y, X
-					addFault(i, sel, op.Scale/3)
+					addFault(i, sel, c)
 				}
 			}
 		case circuit.OpNoiseDep2:
 			rows[0], rows[1] = row(sx, op.Q0), row(sz, op.Q0)
 			rows[2], rows[3] = row(sx, op.Q1), row(sz, op.Q1)
+			c := classID(op.Scale / 15)
 			for sel := 15; sel >= 1; sel-- {
-				addFault(i, sel>>2|(sel&3)<<2, op.Scale/15)
+				addFault(i, sel>>2|(sel&3)<<2, c)
 			}
 		}
 	}
@@ -233,34 +266,67 @@ func Extract(c *circuit.Circuit) (*DEM, error) {
 		return nil, undetected // the earliest such fault, met last
 	}
 
-	// H and Obs in compressed columns, mechanisms in first-fault order.
-	nm := len(coeffs)
+	// The coefficient table: the classes some mechanism merged, ascending
+	// (a noise op with no detectable fault leaves its class unused), and
+	// each class's rank in it.
+	used := make([]bool, len(classOf))
+	for _, l := range pairs {
+		used[l.c] = true
+	}
+	var coeffs []float64
+	for coeff, c := range classOf {
+		if used[c] {
+			coeffs = append(coeffs, coeff)
+		}
+	}
+	slices.Sort(coeffs)
+	rankOf := make([]int32, len(classOf))
+	for r, coeff := range coeffs {
+		rankOf[classOf[coeff]] = int32(r)
+	}
+
+	// H and Obs in compressed columns, mechanisms in first-fault order,
+	// each with its classes in ascending coefficient order.
+	nm := len(first)
 	order := make([]int, nm)
 	for m := range order {
 		order[m] = m
 	}
 	slices.SortFunc(order, func(a, b int) int { return first[a] - first[b] })
+	nDets := 0 // detector bits over all signatures
+	for _, b := range supp {
+		if b < int32(nd) {
+			nDets++
+		}
+	}
 	hPtr, oPtr := make([]int, 1, nm+1), make([]int, 1, nm+1)
-	hIdx, oIdx := make([]int, 0, len(supp)), make([]int, 0)
-	sorted := make([]map[float64]int, nm)
-	for n, m := range order {
+	hIdx, oIdx := make([]int32, 0, nDets), make([]int32, 0, len(supp)-nDets)
+	classPtr, classes := make([]int32, 1, nm+1), make([]class, 0, len(pairs))
+	for _, m := range order {
 		for _, b := range supp[off[m]:off[m+1]] {
-			if int(b) < nd {
-				hIdx = append(hIdx, int(b))
+			if b < int32(nd) {
+				hIdx = append(hIdx, b)
 			} else {
-				oIdx = append(oIdx, int(b)-nd)
+				oIdx = append(oIdx, b-int32(nd))
 			}
 		}
 		hPtr = append(hPtr, len(hIdx))
 		oPtr = append(oPtr, len(oIdx))
-		sorted[n] = coeffs[m]
+		start := len(classes)
+		for k := last[m]; k >= 0; k = pairs[k].prev {
+			classes = append(classes, class{rankOf[pairs[k].c], pairs[k].n})
+		}
+		slices.SortFunc(classes[start:], func(a, b class) int { return int(a.c - b.c) })
+		classPtr = append(classPtr, int32(len(classes)))
 	}
 	return &DEM{
-		NumDets: nd,
-		NumObs:  no,
-		H:       sparse.FromCols(nd, hPtr, hIdx),
-		Obs:     sparse.FromCols(no, oPtr, oIdx),
-		coeffs:  sorted,
+		NumDets:  nd,
+		NumObs:   no,
+		H:        sparse.FromCols(nd, hPtr, hIdx),
+		Obs:      sparse.FromCols(no, oPtr, oIdx),
+		coeffs:   coeffs,
+		classPtr: classPtr,
+		classes:  classes,
 	}, nil
 }
 

@@ -98,10 +98,102 @@ func forwardFaults(c *circuit.Circuit, f func(opIdx int, dets, obs []int, coeff 
 	return nil
 }
 
+// mapCoeffs is the coefficient store the DEM kept before its flat class
+// table: per mechanism, a map from probability coefficient to the number
+// of faults merged into it. It is the reference that Priors and
+// MechanismFaults must equal.
+type mapCoeffs []map[float64]int
+
+// priors folds each mechanism's classes in ascending coefficient order.
+func (mc mapCoeffs) priors(p float64) []float64 {
+	out := make([]float64, len(mc))
+	var cs []float64
+	for m, classes := range mc {
+		cs = cs[:0]
+		for c := range classes {
+			cs = append(cs, c)
+		}
+		sort.Float64s(cs)
+		prod := 1.0
+		for _, c := range cs {
+			q := c * p
+			if q > 0.5 {
+				q = 0.5
+			}
+			prod *= math.Pow(1-2*q, float64(classes[c]))
+		}
+		out[m] = (1 - prod) / 2
+	}
+	return out
+}
+
+func (mc mapCoeffs) faults(m int) int {
+	total := 0
+	for _, count := range mc[m] {
+		total += count
+	}
+	return total
+}
+
+// table returns mc as a DEM's ascending coefficient table and
+// per-mechanism classes.
+func (mc mapCoeffs) table() (coeffs []float64, classPtr []int32, classes []class) {
+	rank := map[float64]int32{}
+	for _, classes := range mc {
+		for c := range classes {
+			rank[c] = 0
+		}
+	}
+	for c := range rank {
+		coeffs = append(coeffs, c)
+	}
+	sort.Float64s(coeffs)
+	for r, c := range coeffs {
+		rank[c] = int32(r)
+	}
+	classPtr = []int32{0}
+	classes = []class{}
+	for _, cm := range mc {
+		for _, c := range coeffs {
+			if n, ok := cm[c]; ok {
+				classes = append(classes, class{rank[c], int32(n)})
+			}
+		}
+		classPtr = append(classPtr, int32(len(classes)))
+	}
+	return coeffs, classPtr, classes
+}
+
+// checkCoeffs requires d's Priors to equal ref's bit for bit at several
+// error rates, and its MechanismFaults to equal ref's.
+func checkCoeffs(t *testing.T, what string, d *DEM, ref mapCoeffs) {
+	t.Helper()
+	for _, p := range []float64{1e-4, 1e-3, 0.004, 0.03, 0.3} {
+		got, want := d.Priors(p), ref.priors(p)
+		for m := range want {
+			if math.Float64bits(got[m]) != math.Float64bits(want[m]) {
+				t.Fatalf("%s: p=%g mechanism %d prior %v, map reference %v", what, p, m, got[m], want[m])
+			}
+		}
+	}
+	for m := range ref {
+		if got, want := d.MechanismFaults(m), ref.faults(m); got != want {
+			t.Fatalf("%s: mechanism %d has %d faults, map reference %d", what, m, got, want)
+		}
+	}
+}
+
 // extractForward is the reference extraction Extract must equal: every
 // fault walked forward through a Pauli frame, then merged by its sorted
 // (detectors, observables) signature in first-occurrence order.
 func extractForward(c *circuit.Circuit) (*DEM, error) {
+	d, _, err := extractForwardMaps(c)
+	return d, err
+}
+
+// extractForwardMaps is extractForward, also returning the mechanisms'
+// coefficient maps.
+func extractForwardMaps(c *circuit.Circuit) (*DEM, mapCoeffs, error) {
 	type mech struct {
 		dets, obs []int
 		coeffs    map[float64]int
@@ -138,11 +230,11 @@ func extractForward(c *circuit.Circuit) (*DEM, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	hb := sparse.NewBuilder(len(c.Detectors), len(mechs))
 	ob := sparse.NewBuilder(len(c.Observables), len(mechs))
-	coeffs := make([]map[float64]int, len(mechs))
+	ref := make(mapCoeffs, len(mechs))
 	for m, mm := range mechs {
 		for _, d := range mm.dets {
 			hb.Set(d, m)
@@ -150,15 +242,16 @@ func extractForward(c *circuit.Circuit) (*DEM, error) {
 		for _, o := range mm.obs {
 			ob.Set(o, m)
 		}
-		coeffs[m] = mm.coeffs
+		ref[m] = mm.coeffs
 	}
-	return &DEM{
+	d := &DEM{
 		NumDets: len(c.Detectors),
 		NumObs:  len(c.Observables),
 		H:       hb.Build(),
 		Obs:     ob.Build(),
-		coeffs:  coeffs,
-	}, nil
+	}
+	d.coeffs, d.classPtr, d.classes = ref.table()
+	return d, ref, nil
 }
 
 // catalogCircuit builds the uniform-noise memory experiment of a catalog
@@ -202,7 +295,7 @@ func TestExtractMatchesForwardReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s r%d: %v", name, r, err)
 			}
-			want, err := extractForward(c)
+			want, ref, err := extractForwardMaps(c)
 			if err != nil {
 				t.Fatalf("%s r%d: reference: %v", name, r, err)
 			}
@@ -210,6 +303,7 @@ func TestExtractMatchesForwardReference(t *testing.T) {
 				t.Errorf("%s r%d: Extract differs from the forward reference (%d vs %d mechanisms, %d vs %d edges)",
 					name, r, got.NumMechs(), want.NumMechs(), got.H.NNZ(), want.H.NNZ())
 			}
+			checkCoeffs(t, fmt.Sprintf("%s r%d", name, r), got, ref)
 		}
 	}
 }
@@ -288,13 +382,14 @@ func TestExtractMatchesForwardOnHandBuiltCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := extractForward(c)
+	want, ref, err := extractForwardMaps(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Extract differs from the forward reference: %d vs %d mechanisms", got.NumMechs(), want.NumMechs())
 	}
+	checkCoeffs(t, "hand-built", got, ref)
 }
 
 // TestExtractSpeedup is the enforced gate for the backward sweep: Extract

@@ -125,10 +125,10 @@ func (s *Sampler) Mechs() []int { return s.mechs }
 func (s *Sampler) fire(mechs []int, m int) []int {
 	mechs = append(mechs, m)
 	for _, d := range s.dem.H.ColSupport(m) {
-		s.syndrome.Flip(d)
+		s.syndrome.Flip(int(d))
 	}
 	for _, o := range s.dem.Obs.ColSupport(m) {
-		s.obsFlips.Flip(o)
+		s.obsFlips.Flip(int(o))
 	}
 	return mechs
 }

@@ -7,7 +7,6 @@ import (
 	bpsfcore "bpsf/internal/bpsf"
 	"bpsf/internal/dem"
 	"bpsf/internal/sim"
-	"bpsf/internal/tanner"
 )
 
 // Fig2 reproduces Figure 2: the non-convergence tail of plain BP on the
@@ -25,7 +24,7 @@ func Fig2(o Opts) (FigureResult, error) {
 	tb := sim.NewTable("p", "shots", "avg iters (converged)", "non-convergence rate")
 	for pi, p := range []float64{0.001, 0.002} {
 		sampler := dem.NewSampler(d, p, o.seed()+int64(pi))
-		dec := bp.New(tanner.New(d.H), sampler.Priors(), bp.Config{MaxIter: 1000})
+		dec := bp.New(d.H, sampler.Priors(), bp.Config{MaxIter: 1000})
 		var converged []int
 		failures := 0
 		var iterSum float64
@@ -77,7 +76,7 @@ func Fig3(o Opts) (FigureResult, error) {
 	tb := sim.NewTable("p", "failures", "precision", "recall")
 	for pi, p := range ps {
 		sampler := dem.NewSampler(d, p, o.seed()+int64(pi))
-		dec := bp.New(tanner.New(d.H), sampler.Priors(),
+		dec := bp.New(d.H, sampler.Priors(),
 			bp.Config{MaxIter: 50, TrackOscillation: true})
 		var pSum, rSum float64
 		failures := 0

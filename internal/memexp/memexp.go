@@ -110,8 +110,8 @@ func Build(css *code.CSS, rounds int, nz Noise) (*circuit.Circuit, error) {
 			c.H(a)
 			dep1(a)
 			for _, q := range css.GX.RowSupport(j) {
-				c.CX(a, q)
-				dep2(a, q)
+				c.CX(a, int(q))
+				dep2(a, int(q))
 			}
 			c.H(a)
 			dep1(a)
@@ -125,8 +125,8 @@ func Build(css *code.CSS, rounds int, nz Noise) (*circuit.Circuit, error) {
 		for j := 0; j < mzc; j++ {
 			a := zAnc(j)
 			for _, q := range css.GZ.RowSupport(j) {
-				c.CX(q, a)
-				dep2(q, a)
+				c.CX(int(q), a)
+				dep2(int(q), a)
 			}
 			preMeas(a)
 			zMeas[r][j] = c.MR(a)

@@ -148,7 +148,7 @@ func (d *Decoder) Decode(s gf2.Vec, llr []float64) Result {
 	}
 	for col := 0; col < n; col++ {
 		for _, r := range d.h.ColSupport(col) {
-			aug.Set(r, d.pos[col], true)
+			aug.Set(int(r), d.pos[col], true)
 		}
 	}
 	for wi, w := range s.Words() {

@@ -15,7 +15,6 @@ import (
 	"bpsf/internal/gf2"
 	"bpsf/internal/memexp"
 	"bpsf/internal/sparse"
-	"bpsf/internal/tanner"
 )
 
 // decodeRef is Decoder.Decode as it was before the reusable workspace:
@@ -260,7 +259,7 @@ func bpFailures(t testing.TB, name string, rounds, want int) (*sparse.Mat, []osd
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := bp.New(tanner.New(d.H), d.Priors(p), bp.Config{MaxIter: 1000})
+	dec := bp.New(d.H, d.Priors(p), bp.Config{MaxIter: 1000})
 	smp := dem.NewSampler(d, p, 5)
 	var out []osdCase
 	for shots := 0; len(out) < want; shots++ {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
@@ -89,4 +90,61 @@ func allocsPerSweep(dec Decoder, syns []gf2.Vec) float64 {
 	}
 	sweep()
 	return testing.AllocsPerRun(3, sweep)
+}
+
+// TestDecoderBuildCopiesNoAdjacency holds the bytes that building a
+// BP-family decoder on the bb144 r2 DEM allocates to its message and
+// per-variable buffers: every BP workspace reads the DEM's matrix in
+// place. A BP workspace is one float32 message per edge and 36¼ bytes per
+// variable (three float32 and three 8-byte arrays, two bit vectors). BP-OSD
+// adds OSD's three int orderings; BP-SF with one lane holds two
+// workspaces, the initial BP's and the lane's. Size classes round
+// allocations up by less than an eighth, which the bound allows. A decoder
+// that copied the Tanner graph would allocate 12 bytes more per edge than
+// that, beyond the bound. Skipped under race and coverage instrumentation,
+// which allocate on their own.
+func TestDecoderBuildCopiesNoAdjacency(t *testing.T) {
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("allocation bytes are skewed under race/coverage instrumentation")
+	}
+	css, err := codes.Get("bb144")
+	if err != nil {
+		t.Fatal(err)
+	}
+	circ, err := memexp.Build(css, 2, memexp.Uniform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dem.Extract(circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	priors := d.Priors(3e-3)
+	e, n := d.H.NNZ(), d.H.Cols()
+	workspace := 4*e + 37*n
+	for _, tc := range []struct {
+		kind    string
+		buffers int // bytes of the decoder's buffers
+	}{
+		{"bp", workspace},
+		{"bposd", workspace + 25*n},
+		{"bpsf", 2 * workspace},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			bound := tc.buffers + tc.buffers/8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			dec, err := DecoderSpecs()[tc.kind].NewDecoder(d.H, priors)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(dec)
+			got := int(after.TotalAlloc - before.TotalAlloc)
+			t.Logf("%d edges, %d variables: %d bytes allocated, bound %d", e, n, got, bound)
+			if got > bound {
+				t.Errorf("building the decoder allocated %d bytes, above the %d its buffers need", got, bound)
+			}
+		})
+	}
 }

@@ -15,7 +15,6 @@ import (
 	"bpsf/internal/gf2"
 	"bpsf/internal/osd"
 	"bpsf/internal/sparse"
-	"bpsf/internal/tanner"
 	"bpsf/internal/uf"
 )
 
@@ -46,7 +45,7 @@ type bpAdapter struct {
 func NewBP(h *sparse.Mat, priors []float64, cfg bp.Config) Decoder {
 	return &bpAdapter{
 		name: Spec{Kind: "bp", BPIters: cfg.MaxIter, Layered: cfg.Schedule == bp.Layered}.String(),
-		d:    bp.New(tanner.New(h), priors, cfg),
+		d:    bp.New(h, priors, cfg),
 	}
 }
 

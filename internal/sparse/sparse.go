@@ -1,5 +1,8 @@
 // Package sparse implements sparse binary matrices over GF(2) in compressed
 // row form, with the column adjacency needed by message-passing decoders.
+// A Mat is its own Tanner graph: entry k of the row-major order is edge k,
+// so decoders keep per-edge messages in flat arrays indexed by these ids
+// and share one matrix instead of copying its adjacency.
 //
 // Parity-check matrices of quantum LDPC codes and detector error models are
 // extremely sparse (row/column weights of a few units against dimensions in
@@ -9,8 +12,8 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"bpsf/internal/gf2"
 )
@@ -18,14 +21,21 @@ import (
 // Mat is an immutable sparse binary matrix. Build one with a Builder or one
 // of the constructors; all decoder-facing accessors are read-only, so a Mat
 // may be shared freely across goroutines.
+//
+// Indices are int32, half the bytes of int on the message-passing gathers;
+// the offsets stay int.
 type Mat struct {
 	rows, cols int
-	// CSR: rowPtr[i]..rowPtr[i+1] indexes into colIdx
+	// CSR: row i's entries are edges rowPtr[i]..rowPtr[i+1], and edge e
+	// lies in column colIdx[e]
 	rowPtr []int
-	colIdx []int
-	// CSC adjacency (column -> rows)
+	colIdx []int32
+	// CSC: column j's entries are positions colPtr[j]..colPtr[j+1] in
+	// ascending row order; position k lies in row rowIdx[k] and is edge
+	// edge[k]
 	colPtr []int
-	rowIdx []int
+	rowIdx []int32
+	edge   []int32
 }
 
 // Builder accumulates entries for a sparse matrix.
@@ -70,10 +80,10 @@ func (b *Builder) Build() *Mat {
 	}
 	slices.Sort(keys)
 	colPtr := make([]int, b.cols+1)
-	rowIdx := make([]int, len(keys))
+	rowIdx := make([]int32, len(keys))
 	for n, k := range keys {
 		colPtr[int(k>>32)+1]++
-		rowIdx[n] = int(uint32(k))
+		rowIdx[n] = int32(k)
 	}
 	for j := 0; j < b.cols; j++ {
 		colPtr[j+1] += colPtr[j]
@@ -83,12 +93,18 @@ func (b *Builder) Build() *Mat {
 
 // FromCols builds a rows×(len(colPtr)−1) matrix from its compressed
 // columns: column j's rows are rowIdx[colPtr[j]:colPtr[j+1]], ascending
-// and in range. The matrix takes ownership of both slices; its rows come
-// from one counting pass over them.
-func FromCols(rows int, colPtr, rowIdx []int) *Mat {
-	m := &Mat{rows: rows, cols: len(colPtr) - 1, colPtr: colPtr, rowIdx: rowIdx}
+// and in range. The matrix takes ownership of both slices; its rows and
+// edge map come from one counting pass over them. It panics if a column
+// or edge id would not fit in an int32.
+func FromCols(rows int, colPtr []int, rowIdx []int32) *Mat {
+	cols := len(colPtr) - 1
+	if cols > math.MaxInt32 || len(rowIdx) > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: %d columns, %d entries overflow int32 ids", cols, len(rowIdx)))
+	}
+	m := &Mat{rows: rows, cols: cols, colPtr: colPtr, rowIdx: rowIdx}
 	m.rowPtr = make([]int, rows+1)
-	m.colIdx = make([]int, len(rowIdx))
+	m.colIdx = make([]int32, len(rowIdx))
+	m.edge = make([]int32, len(rowIdx))
 	for _, i := range rowIdx {
 		m.rowPtr[i+1]++
 	}
@@ -97,9 +113,11 @@ func FromCols(rows int, colPtr, rowIdx []int) *Mat {
 	}
 	next := make([]int, rows)
 	copy(next, m.rowPtr)
-	for j := 0; j < m.cols; j++ {
-		for _, i := range rowIdx[colPtr[j]:colPtr[j+1]] {
-			m.colIdx[next[i]] = j
+	for j := 0; j < cols; j++ {
+		for k := colPtr[j]; k < colPtr[j+1]; k++ {
+			i := rowIdx[k]
+			m.colIdx[next[i]] = int32(j)
+			m.edge[k] = int32(next[i])
 			next[i]++
 		}
 	}
@@ -153,15 +171,26 @@ func (m *Mat) NNZ() int { return len(m.colIdx) }
 
 // RowSupport returns the sorted column indices of row i. The returned slice
 // aliases internal storage and must not be modified.
-func (m *Mat) RowSupport(i int) []int {
+func (m *Mat) RowSupport(i int) []int32 {
 	return m.colIdx[m.rowPtr[i]:m.rowPtr[i+1]]
 }
 
 // ColSupport returns the sorted row indices of column j. The returned slice
 // aliases internal storage and must not be modified.
-func (m *Mat) ColSupport(j int) []int {
+func (m *Mat) ColSupport(j int) []int32 {
 	return m.rowIdx[m.colPtr[j]:m.colPtr[j+1]]
 }
+
+// CSR returns the row side of the Tanner graph: row i's edges are
+// ptr[i]..ptr[i+1], and edge e lies in column cols[e]. The slices alias
+// internal storage and must not be modified.
+func (m *Mat) CSR() (ptr []int, cols []int32) { return m.rowPtr, m.colIdx }
+
+// CSC returns the column side of the Tanner graph: column j's entries are
+// positions ptr[j]..ptr[j+1] in ascending row order, and position k lies
+// in row rows[k] and is edge edge[k] of the CSR side. The slices alias
+// internal storage and must not be modified.
+func (m *Mat) CSC() (ptr []int, rows, edge []int32) { return m.colPtr, m.rowIdx, m.edge }
 
 // RowWeight returns the weight of row i.
 func (m *Mat) RowWeight(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
@@ -182,28 +211,14 @@ func (m *Mat) MaxRowWeight() int {
 
 // Get reports whether entry (i, j) is set.
 func (m *Mat) Get(i, j int) bool {
-	row := m.RowSupport(i)
-	k := sort.SearchInts(row, j)
-	return k < len(row) && row[k] == j
+	_, ok := slices.BinarySearch(m.RowSupport(i), int32(j))
+	return ok
 }
 
 // MulVec returns m·x over GF(2) as a gf2.Vec of length Rows().
 func (m *Mat) MulVec(x gf2.Vec) gf2.Vec {
-	if x.Len() != m.cols {
-		panic(fmt.Sprintf("sparse: MulVec dimension mismatch %d != %d", x.Len(), m.cols))
-	}
 	out := gf2.NewVec(m.rows)
-	for i := 0; i < m.rows; i++ {
-		parity := false
-		for _, j := range m.RowSupport(i) {
-			if x.Get(j) {
-				parity = !parity
-			}
-		}
-		if parity {
-			out.Set(i, true)
-		}
-	}
+	m.MulVecInto(out, x)
 	return out
 }
 
@@ -216,7 +231,7 @@ func (m *Mat) MulVecInto(dst, x gf2.Vec) {
 	for i := 0; i < m.rows; i++ {
 		parity := false
 		for _, j := range m.RowSupport(i) {
-			if x.Get(j) {
+			if x.Get(int(j)) {
 				parity = !parity
 			}
 		}
@@ -226,25 +241,17 @@ func (m *Mat) MulVecInto(dst, x gf2.Vec) {
 	}
 }
 
-// MulSupport returns m·x where x is given by its support (sparse-vector
-// product, SpMSpV): the XOR of the columns of m indexed by support. Result
-// is returned as a gf2.Vec of length Rows(). This is the trial-syndrome
-// operation t·Hᵀ of the BP-SF decoder.
-func (m *Mat) MulSupport(support []int) gf2.Vec {
-	out := gf2.NewVec(m.rows)
-	m.MulSupportInto(out, support)
-	return out
-}
-
-// MulSupportInto XORs the columns indexed by support into dst. dst is NOT
-// cleared first, so this can accumulate s ⊕ tHᵀ in place.
+// MulSupportInto XORs the columns indexed by support into dst (a
+// sparse-vector product, SpMSpV). dst is NOT cleared first, so this can
+// accumulate s ⊕ tHᵀ in place: the trial-syndrome operation of the BP-SF
+// decoder.
 func (m *Mat) MulSupportInto(dst gf2.Vec, support []int) {
 	if dst.Len() != m.rows {
 		panic("sparse: MulSupportInto dimension mismatch")
 	}
 	for _, j := range support {
 		for _, i := range m.ColSupport(j) {
-			dst.Flip(i)
+			dst.Flip(int(i))
 		}
 	}
 }
@@ -254,7 +261,7 @@ func (m *Mat) Transpose() *Mat {
 	b := NewBuilder(m.cols, m.rows)
 	for i := 0; i < m.rows; i++ {
 		for _, j := range m.RowSupport(i) {
-			b.Set(j, i)
+			b.Set(int(j), i)
 		}
 	}
 	return b.Build()
@@ -268,8 +275,8 @@ func (m *Mat) Mul(other *Mat) *Mat {
 	b := NewBuilder(m.rows, other.cols)
 	for i := 0; i < m.rows; i++ {
 		for _, k := range m.RowSupport(i) {
-			for _, j := range other.RowSupport(k) {
-				b.Flip(i, j)
+			for _, j := range other.RowSupport(int(k)) {
+				b.Flip(i, int(j))
 			}
 		}
 	}
@@ -283,7 +290,7 @@ func Kron(a, b *Mat) *Mat {
 		for _, j := range a.RowSupport(i) {
 			for bi := 0; bi < b.rows; bi++ {
 				for _, bj := range b.RowSupport(bi) {
-					out.Set(i*b.rows+bi, j*b.cols+bj)
+					out.Set(i*b.rows+bi, int(j)*b.cols+int(bj))
 				}
 			}
 		}
@@ -299,29 +306,10 @@ func HStack(a, b *Mat) *Mat {
 	out := NewBuilder(a.rows, a.cols+b.cols)
 	for i := 0; i < a.rows; i++ {
 		for _, j := range a.RowSupport(i) {
-			out.Set(i, j)
+			out.Set(i, int(j))
 		}
 		for _, j := range b.RowSupport(i) {
-			out.Set(i, a.cols+j)
-		}
-	}
-	return out.Build()
-}
-
-// VStack returns [a ; b].
-func VStack(a, b *Mat) *Mat {
-	if a.cols != b.cols {
-		panic("sparse: VStack column mismatch")
-	}
-	out := NewBuilder(a.rows+b.rows, a.cols)
-	for i := 0; i < a.rows; i++ {
-		for _, j := range a.RowSupport(i) {
-			out.Set(i, j)
-		}
-	}
-	for i := 0; i < b.rows; i++ {
-		for _, j := range b.RowSupport(i) {
-			out.Set(a.rows+i, j)
+			out.Set(i, a.cols+int(j))
 		}
 	}
 	return out.Build()
@@ -332,7 +320,7 @@ func (m *Mat) ToDense() *gf2.Mat {
 	d := gf2.NewMat(m.rows, m.cols)
 	for i := 0; i < m.rows; i++ {
 		for _, j := range m.RowSupport(i) {
-			d.Set(i, j, true)
+			d.Set(i, int(j), true)
 		}
 	}
 	return d
@@ -340,20 +328,8 @@ func (m *Mat) ToDense() *gf2.Mat {
 
 // Equal reports whether two sparse matrices have the same shape and entries.
 func (m *Mat) Equal(b *Mat) bool {
-	if m.rows != b.rows || m.cols != b.cols || len(m.colIdx) != len(b.colIdx) {
-		return false
-	}
-	for i := range m.rowPtr {
-		if m.rowPtr[i] != b.rowPtr[i] {
-			return false
-		}
-	}
-	for i := range m.colIdx {
-		if m.colIdx[i] != b.colIdx[i] {
-			return false
-		}
-	}
-	return true
+	return m.rows == b.rows && m.cols == b.cols &&
+		slices.Equal(m.rowPtr, b.rowPtr) && slices.Equal(m.colIdx, b.colIdx)
 }
 
 // String renders a small matrix for debugging.

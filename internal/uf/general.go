@@ -41,7 +41,7 @@ func (d *Decoder) growGeneral(res *Result, solve func(*Decoder, int32) bool) boo
 			vs := append(d.snapshot[:0], d.vlist(r)...)
 			cur := r
 			for _, c := range vs {
-				for _, b := range d.checkBits[c] {
+				for _, b := range d.h.RowSupport(int(c)) {
 					if d.inGraph[b] {
 						continue
 					}
@@ -50,7 +50,7 @@ func (d *Decoder) growGeneral(res *Result, solve func(*Decoder, int32) bool) boo
 					cur = d.find(cur)
 					d.clEdges[cur] = append(d.clEdges[cur], b)
 					d.dirty[cur] = true
-					for _, c2 := range d.bitChecks[b] {
+					for _, c2 := range d.h.ColSupport(int(b)) {
 						cur = d.union(cur, c2)
 					}
 				}
@@ -106,7 +106,7 @@ func (d *Decoder) trySolve(r int32) bool {
 	// every check of an interior bit is in the cluster, so localRow is
 	// current for all of them; entries of other checks are never read
 	for lj, b := range bits {
-		for _, c := range d.bitChecks[b] {
+		for _, c := range d.h.ColSupport(int(b)) {
 			d.aug.Set(int(d.localRow[c]), lj, true)
 		}
 	}

@@ -24,7 +24,7 @@ func trySolveRef(d *Decoder, r int32) bool {
 	for li, c := range checks {
 		sub[li] = make([]bool, len(bits))
 		rhs[li] = d.defect[c]
-		for _, b := range d.checkBits[c] {
+		for _, b := range d.h.RowSupport(int(c)) {
 			if lj, ok := localCol[b]; ok {
 				sub[li][lj] = true
 			}

@@ -69,9 +69,7 @@ type Decoder struct {
 	edgeCol      []int32   // edge → column of h
 	vertEdges    [][]int32 // incident edges per vertex, ascending edge id
 
-	// ---- general representation: plain Tanner adjacency.
-	checkBits [][]int32
-	bitChecks [][]int32
+	// ---- general representation: h's own adjacency, read in place.
 
 	// ---- union-find + cluster state, reset per decode ----
 	parent, size []int32
@@ -148,9 +146,9 @@ func New(h *sparse.Mat) *Decoder {
 			case 0:
 				continue // a never-flippable column; unusable
 			case 1:
-				u, v = int32(supp[0]), int32(m) // boundary edge
+				u, v = supp[0], int32(m) // boundary edge
 			default:
-				u, v = int32(supp[0]), int32(supp[1])
+				u, v = supp[0], supp[1]
 			}
 			e := int32(len(d.edgeCol))
 			d.edgeU = append(d.edgeU, u)
@@ -168,14 +166,6 @@ func New(h *sparse.Mat) *Decoder {
 		d.edgeNextU = make([]int32, ne)
 		d.edgeNextV = make([]int32, ne)
 	} else {
-		d.checkBits = make([][]int32, m)
-		d.bitChecks = make([][]int32, n)
-		for i := 0; i < m; i++ {
-			for _, j := range h.RowSupport(i) {
-				d.checkBits[i] = append(d.checkBits[i], int32(j))
-				d.bitChecks[j] = append(d.bitChecks[j], int32(i))
-			}
-		}
 		d.inGraph = make([]bool, n)
 		d.localRow = make([]int32, m)
 	}

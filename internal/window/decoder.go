@@ -96,7 +96,7 @@ func New(h *sparse.Mat, priors []float64, layout Layout, w, c int, inner decodin
 		for j, m := range sw.mechs {
 			subPriors[j] = priors[m]
 			for _, r := range h.ColSupport(m) {
-				if r >= rowLo && r < rowHi {
+				if r := int(r); r >= rowLo && r < rowHi {
 					sb.Set(r-rowLo, j)
 				}
 			}

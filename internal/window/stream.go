@@ -149,7 +149,7 @@ func (s *Stream) decodeWindow(wi int) Commit {
 			mechs = append(mechs, m)
 			s.errHat.Flip(m)
 			for _, r := range s.d.h.ColSupport(m) {
-				s.residual.Flip(r)
+				s.residual.Flip(int(r))
 			}
 		}
 	}
