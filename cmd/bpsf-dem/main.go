@@ -9,7 +9,6 @@
 //
 //	bpsf-dem -code bb144 [-rounds 12] [-p 0.003] [-seed 1] [-shots 200]
 //	bpsf-dem -code rsurf3 -decoder uf        # decode the sampled shots too
-//	bpsf-dem -code rsurf5 -batch off         # retained scalar sampler
 package main
 
 import (
@@ -21,8 +20,6 @@ import (
 
 	"bpsf/internal/codes"
 	"bpsf/internal/dem"
-	"bpsf/internal/frame"
-	"bpsf/internal/gf2"
 	"bpsf/internal/memexp"
 	"bpsf/internal/sim"
 )
@@ -38,14 +35,8 @@ func main() {
 	decoder := flag.String("decoder", "",
 		"decode the sampled shots with a default-configured decoder and report convergence; one of "+
 			fmt.Sprint(sim.DecoderNames())+" (empty = skip)")
-	batch := flag.String("batch", "on",
-		"bit-packed 64-shot batch sampling for the shot summary: on | off (off = the retained scalar sampler)")
 	flag.Parse()
 
-	useBatch, err := sim.ParseBatchFlag(*batch)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if err := sim.CheckP(*p); err != nil {
 		log.Fatal(err)
 	}
@@ -122,34 +113,13 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		// nextShot abstracts the two sampling paths: the word-parallel
-		// 64-shot batch sampler (default) and the retained scalar sampler
-		// (-batch off), both returning the shot's syndrome and fired count.
-		var nextShot func() (gf2.Vec, int)
-		mode := "batch"
-		if useBatch {
-			bs := frame.NewDEMSampler(d, *p, *seed)
-			cur := frame.NewCursor(bs.SampleBlock)
-			syn := gf2.NewVec(d.NumDets)
-			nextShot = func() (gf2.Vec, int) {
-				sb, _ := cur.Next()
-				_ = syn.SetBytes(sb) // geometry fixed by the DEM
-				return syn, bs.LaneFires()[cur.Lane()]
-			}
-		} else {
-			mode = "scalar"
-			sampler := dem.NewSampler(d, *p, *seed)
-			nextShot = func() (gf2.Vec, int) {
-				syndrome, _ := sampler.SampleShared()
-				return syndrome, len(sampler.Mechs())
-			}
-		}
+		sampler := dem.NewSampler(d, *p, *seed)
 		var mechs, synWeight, quiet int
 		var converged int
 		var decodeTime time.Duration
 		for i := 0; i < *shots; i++ {
-			syndrome, fired := nextShot()
-			mechs += fired
+			syndrome, _ := sampler.SampleShared()
+			mechs += len(sampler.Mechs())
 			w := syndrome.Weight()
 			synWeight += w
 			if w == 0 {
@@ -167,8 +137,8 @@ func main() {
 			}
 		}
 		n := float64(*shots)
-		fmt.Printf("sampled %d shots (seed %d, %s sampler): avg fired mechanisms=%.2f, avg syndrome weight=%.2f, zero-syndrome shots=%.1f%%\n",
-			*shots, *seed, mode, float64(mechs)/n, float64(synWeight)/n, 100*float64(quiet)/n)
+		fmt.Printf("sampled %d shots (seed %d): avg fired mechanisms=%.2f, avg syndrome weight=%.2f, zero-syndrome shots=%.1f%%\n",
+			*shots, *seed, float64(mechs)/n, float64(synWeight)/n, 100*float64(quiet)/n)
 		if dec != nil {
 			fmt.Printf("decoder %s: %d/%d syndromes satisfied (%.1f%%), avg decode %.4f ms\n",
 				dec.Name(), converged, *shots, 100*float64(converged)/n,

@@ -9,8 +9,9 @@
 // only a shot count and the server draws syndromes from its word-parallel
 // batch frame sampler, so the wire and the client pay nothing for syndrome
 // generation and responses report logical failures against the sampled
-// ground truth. -batch off retains the client-side scalar sampler and
-// uploads packed syndromes (the differential baseline).
+// ground truth. -batch off samples the same shots client-side and uploads
+// packed syndromes, so both modes decode the same syndromes under one
+// -seed.
 //
 // -window N switches to the stream plane: every shot is a client-sampled
 // multi-round syndrome pushed round by round over a windowed decode
@@ -66,7 +67,7 @@ func main() {
 	shots := flag.Int("shots", 1000, "total syndromes across all sessions")
 	batchSize := flag.Int("batch-size", 16, "syndromes per request batch")
 	batch := flag.String("batch", "on",
-		"server-side bit-packed 64-shot batch sampling: on | off (off = retained client-side scalar sampling + syndrome upload; ignored in -window streaming mode)")
+		"server-side bit-packed 64-shot batch sampling: on | off (off = the same shots sampled client-side + syndrome upload; ignored in -window streaming mode)")
 	mode := flag.String("mode", "closed", "load model: closed | open")
 	rate := flag.Float64("rate", 500, "total batch arrivals per second, round arrivals with -window (open mode)")
 	seed := flag.Int64("seed", 1, "sampler and stream seed base")
@@ -101,7 +102,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Local model build only when this side samples: scalar batch mode and
+	// Local model build only when this side samples: -batch off and
 	// streaming both generate syndromes client-side (the generator owns its
 	// syndrome source so the server is measured on decoding alone). The
 	// default server-sampled batch mode skips the DEM extraction entirely —
@@ -142,7 +143,7 @@ func main() {
 	} else {
 		sampling := "server-side batch sampling"
 		if !useBatch {
-			sampling = "client-side scalar sampling"
+			sampling = "client-side sampling"
 		}
 		fmt.Printf("%s-loop: %d sessions, %d shots, batch %d, %s\n",
 			*mode, *sessions, *shots, *batchSize, sampling)
@@ -259,7 +260,7 @@ func verifyReplay(addr string, cfg service.LoadConfig, css *code.CSS, rec servic
 		return err
 	}
 	wd.Reseed(service.RequestSeed(cfg.Seed, 0)) // session 0, stream 0
-	syn, _ := dem.NewSampler(cfg.DEM, cfg.P, cfg.Seed).SampleShared()
+	syn, _ := dem.NewSampler(cfg.DEM, cfg.P, service.SampleSeed(cfg.Seed)).SampleShared()
 	if !wd.Decode(syn).ErrHat.Equal(want) {
 		return errors.New("replay: library windowed decode diverges from the recorded service stream")
 	}

@@ -10,7 +10,7 @@ import (
 
 // TestBatchFlagValues is the table-driven -batch validation (mirroring the
 // -decoder pattern): accepted values select server-side batch sampling or
-// the retained client-side scalar path, anything else fails with an error
+// client-side sampling of the same shots, anything else fails with an error
 // naming the accepted set — the CLI exits non-zero via log.Fatal before
 // dialing.
 func TestBatchFlagValues(t *testing.T) {

@@ -51,14 +51,7 @@ func main() {
 	commitRounds := flag.Int("commit", 1, "committed rounds per window (with -window)")
 	workers := flag.Int("workers", runtime.NumCPU(),
 		"Monte-Carlo shard workers (results are identical for any value)")
-	batch := flag.String("batch", "on",
-		"circuit model sampling: on = word-parallel 64-shot Pauli-frame sampling of the circuit, off = the retained per-shot DEM sampler (ignored by -model capacity)")
 	flag.Parse()
-
-	useBatch, err := sim.ParseBatchFlag(*batch)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	entry, ok := codes.Catalog()[*codeName]
 	if !ok {
@@ -109,12 +102,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("DEM: %d detectors, %d mechanisms\n", d.NumDets, d.NumMechs())
-		if useBatch {
-			// word-parallel Pauli-frame sampling of the circuit itself
-			res, err = sim.RunCircuitFrames(circ, d, r, spec.NewDecoder, cfg)
-		} else {
-			res, err = sim.RunCircuit(d, r, spec.NewDecoder, cfg)
-		}
+		// word-parallel Pauli-frame sampling of the circuit itself
+		res, err = sim.RunCircuitFrames(circ, d, r, spec.NewDecoder, cfg)
 	default:
 		log.Fatalf("unknown model %q", *model)
 	}

@@ -92,49 +92,6 @@ func TestDecoderFactoryFlags(t *testing.T) {
 	}
 }
 
-// TestBatchFlagValues is the table-driven -batch validation: accepted
-// values resolve to the batch/scalar toggle, anything else fails with an
-// error naming the accepted set (the CLI exits non-zero via log.Fatal
-// before any work runs).
-func TestBatchFlagValues(t *testing.T) {
-	cases := []struct {
-		value   string
-		want    bool
-		wantErr bool
-	}{
-		{"on", true, false},
-		{"off", false, false},
-		{"true", true, false},
-		{"false", false, false},
-		{"1", true, false},
-		{"0", false, false},
-		{"", false, true},
-		{"banana", false, true},
-		{"ON", false, true}, // case-sensitive, like -decoder
-		{"64", false, true},
-	}
-	for _, tc := range cases {
-		t.Run("value="+tc.value, func(t *testing.T) {
-			got, err := sim.ParseBatchFlag(tc.value)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("-batch %q accepted", tc.value)
-				}
-				if !strings.Contains(err.Error(), "on|off") {
-					t.Errorf("error %q does not print the accepted set", err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Errorf("-batch %q = %v, want %v", tc.value, got, tc.want)
-			}
-		})
-	}
-}
-
 // TestDecoderFlagsMatchRegistry pins the flag vocabulary to the registry:
 // a decoder added to sim.DecoderSpecs must be reachable from the CLI.
 func TestDecoderFlagsMatchRegistry(t *testing.T) {

@@ -32,14 +32,14 @@ var fig05Golden = []PointStat{
 }
 
 var fig07Golden = []PointStat{
-	{"BP-SF(BP100,wmax=6,phi=50,ns=5)", 0.002, 25, 1},
-	{"BP-SF(BP100,wmax=6,phi=50,ns=5)", 0.003, 25, 1},
+	{"BP-SF(BP100,wmax=6,phi=50,ns=5)", 0.002, 25, 0},
+	{"BP-SF(BP100,wmax=6,phi=50,ns=5)", 0.003, 25, 0},
 	{"BP-SF(BP100,wmax=10,phi=50,ns=10)", 0.002, 25, 0},
 	{"BP-SF(BP100,wmax=10,phi=50,ns=10)", 0.003, 25, 0},
 	{"BP1000-OSD10", 0.002, 25, 0},
 	{"BP1000-OSD10", 0.003, 25, 0},
-	{"BP1000", 0.002, 25, 4},
-	{"BP1000", 0.003, 25, 3},
+	{"BP1000", 0.002, 25, 0},
+	{"BP1000", 0.003, 25, 4},
 }
 
 var ufGolden = []PointStat{
@@ -70,12 +70,12 @@ var ufGolden = []PointStat{
 }
 
 var fig17cGolden = []PointStat{
-	{"BP-SF(BP50,wmax=4,phi=20,ns=5)", 0.002, 25, 2},
-	{"BP-SF(BP50,wmax=4,phi=20,ns=5)", 0.004, 25, 4},
-	{"BP1000-OSD10", 0.002, 25, 1},
-	{"BP1000-OSD10", 0.004, 25, 2},
-	{"BP1000", 0.002, 25, 3},
-	{"BP1000", 0.004, 25, 2},
+	{"BP-SF(BP50,wmax=4,phi=20,ns=5)", 0.002, 25, 0},
+	{"BP-SF(BP50,wmax=4,phi=20,ns=5)", 0.004, 25, 3},
+	{"BP1000-OSD10", 0.002, 25, 0},
+	{"BP1000-OSD10", 0.004, 25, 3},
+	{"BP1000", 0.002, 25, 2},
+	{"BP1000", 0.004, 25, 5},
 }
 
 var windowGolden = []PointStat{
@@ -91,18 +91,18 @@ var windowGolden = []PointStat{
 	{"rsurf5 W2C1[BP100-OSD5]", 0.003, 40, 0},
 	{"rsurf5 W3C1[BP100-OSD5]", 0.001, 40, 0},
 	{"rsurf5 W3C1[BP100-OSD5]", 0.003, 40, 0},
-	{"bb72 UF", 0.001, 40, 5},
-	{"bb72 UF", 0.003, 40, 27},
-	{"bb72 W2C1[UF]", 0.001, 40, 6},
-	{"bb72 W2C1[UF]", 0.003, 40, 27},
-	{"bb72 W3C1[UF]", 0.001, 40, 5},
-	{"bb72 W3C1[UF]", 0.003, 40, 28},
-	{"bb72 BP100-OSD5", 0.001, 40, 1},
-	{"bb72 BP100-OSD5", 0.003, 40, 5},
+	{"bb72 UF", 0.001, 40, 6},
+	{"bb72 UF", 0.003, 40, 28},
+	{"bb72 W2C1[UF]", 0.001, 40, 8},
+	{"bb72 W2C1[UF]", 0.003, 40, 31},
+	{"bb72 W3C1[UF]", 0.001, 40, 7},
+	{"bb72 W3C1[UF]", 0.003, 40, 30},
+	{"bb72 BP100-OSD5", 0.001, 40, 0},
+	{"bb72 BP100-OSD5", 0.003, 40, 0},
 	{"bb72 W2C1[BP100-OSD5]", 0.001, 40, 0},
-	{"bb72 W2C1[BP100-OSD5]", 0.003, 40, 3},
+	{"bb72 W2C1[BP100-OSD5]", 0.003, 40, 1},
 	{"bb72 W3C1[BP100-OSD5]", 0.001, 40, 0},
-	{"bb72 W3C1[BP100-OSD5]", 0.003, 40, 3},
+	{"bb72 W3C1[BP100-OSD5]", 0.003, 40, 0},
 }
 
 func checkGolden(t *testing.T, name string, shots int, golden []PointStat) {

@@ -60,9 +60,20 @@ func BenchmarkDEMBatchSample(b *testing.B) {
 	}
 }
 
-// BenchmarkDEMScalarSample is the retained per-shot DEM sampler on the
-// same model.
+// BenchmarkDEMScalarSample is the test-only per-shot reference
+// DEMScalarSampler on the same model.
 func BenchmarkDEMScalarSample(b *testing.B) {
+	_, d := buildMemexp(b, "rsurf5", 5)
+	s := NewDEMScalarSampler(d, 0.003, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SampleShared()
+	}
+}
+
+// BenchmarkDEMShotSample is the shipped per-shot reader dem.Sampler, which
+// hands out the lanes of the block draw one shot at a time.
+func BenchmarkDEMShotSample(b *testing.B) {
 	_, d := buildMemexp(b, "rsurf5", 5)
 	s := dem.NewSampler(d, 0.003, 1)
 	b.ResetTimer()
@@ -72,8 +83,9 @@ func BenchmarkDEMScalarSample(b *testing.B) {
 }
 
 // TestSamplerZeroAlloc gates the four syndrome samplers on the 5-round
-// rsurf5 memory experiment: at steady state none allocates. Each batch
-// run draws a whole block, so a block refill that allocated would show.
+// rsurf5 memory experiment: at steady state none allocates. Each run of
+// a block sampler or of the per-shot DEM reader draws a whole block, so a
+// block refill that allocated would show.
 func TestSamplerZeroAlloc(t *testing.T) {
 	circ, d := buildMemexp(t, "rsurf5", 5)
 	const p = 0.003
@@ -96,7 +108,11 @@ func TestSamplerZeroAlloc(t *testing.T) {
 			}
 		}},
 		{"circuit-scalar", func() { circScalar.SampleShared() }},
-		{"dem-scalar", func() { demScalar.SampleShared() }},
+		{"dem-scalar", func() {
+			for i := 0; i < BlockShots; i++ {
+				demScalar.SampleShared()
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if allocs := testing.AllocsPerRun(20, tc.draw); allocs != 0 {

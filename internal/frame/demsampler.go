@@ -1,122 +1,34 @@
 package frame
 
-import (
-	"math"
-	"math/rand"
-	"sort"
+import "bpsf/internal/dem"
 
-	"bpsf/internal/dem"
-)
-
-// DEMSampler draws 64-shot blocks of i.i.d. Bernoulli mechanism fires from
-// a detector error model: the word-parallel counterpart of dem.Sampler.
-// Mechanisms are grouped by equal prior (the exact grouping of the scalar
-// sampler) and each group's (mechanism × lane) space is swept with one
-// geometric-skipping pass, so the cost per block is proportional to the
-// mechanisms that actually fire plus one residual draw per group — the
-// per-shot group overhead, per-shot zeroing and per-shot support sort of
-// the scalar sampler disappear.
+// DEMSampler writes the 64-shot blocks of dem.Blocks into Batch words:
+// lane i of block k is shot 64k+i of dem.NewSampler with the same
+// arguments.
 //
 // Not safe for concurrent use; create one per goroutine with distinct
 // seeds. The block stream is a deterministic function of (DEM, p, seed).
 type DEMSampler struct {
 	dem    *dem.DEM
-	priors []float64
-	rng    *rand.Rand
-	groups []demGroup
-
-	fires [BlockShots]int
-}
-
-type demGroup struct {
-	q       float64
-	logq    float64
-	indices []int
+	blocks *dem.Blocks
 }
 
 // NewDEMSampler builds a batch sampler at physical error rate p with the
 // given seed.
 func NewDEMSampler(d *dem.DEM, p float64, seed int64) *DEMSampler {
-	s := &DEMSampler{
-		dem:    d,
-		priors: d.Priors(p),
-		rng:    rand.New(rand.NewSource(seed)),
-	}
-	byProb := make(map[float64][]int)
-	for i, pr := range s.priors {
-		if pr > 0 {
-			byProb[pr] = append(byProb[pr], i)
-		}
-	}
-	probs := make([]float64, 0, len(byProb))
-	for pr := range byProb {
-		probs = append(probs, pr)
-	}
-	sort.Float64s(probs)
-	for _, pr := range probs {
-		g := demGroup{q: pr, indices: byProb[pr]}
-		if pr < 1 {
-			g.logq = math.Log1p(-pr)
-		}
-		s.groups = append(s.groups, g)
-	}
-	return s
+	return &DEMSampler{dem: d, blocks: dem.NewBlocks(d, p, seed)}
 }
-
-// Priors returns the per-mechanism priors at the sampler's error rate (for
-// configuring decoders). The caller must not modify the slice.
-func (s *DEMSampler) Priors() []float64 { return s.priors }
-
-// NumDets returns the DEM's detector count.
-func (s *DEMSampler) NumDets() int { return s.dem.NumDets }
-
-// NumObs returns the DEM's observable count.
-func (s *DEMSampler) NumObs() int { return s.dem.NumObs }
 
 // SampleBlock draws the next 64 shots into b (resized and overwritten).
 func (s *DEMSampler) SampleBlock(b *Batch) {
 	b.Reset(s.dem.NumDets, s.dem.NumObs)
-	for i := range s.fires {
-		s.fires[i] = 0
-	}
-	for _, g := range s.groups {
-		limit := BlockShots * len(g.indices)
-		if g.q >= 1 {
-			for t := 0; t < limit; t++ {
-				s.fire(b, g.indices[t>>6], t&63)
-			}
-			continue
+	for _, f := range s.blocks.Next() {
+		bit := uint64(1) << uint(f&63)
+		for _, d := range s.dem.H.ColSupport(int(f >> 6)) {
+			b.Dets[d] ^= bit
 		}
-		t := 0
-		for {
-			f := math.Log(1-s.rng.Float64()) / g.logq
-			if f >= float64(limit-t) {
-				break
-			}
-			t += int(f)
-			s.fire(b, g.indices[t>>6], t&63)
-			t++
+		for _, o := range s.dem.Obs.ColSupport(int(f >> 6)) {
+			b.Obs[o] ^= bit
 		}
 	}
 }
-
-func (s *DEMSampler) fire(b *Batch, mech, lane int) {
-	bit := uint64(1) << uint(lane)
-	for _, d := range s.dem.H.ColSupport(mech) {
-		b.Dets[d] ^= bit
-	}
-	for _, o := range s.dem.Obs.ColSupport(mech) {
-		b.Obs[o] ^= bit
-	}
-	s.fires[lane]++
-}
-
-// LaneFires returns the number of mechanisms that fired in each lane of
-// the most recent block (shot i of the block is lane i) — the batch
-// counterpart of dem.Sampler.Mechs for summary reporting. The returned
-// array is a copy. SampleBlock always fills and marks all BlockShots
-// lanes valid, so every entry describes a real shot; callers truncating
-// a block to fewer shots must index only lanes below their own count
-// (Cursor.Lane is never ≥ the lanes it has handed out, and returns -1
-// before the first shot).
-func (s *DEMSampler) LaneFires() [BlockShots]int { return s.fires }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"bpsf/internal/dem"
 	"bpsf/internal/gf2"
 )
 
@@ -116,10 +115,11 @@ var diffCases = []struct {
 }
 
 // TestBatchScalarDifferential is the batch-vs-scalar differential suite:
-// under fixed seeds the word-parallel samplers must reproduce the retained
-// scalar samplers' detector and observable statistics in both modes —
-// circuit-level frame propagation (CircuitSampler vs ScalarSampler) and
-// DEM mechanism sampling (DEMSampler vs dem.Sampler).
+// under fixed seeds the word-parallel samplers must reproduce the
+// test-only scalar references' detector and observable statistics in both
+// modes — circuit-level frame propagation (CircuitSampler vs
+// ScalarSampler) and DEM mechanism sampling (DEMSampler vs
+// DEMScalarSampler).
 func TestBatchScalarDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical differential suite")
@@ -140,7 +140,7 @@ func TestBatchScalarDifferential(t *testing.T) {
 
 			t.Run("dem", func(t *testing.T) {
 				batch := NewDEMSampler(d, tc.p, 101)
-				scalar := dem.NewSampler(d, tc.p, 202)
+				scalar := NewDEMScalarSampler(d, tc.p, 202)
 				stB := collectBatch(t, batch.SampleBlock, d.NumDets, d.NumObs, tc.shots)
 				stS := collectScalar(scalar.SampleShared, d.NumDets, tc.shots)
 				assertSameStatistics(t, tc.code+"/dem", stB, stS)
@@ -257,7 +257,7 @@ func TestBatchScalarWeightChiSquare(t *testing.T) {
 	check("circuit", stB.weightLog, stS.weightLog)
 
 	dbatch := NewDEMSampler(d, 0.003, 21)
-	dscalar := dem.NewSampler(d, 0.003, 22)
+	dscalar := NewDEMScalarSampler(d, 0.003, 22)
 	stDB := collectBatch(t, dbatch.SampleBlock, d.NumDets, d.NumObs, shots)
 	stDS := collectScalar(dscalar.SampleShared, d.NumDets, shots)
 	check("dem", stDB.weightLog, stDS.weightLog)

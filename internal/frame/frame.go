@@ -18,11 +18,12 @@
 //
 //   - CircuitSampler: 64-shot word-parallel Pauli-frame simulation of a
 //     circuit.
-//   - DEMSampler: 64-shot word-parallel mechanism sampling from an
-//     extracted DEM (the batch counterpart of dem.Sampler).
+//   - DEMSampler: the word-parallel writer of dem.Blocks, the one DEM
+//     mechanism-sampling algorithm (dem.Sampler reads the same lanes shot
+//     by shot).
 //
-// The tests hold CircuitSampler to identical statistics against a
-// one-shot-at-a-time reference of the same stochastic process.
+// The tests hold both to identical statistics against one-shot-at-a-time
+// references of the same stochastic processes.
 //
 // Determinism contract (DESIGN.md §8): every sampler is a deterministic
 // function of (its construction arguments, seed); blocks are always drawn
@@ -33,11 +34,13 @@ package frame
 import (
 	"encoding/binary"
 	"fmt"
+
+	"bpsf/internal/dem"
 )
 
 // BlockShots is the number of shots sampled per block: the lane count of a
 // 64-bit word.
-const BlockShots = 64
+const BlockShots = dem.BlockShots
 
 // Batch holds one block of sampled shots in detector-major words: bit lane
 // s of Dets[d] reports whether detector d fired in shot s, and bit lane s
@@ -200,7 +203,7 @@ func unpackRows(src []byte, shots, stride int, words []uint64) []uint64 {
 // Cursor adapts a block sampler to per-shot consumption: it draws 64-shot
 // blocks lazily, transposes them, and hands out one packed shot row at a
 // time — the one block-refill idiom shared by the sim engine, the decode
-// service's server-side sampling and bpsf-dem. Shot i of the stream is
+// service's server-side sampling and perfbench. Shot i of the stream is
 // lane i mod 64 of block i/64 (the package determinism contract), so a
 // Cursor over a deterministic sampler is itself deterministic.
 type Cursor struct {
@@ -231,12 +234,11 @@ func (c *Cursor) Next() (syndrome, obsFlips []byte) {
 	return syndrome, obsFlips
 }
 
-// Lane returns the block lane of the shot most recently returned by Next
-// (for per-lane side channels like DEMSampler.LaneFires), or -1 before
-// the first Next. The sentinel is part of the contract: a fresh cursor
-// used to report lane 63 here — a valid-looking lane that indexed
-// garbage in any per-lane side channel — so callers may rely on a
-// negative value to detect "no shot drawn yet".
+// Lane returns the block lane of the shot most recently returned by Next,
+// or -1 before the first Next. The sentinel is part of the contract: a
+// fresh cursor used to report lane 63 here — a valid-looking lane that
+// indexed garbage in any per-lane side channel — so callers may rely on
+// a negative value to detect "no shot drawn yet".
 func (c *Cursor) Lane() int {
 	if !c.started {
 		return -1

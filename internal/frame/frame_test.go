@@ -400,31 +400,51 @@ func TestCursorMatchesManualBlocks(t *testing.T) {
 	}
 }
 
-// TestDEMSamplerLaneFires: the lane fire counts of a block sum to the
-// total fired mechanisms and explain every set syndrome bit (a lane with
-// zero fires has an all-quiet syndrome).
-func TestDEMSamplerLaneFires(t *testing.T) {
-	_, d := buildMemexp(t, "rsurf3", 2)
-	s := NewDEMSampler(d, 0.02, 5)
-	var b Batch
-	var p Packed
-	total := 0
-	for blk := 0; blk < 8; blk++ {
-		s.SampleBlock(&b)
-		Pack(&b, &p)
-		fires := s.LaneFires()
-		syn := gf2.NewVec(d.NumDets)
-		for lane := 0; lane < BlockShots; lane++ {
-			total += fires[lane]
-			if err := syn.SetBytes(p.Syndrome(lane)); err != nil {
-				t.Fatal(err)
+// TestDEMSamplerMatchesPerShot: dem.Sampler hands out the lanes of the
+// block stream — shot 64k+i of dem.NewSampler(d, p, seed) is lane i of
+// block k of NewDEMSampler(d, p, seed) — over several blocks plus a
+// partial one, and each shot's Mechs explain its syndrome and flips.
+func TestDEMSamplerMatchesPerShot(t *testing.T) {
+	for _, code := range []string{"rsurf3", "bb72"} {
+		t.Run(code, func(t *testing.T) {
+			_, d := buildMemexp(t, code, 2)
+			const shots = 5*BlockShots + 23
+			blocks := NewDEMSampler(d, 0.01, 5)
+			perShot := dem.NewSampler(d, 0.01, 5)
+			var b Batch
+			var p Packed
+			syn := gf2.NewVec(d.NumDets)
+			obs := gf2.NewVec(d.NumObs)
+			fired := gf2.NewVec(d.NumMechs())
+			total := 0
+			for shot := 0; shot < shots; shot++ {
+				lane := shot % BlockShots
+				if lane == 0 {
+					blocks.SampleBlock(&b)
+					Pack(&b, &p)
+				}
+				if err := syn.SetBytes(p.Syndrome(lane)); err != nil {
+					t.Fatal(err)
+				}
+				if err := obs.SetBytes(p.ObsFlips(lane)); err != nil {
+					t.Fatal(err)
+				}
+				gotSyn, gotObs := perShot.SampleShared()
+				if !gotSyn.Equal(syn) || !gotObs.Equal(obs) {
+					t.Fatalf("shot %d: per-shot sample differs from block lane %d", shot, lane)
+				}
+				fired.Zero()
+				for _, m := range perShot.Mechs() {
+					fired.Flip(m)
+				}
+				if !d.SyndromeOf(fired).Equal(syn) || !d.ObsOf(fired).Equal(obs) {
+					t.Fatalf("shot %d: Mechs do not explain the syndrome and flips", shot)
+				}
+				total += len(perShot.Mechs())
 			}
-			if fires[lane] == 0 && syn.Weight() != 0 {
-				t.Fatalf("block %d lane %d: zero fires but syndrome weight %d", blk, lane, syn.Weight())
+			if total == 0 {
+				t.Fatalf("no mechanism fired in %d shots at p=0.01", shots)
 			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("no mechanism fired in 512 shots at p=0.02")
+		})
 	}
 }

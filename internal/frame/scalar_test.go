@@ -1,9 +1,12 @@
 package frame
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 
 	"bpsf/internal/circuit"
+	"bpsf/internal/dem"
 	"bpsf/internal/gf2"
 	"bpsf/internal/pauli"
 )
@@ -148,4 +151,96 @@ func (s *ScalarSampler) fires(i int) bool {
 		return false
 	}
 	return q >= 1 || s.rng.Float64() < q
+}
+
+// DEMScalarSampler draws DEM mechanism vectors one shot at a time: an
+// independent implementation of the Bernoulli-mechanism process of
+// dem.Blocks, with its own RNG use (one geometric skip per fire within
+// each equal-prior group of one shot). It exists only for tests: the
+// differential and chi-square suites hold the shipped DEM sampling
+// against it, and it is the baseline of BenchmarkDEMScalarSample.
+//
+// Not safe for concurrent use; create one per goroutine with distinct
+// seeds.
+type DEMScalarSampler struct {
+	d      *dem.DEM
+	rng    *rand.Rand
+	groups []scalarGroup
+
+	syndrome gf2.Vec
+	obsFlips gf2.Vec
+	mechs    []int
+}
+
+type scalarGroup struct {
+	p       float64
+	logq    float64 // log(1-p)
+	indices []int
+}
+
+// NewDEMScalarSampler builds a per-shot DEM sampler at physical error
+// rate p with the given seed.
+func NewDEMScalarSampler(d *dem.DEM, p float64, seed int64) *DEMScalarSampler {
+	s := &DEMScalarSampler{
+		d:        d,
+		rng:      rand.New(rand.NewSource(seed)),
+		syndrome: gf2.NewVec(d.NumDets),
+		obsFlips: gf2.NewVec(d.NumObs),
+	}
+	byProb := make(map[float64][]int)
+	for i, pr := range d.Priors(p) {
+		if pr > 0 {
+			byProb[pr] = append(byProb[pr], i)
+		}
+	}
+	probs := make([]float64, 0, len(byProb))
+	for pr := range byProb {
+		probs = append(probs, pr)
+	}
+	sort.Float64s(probs)
+	for _, pr := range probs {
+		s.groups = append(s.groups, scalarGroup{p: pr, logq: math.Log(1 - pr), indices: byProb[pr]})
+	}
+	return s
+}
+
+// SampleShared draws one shot and returns the syndrome and observable-flip
+// vectors aliasing the sampler's internal buffers, valid until the next
+// call.
+func (s *DEMScalarSampler) SampleShared() (syndrome, obsFlips gf2.Vec) {
+	mechs := s.mechs[:0]
+	s.syndrome.Zero()
+	s.obsFlips.Zero()
+	for _, g := range s.groups {
+		if g.p >= 1 {
+			for _, m := range g.indices {
+				mechs = s.fire(mechs, m)
+			}
+			continue
+		}
+		// geometric skipping within the group
+		i := 0
+		for {
+			u := s.rng.Float64()
+			i += int(math.Floor(math.Log(1-u) / g.logq))
+			if i >= len(g.indices) {
+				break
+			}
+			mechs = s.fire(mechs, g.indices[i])
+			i++
+		}
+	}
+	sort.Ints(mechs)
+	s.mechs = mechs
+	return s.syndrome, s.obsFlips
+}
+
+func (s *DEMScalarSampler) fire(mechs []int, m int) []int {
+	for _, d := range s.d.H.ColSupport(m) {
+		s.syndrome.Flip(int(d))
+	}
+	for _, o := range s.d.Obs.ColSupport(m) {
+		s.obsFlips.Flip(int(o))
+	}
+	return append(mechs, m)
 }

@@ -15,8 +15,8 @@ import (
 // service: the session geometry (code, rounds, p, decoder spec), the load
 // model (closed-loop saturation or open-loop fixed arrival rate), the
 // plane (request batches, or windowed round streams when Window > 0) and
-// the syndrome source (server-side word-parallel batch sampling, or the
-// client-side scalar sampler uploading packed syndromes).
+// the syndrome source (server-side sampling, or the same shots sampled
+// client-side and uploaded as packed syndromes).
 //
 // It is the substrate of cmd/bpsf-load, of the service-latency
 // experiment and of in-process loopback tests against a Server.
@@ -31,8 +31,8 @@ type LoadConfig struct {
 	BatchSize int // syndromes per request batch (default 16)
 
 	// ServerSample selects server-side batch sampling (SubmitSample); when
-	// false the client samples scalar shots from DEM and uploads syndromes.
-	// The stream plane always samples client-side.
+	// false the client samples the same shots from DEM and uploads their
+	// syndromes. The stream plane always samples client-side.
 	ServerSample bool
 	// DEM is the client-side sampling model; required unless the run is
 	// server-sampled batches.
@@ -121,9 +121,11 @@ func (r LoadResult) Throughput() float64 {
 
 // DriveLoad runs the load model of cmd/bpsf-load against the server at
 // addr and returns the full accounting. Session s opens with StreamSeed
-// Seed+1000s and samples client-side with seed Seed+s. No failure path is
-// silent: open-loop batches whose Pending.Wait fails are counted in
-// FailedBatches and their errors — along with every session's dial,
+// Seed+1000s; client-side it samples with SampleSeed(StreamSeed), the
+// server's sampler seed for that session, so a client-sampled and a
+// server-sampled run with one Seed decode the same syndromes. No failure
+// path is silent: open-loop batches whose Pending.Wait fails are counted
+// in FailedBatches and their errors — along with every session's dial,
 // submit and stream errors, not just the first — are joined into the
 // returned error, so a run that lost responses can never report a clean
 // result.
@@ -150,12 +152,13 @@ func DriveLoad(addr string, cfg LoadConfig) (LoadResult, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			c, err := Dial(addr, Hello{
+			h := Hello{
 				Code: cfg.Code, Rounds: cfg.Rounds, P: cfg.P,
 				StreamSeed: cfg.Seed + int64(s)*1000,
 				Deadline:   cfg.Deadline,
 				Spec:       cfg.Spec,
-			})
+			}
+			c, err := Dial(addr, h)
 			if err != nil {
 				l.fail(fmt.Errorf("session %d: %w", s, err))
 				return
@@ -163,7 +166,7 @@ func DriveLoad(addr string, cfg LoadConfig) (LoadResult, error) {
 			defer c.Close()
 			var sampler *dem.Sampler
 			if cfg.DEM != nil {
-				sampler = dem.NewSampler(cfg.DEM, cfg.P, cfg.Seed+int64(s))
+				sampler = dem.NewSampler(cfg.DEM, cfg.P, SampleSeed(h.StreamSeed))
 			}
 			if cfg.Window > 0 {
 				l.streams(c, s, sampler, perSession)

@@ -243,7 +243,7 @@ func TestDriveLoadStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	wd.Reseed(RequestSeed(base.Seed, 0))
-	syn, _ := dem.NewSampler(base.DEM, base.P, base.Seed).SampleShared()
+	syn, _ := dem.NewSampler(base.DEM, base.P, SampleSeed(base.Seed)).SampleShared()
 	if syn.IsZero() {
 		t.Fatal("first syndrome is trivial; the replay check would be vacuous")
 	}

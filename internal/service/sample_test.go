@@ -237,3 +237,73 @@ func TestSampledAndClientBatchesInterleave(t *testing.T) {
 		}
 	}
 }
+
+// TestClientAndServerSampleSameShots: client-side sampling as DriveLoad
+// does it (dem.NewSampler seeded SampleSeed(StreamSeed)) draws the shots
+// the server samples for the same Hello. A session uploading those
+// syndromes and a SubmitSample session therefore return the same
+// estimates, convergence and iteration counts (Failed is reported only
+// for server-sampled shots, and latency differs), and DriveLoad's two
+// sampling modes decode alike under one Seed.
+func TestClientAndServerSampleSameShots(t *testing.T) {
+	srv := startServer(t, Options{PoolSize: 2})
+	h := Hello{Code: "bb72", Rounds: 2, P: 0.004, StreamSeed: 77, Spec: Spec{Kind: "bp", BPIters: 8}}
+	const n, chunk = 150, 32 // crosses two block boundaries
+	syndromes := sampleSyndromes(t, srv, h, n, SampleSeed(h.StreamSeed))
+	run := func(submit func(c *Client, from, to int) (*Pending, error)) []Response {
+		c, err := Dial(srv.Addr().String(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var out []Response
+		for from := 0; from < n; from += chunk {
+			pend, err := submit(c, from, min(from+chunk, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resps, err := pend.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, resps...)
+		}
+		return out
+	}
+	client := run(func(c *Client, from, to int) (*Pending, error) { return c.Submit(syndromes[from:to]) })
+	server := run(func(c *Client, from, to int) (*Pending, error) { return c.SubmitSample(to - from) })
+	unconverged := 0
+	for i := range client {
+		a, b := client[i], server[i]
+		if a.Success != b.Success || a.Iterations != b.Iterations || !bytes.Equal(a.ErrHat, b.ErrHat) {
+			t.Fatalf("shot %d: client-sampled (success %v, %d iterations, %d flips), server-sampled (%v, %d, %d)",
+				i, a.Success, a.Iterations, a.FlipCount, b.Success, b.Iterations, b.FlipCount)
+		}
+		if !a.Success {
+			unconverged++
+		}
+	}
+	// BP8 on bb72 leaves some shots unconverged: the comparison covers both outcomes
+	if unconverged == 0 || unconverged == n {
+		t.Fatalf("degenerate corpus: %d/%d shots unconverged", unconverged, n)
+	}
+
+	d, err := srv.demFor(h.Code, h.Rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results [2]LoadResult
+	for i, serverSample := range []bool{false, true} {
+		results[i], err = DriveLoad(srv.Addr().String(), LoadConfig{
+			Code: h.Code, Rounds: h.Rounds, P: h.P, Spec: h.Spec,
+			Sessions: 2, Shots: n, BatchSize: chunk, ServerSample: serverSample, DEM: d, Seed: 9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if results[0].Decoded != n || results[0].DecodeFailures != results[1].DecodeFailures || results[1].Decoded != n {
+		t.Fatalf("DriveLoad client-sampled: %d decoded, %d decode failures; server-sampled: %d, %d",
+			results[0].Decoded, results[0].DecodeFailures, results[1].Decoded, results[1].DecodeFailures)
+	}
+}

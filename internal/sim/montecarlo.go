@@ -5,7 +5,6 @@ import (
 
 	"bpsf/internal/code"
 	"bpsf/internal/decoding"
-	"bpsf/internal/dem"
 	"bpsf/internal/gf2"
 	"bpsf/internal/noise"
 )
@@ -171,30 +170,4 @@ func RunCapacity(css *code.CSS, mk Factory, cfg Config) (*Result, error) {
 		return Shard{Name: decX.Name(), Shot: shot}, nil
 	}
 	return Run(cfg, 0, sharder)
-}
-
-// RunCircuit evaluates a decoder on a detector error model: shots are
-// sampled from the DEM at rate p, the decoder sees the detector syndrome,
-// and a shot fails when the decoder's estimate predicts the wrong logical
-// observable flips (or fails to satisfy the syndrome). rounds is used for
-// the per-round rate. Shots run sharded across Config.Workers goroutines;
-// results are bit-identical for any worker count. RunCircuitFrames is the
-// word-parallel counterpart that samples the circuit itself.
-func RunCircuit(d *dem.DEM, rounds int, mk Factory, cfg Config) (*Result, error) {
-	sharder := func(shardSeed int64) (Shard, error) {
-		sampler := dem.NewSampler(d, cfg.P, shardSeed)
-		dec, err := mk(d.H, sampler.Priors())
-		if err != nil {
-			return Shard{}, err
-		}
-		Reseed(dec, ShardSeed(shardSeed, 1))
-		obsHat := gf2.NewVec(d.NumObs)
-		shot := func() (Outcome, bool) {
-			syndrome, obsFlips := sampler.SampleShared()
-			out := dec.Decode(syndrome)
-			return out, LogicalFailed(d.Obs, out, obsFlips, obsHat)
-		}
-		return Shard{Name: dec.Name(), Shot: shot}, nil
-	}
-	return Run(cfg, rounds, sharder)
 }

@@ -13,6 +13,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"bpsf/internal/gf2"
@@ -223,20 +224,18 @@ func (m *Mat) MulVec(x gf2.Vec) gf2.Vec {
 }
 
 // MulVecInto computes m·x into dst (length Rows()), avoiding allocation.
+// It XORs the columns of x's set bits, so its cost follows x's weight,
+// not the matrix's size.
 func (m *Mat) MulVecInto(dst, x gf2.Vec) {
 	if x.Len() != m.cols || dst.Len() != m.rows {
 		panic("sparse: MulVecInto dimension mismatch")
 	}
 	dst.Zero()
-	for i := 0; i < m.rows; i++ {
-		parity := false
-		for _, j := range m.RowSupport(i) {
-			if x.Get(int(j)) {
-				parity = !parity
+	for k, w := range x.Words() {
+		for ; w != 0; w &= w - 1 {
+			for _, i := range m.ColSupport(k*64 + bits.TrailingZeros64(w)) {
+				dst.Flip(int(i))
 			}
-		}
-		if parity {
-			dst.Set(i, true)
 		}
 	}
 }

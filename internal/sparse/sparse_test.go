@@ -199,15 +199,33 @@ func TestMulVecMatchesDense(t *testing.T) {
 	}
 }
 
+// TestMulVecInto holds MulVecInto to the dense product on random matrices
+// whose columns span several words, at zero, sparse and full x weights,
+// into a dst holding stale bits.
 func TestMulVecInto(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
-	m := randSparse(r, 20, 25, 0.2)
-	x := randGF2Vec(r, 25)
-	dst := gf2.NewVec(20)
-	dst.Set(3, true) // must be cleared
-	m.MulVecInto(dst, x)
-	if !dst.Equal(m.MulVec(x)) {
-		t.Fatal("MulVecInto differs from MulVec")
+	for trial := 0; trial < 30; trial++ {
+		m := randSparse(r, 1+r.Intn(90), 1+r.Intn(200), 0.05+0.3*r.Float64())
+		dense := m.ToDense()
+		for _, weight := range []string{"zero", "sparse", "full"} {
+			x := gf2.NewVec(m.Cols())
+			for j := 0; j < m.Cols(); j++ {
+				switch weight {
+				case "sparse":
+					x.Set(j, r.Intn(20) == 0)
+				case "full":
+					x.Set(j, true)
+				}
+			}
+			dst := gf2.NewVec(m.Rows())
+			for i := 0; i < m.Rows(); i++ {
+				dst.Set(i, r.Intn(2) == 1) // must be cleared
+			}
+			m.MulVecInto(dst, x)
+			if want := dense.MulVec(x); !dst.Equal(want) {
+				t.Fatalf("trial %d (%dx%d, %s x): MulVecInto %v, dense %v", trial, m.Rows(), m.Cols(), weight, dst, want)
+			}
+		}
 	}
 }
 
